@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from .errors import ConstraintSyntaxError
-from .nodes import Node, RuleNode, serialize_node, subtrees
+from .nodes import Node, RuleNode, UniformHole, is_complete, serialize_node, subtrees
 
 Pattern = Union["ConcreteRule", "DomainMember", "PatternVar"]
 
@@ -99,25 +99,41 @@ def pattern_variables(pattern: Pattern) -> set[str]:
     return names
 
 
-def match_pattern(pattern: Pattern, node: Node) -> Optional[dict[str, Node]]:
-    """Match a pattern at the root of a complete tree.
+def match_pattern(
+    pattern: Pattern, node: Node, *, definite: bool = False
+) -> Optional[dict[str, Node]]:
+    """Match a pattern at the root of a tree.
 
-    Returns the variable bindings on success, ``None`` otherwise.
+    Returns the variable bindings on success, ``None`` otherwise.  Without
+    ``definite`` any hole fails to match.  With ``definite`` the tree may
+    hold uniform holes and the match must hold in *every* completion: an
+    undecided node matches only a ``domain`` pattern covering its whole
+    domain, and repeated variables need complete, equal subtrees.  On a
+    complete tree both modes give the same result.
     """
     bindings: dict[str, Node] = {}
 
     def walk(p: Pattern, n: Node) -> bool:
         if isinstance(p, PatternVar):
             if p.name in bindings:
-                return bindings[p.name] == n
+                previous = bindings[p.name]
+                if definite and not (is_complete(previous) and is_complete(n)):
+                    return False
+                return previous == n
             bindings[p.name] = n
             return True
-        if not isinstance(n, RuleNode):
-            return False
-        if isinstance(p, ConcreteRule):
-            if n.rule != p.rule:
+        if isinstance(n, RuleNode):
+            if isinstance(p, ConcreteRule):
+                if n.rule != p.rule:
+                    return False
+            elif n.rule not in p.domain:
                 return False
-        elif n.rule not in p.domain:
+        elif not (
+            definite
+            and isinstance(n, UniformHole)
+            and isinstance(p, DomainMember)
+            and n.domain <= p.domain
+        ):
             return False
         if p.children is None:
             return True
@@ -128,9 +144,12 @@ def match_pattern(pattern: Pattern, node: Node) -> Optional[dict[str, Node]]:
     return bindings if walk(pattern, node) else None
 
 
-def _ordering_holds(constraint: Ordered, bindings: dict[str, Node]) -> bool:
+def violated_by(constraint: Constraint, bindings: dict[str, Node]) -> bool:
+    """Does a match with these complete bindings break the constraint?"""
+    if isinstance(constraint, Forbidden):
+        return True
     texts = [serialize_node(bindings[v]) for v in constraint.variables]
-    return all(a <= b for a, b in zip(texts, texts[1:]))
+    return any(a > b for a, b in zip(texts, texts[1:]))
 
 
 def check_program(constraints: Iterable[Constraint], node: Node) -> bool:
@@ -141,11 +160,7 @@ def check_program(constraints: Iterable[Constraint], node: Node) -> bool:
     for sub in subtrees(node):
         for constraint in constraints:
             bindings = match_pattern(constraint.pattern, sub)
-            if bindings is None:
-                continue
-            if isinstance(constraint, Forbidden):
-                return False
-            if not _ordering_holds(constraint, bindings):
+            if bindings is not None and violated_by(constraint, bindings):
                 return False
     return True
 

@@ -183,7 +183,6 @@ class QueueEntry:
     tree: Node
     priority: Priority
     is_uniform: bool
-    is_requeued: bool = False
     programs: Iterator[RuleNode] | None = None
     peeked: RuleNode | None = None
 
@@ -282,7 +281,6 @@ class TopDownIterator:
             program = entry.peeked
             entry.peeked = next(entry.programs, None)
             if entry.peeked is not None:
-                entry.is_requeued = True
                 entry.priority = self._uniform_priority(entry, priority, is_requeued=True)
                 self._push(entry)
             emitted += 1

@@ -7,10 +7,16 @@ trees, one per combination of same-shape rule classes.  A
 active constraints, and a trail of removals supports cheap LIFO
 save/restore during enumeration.
 
-Propagation strength is singleton lookahead per hole: a rule is dropped when
+A uniform tree's shape is fixed, so each constraint is posted once per tree
+as a *site* at every position where its pattern can still match, and each
+site records the holes a match there inspects.  Propagation is
+event-driven: a call re-checks only the sites watching a hole that lost a
+rule since the previous call, and materializes only that site's subtree.
+The strength is still singleton lookahead per hole: a rule is dropped when
 fixing the hole to it makes some constraint violated in every completion.
-Completeness of the emitted program set is guaranteed by the final
-:func:`~synthkit.constraints.check_program` filter, not by propagation.
+Propagation only ever drops rules that no satisfying program uses; the
+final :func:`~synthkit.constraints.check_program` filter stays the ground
+truth that rejects the programs it lets through.
 """
 
 from __future__ import annotations
@@ -19,10 +25,18 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional
 
-from .constraints import Constraint, Forbidden, Ordered, Pattern, PatternVar, ConcreteRule
+from .constraints import (
+    ConcreteRule,
+    Constraint,
+    Ordered,
+    Pattern,
+    PatternVar,
+    match_pattern,
+    violated_by,
+)
 from .errors import SolverStateError
 from .grammar import Grammar
-from .nodes import Hole, Node, RuleNode, UniformHole, is_complete, node_count, serialize_node
+from .nodes import Hole, Node, RuleNode, UniformHole, node_count
 
 Path = tuple[int, ...]
 
@@ -161,9 +175,97 @@ def split_first_hole(
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """Opaque marker for a solver trail position."""
+    """Opaque marker for a solver trail position.
+
+    ``checked`` is how much of the trail propagation had already seen when
+    the checkpoint was taken (``None`` before the first propagation), so a
+    restore also brings back which holes still await propagation.
+    """
 
     trail_length: int
+    checked: int | None = None
+
+
+@dataclass(frozen=True)
+class _Site:
+    """One constraint posted at one position of the uniform tree.
+
+    ``watched`` lists the holes a match here inspects, each with the rules
+    its pattern node accepts, or ``None`` for a hole inside a subtree bound
+    to a variable that must be complete.
+    """
+
+    constraint: Constraint
+    path: Path
+    node: Node
+    watched: tuple[tuple[Path, Optional[frozenset[int]]], ...]
+
+
+def _complete_variables(constraint: Constraint) -> set[str]:
+    """Variables whose bound subtrees a definite violation needs decided."""
+    counts: dict[str, int] = {}
+
+    def count(pattern: Pattern) -> None:
+        if isinstance(pattern, PatternVar):
+            counts[pattern.name] = counts.get(pattern.name, 0) + 1
+        else:
+            for child in pattern.children or ():
+                count(child)
+
+    count(constraint.pattern)
+    names = {name for name, seen in counts.items() if seen > 1}
+    if isinstance(constraint, Ordered):
+        names.update(constraint.variables)
+    return names
+
+
+def _post_site(
+    constraint: Constraint, complete: set[str], node: Node, path: Path
+) -> _Site | None:
+    """The site of a constraint at a position, or None if it can never match there.
+
+    ``complete`` names the variables whose bound subtrees the site watches.
+    """
+    watched: list[tuple[Path, Optional[frozenset[int]]]] = []
+
+    def walk(p: Pattern, n: Node, at: Path) -> bool:
+        if isinstance(p, PatternVar):
+            if p.name in complete:
+                watched.extend(
+                    (hole, None)
+                    for hole, sub in _positions(n, at)
+                    if isinstance(sub, UniformHole)
+                )
+            return True
+        accepted = frozenset((p.rule,)) if isinstance(p, ConcreteRule) else p.domain
+        if isinstance(n, RuleNode):
+            if n.rule not in accepted:
+                return False
+        else:
+            if n.domain.isdisjoint(accepted):
+                return False
+            watched.append((at, accepted))
+        if p.children is None:
+            return True
+        if len(p.children) != len(n.children):
+            return False
+        return all(
+            walk(pc, nc, at + (i,))
+            for i, (pc, nc) in enumerate(zip(p.children, n.children))
+        )
+
+    if not walk(constraint.pattern, node, path):
+        return None
+    return _Site(constraint, path, node, tuple(watched))
+
+
+def _positions(node: Node, path: Path) -> Iterator[tuple[Path, Node]]:
+    """Path and node of every position of a uniform tree, in preorder."""
+    if isinstance(node, Hole):
+        raise ValueError("solver state requires a uniform tree (no plain holes)")
+    yield path, node
+    for i, child in enumerate(node.children):
+        yield from _positions(child, path + (i,))
 
 
 class SolverState:
@@ -172,23 +274,35 @@ class SolverState:
     The tree's shape is fixed; the only mutable state is which rules remain
     in each uniform hole's domain.  Holes whose domain shrinks to one rule
     count as decided and materialize as rule nodes.
+
+    Each constraint is posted once at every position where its pattern can
+    still match; propagation re-checks only the sites that watch a hole
+    which lost a rule since the previous call.
     """
 
     def __init__(self, grammar: Grammar, tree: Node, constraints: Iterable[Constraint] = ()):
         self.grammar = grammar
         self.root = tree
         self.constraints = tuple(constraints)
-        self._domains: dict[Path, set[int]] = {}
-        self._collect_holes(tree, ())
+        self._domains: dict[Path, set[int]] = {
+            path: set(node.domain)
+            for path, node in _positions(tree, ())
+            if isinstance(node, UniformHole)
+        }
         self._trail: list[tuple[Path, int]] = []
-
-    def _collect_holes(self, node: Node, path: Path) -> None:
-        if isinstance(node, Hole):
-            raise ValueError("solver state requires a uniform tree (no plain holes)")
-        if isinstance(node, UniformHole):
-            self._domains[path] = set(node.domain)
-        for i, child in enumerate(node.children):
-            self._collect_holes(child, path + (i,))
+        self._sites: list[_Site] = []
+        self._watchers: dict[Path, list[int]] = {}
+        # Trail prefix whose removals propagation has seen; None until the
+        # first call, which checks every site.
+        self._checked: int | None = None
+        for constraint in self.constraints:
+            complete = _complete_variables(constraint)
+            for path, node in _positions(tree, ()):
+                site = _post_site(constraint, complete, node, path)
+                if site is not None:
+                    for hole, _ in site.watched:
+                        self._watchers.setdefault(hole, []).append(len(self._sites))
+                    self._sites.append(site)
 
     # -- domains and the trail -------------------------------------------
 
@@ -208,7 +322,7 @@ class SolverState:
             self.remove(path, other)
 
     def save_state(self) -> Checkpoint:
-        return Checkpoint(len(self._trail))
+        return Checkpoint(len(self._trail), self._checked)
 
     def restore_state(self, checkpoint: Checkpoint) -> None:
         if checkpoint.trail_length > len(self._trail):
@@ -218,6 +332,10 @@ class SolverState:
         while len(self._trail) > checkpoint.trail_length:
             path, rule = self._trail.pop()
             self._domains[path].add(rule)
+        if checkpoint.checked is None or self._checked is None:
+            self._checked = None
+        else:
+            self._checked = min(checkpoint.checked, self._checked)
 
     # -- materialization ----------------------------------------------------
 
@@ -246,88 +364,69 @@ class SolverState:
 
         A rule is removed from a hole when fixing the hole to it yields a
         definite constraint violation, i.e. one present in every completion
-        of the remaining holes.
+        of the remaining holes.  Only sites watching a hole that lost a
+        rule since the previous call are looked at again.
         """
-        if not self.constraints:
+        if not self._sites:
             return all(self._domains.values()) if self._domains else True
-        changed = True
-        while changed:
-            changed = False
-            if self._violated(self.current_tree()):
-                return False
-            for path in self._domains:
-                for rule in sorted(self._domains[path]):
-                    if self._violated(self.current_tree({path: rule})):
-                        self.remove(path, rule)
-                        changed = True
-                if not self._domains[path]:
+        domains, trail, watchers = self._domains, self._trail, self._watchers
+        if self._checked is None:
+            dirty = list(range(len(self._sites)))
+            read = 0
+        else:
+            dirty = []
+            read = self._checked
+        queued = set(dirty)
+        current = None
+        while True:
+            # Every removal not yet seen wakes the sites watching its hole;
+            # the site that just made it is already at its fixed point.
+            while read < len(trail):
+                path = trail[read][0]
+                read += 1
+                if not domains[path]:
                     return False
+                for index in watchers.get(path, ()):
+                    if index != current and index not in queued:
+                        queued.add(index)
+                        dirty.append(index)
+            if not dirty:
+                break
+            current = dirty.pop()
+            queued.discard(current)
+            if not self._filter_site(self._sites[current]):
+                return False
+        self._checked = len(trail)
         return True
 
-    def _violated(self, tree: Node) -> bool:
-        for constraint in self.constraints:
-            if _definitely_violated(constraint, tree):
+    def _filter_site(self, site: _Site) -> bool:
+        """Prune what one site forces; False when it is violated outright.
+
+        A hole blocks the site while it is undecided and its pattern node
+        does not accept its whole domain.  With no blocking hole the site is
+        checked as it stands, and a violation there is a wipeout; with one,
+        each rule of that hole is tried; with two or more, no single choice
+        can complete a violation, so there is nothing to prune.
+        """
+        domains = self._domains
+        blocking = None
+        for hole, accepted in site.watched:
+            domain = domains[hole]
+            if accepted is not None and domain.isdisjoint(accepted):
                 return True
-        return False
+            if len(domain) > 1 and (accepted is None or not domain <= accepted):
+                if blocking is not None:
+                    return True
+                blocking = hole
+        if blocking is None:
+            return not self._site_violated(site, None)
+        domain = domains[blocking]
+        for rule in sorted(domain):
+            if self._site_violated(site, {blocking: rule}):
+                self.remove(blocking, rule)
+        return bool(domain)
 
-
-def _definitely_violated(constraint: Constraint, tree: Node) -> bool:
-    for sub in _partial_subtrees(tree):
-        bindings = _match_definite(constraint.pattern, sub)
-        if bindings is None:
-            continue
-        if isinstance(constraint, Forbidden):
-            return True
-        if _definitely_misordered(constraint, bindings):
-            return True
-    return False
-
-
-def _partial_subtrees(node: Node) -> Iterator[Node]:
-    yield node
-    if not isinstance(node, Hole):
-        for child in node.children:
-            yield from _partial_subtrees(child)
-
-
-def _match_definite(pattern: Pattern, node: Node) -> Optional[dict[str, Node]]:
-    """Match that holds in *every* completion of the partial tree.
-
-    Undecided nodes only match ``domain`` patterns that cover their whole
-    domain; repeated variables require fully decided, equal subtrees.
-    """
-    bindings: dict[str, Node] = {}
-
-    def walk(p: Pattern, n: Node) -> bool:
-        if isinstance(p, PatternVar):
-            if p.name in bindings:
-                previous = bindings[p.name]
-                return is_complete(previous) and is_complete(n) and previous == n
-            bindings[p.name] = n
-            return True
-        if isinstance(n, Hole):
-            return False
-        if isinstance(p, ConcreteRule):
-            if not (isinstance(n, RuleNode) and n.rule == p.rule):
-                return False
-        else:
-            if isinstance(n, RuleNode):
-                if n.rule not in p.domain:
-                    return False
-            elif not n.domain <= p.domain:
-                return False
-        if p.children is None:
-            return True
-        if len(p.children) != len(n.children):
-            return False
-        return all(walk(pc, nc) for pc, nc in zip(p.children, n.children))
-
-    return bindings if walk(pattern, node) else None
-
-
-def _definitely_misordered(constraint: Ordered, bindings: dict[str, Node]) -> bool:
-    bound = [bindings[v] for v in constraint.variables]
-    if not all(is_complete(n) for n in bound):
-        return False
-    texts = [serialize_node(n) for n in bound]
-    return any(a > b for a, b in zip(texts, texts[1:]))
+    def _site_violated(self, site: _Site, overrides: Mapping[Path, int] | None) -> bool:
+        tree = self._materialize(site.node, site.path, overrides)
+        bindings = match_pattern(site.constraint.pattern, tree, definite=True)
+        return bindings is not None and violated_by(site.constraint, bindings)

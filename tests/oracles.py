@@ -6,7 +6,8 @@ package's enumeration and evaluation machinery.
 
 from itertools import product
 
-from synthkit.nodes import Hole, RuleNode, UniformHole
+from synthkit.constraints import ConcreteRule, Forbidden, PatternVar
+from synthkit.nodes import Hole, RuleNode, UniformHole, is_complete, serialize_node
 
 
 def enumerate_programs(grammar, symbol, max_depth, _cache=None):
@@ -132,3 +133,83 @@ def grammars_equivalent(a, b, tolerance=1e-9):
             abs(a.probability(i) - b.probability(i)) <= tolerance for i in a.indices
         )
     return True
+
+
+def reference_propagate(state):
+    """Whole-tree singleton lookahead: the propagation a SolverState must equal.
+
+    Drops a rule from a hole when fixing the hole to it makes the whole tree
+    definitely violate a constraint, rebuilding the tree for every (hole,
+    rule) pair and scanning every subtree, until nothing changes.  Returns
+    False on a wipeout.  Call it as ``reference_propagate(state)`` or patch
+    it in as ``SolverState.propagate``.
+    """
+    constraints = state.constraints
+    if not constraints:
+        return all(state.domain(path) for path in state.hole_paths())
+    changed = True
+    while changed:
+        changed = False
+        if definitely_violated(constraints, state.current_tree()):
+            return False
+        for path in state.hole_paths():
+            for rule in state.domain(path):
+                if definitely_violated(constraints, state.current_tree({path: rule})):
+                    state.remove(path, rule)
+                    changed = True
+            if not state.domain(path):
+                return False
+    return True
+
+
+def definitely_violated(constraints, tree):
+    """Does some constraint hold a violation in every completion of the tree?"""
+    return any(
+        _violated_here(constraint, sub)
+        for constraint in constraints
+        for sub in _all_subtrees(tree)
+    )
+
+
+def _all_subtrees(node):
+    yield node
+    if not isinstance(node, Hole):
+        for child in node.children:
+            yield from _all_subtrees(child)
+
+
+def _violated_here(constraint, node):
+    bindings = {}
+
+    def walk(p, n):
+        if isinstance(p, PatternVar):
+            if p.name in bindings:
+                previous = bindings[p.name]
+                return is_complete(previous) and is_complete(n) and previous == n
+            bindings[p.name] = n
+            return True
+        if isinstance(n, Hole):
+            return False
+        if isinstance(p, ConcreteRule):
+            if not (isinstance(n, RuleNode) and n.rule == p.rule):
+                return False
+        elif isinstance(n, RuleNode):
+            if n.rule not in p.domain:
+                return False
+        elif not n.domain <= p.domain:
+            return False
+        if p.children is None:
+            return True
+        if len(p.children) != len(n.children):
+            return False
+        return all(walk(pc, nc) for pc, nc in zip(p.children, n.children))
+
+    if not walk(constraint.pattern, node):
+        return False
+    if isinstance(constraint, Forbidden):
+        return True
+    bound = [bindings[v] for v in constraint.variables]
+    if not all(is_complete(n) for n in bound):
+        return False
+    texts = [serialize_node(n) for n in bound]
+    return any(a > b for a, b in zip(texts, texts[1:]))

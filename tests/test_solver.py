@@ -4,6 +4,7 @@ import pytest
 
 from synthkit import (
     Hole,
+    IteratorConfig,
     RuleNode,
     SolverStateError,
     UniformHole,
@@ -11,12 +12,13 @@ from synthkit import (
     decompose,
     depth,
     is_uniform,
+    make_iterator,
     parse_constraint,
     serialize_node,
 )
 from synthkit.solver import SolverState, split_first_hole
 
-from oracles import expand_completions, random_partial_tree
+from oracles import expand_completions, random_partial_tree, reference_propagate
 
 FORBID_PLUS_AA = parse_constraint("(forbidden (rule 4 (var a) (var a)))")
 ORDER_PLUS = parse_constraint("(ordered (rule 4 (var a) (var b)) (a b))")
@@ -235,3 +237,95 @@ def test_split_first_hole_refines_like_decompose(g0):
             else:
                 frontier.extend(p for p in pieces if depth(p) <= 3)
         assert union == whole
+
+
+PROPAGATION_FORMS = [
+    parse_constraint(text)
+    for text in (
+        "(ordered (rule 4 (var a) (var b)) (a b))",
+        "(ordered (rule 5 (var a) (var b)) (a b))",
+        "(forbidden (rule 4 (var a) (var a)))",
+        "(forbidden (rule 4 (rule 1) (var x)))",
+        "(forbidden (domain (4 5) (rule 3) (var y)))",
+        "(forbidden (domain (1 2 3)))",
+        "(ordered (domain (4 5) (var a) (var b)) (b a))",
+        "(forbidden (rule 5 (var a) (rule 4 (var a) (var b))))",
+    )
+]
+
+
+def _domains(state):
+    return {path: state.domain(path) for path in state.hole_paths()}
+
+
+def test_local_propagation_matches_whole_tree_lookahead(g0):
+    # Both states see the same random assign/remove/save/restore steps; the
+    # site-based propagation must agree with whole-tree singleton lookahead
+    # on every verdict and, while feasible, on every domain.  A wiped-out
+    # state is restored right away, as the iterators do, because how far a
+    # failing propagation pruned before it stopped is unspecified.
+    rng = random.Random(11)
+    trees = _uniform_trees_to_depth(g0, 4)
+    verdicts = set()
+    for _ in range(150):
+        tree = rng.choice(trees)
+        constraints = rng.sample(PROPAGATION_FORMS, rng.randint(1, 3))
+        local = SolverState(g0, tree, constraints)
+        whole = SolverState(g0, tree, constraints)
+        checkpoints = []
+        for _ in range(40):
+            roll = rng.random()
+            open_holes = [p for p in local.hole_paths() if len(local.domain(p)) > 1]
+            if roll < 0.3 and open_holes:
+                path = rng.choice(open_holes)
+                rule = rng.choice(local.domain(path))
+                local.assign(path, rule)
+                whole.assign(path, rule)
+            elif roll < 0.4 and open_holes:
+                path = rng.choice(open_holes)
+                rule = rng.choice(local.domain(path))
+                local.remove(path, rule)
+                whole.remove(path, rule)
+            elif roll < 0.55:
+                checkpoints.append((local.save_state(), whole.save_state()))
+            elif roll < 0.7 and checkpoints:
+                del checkpoints[rng.randrange(len(checkpoints)) + 1 :]
+                mine, theirs = checkpoints.pop()
+                local.restore_state(mine)
+                whole.restore_state(theirs)
+            else:
+                verdict = local.propagate()
+                assert verdict == reference_propagate(whole)
+                verdicts.add(verdict)
+                if not verdict:
+                    if not checkpoints:
+                        break
+                    mine, theirs = checkpoints.pop()
+                    local.restore_state(mine)
+                    whole.restore_state(theirs)
+            assert _domains(local) == _domains(whole)
+    assert verdicts == {True, False}
+
+
+ENUM_CONSTRAINED_SETS = [
+    PROPAGATION_FORMS[:2],
+    [PROPAGATION_FORMS[2]],
+]
+
+
+@pytest.mark.parametrize("kind", ["bfs", "dfs", "mlfs"])
+def test_iterators_emit_the_same_sequence_under_reference_propagation(g0, kind, monkeypatch):
+    grammar = g0.with_probabilities([0.3, 0.1, 0.25, 0.2, 0.15])
+
+    def drain(constraints):
+        config = IteratorConfig(
+            kind, grammar, "Int", max_depth=4, max_size=7, constraints=tuple(constraints)
+        )
+        return [serialize_node(p) for p in make_iterator(config)]
+
+    for constraints in ENUM_CONSTRAINED_SETS:
+        local = drain(constraints)
+        with monkeypatch.context() as patch:
+            patch.setattr(SolverState, "propagate", reference_propagate)
+            reference = drain(constraints)
+        assert local and local == reference
