@@ -16,6 +16,15 @@ its programs are exhausted.  The queue discipline differs per iterator:
   log-probability it can still reach, and uniform trees enumerate their
   programs best-first, so emitted probabilities never increase.
 
+A uniform tree's shape is fixed, so consecutive programs of one tree differ
+only in a few holes.  The bfs/dfs enumeration gives every node a generator
+of its complete subtrees and rebuilds only the path from the hole that
+changed to the root; emitted programs share their unchanged subtrees.  The
+mlfs enumeration compiles each uniform tree once into a builder from the
+per-hole choice vector, which returns the program together with its
+log-probability; that value is the queue priority when the tree is
+re-enqueued, so no emitted program is walked again to price it.
+
 The bottom-up iterator grows a bank of programs per nonterminal indexed by
 node count, combining smaller programs into larger ones, optionally pruning
 programs that are observationally equivalent on a problem's inputs.
@@ -28,14 +37,14 @@ import itertools
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .constraints import Constraint, check_program
 from .errors import ConfigError, InterpreterError
 from .grammar import Grammar
 from .interpreter import evaluate, run_examples, to_expression
-from .nodes import Hole, Node, RuleNode, depth, is_uniform, node_count
-from .solver import SolverState, split_first_hole
+from .nodes import Hole, Node, RuleNode, depth, is_complete, is_uniform, node_count
+from .solver import Path, SolverState, split_first_hole
 from .specification import Problem
 
 Priority = Union[int, float, tuple]
@@ -183,23 +192,28 @@ class QueueEntry:
     tree: Node
     priority: Priority
     is_uniform: bool
-    programs: Iterator[RuleNode] | None = None
+    programs: Iterator | None = None
     peeked: RuleNode | None = None
+    # Log-probability of ``peeked``, carried along by mlfs.
+    log_probability: float | None = None
 
 
 class TopDownIterator:
     """Priority-queue search over shape-decomposed trees.
 
     Iterating yields complete programs; :meth:`next_program` returns ``None``
-    once the queue is exhausted or ``max_enumerations`` is reached.
+    once the queue is exhausted, ``max_enumerations`` is reached, or the
+    optional ``deadline`` (a :func:`time.monotonic` value, checked on every
+    dequeue) has passed.
     """
 
     kind = "bfs"
 
-    def __init__(self, config: IteratorConfig):
+    def __init__(self, config: IteratorConfig, deadline: float | None = None):
         if config.kind != self.kind:
             raise ConfigError(f"config kind {config.kind!r} does not match {self.kind!r}")
         self.config = config
+        self.deadline = deadline
         self.grammar = config.grammar
         self.constraints = config.constraints
         self._heap: list[tuple[Priority, int, QueueEntry]] = []
@@ -230,6 +244,10 @@ class TopDownIterator:
     def _uniform_programs(self, state: SolverState) -> Iterator[RuleNode]:
         return _assignments_depth_first(state, self.derivation_order, self.constraints)
 
+    def _advance(self, entry: QueueEntry) -> None:
+        """Peek a uniform entry's next program; ``None`` once it is exhausted."""
+        entry.peeked = next(entry.programs, None)
+
     # -- queue machinery ------------------------------------------------------
 
     def _within_bounds(self, tree: Node) -> bool:
@@ -253,19 +271,21 @@ class TopDownIterator:
         state = SolverState(self.grammar, tree, self.constraints)
         if not state.propagate():
             return
-        programs = self._uniform_programs(state)
-        first = next(programs, None)
-        if first is None:
+        entry = QueueEntry(tree, 0, is_uniform=True, programs=self._uniform_programs(state))
+        self._advance(entry)
+        if entry.peeked is None:
             return
-        entry = QueueEntry(tree, 0, is_uniform=True, programs=programs, peeked=first)
         entry.priority = self._uniform_priority(entry, parent_value, is_requeued=False)
         self._push(entry)
 
     def _run(self) -> Iterator[RuleNode]:
         emitted = 0
         budget = self.config.max_enumerations
+        deadline = self.deadline
         while self._heap:
             if budget is not None and emitted >= budget:
+                return
+            if deadline is not None and time.monotonic() >= deadline:
                 return
             priority, _, entry = heapq.heappop(self._heap)
             if not entry.is_uniform:
@@ -279,7 +299,7 @@ class TopDownIterator:
                     self._push_tree(piece, priority)
                 continue
             program = entry.peeked
-            entry.peeked = next(entry.programs, None)
+            self._advance(entry)
             if entry.peeked is not None:
                 entry.priority = self._uniform_priority(entry, priority, is_requeued=True)
                 self._push(entry)
@@ -310,69 +330,142 @@ class MLFSIterator(TopDownIterator):
 
     Uniform entries are keyed by the exact log-probability of the next
     program they will emit (their remaining maximum), which keeps the
-    emitted probability sequence non-increasing.
+    emitted probability sequence non-increasing.  The log-probability comes
+    with the program from the uniform tree's enumeration.
     """
 
     kind = "mlfs"
 
     def _uniform_priority(self, entry, parent_value, is_requeued):
-        return -max_rulenode_log_probability(entry.peeked, self.grammar)
+        return -entry.log_probability
 
-    def _uniform_programs(self, state: SolverState) -> Iterator[RuleNode]:
+    def _uniform_programs(self, state: SolverState) -> Iterator[tuple[RuleNode, float]]:
         return _assignments_best_first(state, self.grammar, self.constraints)
+
+    def _advance(self, entry: QueueEntry) -> None:
+        entry.peeked, entry.log_probability = next(entry.programs, (None, None))
 
 
 def _assignments_depth_first(state, order_fn, constraints) -> Iterator[RuleNode]:
-    """Enumerate a uniform tree's programs depth-first over its holes."""
-    holes = state.hole_paths()
+    """Enumerate a uniform tree's programs depth-first over its holes.
 
-    def fill(i: int) -> Iterator[RuleNode]:
-        if i == len(holes):
-            program = state.current_tree()
-            if check_program(constraints, program):
-                yield program
-            return
-        path = holes[i]
+    Every node of the tree gets a generator of its complete subtrees.  A
+    hole's generator decides the hole through the solver state (save,
+    assign, propagate, and restore once the choice is used up) and then
+    walks the product of its children's generators left to right, so holes
+    are decided in preorder and the last one varies fastest.  Only the
+    nodes on the path from the hole that changed to the root are built
+    anew; the subtrees beside that path are the ones yielded before, which
+    is safe because rule nodes are immutable.
+    """
+    for program in _subtree_stream(state, order_fn, state.root, ())():
+        if check_program(constraints, program):
+            yield program
+
+
+def _subtree_stream(state, order_fn, node: Node, path: Path) -> Callable[[], Iterable[RuleNode]]:
+    """A function that starts a fresh stream of a node's complete subtrees."""
+    if is_complete(node):
+        complete = (node,)
+        return lambda: complete
+    children = tuple(
+        _subtree_stream(state, order_fn, child, path + (i,))
+        for i, child in enumerate(node.children)
+    )
+    if isinstance(node, RuleNode):
+        return lambda: (RuleNode(node.rule, kids) for kids in _product(children))
+
+    def decide() -> Iterator[RuleNode]:
         for rule in order_fn(state.domain(path)):
             checkpoint = state.save_state()
             state.assign(path, rule)
             if state.propagate():
-                yield from fill(i + 1)
+                if children:
+                    for kids in _product(children):
+                        yield RuleNode(rule, kids)
+                else:
+                    yield RuleNode(rule)
             state.restore_state(checkpoint)
 
-    return fill(0)
+    return decide
 
 
-def _assignments_best_first(state, grammar, constraints) -> Iterator[RuleNode]:
+def _product(children: tuple) -> Iterator[tuple[RuleNode, ...]]:
+    """One subtree per child stream, left to right, the last varying fastest.
+
+    A later child's stream restarts for every subtree of an earlier one,
+    because the earlier child's choices change what the later may take.
+    """
+    first, rest = children[0], children[1:]
+    if not rest:
+        for head in first():
+            yield (head,)
+        return
+    for head in first():
+        for tail in _product(rest):
+            yield (head,) + tail
+
+
+def _assignments_best_first(state, grammar, constraints) -> Iterator[tuple[RuleNode, float]]:
     """Enumerate a uniform tree's programs by non-increasing probability.
 
     Assignments are tuples of per-hole choice indices (rules sorted by the
     mlfs heuristic); each tuple is reached once by incrementing positions in
     non-decreasing order, and a heap orders them by summed log-probability.
+    Each program is built straight from its choice tuple and yielded with
+    its log-probability, summed in :func:`max_rulenode_log_probability`'s
+    order so the two agree exactly.
     """
     holes = state.hole_paths()
-    if not holes:
-        program = state.current_tree()
-        if check_program(constraints, program):
-            yield program
-        return
     ordered = [derivation_heuristic("mlfs", grammar, state.domain(p)) for p in holes]
     values = [[grammar.log_probability(r) for r in rules] for rules in ordered]
+    slots = {path: (i, ordered[i], values[i]) for i, path in enumerate(holes)}
+    build = _choice_builder(grammar, state.root, (), slots)
 
     start = (0,) * len(holes)
     heap = [(-sum(v[0] for v in values), start, 0)]
     while heap:
         neg_total, indices, frontier = heapq.heappop(heap)
-        overrides = {path: ordered[i][j] for i, (path, j) in enumerate(zip(holes, indices))}
-        program = state.current_tree(overrides)
+        program, log_probability = build(indices)
         if check_program(constraints, program):
-            yield program
+            yield program, log_probability
         for m in range(frontier, len(holes)):
             j = indices[m]
             if j + 1 < len(values[m]):
                 bumped = indices[:m] + (j + 1,) + indices[m + 1 :]
                 delta = values[m][j + 1] - values[m][j]
                 heapq.heappush(heap, (neg_total - delta, bumped, m))
+
+
+def _choice_builder(grammar, node: Node, path: Path, slots) -> Callable[[tuple], tuple[RuleNode, float]]:
+    """A function from a choice tuple to a node's subtree and its log-probability.
+
+    ``slots`` maps each hole's path to its position in the choice tuple,
+    its ordered rules and their log-probabilities.
+    """
+    if is_complete(node):
+        complete = (node, max_rulenode_log_probability(node, grammar))
+        return lambda choices: complete
+    children = [
+        _choice_builder(grammar, child, path + (i,), slots)
+        for i, child in enumerate(node.children)
+    ]
+    if isinstance(node, RuleNode):
+        position, rules, values = None, (node.rule,), (grammar.log_probability(node.rule),)
+    else:
+        position, rules, values = slots[path]
+
+    def build(choices: tuple) -> tuple[RuleNode, float]:
+        j = 0 if position is None else choices[position]
+        total = values[j]
+        built = []
+        for child in children:
+            subtree, value = child(choices)
+            built.append(subtree)
+            total += value
+        return RuleNode(rules[j], tuple(built)), total
+
+    return build
 
 
 class BottomUpIterator:
@@ -477,11 +570,17 @@ _ITERATORS = {
 }
 
 
-def make_iterator(config: IteratorConfig, problem: Problem | None = None):
-    """Instantiate the iterator a config describes."""
+def make_iterator(
+    config: IteratorConfig, problem: Problem | None = None, deadline: float | None = None
+):
+    """Instantiate the iterator a config describes.
+
+    A top-down iterator stops once ``deadline`` (a :func:`time.monotonic`
+    value) passes; the bottom-up bank does not take one.
+    """
     if config.kind == "bottom_up":
         return BottomUpIterator(config, problem=problem)
-    return _ITERATORS[config.kind](config)
+    return _ITERATORS[config.kind](config, deadline=deadline)
 
 
 def bottom_up_iterate(config: IteratorConfig, problem: Problem | None = None) -> Iterator[RuleNode]:
@@ -518,14 +617,15 @@ def synth(
 ) -> SynthResult:
     """Stream programs from an iterator until one solves every example.
 
-    The deadline is checked between emissions, so one long evaluation can
-    overshoot the timeout by a single program.
+    The deadline is checked between emissions, and a top-down search also
+    checks it on every dequeue, so a search that prunes everything still
+    stops in time; one long evaluation can overshoot it by a single program.
     """
     if not problem.examples:
         raise ValueError("synth needs a problem with at least one example")
     started = time.monotonic()
     deadline = None if timeout_seconds is None else started + timeout_seconds
-    iterator = make_iterator(config, problem=problem)
+    iterator = make_iterator(config, problem=problem, deadline=deadline)
     best: Node | None = None
     best_solved = -1
     enumerated = 0
@@ -537,6 +637,7 @@ def synth(
             break
         program = next(stream, None)
         if program is None:
+            timed_out = deadline is not None and time.monotonic() >= deadline
             break
         enumerated += 1
         solved, total = run_examples(

@@ -88,7 +88,7 @@ def _collect_promising(
     deadline: float | None = None,
     allow_evaluation_errors: bool = True,
 ) -> tuple[set[PromisingProgram], SynthFlag, int]:
-    iterator = iter(make_iterator(config))
+    iterator = iter(make_iterator(config, deadline=deadline))
     grammar = config.grammar
     # Best representative per output vector: max fitness, then fewest nodes.
     by_vector: dict[tuple, tuple[float, int, int, RuleNode]] = {}

@@ -173,17 +173,20 @@ def split_first_hole(
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Checkpoint:
     """Opaque marker for a solver trail position.
 
     ``checked`` is how much of the trail propagation had already seen when
     the checkpoint was taken (``None`` before the first propagation), so a
     restore also brings back which holes still await propagation.
+    ``level`` is the checkpoint's place on its state's stack of live
+    checkpoints.
     """
 
     trail_length: int
     checked: int | None = None
+    level: int = 0
 
 
 @dataclass(frozen=True)
@@ -290,6 +293,9 @@ class SolverState:
             if isinstance(node, UniformHole)
         }
         self._trail: list[tuple[Path, int]] = []
+        # Checkpoints that can still be restored, oldest first; restoring
+        # one drops every checkpoint taken after it.
+        self._live: list[Checkpoint] = []
         self._sites: list[_Site] = []
         self._watchers: dict[Path, list[int]] = {}
         # Trail prefix whose removals propagation has seen; None until the
@@ -322,13 +328,22 @@ class SolverState:
             self.remove(path, other)
 
     def save_state(self) -> Checkpoint:
-        return Checkpoint(len(self._trail), self._checked)
+        checkpoint = Checkpoint(len(self._trail), self._checked, len(self._live))
+        self._live.append(checkpoint)
+        return checkpoint
 
     def restore_state(self, checkpoint: Checkpoint) -> None:
-        if checkpoint.trail_length > len(self._trail):
+        """Undo every removal since ``checkpoint``; it stays restorable.
+
+        Checkpoints nest: restoring one makes every checkpoint taken after
+        it stale, and restoring a stale one raises SolverStateError.
+        """
+        live = self._live
+        if checkpoint.level >= len(live) or live[checkpoint.level] is not checkpoint:
             raise SolverStateError(
                 "stale checkpoint: an earlier save_state was already restored past it"
             )
+        del live[checkpoint.level + 1 :]
         while len(self._trail) > checkpoint.trail_length:
             path, rule = self._trail.pop()
             self._domains[path].add(rule)

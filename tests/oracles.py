@@ -4,9 +4,11 @@ Everything here is deliberately direct-recursive and separate from the
 package's enumeration and evaluation machinery.
 """
 
+import heapq
 from itertools import product
 
-from synthkit.constraints import ConcreteRule, Forbidden, PatternVar
+from synthkit.constraints import ConcreteRule, Forbidden, PatternVar, check_program
+from synthkit.iterators import derivation_heuristic, max_rulenode_log_probability
 from synthkit.nodes import Hole, RuleNode, UniformHole, is_complete, serialize_node
 
 
@@ -213,3 +215,55 @@ def _violated_here(constraint, node):
         return False
     texts = [serialize_node(n) for n in bound]
     return any(a > b for a, b in zip(texts, texts[1:]))
+
+
+def reference_assignments_depth_first(state, order_fn, constraints):
+    """A uniform tree's programs depth-first, rebuilding the whole tree each time.
+
+    Decides the holes in preorder through the solver state, the last hole
+    varying fastest, and materializes every complete assignment with
+    ``state.current_tree()``.  Patch it in as
+    ``iterators._assignments_depth_first``.
+    """
+    holes = state.hole_paths()
+
+    def fill(i):
+        if i == len(holes):
+            program = state.current_tree()
+            if check_program(constraints, program):
+                yield program
+            return
+        path = holes[i]
+        for rule in order_fn(state.domain(path)):
+            checkpoint = state.save_state()
+            state.assign(path, rule)
+            if state.propagate():
+                yield from fill(i + 1)
+            state.restore_state(checkpoint)
+
+    return fill(0)
+
+
+def reference_assignments_best_first(state, grammar, constraints):
+    """A uniform tree's programs best-first, each with its log-probability.
+
+    Walks the per-hole choice tuples by summed log-probability, materializes
+    each with ``state.current_tree(overrides)`` and pairs it with
+    ``max_rulenode_log_probability``.  Patch it in as
+    ``iterators._assignments_best_first``.
+    """
+    holes = state.hole_paths()
+    ordered = [derivation_heuristic("mlfs", grammar, state.domain(p)) for p in holes]
+    values = [[grammar.log_probability(r) for r in rules] for rules in ordered]
+    heap = [(-sum(v[0] for v in values), (0,) * len(holes), 0)]
+    while heap:
+        neg_total, indices, frontier = heapq.heappop(heap)
+        overrides = {path: ordered[i][j] for i, (path, j) in enumerate(zip(holes, indices))}
+        program = state.current_tree(overrides)
+        if check_program(constraints, program):
+            yield program, max_rulenode_log_probability(program, grammar)
+        for m in range(frontier, len(holes)):
+            j = indices[m]
+            if j + 1 < len(values[m]):
+                bumped = indices[:m] + (j + 1,) + indices[m + 1 :]
+                heapq.heappush(heap, (neg_total - (values[m][j + 1] - values[m][j]), bumped, m))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import pytest
 
@@ -9,6 +10,7 @@ from synthkit import (
     IOExample,
     IteratorConfig,
     Problem,
+    ProbeConfig,
     RuleNode,
     SynthFlag,
     UniformHole,
@@ -23,6 +25,7 @@ from synthkit import (
     parse_grammar,
     parse_node,
     priority_function,
+    probe_with_stats,
     serialize_node,
     synth,
 )
@@ -352,6 +355,27 @@ def test_synth_timeout_flags_run(g0, arith_problem):
     result = synth(arith_problem, config, timeout_seconds=0.0)
     assert result.stats.timed_out is True
     assert result.stats.enumerated == 0
+
+
+def test_synth_timeout_holds_when_propagation_prunes_everything(g0, arith_problem):
+    # Every program has a leaf in {1, 2, 3}, so no uniform tree survives
+    # propagation and nothing is ever emitted; the deadline must still stop
+    # the search, which is checked on every dequeue.
+    forbid_leaves = parse_constraint("(forbidden (domain (1 2 3)))")
+    config = IteratorConfig("bfs", g0, "Int", max_depth=6, constraints=(forbid_leaves,))
+    started = time.monotonic()
+    result = synth(arith_problem, config, timeout_seconds=1.0)
+    assert time.monotonic() - started < 1.5
+    assert result.stats.timed_out is True
+    assert result.stats.enumerated == 0
+    assert result.flag == SynthFlag.no_program
+
+    probe_config = ProbeConfig(max_depth=6, constraints=(forbid_leaves,))
+    started = time.monotonic()
+    run = probe_with_stats(g0, "Int", arith_problem, probe_config, timeout_seconds=1.0)
+    assert time.monotonic() - started < 1.5
+    assert run.timed_out is True
+    assert run.program is None
 
 
 def test_mlfs_stays_monotone_under_constraints(g0):

@@ -13,12 +13,23 @@ from synthkit import (
     depth,
     is_uniform,
     make_iterator,
+    max_rulenode_log_probability,
     parse_constraint,
+    parse_grammar,
     serialize_node,
 )
+from synthkit import iterators
+from synthkit.iterators import MLFSIterator
 from synthkit.solver import SolverState, split_first_hole
 
-from oracles import expand_completions, random_partial_tree, reference_propagate
+from conftest import SUITES_DIR
+from oracles import (
+    expand_completions,
+    random_partial_tree,
+    reference_assignments_best_first,
+    reference_assignments_depth_first,
+    reference_propagate,
+)
 
 FORBID_PLUS_AA = parse_constraint("(forbidden (rule 4 (var a) (var a)))")
 ORDER_PLUS = parse_constraint("(ordered (rule 4 (var a) (var b)) (a b))")
@@ -154,6 +165,31 @@ def test_stale_checkpoint_raises(g0):
     state.restore_state(early)
     with pytest.raises(SolverStateError):
         state.restore_state(late)
+
+
+def test_checkpoint_from_an_abandoned_branch_is_stale(g0):
+    # The trail is long enough again when ``late`` is restored, but it holds
+    # other removals than the ones ``late`` was taken after.
+    state = SolverState(g0, UniformHole(frozenset({1, 2, 3})))
+    early = state.save_state()
+    state.remove((), 1)
+    late = state.save_state()
+    state.restore_state(early)
+    state.remove((), 2)
+    state.remove((), 3)
+    with pytest.raises(SolverStateError):
+        state.restore_state(late)
+    assert state.domain(()) == (1,)
+
+
+def test_a_checkpoint_can_be_restored_again(g0):
+    state = SolverState(g0, UniformHole(frozenset({1, 2, 3})))
+    checkpoint = state.save_state()
+    state.remove((), 1)
+    state.restore_state(checkpoint)
+    state.remove((), 2)
+    state.restore_state(checkpoint)
+    assert state.domain(()) == (1, 2, 3)
 
 
 def test_assign_promotes_to_rule_node(g0):
@@ -313,19 +349,58 @@ ENUM_CONSTRAINED_SETS = [
 ]
 
 
+# Rules of mini-strings: x, six constants, concat, replace, substring; 1, 2, length.
+MINI_STRINGS_PROBABILITIES = [
+    0.2, 0.05, 0.04, 0.03, 0.06, 0.07, 0.05, 0.25, 0.1, 0.15, 0.5, 0.3, 0.2
+]
+
+# (grammar, max_depth, max_size, constraints): the enumeration passes of the
+# benchmark's enum-plain and enum-constrained workloads.
+SEQUENCE_CASES = [
+    ("arith", 4, 9, ()),
+    ("mini-strings", 3, 6, ()),
+    ("arith", 4, 7, ENUM_CONSTRAINED_SETS[0]),
+    ("arith", 4, 7, ENUM_CONSTRAINED_SETS[1]),
+]
+
+
 @pytest.mark.parametrize("kind", ["bfs", "dfs", "mlfs"])
 def test_iterators_emit_the_same_sequence_under_reference_propagation(g0, kind, monkeypatch):
-    grammar = g0.with_probabilities([0.3, 0.1, 0.25, 0.2, 0.15])
+    # The references rebuild the whole tree for every program and key mlfs
+    # entries by max_rulenode_log_probability; under constraints the
+    # whole-tree lookahead also stands in for the site-based propagation.
+    strings = parse_grammar((SUITES_DIR / "mini-strings" / "default.herbg").read_text())
+    grammars = {
+        "arith": (g0.with_probabilities([0.3, 0.1, 0.25, 0.2, 0.15]), "Int"),
+        "mini-strings": (strings.with_probabilities(MINI_STRINGS_PROBABILITIES), "S"),
+    }
+    priorities = []
+    keyed = MLFSIterator._uniform_priority
 
-    def drain(constraints):
+    def recording_priority(iterator, entry, parent_value, is_requeued):
+        value = keyed(iterator, entry, parent_value, is_requeued)
+        expected = -max_rulenode_log_probability(entry.peeked, iterator.grammar)
+        priorities.append(value == expected)
+        return value
+
+    monkeypatch.setattr(MLFSIterator, "_uniform_priority", recording_priority)
+
+    def drain(family, max_depth, max_size, constraints):
+        grammar, start = grammars[family]
         config = IteratorConfig(
-            kind, grammar, "Int", max_depth=4, max_size=7, constraints=tuple(constraints)
+            kind, grammar, start, max_depth=max_depth, max_size=max_size,
+            constraints=tuple(constraints),
         )
         return [serialize_node(p) for p in make_iterator(config)]
 
-    for constraints in ENUM_CONSTRAINED_SETS:
-        local = drain(constraints)
+    for family, max_depth, max_size, constraints in SEQUENCE_CASES:
+        local = drain(family, max_depth, max_size, constraints)
         with monkeypatch.context() as patch:
-            patch.setattr(SolverState, "propagate", reference_propagate)
-            reference = drain(constraints)
-        assert local and local == reference
+            patch.setattr(iterators, "_assignments_depth_first", reference_assignments_depth_first)
+            patch.setattr(iterators, "_assignments_best_first", reference_assignments_best_first)
+            assert local and local == drain(family, max_depth, max_size, constraints)
+            if constraints:
+                patch.setattr(SolverState, "propagate", reference_propagate)
+                assert local == drain(family, max_depth, max_size, constraints)
+    if kind == "mlfs":
+        assert priorities and all(priorities)
