@@ -28,12 +28,14 @@ from .errors import (
 from .grammar import Grammar, IntLit, Placeholder, Rule, StrLit, Sym, arity, set_uniform_probabilities
 from .grammar_text import parse_grammar, serialize_grammar
 from .interpreter import (
+    EVAL_ERROR,
     Apply,
     Expression,
     Literal,
     Variable,
     evaluate,
     execute_on_input,
+    output_vector,
     run_examples,
     to_expression,
 )

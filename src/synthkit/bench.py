@@ -19,9 +19,11 @@ per problem plus the aggregate solved count.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 from .constraints import Constraint, parse_constraint
@@ -275,18 +277,19 @@ def run_suite(
 ) -> SuiteReport:
     """Run the synthesizer over every pair and aggregate the records.
 
-    Problems are independent; with ``parallelism > 1`` they run on a thread
-    pool, each against its own grammar copy, and the report keeps suite
-    order either way.
+    Problems are independent; with ``parallelism > 1`` they run in a pool
+    of that many worker processes, each against its own grammar copy, and
+    the report keeps suite order either way.  Workers are spawned, not
+    forked, so a caller's threads cannot leave them holding a copied lock.
     """
-    def task(pair):
-        problem_file, grammar = pair
-        return run_one(problem_file, grammar, spec, timeout_seconds)
-
     if parallelism > 1 and len(pairs) > 1:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            records = list(pool.map(task, pairs))
+        problem_files, grammars = zip(*pairs)
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=parallelism, mp_context=spawn) as pool:
+            records = list(pool.map(
+                run_one, problem_files, grammars, repeat(spec), repeat(timeout_seconds)
+            ))
     else:
-        records = [task(pair) for pair in pairs]
+        records = [run_one(file, grammar, spec, timeout_seconds) for file, grammar in pairs]
     solved = sum(1 for record in records if record.flag == SynthFlag.optimal_program.value)
     return SuiteReport(records, solved, len(records))

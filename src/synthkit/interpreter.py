@@ -300,6 +300,30 @@ def values_equal(actual: Value, expected: Value) -> bool:
     return type(actual) is type(expected) and actual == expected
 
 
+# Output recorded for an example whose evaluation raised an interpreter error.
+EVAL_ERROR = ("<error>",)
+
+
+def output_vector(
+    grammar: Grammar, program: Node, problem: Problem, allow_errors: bool = True
+) -> tuple:
+    """The program's output on each of the problem's examples, in order.
+
+    With ``allow_errors`` an example whose evaluation fails yields
+    :data:`EVAL_ERROR`; otherwise the first error propagates.
+    """
+    expr = to_expression(grammar, program)
+    outputs = []
+    for example in problem.examples:
+        try:
+            outputs.append(evaluate(expr, example.input))
+        except InterpreterError:
+            if not allow_errors:
+                raise
+            outputs.append(EVAL_ERROR)
+    return tuple(outputs)
+
+
 def run_examples(
     grammar: Grammar,
     node: Node,
@@ -313,15 +337,6 @@ def run_examples(
     """
     if not problem.examples:
         return 0, 0
-    expr = to_expression(grammar, node)
-    solved = 0
-    for example in problem.examples:
-        try:
-            output = evaluate(expr, example.input)
-        except InterpreterError:
-            if not allow_errors:
-                raise
-            continue
-        if values_equal(output, example.output):
-            solved += 1
-    return solved, len(problem.examples)
+    outputs = output_vector(grammar, node, problem, allow_errors)
+    expected = (example.output for example in problem.examples)
+    return sum(map(values_equal, outputs, expected)), len(outputs)

@@ -28,6 +28,10 @@ re-enqueued, so no emitted program is walked again to price it.
 The bottom-up iterator grows a bank of programs per nonterminal indexed by
 node count, combining smaller programs into larger ones, optionally pruning
 programs that are observationally equivalent on a problem's inputs.
+
+Every iterator takes an optional deadline (a :func:`time.monotonic` value):
+top-down search checks it on every dequeue, bottom-up on every candidate,
+so a search stops in time even when it emits nothing.
 """
 
 from __future__ import annotations
@@ -40,9 +44,11 @@ from enum import Enum
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .constraints import Constraint, check_program
-from .errors import ConfigError, InterpreterError
+from .errors import ConfigError
 from .grammar import Grammar
-from .interpreter import evaluate, run_examples, to_expression
+from .interpreter import output_vector, run_examples
+# Unused here, but kept as names the benchmark tracer patches on this module.
+from .interpreter import evaluate, to_expression  # noqa: F401
 from .nodes import Hole, Node, RuleNode, depth, is_complete, is_uniform, node_count
 from .solver import Path, SolverState, split_first_hole
 from .specification import Problem
@@ -224,22 +230,14 @@ class TopDownIterator:
 
     # -- per-kind knobs -----------------------------------------------------
 
-    def priority_function(self, tree: Node, parent_value: Priority, is_requeued: bool) -> Priority:
-        return priority_function(
-            self.kind,
-            self.grammar,
-            tree,
-            parent_value,
-            is_requeued,
-            counter=self._counter,
-            dfs_over_shapes=self.config.dfs_over_shapes,
-        )
-
     def derivation_order(self, domain: Sequence[int]) -> list[int]:
         return derivation_heuristic(self.kind, self.grammar, domain)
 
     def _uniform_priority(self, entry: QueueEntry, parent_value: Priority, is_requeued: bool) -> Priority:
-        return self.priority_function(entry.tree, parent_value, is_requeued)
+        return priority_function(
+            self.kind, self.grammar, entry.tree, parent_value, is_requeued,
+            counter=self._counter, dfs_over_shapes=self.config.dfs_over_shapes,
+        )
 
     def _uniform_programs(self, state: SolverState) -> Iterator[RuleNode]:
         return _assignments_depth_first(state, self.derivation_order, self.constraints)
@@ -264,9 +262,11 @@ class TopDownIterator:
         if not self._within_bounds(tree):
             return
         if not is_uniform(tree):
-            entry = QueueEntry(tree, 0, is_uniform=False)
-            entry.priority = self.priority_function(tree, parent_value, is_requeued=False)
-            self._push(entry)
+            priority = priority_function(
+                self.kind, self.grammar, tree, parent_value, False,
+                counter=self._counter, dfs_over_shapes=self.config.dfs_over_shapes,
+            )
+            self._push(QueueEntry(tree, priority, is_uniform=False))
             return
         state = SolverState(self.grammar, tree, self.constraints)
         if not state.propagate():
@@ -474,12 +474,15 @@ class BottomUpIterator:
     Programs are emitted in increasing node count, rule-index order within a
     size.  With ``observational_equivalence`` a new program whose outputs on
     the problem's example inputs duplicate a banked program of the same
-    nonterminal is dropped.
+    nonterminal is dropped.  The optional ``deadline`` is checked on every
+    candidate, so a bank that prunes nearly everything still stops in time.
     """
 
     kind = "bottom_up"
 
-    def __init__(self, config: IteratorConfig, problem: Problem | None = None):
+    def __init__(
+        self, config: IteratorConfig, problem: Problem | None = None, deadline: float | None = None
+    ):
         if config.kind != "bottom_up":
             raise ConfigError(f"config kind {config.kind!r} is not bottom_up")
         if config.observational_equivalence and problem is None:
@@ -487,21 +490,13 @@ class BottomUpIterator:
         self.config = config
         self.grammar = config.grammar
         self.problem = problem
+        self.deadline = deadline
         self._stream = self._run()
-
-    def _output_vector(self, program: RuleNode) -> tuple:
-        expr = to_expression(self.grammar, program)
-        outputs = []
-        for example in self.problem.examples:
-            try:
-                outputs.append(evaluate(expr, example.input))
-            except InterpreterError:
-                outputs.append(("<error>",))
-        return tuple(outputs)
 
     def _run(self) -> Iterator[RuleNode]:
         config = self.config
         grammar = self.grammar
+        deadline = self.deadline
         bank: dict[str, dict[int, list[RuleNode]]] = {
             symbol: {} for symbol in grammar.nonterminals
         }
@@ -526,12 +521,14 @@ class BottomUpIterator:
                 else:
                     continue
                 for program in candidates:
+                    if deadline is not None and time.monotonic() >= deadline:
+                        return
                     if config.max_depth is not None and depth(program) > config.max_depth:
                         continue
                     if config.constraints and not check_program(config.constraints, program):
                         continue
                     if config.observational_equivalence:
-                        vector = self._output_vector(program)
+                        vector = output_vector(grammar, program, self.problem)
                         if vector in seen_outputs[lhs]:
                             continue
                         seen_outputs[lhs].add(vector)
@@ -575,11 +572,11 @@ def make_iterator(
 ):
     """Instantiate the iterator a config describes.
 
-    A top-down iterator stops once ``deadline`` (a :func:`time.monotonic`
-    value) passes; the bottom-up bank does not take one.
+    Every kind stops once ``deadline`` (a :func:`time.monotonic` value)
+    passes, checked on each dequeue (top-down) or candidate (bottom-up).
     """
     if config.kind == "bottom_up":
-        return BottomUpIterator(config, problem=problem)
+        return BottomUpIterator(config, problem=problem, deadline=deadline)
     return _ITERATORS[config.kind](config, deadline=deadline)
 
 
@@ -617,28 +614,17 @@ def synth(
 ) -> SynthResult:
     """Stream programs from an iterator until one solves every example.
 
-    The deadline is checked between emissions, and a top-down search also
-    checks it on every dequeue, so a search that prunes everything still
-    stops in time; one long evaluation can overshoot it by a single program.
+    The iterator owns the deadline and stops once it passes, also when it
+    emits nothing; one long evaluation can overshoot it by a single program.
     """
     if not problem.examples:
         raise ValueError("synth needs a problem with at least one example")
     started = time.monotonic()
     deadline = None if timeout_seconds is None else started + timeout_seconds
-    iterator = make_iterator(config, problem=problem, deadline=deadline)
     best: Node | None = None
     best_solved = -1
     enumerated = 0
-    timed_out = False
-    stream = iter(iterator)
-    while True:
-        if deadline is not None and time.monotonic() >= deadline:
-            timed_out = True
-            break
-        program = next(stream, None)
-        if program is None:
-            timed_out = deadline is not None and time.monotonic() >= deadline
-            break
+    for program in make_iterator(config, problem=problem, deadline=deadline):
         enumerated += 1
         solved, total = run_examples(
             config.grammar, program, problem, allow_errors=allow_evaluation_errors
@@ -651,7 +637,7 @@ def synth(
             )
         if solved > best_solved:
             best, best_solved = program, solved
+    ended = time.monotonic()
+    timed_out = deadline is not None and ended >= deadline
     flag = SynthFlag.suboptimal_program if best is not None else SynthFlag.no_program
-    return SynthResult(
-        best, flag, SynthStats(enumerated, time.monotonic() - started, timed_out)
-    )
+    return SynthResult(best, flag, SynthStats(enumerated, ended - started, timed_out))

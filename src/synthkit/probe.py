@@ -20,9 +20,11 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .constraints import Constraint
-from .errors import ConfigError, InterpreterError
+from .errors import ConfigError
 from .grammar import Grammar, set_uniform_probabilities
-from .interpreter import evaluate, to_expression, values_equal, run_examples
+from .interpreter import output_vector, run_examples, values_equal
+# Unused here, but kept as names the benchmark tracer patches on this module.
+from .interpreter import evaluate, to_expression  # noqa: F401
 from .iterators import IteratorConfig, SynthFlag, make_iterator
 from .nodes import Node, RuleNode, node_count, subtrees
 from .specification import Problem
@@ -55,31 +57,16 @@ class ProbeRun:
     timed_out: bool = False
 
 
+def _require_examples(problem: Problem) -> None:
+    if not problem.examples:
+        raise ValueError("scoring by fitness needs a problem with at least one example")
+
+
 def fitness(program: Node, grammar: Grammar, problem: Problem) -> float:
     """Fraction of the problem's examples the program solves."""
+    _require_examples(problem)
     solved, total = run_examples(grammar, program, problem, allow_errors=True)
     return solved / total
-
-
-def _score(
-    grammar: Grammar, program: RuleNode, problem: Problem, allow_errors: bool
-) -> tuple[float, tuple]:
-    """Fitness plus the program's output vector, from one evaluation pass."""
-    expr = to_expression(grammar, program)
-    outputs = []
-    solved = 0
-    for example in problem.examples:
-        try:
-            value = evaluate(expr, example.input)
-        except InterpreterError:
-            if not allow_errors:
-                raise
-            outputs.append(("<error>",))
-            continue
-        outputs.append(value)
-        if values_equal(value, example.output):
-            solved += 1
-    return solved / len(problem.examples), tuple(outputs)
 
 
 def _collect_promising(
@@ -88,19 +75,15 @@ def _collect_promising(
     deadline: float | None = None,
     allow_evaluation_errors: bool = True,
 ) -> tuple[set[PromisingProgram], SynthFlag, int]:
-    iterator = iter(make_iterator(config, deadline=deadline))
     grammar = config.grammar
+    expected = [example.output for example in problem.examples]
     # Best representative per output vector: max fitness, then fewest nodes.
     by_vector: dict[tuple, tuple[float, int, int, RuleNode]] = {}
     enumerated = 0
-    while True:
-        if deadline is not None and time.monotonic() >= deadline:
-            break
-        program = next(iterator, None)
-        if program is None:
-            break
+    for program in make_iterator(config, deadline=deadline):
         enumerated += 1
-        fit, vector = _score(grammar, program, problem, allow_evaluation_errors)
+        vector = output_vector(grammar, program, problem, allow_evaluation_errors)
+        fit = sum(map(values_equal, vector, expected)) / len(expected)
         if fit == 1.0:
             return {PromisingProgram(program, 1.0)}, SynthFlag.optimal_program, enumerated
         if fit <= 0.0:
@@ -124,6 +107,7 @@ def get_promising_programs_with_fitness(
     under ``optimal_program``.  Otherwise the set holds one representative
     per distinct output vector (highest fitness, then smallest program).
     """
+    _require_examples(problem)
     promising, flag, _ = _collect_promising(
         config, problem, allow_evaluation_errors=allow_evaluation_errors
     )
@@ -168,14 +152,17 @@ def probe_with_stats(
     config: ProbeConfig | None = None,
     timeout_seconds: float | None = None,
 ) -> ProbeRun:
-    """Run probe cycles, reporting the budget spent alongside the result."""
+    """Run probe cycles, reporting the budget spent alongside the result.
+
+    A cycle the deadline cut short is not counted as completed, and the
+    grammar is not reweighted on its partial promising set.
+    """
+    _require_examples(problem)
     config = config or ProbeConfig()
     deadline = None if timeout_seconds is None else time.monotonic() + timeout_seconds
     current = grammar if grammar.has_probabilities else set_uniform_probabilities(grammar)
     enumerated = 0
     for cycle in range(config.probe_cycles):
-        if deadline is not None and time.monotonic() >= deadline:
-            return ProbeRun(None, cycle, enumerated, timed_out=True)
         iterator_config = IteratorConfig(
             "mlfs",
             current,
@@ -191,9 +178,10 @@ def probe_with_stats(
         if flag == SynthFlag.optimal_program:
             (winner,) = promising
             return ProbeRun(winner.program, cycle + 1, enumerated)
+        if deadline is not None and time.monotonic() >= deadline:
+            return ProbeRun(None, cycle, enumerated, timed_out=True)
         current = modify_grammar_probe(promising, current)
-    timed_out = deadline is not None and time.monotonic() >= deadline
-    return ProbeRun(None, config.probe_cycles, enumerated, timed_out=timed_out)
+    return ProbeRun(None, config.probe_cycles, enumerated)
 
 
 def probe(

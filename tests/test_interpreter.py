@@ -3,8 +3,10 @@ import random
 import pytest
 
 from synthkit import (
+    EVAL_ERROR,
     EvaluationError,
     IncompleteTreeError,
+    InterpreterError,
     IOExample,
     Hole,
     Problem,
@@ -12,6 +14,7 @@ from synthkit import (
     UnboundVariableError,
     evaluate,
     execute_on_input,
+    output_vector,
     parse_grammar,
     parse_node,
     run_examples,
@@ -138,6 +141,32 @@ def test_run_examples_error_handling(strings_grammar):
     assert run_examples(strings_grammar, program, problem, allow_errors=True) == (1, 2)
     with pytest.raises(EvaluationError):
         run_examples(strings_grammar, program, problem, allow_errors=False)
+
+
+def test_output_vector_agrees_with_execute_on_input(strings_grammar):
+    inputs = ("", "a", "ab", "hello")
+    problem = Problem("inputs", tuple(IOExample({"x": x}, "") for x in inputs))
+    rng = random.Random(5)
+    failures = 0
+    for _ in range(300):
+        tree = random_complete_tree(strings_grammar, "S", rng, rng.randint(1, 4))
+        expected = []
+        for x in inputs:
+            try:
+                expected.append(execute_on_input(strings_grammar, tree, {"x": x}))
+            except InterpreterError:
+                expected.append(EVAL_ERROR)
+        assert output_vector(strings_grammar, tree, problem) == tuple(expected)
+        if EVAL_ERROR in expected:
+            failures += 1
+            with pytest.raises(InterpreterError):
+                output_vector(strings_grammar, tree, problem, allow_errors=False)
+        else:
+            assert output_vector(strings_grammar, tree, problem, allow_errors=False) == tuple(
+                expected
+            )
+    assert 0 < failures < 300
+    assert output_vector(strings_grammar, RuleNode(1), Problem("empty")) == ()
 
 
 def test_outputs_compared_tag_strictly():

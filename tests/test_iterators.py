@@ -30,6 +30,7 @@ from synthkit import (
     synth,
 )
 
+from conftest import SUITES_DIR
 from oracles import enumerate_programs
 
 LN5 = math.log(0.2)
@@ -376,6 +377,23 @@ def test_synth_timeout_holds_when_propagation_prunes_everything(g0, arith_proble
     assert time.monotonic() - started < 1.5
     assert run.timed_out is True
     assert run.program is None
+
+
+def test_bottom_up_timeout_holds_when_pruning_drops_nearly_everything():
+    # No program of the grammar reaches these outputs, and observational
+    # equivalence drops most candidates, so emissions are rare; the bank
+    # must check the deadline on every candidate, not between emissions.
+    grammar = parse_grammar((SUITES_DIR / "mini-strings" / "default.herbg").read_text())
+    problem = Problem(
+        "unreachable", (IOExample({"x": "hello"}, 1000), IOExample({"x": "sun"}, 999))
+    )
+    config = IteratorConfig(
+        "bottom_up", grammar, "I", max_size=8, observational_equivalence=True
+    )
+    started = time.monotonic()
+    result = synth(problem, config, timeout_seconds=1.0)
+    assert time.monotonic() - started < 1.5
+    assert result.stats.timed_out is True
 
 
 def test_mlfs_stays_monotone_under_constraints(g0):

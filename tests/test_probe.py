@@ -13,6 +13,7 @@ from synthkit import (
     fitness,
     get_promising_programs_with_fitness,
     modify_grammar_probe,
+    parse_constraint,
     parse_grammar,
     parse_node,
     probe,
@@ -187,6 +188,26 @@ def test_probe_timeout(g0, arith_problem):
     assert run.program is None
     assert run.timed_out is True
     assert run.cycles_completed == 0
+
+
+def test_probe_cycle_cut_short_by_the_deadline_is_not_completed(g0_uniform, arith_problem):
+    # Every program has a leaf in {1, 2, 3}, so the first cycle emits
+    # nothing until the deadline stops it; it must not count as completed.
+    forbid_leaves = parse_constraint("(forbidden (domain (1 2 3)))")
+    config = ProbeConfig(max_depth=6, constraints=(forbid_leaves,))
+    run = probe_with_stats(g0_uniform, "Int", arith_problem, config, timeout_seconds=1.0)
+    assert run.timed_out is True
+    assert run.cycles_completed == 0
+    assert run.enumerated == 0
+    assert run.program is None
+
+
+def test_problems_without_examples_are_rejected(g0):
+    empty = Problem("empty")
+    with pytest.raises(ValueError):
+        probe(g0, "Int", empty, ProbeConfig(max_depth=2))
+    with pytest.raises(ValueError):
+        fitness(parse_node("1"), g0, empty)
 
 
 def test_probe_respects_existing_probabilities(g0, arith_problem):
