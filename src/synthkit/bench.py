@@ -28,7 +28,7 @@ from pathlib import Path
 
 from .constraints import Constraint, parse_constraint
 from .errors import ConstraintSyntaxError, GrammarTextError, SuiteLoadError, SynthkitError
-from .grammar import Grammar, set_uniform_probabilities
+from .grammar import Grammar
 from .grammar_text import parse_grammar
 from .interpreter import Value
 from .iterators import IteratorConfig, SynthFlag, synth
@@ -147,6 +147,8 @@ class SynthesizerSpec:
     def __post_init__(self):
         if self.kind not in _ITERATOR_KINDS + ("probe",):
             raise SuiteLoadError(f"unknown synthesizer kind {self.kind!r}")
+        if self.kind == "probe" and self.max_size is not None:
+            raise SuiteLoadError("probe takes no max_size; bound it with max_depth")
 
 
 @dataclass
@@ -226,8 +228,6 @@ def _run_probe(problem_file: ProblemFile, grammar: Grammar, spec: SynthesizerSpe
 
 
 def _run_iterator(problem_file: ProblemFile, grammar: Grammar, spec: SynthesizerSpec, timeout: float):
-    if spec.kind == "mlfs" and not grammar.has_probabilities:
-        grammar = set_uniform_probabilities(grammar)
     config = IteratorConfig(
         spec.kind,
         grammar,

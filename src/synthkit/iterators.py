@@ -2,9 +2,12 @@
 
 Top-down iterators keep a priority queue of trees (lower value dequeues
 first, ties by insertion order).  Dequeuing a tree that still has plain
-holes decomposes it into uniform trees, which are enqueued; dequeuing a
-uniform tree emits its next complete program and re-enqueues the tree until
-its programs are exhausted.  The queue discipline differs per iterator:
+holes splits its leftmost one into same-shape classes with
+:func:`~synthkit.solver.split_first_hole`, which keeps exactly the pieces
+within ``max_depth`` and ``max_size``; dequeuing a uniform tree emits its
+next complete program and re-enqueues the tree until its programs are
+exhausted.  Every queue value, fresh or re-enqueued, comes from the
+iterator's ``_priority`` method, and the discipline differs per iterator:
 
 * ``bfs``   -- fresh trees are keyed by (depth, insertion counter): FIFO
   within a depth layer; a re-enqueued uniform tree keeps its position, so
@@ -36,6 +39,7 @@ so a search stops in time even when it emits nothing.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import time
@@ -45,11 +49,11 @@ from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .constraints import Constraint, check_program
 from .errors import ConfigError
-from .grammar import Grammar
+from .grammar import Grammar, set_uniform_probabilities
 from .interpreter import output_vector, run_examples
 # Unused here, but kept as names the benchmark tracer patches on this module.
 from .interpreter import evaluate, to_expression  # noqa: F401
-from .nodes import Hole, Node, RuleNode, depth, is_complete, is_uniform, node_count
+from .nodes import Hole, Node, RuleNode, depth, is_complete, is_uniform
 from .solver import Path, SolverState, split_first_hole
 from .specification import Problem
 
@@ -68,7 +72,10 @@ class IteratorConfig:
 
     At least one stopping bound is required whenever the grammar can recurse;
     ``max_size`` is the node-count bound and is mandatory for bottom-up
-    search, which fills its bank size by size.
+    search, which fills its bank size by size.  ``dfs_over_shapes`` applies
+    to dfs only and ``observational_equivalence`` to bottom-up only; setting
+    either for another kind is an error.  mlfs over a grammar without
+    probabilities runs on uniform ones.
     """
 
     kind: str  # "bfs" | "dfs" | "mlfs" | "bottom_up"
@@ -92,8 +99,12 @@ class IteratorConfig:
                 raise ConfigError(f"{name} must be positive, got {bound}")
         if self.max_enumerations is not None and self.max_enumerations < 0:
             raise ConfigError("max_enumerations must be non-negative")
+        if self.dfs_over_shapes and self.kind != "dfs":
+            raise ConfigError(f"dfs_over_shapes applies to dfs, not {self.kind}")
+        if self.observational_equivalence and self.kind != "bottom_up":
+            raise ConfigError(f"observational_equivalence applies to bottom_up, not {self.kind}")
         if self.kind == "mlfs" and not self.grammar.has_probabilities:
-            raise ConfigError("mlfs needs a grammar with probabilities")
+            self.grammar = set_uniform_probabilities(self.grammar)
         if self.kind == "bottom_up":
             if self.max_size is None:
                 raise ConfigError("bottom-up search needs max_size")
@@ -196,8 +207,8 @@ class QueueEntry:
     """One queued tree plus the bookkeeping to resume its enumeration."""
 
     tree: Node
-    priority: Priority
     is_uniform: bool
+    priority: Priority = 0
     programs: Iterator | None = None
     peeked: RuleNode | None = None
     # Log-probability of ``peeked``, carried along by mlfs.
@@ -230,17 +241,16 @@ class TopDownIterator:
 
     # -- per-kind knobs -----------------------------------------------------
 
-    def derivation_order(self, domain: Sequence[int]) -> list[int]:
-        return derivation_heuristic(self.kind, self.grammar, domain)
-
-    def _uniform_priority(self, entry: QueueEntry, parent_value: Priority, is_requeued: bool) -> Priority:
+    def _priority(self, entry: QueueEntry, parent_value: Priority, is_requeued: bool) -> Priority:
+        """Queue priority of a fresh or re-enqueued entry, partial or uniform."""
         return priority_function(
             self.kind, self.grammar, entry.tree, parent_value, is_requeued,
             counter=self._counter, dfs_over_shapes=self.config.dfs_over_shapes,
         )
 
     def _uniform_programs(self, state: SolverState) -> Iterator[RuleNode]:
-        return _assignments_depth_first(state, self.derivation_order, self.constraints)
+        order = functools.partial(derivation_heuristic, self.kind, self.grammar)
+        return _assignments_depth_first(state, order, self.constraints)
 
     def _advance(self, entry: QueueEntry) -> None:
         """Peek a uniform entry's next program; ``None`` once it is exhausted."""
@@ -248,35 +258,21 @@ class TopDownIterator:
 
     # -- queue machinery ------------------------------------------------------
 
-    def _within_bounds(self, tree: Node) -> bool:
-        if self.config.max_depth is not None and depth(tree) > self.config.max_depth:
-            return False
-        if self.config.max_size is not None and node_count(tree) > self.config.max_size:
-            return False
-        return True
-
-    def _push(self, entry: QueueEntry) -> None:
+    def _push(self, entry: QueueEntry, parent_value: Priority, is_requeued: bool) -> None:
+        entry.priority = self._priority(entry, parent_value, is_requeued)
         heapq.heappush(self._heap, (entry.priority, next(self._tie), entry))
 
     def _push_tree(self, tree: Node, parent_value: Priority) -> None:
-        if not self._within_bounds(tree):
-            return
         if not is_uniform(tree):
-            priority = priority_function(
-                self.kind, self.grammar, tree, parent_value, False,
-                counter=self._counter, dfs_over_shapes=self.config.dfs_over_shapes,
-            )
-            self._push(QueueEntry(tree, priority, is_uniform=False))
+            self._push(QueueEntry(tree, is_uniform=False), parent_value, False)
             return
         state = SolverState(self.grammar, tree, self.constraints)
         if not state.propagate():
             return
-        entry = QueueEntry(tree, 0, is_uniform=True, programs=self._uniform_programs(state))
+        entry = QueueEntry(tree, is_uniform=True, programs=self._uniform_programs(state))
         self._advance(entry)
-        if entry.peeked is None:
-            return
-        entry.priority = self._uniform_priority(entry, parent_value, is_requeued=False)
-        self._push(entry)
+        if entry.peeked is not None:
+            self._push(entry, parent_value, False)
 
     def _run(self) -> Iterator[RuleNode]:
         emitted = 0
@@ -289,11 +285,10 @@ class TopDownIterator:
                 return
             priority, _, entry = heapq.heappop(self._heap)
             if not entry.is_uniform:
-                # One hole per dequeue: the decompose partition applied
-                # incrementally, so a tree never fans out by more than its
-                # class count.
+                # One hole per dequeue, so a tree never fans out by more
+                # than its class count; the split drops out-of-bound pieces.
                 pieces = split_first_hole(
-                    self.grammar, entry.tree, max_depth=self.config.max_depth
+                    self.grammar, entry.tree, self.config.max_depth, self.config.max_size
                 )
                 for piece in pieces or ():
                     self._push_tree(piece, priority)
@@ -301,8 +296,7 @@ class TopDownIterator:
             program = entry.peeked
             self._advance(entry)
             if entry.peeked is not None:
-                entry.priority = self._uniform_priority(entry, priority, is_requeued=True)
-                self._push(entry)
+                self._push(entry, priority, True)
             emitted += 1
             yield program
 
@@ -331,13 +325,16 @@ class MLFSIterator(TopDownIterator):
     Uniform entries are keyed by the exact log-probability of the next
     program they will emit (their remaining maximum), which keeps the
     emitted probability sequence non-increasing.  The log-probability comes
-    with the program from the uniform tree's enumeration.
+    with the program from the uniform tree's enumeration; partial entries
+    keep :func:`priority_function`'s bound.
     """
 
     kind = "mlfs"
 
-    def _uniform_priority(self, entry, parent_value, is_requeued):
-        return -entry.log_probability
+    def _priority(self, entry, parent_value, is_requeued):
+        if entry.is_uniform:
+            return -entry.log_probability
+        return super()._priority(entry, parent_value, is_requeued)
 
     def _uniform_programs(self, state: SolverState) -> Iterator[tuple[RuleNode, float]]:
         return _assignments_best_first(state, self.grammar, self.constraints)

@@ -1,7 +1,9 @@
-"""Shape decomposition and constraint propagation over uniform trees.
+"""Shape splitting and constraint propagation over uniform trees.
 
-:func:`decompose` splits a partial program with plain holes into uniform
-trees, one per combination of same-shape rule classes.  A
+:func:`split_first_hole` is the one splitting primitive: it replaces a
+partial program's leftmost plain hole with one uniform hole per same-shape
+rule class, and returns exactly the pieces within the search's depth and
+size bounds.  :func:`decompose` folds that split over every plain hole.  A
 :class:`SolverState` then owns the mutable hole domains of one uniform tree:
 :meth:`~SolverState.propagate` filters domains to a fixed point under the
 active constraints, and a trail of removals supports cheap LIFO
@@ -21,7 +23,6 @@ truth that rejects the programs it lets through.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional
 
@@ -36,7 +37,7 @@ from .constraints import (
 )
 from .errors import SolverStateError
 from .grammar import Grammar
-from .nodes import Hole, Node, RuleNode, UniformHole, node_count
+from .nodes import Hole, Node, RuleNode, UniformHole
 
 Path = tuple[int, ...]
 
@@ -54,6 +55,81 @@ def _shape_classes(grammar: Grammar, domain: Iterable[int]) -> list[tuple[frozen
     return classes
 
 
+def _survey(node: Node, path: Path, holes: list[Path]) -> tuple[int, int]:
+    """Node count and depth of a subtree; appends its plain holes' paths in preorder."""
+    if isinstance(node, Hole):
+        holes.append(path)
+        return 1, 1
+    size, height = 1, 0
+    for i, child in enumerate(node.children):
+        child_size, child_height = _survey(child, path + (i,), holes)
+        size += child_size
+        if child_height > height:
+            height = child_height
+    return size, height + 1
+
+
+def _replace(node: Node, path: Path, replacement: Node) -> Node:
+    """The tree with the subtree at ``path`` replaced."""
+    if not path:
+        return replacement
+    index = path[0]
+    children = tuple(
+        _replace(child, path[1:], replacement) if i == index else child
+        for i, child in enumerate(node.children)
+    )
+    if isinstance(node, RuleNode):
+        return RuleNode(node.rule, children)
+    return UniformHole(node.domain, children)
+
+
+def _split_hole(
+    grammar: Grammar, tree: Node, path: Path | None, max_depth: int | None, max_size: int | None
+) -> list[Node] | None:
+    """Split the plain hole at ``path``, or the leftmost one when ``path`` is None.
+
+    Returns ``None`` when there is no such hole.  A class is dropped when
+    its piece would exceed a bound: its fresh children add ``len(shape)``
+    nodes and sit one level below the hole, at depth ``len(path) + 2``.
+    """
+    holes: list[Path] = []
+    size, height = _survey(tree, (), holes)
+    if path is None:
+        if not holes:
+            return None
+        path = holes[0]
+    hole = tree
+    for index in path:
+        hole = hole.children[index]
+    pieces = []
+    for rules, shape in _shape_classes(grammar, hole.domain):
+        if max_size is not None and size + len(shape) > max_size:
+            continue
+        if max_depth is not None and (height > max_depth or shape and len(path) + 2 > max_depth):
+            continue
+        replacement = UniformHole(rules, tuple(grammar.hole(symbol) for symbol in shape))
+        pieces.append(_replace(tree, path, replacement))
+    return pieces
+
+
+def split_first_hole(
+    grammar: Grammar,
+    tree: Node,
+    max_depth: int | None = None,
+    max_size: int | None = None,
+) -> list[Node] | None:
+    """Replace the leftmost plain hole with one uniform hole per shape class.
+
+    Each piece swaps the hole for a uniform hole over one same-shape class
+    of its domain, with fresh full-domain holes as children; the pieces
+    denote pairwise disjoint program sets whose union is the tree's set.
+    Exactly the pieces within the bounds are returned: a piece's depth is
+    at most ``max_depth`` and its node count at most ``max_size``.  Returns
+    ``None`` when the tree has no plain hole.
+    """
+    return _split_hole(grammar, tree, None, max_depth, max_size)
+
+
 def decompose(
     grammar: Grammar,
     tree: Node,
@@ -62,115 +138,22 @@ def decompose(
 ) -> list[Node]:
     """Split every plain hole of a tree into its shape classes.
 
-    Returns one tree per combination of per-hole classes; each plain hole
-    becomes a uniform hole over one class, with fresh full-domain holes for
-    its children.  The returned trees denote pairwise disjoint program sets
-    whose union is the input's set.  A tree without plain holes is returned
+    A fold of the single-hole split over the tree's plain holes in preorder:
+    one tree per combination of per-hole classes, the first hole varying
+    slowest, each within ``max_depth`` and ``max_size``.  The fresh children
+    the splits add stay plain holes.  A tree without plain holes is returned
     unchanged as a singleton list.
-
-    Optional bounds prune per-hole class options whose trees could only
-    exceed them, keeping the cartesian product from blowing up near a depth
-    or size limit; without bounds the full partition is returned.
     """
-    hole_classes: list[list[UniformHole]] = []
-    hole_depths: list[int] = []
-
-    def collect(node: Node, level: int) -> None:
-        if isinstance(node, Hole):
-            replacements = []
-            for rules, shape in _shape_classes(grammar, node.domain):
-                if shape and max_depth is not None and level + 1 > max_depth:
-                    continue
-                children = tuple(grammar.hole(symbol) for symbol in shape)
-                replacements.append(UniformHole(rules, children))
-            hole_classes.append(replacements)
-            hole_depths.append(level)
-        elif isinstance(node, (RuleNode, UniformHole)):
-            for child in node.children:
-                collect(child, level + 1)
-
-    collect(tree, 1)
-    if not hole_classes:
-        return [tree]
-    if any(not options for options in hole_classes):
-        return []
-    if max_size is not None:
-        base = node_count(tree)
-        cheapest = [min(len(opt.children) for opt in options) for options in hole_classes]
-        slack = max_size - base - sum(cheapest)
-        if slack < 0:
-            return []
-        hole_classes = [
-            [
-                option
-                for option in options
-                if len(option.children) - cheap <= slack
-            ]
-            for options, cheap in zip(hole_classes, cheapest)
+    holes: list[Path] = []
+    _survey(tree, (), holes)
+    pieces = [tree]
+    for path in holes:
+        pieces = [
+            split
+            for piece in pieces
+            for split in _split_hole(grammar, piece, path, max_depth, max_size)
         ]
-
-    def rebuild(node: Node, replacements: Iterator[UniformHole]) -> Node:
-        if isinstance(node, Hole):
-            return next(replacements)
-        if not node.children:
-            return node
-        children = tuple(rebuild(child, replacements) for child in node.children)
-        if isinstance(node, RuleNode):
-            return RuleNode(node.rule, children)
-        return UniformHole(node.domain, children)
-
-    return [rebuild(tree, iter(combo)) for combo in itertools.product(*hole_classes)]
-
-
-def split_first_hole(
-    grammar: Grammar, tree: Node, max_depth: int | None = None
-) -> list[Node] | None:
-    """Replace the leftmost plain hole with one uniform hole per shape class.
-
-    Applies the :func:`decompose` partition one hole at a time, so a dequeued
-    tree never fans out by more than its class count; repeated splitting
-    converges to the same uniform trees.  Returns ``None`` when the tree has
-    no plain hole, and drops classes whose fresh children would already
-    exceed ``max_depth``.
-    """
-
-    def find(node: Node, level: int):
-        if isinstance(node, Hole):
-            return (), level
-        for i, child in enumerate(node.children):
-            found = find(child, level + 1)
-            if found is not None:
-                path, hole_level = found
-                return (i,) + path, hole_level
-        return None
-
-    found = find(tree, 1)
-    if found is None:
-        return None
-    path, level = found
-
-    def replace(node: Node, remaining: Path, replacement: Node) -> Node:
-        if not remaining:
-            return replacement
-        index = remaining[0]
-        children = tuple(
-            replace(child, remaining[1:], replacement) if i == index else child
-            for i, child in enumerate(node.children)
-        )
-        if isinstance(node, RuleNode):
-            return RuleNode(node.rule, children)
-        return UniformHole(node.domain, children)
-
-    hole = tree
-    for index in path:
-        hole = hole.children[index]
-    out = []
-    for rules, shape in _shape_classes(grammar, hole.domain):
-        if shape and max_depth is not None and level + 1 > max_depth:
-            continue
-        replacement = UniformHole(rules, tuple(grammar.hole(s) for s in shape))
-        out.append(replace(tree, path, replacement))
-    return out
+    return pieces
 
 
 @dataclass(frozen=True, eq=False)

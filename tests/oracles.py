@@ -9,7 +9,15 @@ from itertools import product
 
 from synthkit.constraints import ConcreteRule, Forbidden, PatternVar, check_program
 from synthkit.iterators import derivation_heuristic, max_rulenode_log_probability
-from synthkit.nodes import Hole, RuleNode, UniformHole, is_complete, serialize_node
+from synthkit.nodes import (
+    Hole,
+    RuleNode,
+    UniformHole,
+    depth,
+    is_complete,
+    node_count,
+    serialize_node,
+)
 
 
 def enumerate_programs(grammar, symbol, max_depth, _cache=None):
@@ -267,3 +275,51 @@ def reference_assignments_best_first(state, grammar, constraints):
             if j + 1 < len(values[m]):
                 bumped = indices[:m] + (j + 1,) + indices[m + 1 :]
                 heapq.heappush(heap, (neg_total - (values[m][j + 1] - values[m][j]), bumped, m))
+
+
+def reference_split_first_hole(grammar, tree, max_depth=None, max_size=None):
+    """Split the leftmost plain hole, then drop the pieces that exceed a bound.
+
+    Builds one piece per same-shape class of the hole's domain, each with
+    fresh full-domain children, and only afterwards filters them by their
+    whole-tree ``depth`` and ``node_count``.  Returns None when the tree has
+    no plain hole.  Patch it in as ``iterators.split_first_hole``.
+    """
+
+    def find(node):
+        if isinstance(node, Hole):
+            return ()
+        for i, child in enumerate(node.children):
+            found = find(child)
+            if found is not None:
+                return (i,) + found
+        return None
+
+    def replace(node, path, replacement):
+        if not path:
+            return replacement
+        children = list(node.children)
+        children[path[0]] = replace(children[path[0]], path[1:], replacement)
+        if isinstance(node, RuleNode):
+            return RuleNode(node.rule, tuple(children))
+        return UniformHole(node.domain, tuple(children))
+
+    path = find(tree)
+    if path is None:
+        return None
+    hole = tree
+    for index in path:
+        hole = hole.children[index]
+    by_shape = {}
+    for rule in sorted(hole.domain):
+        by_shape.setdefault(grammar.childtypes(rule), []).append(rule)
+    pieces = [
+        replace(tree, path, UniformHole(frozenset(rules), tuple(grammar.hole(s) for s in shape)))
+        for shape, rules in by_shape.items()
+    ]
+    return [
+        piece
+        for piece in pieces
+        if (max_depth is None or depth(piece) <= max_depth)
+        and (max_size is None or node_count(piece) <= max_size)
+    ]

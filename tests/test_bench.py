@@ -173,6 +173,11 @@ def test_unknown_synthesizer_kind_rejected():
         SynthesizerSpec(kind="genetic")
 
 
+def test_probe_spec_rejects_max_size():
+    with pytest.raises(SuiteLoadError):
+        SynthesizerSpec(kind="probe", max_depth=4, max_size=2)
+
+
 def test_aggregate_counts_optimal_records():
     pairs = get_all_problem_grammar_pairs(ARITH)
     report = run_suite(pairs, bfs_spec(), timeout_seconds=30.0)
@@ -262,6 +267,45 @@ def test_cli_solve_missing_file_exits_nonzero(tmp_path, capsys):
     )
     assert code != 0
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_solve_mlfs_on_an_unweighted_grammar(capsys):
+    code = main(
+        [
+            "solve",
+            "--grammar",
+            str(ARITH / "default.herbg"),
+            "--problem",
+            str(ARITH / "linear.problem.json"),
+            "--iterator",
+            "mlfs",
+            "--max-depth",
+            "4",
+        ]
+    )
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "program: " in out and "program: none" not in out
+
+
+def test_cli_bench_probe_with_max_size_exits_nonzero(capsys):
+    code = main(
+        [
+            "bench",
+            "--suite",
+            str(ARITH),
+            "--synthesizer",
+            "probe",
+            "--max-depth",
+            "4",
+            "--max-size",
+            "2",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code != 0
+    assert "error:" in captured.err and "max_size" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_unknown_iterator_is_usage_error():

@@ -283,6 +283,29 @@ def test_bottom_up_exhausts_when_no_rule_applies():
 # -- config validation ------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "kind, flags",
+    [
+        ("bfs", {"observational_equivalence": True, "dfs_over_shapes": True}),
+        ("bfs", {"dfs_over_shapes": True}),
+        ("mlfs", {"dfs_over_shapes": True}),
+        ("bottom_up", {"dfs_over_shapes": True}),
+        ("dfs", {"observational_equivalence": True}),
+        ("mlfs", {"observational_equivalence": True}),
+    ],
+)
+def test_flags_the_kind_ignores_are_rejected(g0, kind, flags):
+    with pytest.raises(ConfigError):
+        IteratorConfig(kind, g0, "Int", max_depth=3, max_size=5, **flags)
+
+
+def test_mlfs_without_probabilities_runs_on_uniform_ones(g0, g0_uniform):
+    config = IteratorConfig("mlfs", g0, "Int", max_depth=3)
+    assert config.grammar.has_probabilities
+    uniform = IteratorConfig("mlfs", g0_uniform, "Int", max_depth=3)
+    assert emit_all(config) == emit_all(uniform)
+
+
 def test_unknown_kind_rejected(g0):
     with pytest.raises(ConfigError):
         IteratorConfig("beam", g0, "Int")

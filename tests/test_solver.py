@@ -13,6 +13,7 @@ from synthkit import (
     depth,
     is_uniform,
     make_iterator,
+    node_count,
     max_rulenode_log_probability,
     parse_constraint,
     parse_grammar,
@@ -29,6 +30,7 @@ from oracles import (
     reference_assignments_best_first,
     reference_assignments_depth_first,
     reference_propagate,
+    reference_split_first_hole,
 )
 
 FORBID_PLUS_AA = parse_constraint("(forbidden (rule 4 (var a) (var a)))")
@@ -275,6 +277,54 @@ def test_split_first_hole_refines_like_decompose(g0):
         assert union == whole
 
 
+SPLIT_BOUNDS = [(None, None), (1, None), (2, 4), (3, 5), (3, None), (None, 6), (4, 9)]
+
+
+def test_split_first_hole_matches_the_build_then_filter_reference(g0):
+    # The split checks the bounds before building a piece; the reference
+    # builds every piece and drops those whose depth or size is too large.
+    # Random trees may already exceed a bound, which must drop every piece.
+    strings = parse_grammar((SUITES_DIR / "mini-strings" / "default.herbg").read_text())
+    rng = random.Random(23)
+    for grammar, start in ((g0, "Int"), (strings, "S")):
+        for _ in range(150):
+            tree = random_partial_tree(grammar, start, rng, rng.randint(1, 4))
+            for max_depth, max_size in SPLIT_BOUNDS:
+                assert split_first_hole(grammar, tree, max_depth, max_size) == (
+                    reference_split_first_hole(grammar, tree, max_depth, max_size)
+                )
+
+
+def test_decompose_returns_exactly_the_pieces_within_bounds(g0):
+    rng = random.Random(31)
+    for _ in range(100):
+        tree = random_partial_tree(g0, "Int", rng, rng.randint(1, 3))
+        unbounded = decompose(g0, tree)
+        for max_depth, max_size in SPLIT_BOUNDS:
+            if unbounded == [tree]:
+                expected = [tree]
+            else:
+                expected = [
+                    piece
+                    for piece in unbounded
+                    if (max_depth is None or depth(piece) <= max_depth)
+                    and (max_size is None or node_count(piece) <= max_size)
+                ]
+            assert decompose(g0, tree, max_depth, max_size) == expected
+
+
+def test_decompose_drops_pieces_over_max_size(g0):
+    # Both holes fit a binary class alone, but not together: 3 + 2 + 2 > 5.
+    tree = RuleNode(4, (Hole(FULL_INT), Hole(FULL_INT)))
+    terminals = UniformHole(frozenset({1, 2, 3}))
+    binary = UniformHole(frozenset({4, 5}), (Hole(FULL_INT), Hole(FULL_INT)))
+    assert decompose(g0, tree, max_size=5) == [
+        RuleNode(4, (terminals, terminals)),
+        RuleNode(4, (terminals, binary)),
+        RuleNode(4, (binary, terminals)),
+    ]
+
+
 PROPAGATION_FORMS = [
     parse_constraint(text)
     for text in (
@@ -367,23 +417,26 @@ SEQUENCE_CASES = [
 @pytest.mark.parametrize("kind", ["bfs", "dfs", "mlfs"])
 def test_iterators_emit_the_same_sequence_under_reference_propagation(g0, kind, monkeypatch):
     # The references rebuild the whole tree for every program and key mlfs
-    # entries by max_rulenode_log_probability; under constraints the
-    # whole-tree lookahead also stands in for the site-based propagation.
+    # entries by max_rulenode_log_probability; the reference split builds
+    # every piece and filters it by depth and size afterwards; under
+    # constraints the whole-tree lookahead also stands in for the
+    # site-based propagation.
     strings = parse_grammar((SUITES_DIR / "mini-strings" / "default.herbg").read_text())
     grammars = {
         "arith": (g0.with_probabilities([0.3, 0.1, 0.25, 0.2, 0.15]), "Int"),
         "mini-strings": (strings.with_probabilities(MINI_STRINGS_PROBABILITIES), "S"),
     }
     priorities = []
-    keyed = MLFSIterator._uniform_priority
+    keyed = MLFSIterator._priority
 
     def recording_priority(iterator, entry, parent_value, is_requeued):
         value = keyed(iterator, entry, parent_value, is_requeued)
-        expected = -max_rulenode_log_probability(entry.peeked, iterator.grammar)
-        priorities.append(value == expected)
+        if entry.is_uniform:
+            expected = -max_rulenode_log_probability(entry.peeked, iterator.grammar)
+            priorities.append(value == expected)
         return value
 
-    monkeypatch.setattr(MLFSIterator, "_uniform_priority", recording_priority)
+    monkeypatch.setattr(MLFSIterator, "_priority", recording_priority)
 
     def drain(family, max_depth, max_size, constraints):
         grammar, start = grammars[family]
@@ -399,6 +452,8 @@ def test_iterators_emit_the_same_sequence_under_reference_propagation(g0, kind, 
             patch.setattr(iterators, "_assignments_depth_first", reference_assignments_depth_first)
             patch.setattr(iterators, "_assignments_best_first", reference_assignments_best_first)
             assert local and local == drain(family, max_depth, max_size, constraints)
+            patch.setattr(iterators, "split_first_hole", reference_split_first_hole)
+            assert local == drain(family, max_depth, max_size, constraints)
             if constraints:
                 patch.setattr(SolverState, "propagate", reference_propagate)
                 assert local == drain(family, max_depth, max_size, constraints)
