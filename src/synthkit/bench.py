@@ -31,12 +31,10 @@ from .errors import ConstraintSyntaxError, GrammarTextError, SuiteLoadError, Syn
 from .grammar import Grammar
 from .grammar_text import parse_grammar
 from .interpreter import Value
-from .iterators import IteratorConfig, SynthFlag, synth
+from .iterators import ITERATOR_KINDS, IteratorConfig, SynthFlag, synth
 from .nodes import serialize_node
 from .probe import ProbeConfig, probe_with_stats
 from .specification import IOExample, Problem
-
-_ITERATOR_KINDS = ("bfs", "dfs", "mlfs", "bottom_up")
 
 
 @dataclass
@@ -145,7 +143,7 @@ class SynthesizerSpec:
     allow_evaluation_errors: bool = True
 
     def __post_init__(self):
-        if self.kind not in _ITERATOR_KINDS + ("probe",):
+        if self.kind not in ITERATOR_KINDS + ("probe",):
             raise SuiteLoadError(f"unknown synthesizer kind {self.kind!r}")
         if self.kind == "probe" and self.max_size is not None:
             raise SuiteLoadError("probe takes no max_size; bound it with max_depth")
@@ -257,7 +255,8 @@ def run_one(problem_file: ProblemFile, grammar: Grammar, spec: SynthesizerSpec, 
     except SynthkitError as exc:
         elapsed = min(time.monotonic() - started, timeout)
         return ProblemRecord(
-            problem_file.name, False, SynthFlag.no_program.value, elapsed, 0, None, str(exc)
+            problem_file.name, False, SynthFlag.no_program.value, elapsed,
+            exc.enumerated, None, str(exc),
         )
     if timed_out:
         # A timed-out run is recorded unsolved at exactly the budget.

@@ -26,8 +26,12 @@ from .bench import (
 )
 from .errors import SynthkitError
 from .interpreter import to_expression
-from .iterators import IteratorConfig, make_iterator, synth
+from .iterators import ITERATOR_KINDS, IteratorConfig, make_iterator, synth
 from .nodes import serialize_node
+
+# The iterator kinds as the command line spells them: bottom-up, not bottom_up.
+_CLI_KINDS = [kind.replace("_", "-") for kind in ITERATOR_KINDS]
+
 
 def _iterator_kind(text: str) -> str:
     return text.replace("-", "_")
@@ -53,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--iterator",
         default="bfs",
-        choices=["bfs", "dfs", "mlfs", "bottom-up"],
+        choices=_CLI_KINDS,
     )
     _add_bound_flags(solve)
     solve.add_argument("--allow-eval-errors", action="store_true")
@@ -63,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--synthesizer",
         default="probe",
-        choices=["bfs", "dfs", "mlfs", "bottom-up", "probe"],
+        choices=_CLI_KINDS + ["probe"],
     )
     bench.add_argument("--cycles", type=int, default=3, help="probe cycles")
     _add_bound_flags(bench)

@@ -2,7 +2,14 @@
 
 
 class SynthkitError(Exception):
-    """Base class for every error raised by synthkit."""
+    """Base class for every error raised by synthkit.
+
+    ``enumerated`` is how many programs a search had enumerated when the
+    error ended it, a program whose evaluation raised included; 0 for an
+    error raised outside a search.
+    """
+
+    enumerated: int = 0
 
 
 class GrammarError(SynthkitError):

@@ -39,7 +39,6 @@ so a search stops in time even when it emits nothing.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
 import time
@@ -48,7 +47,7 @@ from enum import Enum
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .constraints import Constraint, check_program
-from .errors import ConfigError
+from .errors import ConfigError, SynthkitError
 from .grammar import Grammar, set_uniform_probabilities
 from .interpreter import output_vector, run_examples
 # Unused here, but kept as names the benchmark tracer patches on this module.
@@ -58,6 +57,9 @@ from .solver import Path, SolverState, split_first_hole
 from .specification import Problem
 
 Priority = Union[int, float, tuple]
+
+# Every iterator kind, as IteratorConfig spells it.
+ITERATOR_KINDS = ("bfs", "dfs", "mlfs", "bottom_up")
 
 
 class SynthFlag(str, Enum):
@@ -78,7 +80,7 @@ class IteratorConfig:
     probabilities runs on uniform ones.
     """
 
-    kind: str  # "bfs" | "dfs" | "mlfs" | "bottom_up"
+    kind: str  # one of ITERATOR_KINDS
     grammar: Grammar
     start_symbol: str
     max_depth: int | None = None
@@ -90,7 +92,7 @@ class IteratorConfig:
 
     def __post_init__(self):
         self.constraints = tuple(self.constraints)
-        if self.kind not in ("bfs", "dfs", "mlfs", "bottom_up"):
+        if self.kind not in ITERATOR_KINDS:
             raise ConfigError(f"unknown iterator kind {self.kind!r}")
         self.grammar.rules_for(self.start_symbol)
         for name in ("max_depth", "max_size"):
@@ -249,8 +251,7 @@ class TopDownIterator:
         )
 
     def _uniform_programs(self, state: SolverState) -> Iterator[RuleNode]:
-        order = functools.partial(derivation_heuristic, self.kind, self.grammar)
-        return _assignments_depth_first(state, order, self.constraints)
+        return _assignments_depth_first(state, self.constraints)
 
     def _advance(self, entry: QueueEntry) -> None:
         """Peek a uniform entry's next program; ``None`` once it is exhausted."""
@@ -343,37 +344,38 @@ class MLFSIterator(TopDownIterator):
         entry.peeked, entry.log_probability = next(entry.programs, (None, None))
 
 
-def _assignments_depth_first(state, order_fn, constraints) -> Iterator[RuleNode]:
+def _assignments_depth_first(state, constraints) -> Iterator[RuleNode]:
     """Enumerate a uniform tree's programs depth-first over its holes.
 
     Every node of the tree gets a generator of its complete subtrees.  A
-    hole's generator decides the hole through the solver state (save,
-    assign, propagate, and restore once the choice is used up) and then
-    walks the product of its children's generators left to right, so holes
-    are decided in preorder and the last one varies fastest.  Only the
-    nodes on the path from the hole that changed to the root are built
-    anew; the subtrees beside that path are the ones yielded before, which
-    is safe because rule nodes are immutable.
+    hole's generator tries its rules in the domain's ascending order,
+    decides the hole through the solver state (save, assign, propagate, and
+    restore once the choice is used up) and then walks the product of its
+    children's generators left to right, so holes are decided in preorder
+    and the last one varies fastest.  Only the nodes on the path from the
+    hole that changed to the root are built anew; the subtrees beside that
+    path are the ones yielded before, which is safe because rule nodes are
+    immutable.
     """
-    for program in _subtree_stream(state, order_fn, state.root, ())():
+    for program in _subtree_stream(state, state.root, ())():
         if check_program(constraints, program):
             yield program
 
 
-def _subtree_stream(state, order_fn, node: Node, path: Path) -> Callable[[], Iterable[RuleNode]]:
+def _subtree_stream(state, node: Node, path: Path) -> Callable[[], Iterable[RuleNode]]:
     """A function that starts a fresh stream of a node's complete subtrees."""
     if is_complete(node):
         complete = (node,)
         return lambda: complete
     children = tuple(
-        _subtree_stream(state, order_fn, child, path + (i,))
+        _subtree_stream(state, child, path + (i,))
         for i, child in enumerate(node.children)
     )
     if isinstance(node, RuleNode):
         return lambda: (RuleNode(node.rule, kids) for kids in _product(children))
 
     def decide() -> Iterator[RuleNode]:
-        for rule in order_fn(state.domain(path)):
+        for rule in state.domain(path):
             checkpoint = state.save_state()
             state.assign(path, rule)
             if state.propagate():
@@ -613,6 +615,8 @@ def synth(
 
     The iterator owns the deadline and stops once it passes, also when it
     emits nothing; one long evaluation can overshoot it by a single program.
+    An error that ends the search carries the programs enumerated so far as
+    its ``enumerated`` attribute.
     """
     if not problem.examples:
         raise ValueError("synth needs a problem with at least one example")
@@ -621,19 +625,23 @@ def synth(
     best: Node | None = None
     best_solved = -1
     enumerated = 0
-    for program in make_iterator(config, problem=problem, deadline=deadline):
-        enumerated += 1
-        solved, total = run_examples(
-            config.grammar, program, problem, allow_errors=allow_evaluation_errors
-        )
-        if solved == total:
-            return SynthResult(
-                program,
-                SynthFlag.optimal_program,
-                SynthStats(enumerated, time.monotonic() - started),
+    try:
+        for program in make_iterator(config, problem=problem, deadline=deadline):
+            enumerated += 1
+            solved, total = run_examples(
+                config.grammar, program, problem, allow_errors=allow_evaluation_errors
             )
-        if solved > best_solved:
-            best, best_solved = program, solved
+            if solved == total:
+                return SynthResult(
+                    program,
+                    SynthFlag.optimal_program,
+                    SynthStats(enumerated, time.monotonic() - started),
+                )
+            if solved > best_solved:
+                best, best_solved = program, solved
+    except SynthkitError as exc:
+        exc.enumerated = enumerated
+        raise
     ended = time.monotonic()
     timed_out = deadline is not None and ended >= deadline
     flag = SynthFlag.suboptimal_program if best is not None else SynthFlag.no_program

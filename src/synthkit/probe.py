@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .constraints import Constraint
-from .errors import ConfigError
+from .errors import ConfigError, SynthkitError
 from .grammar import Grammar, set_uniform_probabilities
 from .interpreter import output_vector, run_examples, values_equal
 # Unused here, but kept as names the benchmark tracer patches on this module.
@@ -80,19 +80,23 @@ def _collect_promising(
     # Best representative per output vector: max fitness, then fewest nodes.
     by_vector: dict[tuple, tuple[float, int, int, RuleNode]] = {}
     enumerated = 0
-    for program in make_iterator(config, deadline=deadline):
-        enumerated += 1
-        vector = output_vector(grammar, program, problem, allow_evaluation_errors)
-        fit = sum(map(values_equal, vector, expected)) / len(expected)
-        if fit == 1.0:
-            return {PromisingProgram(program, 1.0)}, SynthFlag.optimal_program, enumerated
-        if fit <= 0.0:
-            continue
-        size = node_count(program)
-        candidate = (fit, size, enumerated, program)
-        held = by_vector.get(vector)
-        if held is None or (fit, -size) > (held[0], -held[1]):
-            by_vector[vector] = candidate
+    try:
+        for program in make_iterator(config, deadline=deadline):
+            enumerated += 1
+            vector = output_vector(grammar, program, problem, allow_evaluation_errors)
+            fit = sum(map(values_equal, vector, expected)) / len(expected)
+            if fit == 1.0:
+                return {PromisingProgram(program, 1.0)}, SynthFlag.optimal_program, enumerated
+            if fit <= 0.0:
+                continue
+            size = node_count(program)
+            candidate = (fit, size, enumerated, program)
+            held = by_vector.get(vector)
+            if held is None or (fit, -size) > (held[0], -held[1]):
+                by_vector[vector] = candidate
+    except SynthkitError as exc:
+        exc.enumerated = enumerated
+        raise
     promising = {PromisingProgram(prog, fit) for fit, _, _, prog in by_vector.values()}
     flag = SynthFlag.suboptimal_program if promising else SynthFlag.no_program
     return promising, flag, enumerated
@@ -155,7 +159,9 @@ def probe_with_stats(
     """Run probe cycles, reporting the budget spent alongside the result.
 
     A cycle the deadline cut short is not counted as completed, and the
-    grammar is not reweighted on its partial promising set.
+    grammar is not reweighted on its partial promising set.  An error that
+    ends a cycle carries the programs enumerated over all cycles so far as
+    its ``enumerated`` attribute.
     """
     _require_examples(problem)
     config = config or ProbeConfig()
@@ -171,9 +177,13 @@ def probe_with_stats(
             max_enumerations=config.max_enumerations,
             constraints=config.constraints,
         )
-        promising, flag, count = _collect_promising(
-            iterator_config, problem, deadline, config.allow_evaluation_errors
-        )
+        try:
+            promising, flag, count = _collect_promising(
+                iterator_config, problem, deadline, config.allow_evaluation_errors
+            )
+        except SynthkitError as exc:
+            exc.enumerated += enumerated
+            raise
         enumerated += count
         if flag == SynthFlag.optimal_program:
             (winner,) = promising

@@ -6,8 +6,9 @@ rule class, and returns exactly the pieces within the search's depth and
 size bounds.  :func:`decompose` folds that split over every plain hole.  A
 :class:`SolverState` then owns the mutable hole domains of one uniform tree:
 :meth:`~SolverState.propagate` filters domains to a fixed point under the
-active constraints, and a trail of removals supports cheap LIFO
-save/restore during enumeration.
+active constraints.  Domains are immutable ascending tuples, and every
+change logs the hole's previous domain on a trail, so a LIFO restore puts
+each changed domain back in one step.
 
 A uniform tree's shape is fixed, so each constraint is posted once per tree
 as a *site* at every position where its pattern can still match, and each
@@ -258,8 +259,10 @@ class SolverState:
     """Backtrackable hole domains for one uniform tree.
 
     The tree's shape is fixed; the only mutable state is which rules remain
-    in each uniform hole's domain.  Holes whose domain shrinks to one rule
-    count as decided and materialize as rule nodes.
+    in each uniform hole's domain, an ascending tuple that is replaced, never
+    changed in place.  That ascending order is the order in which bfs and
+    dfs try a hole's rules.  Holes whose domain shrinks to one rule count as
+    decided and materialize as rule nodes.
 
     Each constraint is posted once at every position where its pattern can
     still match; propagation re-checks only the sites that watch a hole
@@ -270,18 +273,19 @@ class SolverState:
         self.grammar = grammar
         self.root = tree
         self.constraints = tuple(constraints)
-        self._domains: dict[Path, set[int]] = {
-            path: set(node.domain)
+        self._domains: dict[Path, tuple[int, ...]] = {
+            path: tuple(sorted(node.domain))
             for path, node in _positions(tree, ())
             if isinstance(node, UniformHole)
         }
-        self._trail: list[tuple[Path, int]] = []
+        # (hole, its domain before the change), one entry per change.
+        self._trail: list[tuple[Path, tuple[int, ...]]] = []
         # Checkpoints that can still be restored, oldest first; restoring
         # one drops every checkpoint taken after it.
         self._live: list[Checkpoint] = []
         self._sites: list[_Site] = []
         self._watchers: dict[Path, list[int]] = {}
-        # Trail prefix whose removals propagation has seen; None until the
+        # Trail prefix whose changes propagation has seen; None until the
         # first call, which checks every site.
         self._checked: int | None = None
         for constraint in self.constraints:
@@ -299,16 +303,25 @@ class SolverState:
         return list(self._domains)
 
     def domain(self, path: Path) -> tuple[int, ...]:
-        return tuple(sorted(self._domains[path]))
+        """The hole's remaining rules, ascending: the order bfs and dfs try them in."""
+        return self._domains[path]
+
+    def _set(self, path: Path, domain: tuple[int, ...]) -> None:
+        """Replace a hole's domain, logging the previous one on the trail."""
+        self._trail.append((path, self._domains[path]))
+        self._domains[path] = domain
 
     def remove(self, path: Path, rule: int) -> None:
-        self._domains[path].remove(rule)
-        self._trail.append((path, rule))
+        domain = self._domains[path]
+        if rule not in domain:
+            raise KeyError(rule)
+        self._set(path, tuple(r for r in domain if r != rule))
 
     def assign(self, path: Path, rule: int) -> None:
-        """Shrink a hole's domain to a single rule, recording the removals."""
-        for other in sorted(self._domains[path] - {rule}):
-            self.remove(path, other)
+        """Shrink a hole's domain to one rule, or to nothing if the rule is absent."""
+        domain = self._domains[path]
+        if domain != (rule,):
+            self._set(path, (rule,) if rule in domain else ())
 
     def save_state(self) -> Checkpoint:
         checkpoint = Checkpoint(len(self._trail), self._checked, len(self._live))
@@ -316,7 +329,7 @@ class SolverState:
         return checkpoint
 
     def restore_state(self, checkpoint: Checkpoint) -> None:
-        """Undo every removal since ``checkpoint``; it stays restorable.
+        """Undo every domain change since ``checkpoint``; it stays restorable.
 
         Checkpoints nest: restoring one makes every checkpoint taken after
         it stale, and restoring a stale one raises SolverStateError.
@@ -328,8 +341,8 @@ class SolverState:
             )
         del live[checkpoint.level + 1 :]
         while len(self._trail) > checkpoint.trail_length:
-            path, rule = self._trail.pop()
-            self._domains[path].add(rule)
+            path, previous = self._trail.pop()
+            self._domains[path] = previous
         if checkpoint.checked is None or self._checked is None:
             self._checked = None
         else:
@@ -352,7 +365,7 @@ class SolverState:
             return RuleNode(overrides[path], children)
         domain = self._domains[path]
         if len(domain) == 1:
-            return RuleNode(next(iter(domain)), children)
+            return RuleNode(domain[0], children)
         return UniformHole(frozenset(domain), children)
 
     # -- propagation ---------------------------------------------------------
@@ -365,8 +378,6 @@ class SolverState:
         of the remaining holes.  Only sites watching a hole that lost a
         rule since the previous call are looked at again.
         """
-        if not self._sites:
-            return all(self._domains.values()) if self._domains else True
         domains, trail, watchers = self._domains, self._trail, self._watchers
         if self._checked is None:
             dirty = list(range(len(self._sites)))
@@ -377,7 +388,7 @@ class SolverState:
         queued = set(dirty)
         current = None
         while True:
-            # Every removal not yet seen wakes the sites watching its hole;
+            # Every change not yet seen wakes the sites watching its hole;
             # the site that just made it is already at its fixed point.
             while read < len(trail):
                 path = trail[read][0]
@@ -410,19 +421,19 @@ class SolverState:
         blocking = None
         for hole, accepted in site.watched:
             domain = domains[hole]
-            if accepted is not None and domain.isdisjoint(accepted):
+            if accepted is not None and accepted.isdisjoint(domain):
                 return True
-            if len(domain) > 1 and (accepted is None or not domain <= accepted):
+            if len(domain) > 1 and (accepted is None or not accepted.issuperset(domain)):
                 if blocking is not None:
                     return True
                 blocking = hole
         if blocking is None:
             return not self._site_violated(site, None)
         domain = domains[blocking]
-        for rule in sorted(domain):
-            if self._site_violated(site, {blocking: rule}):
-                self.remove(blocking, rule)
-        return bool(domain)
+        kept = tuple(r for r in domain if not self._site_violated(site, {blocking: r}))
+        if len(kept) < len(domain):
+            self._set(blocking, kept)
+        return bool(kept)
 
     def _site_violated(self, site: _Site, overrides: Mapping[Path, int] | None) -> bool:
         tree = self._materialize(site.node, site.path, overrides)

@@ -225,13 +225,13 @@ def _violated_here(constraint, node):
     return any(a > b for a, b in zip(texts, texts[1:]))
 
 
-def reference_assignments_depth_first(state, order_fn, constraints):
+def reference_assignments_depth_first(state, constraints):
     """A uniform tree's programs depth-first, rebuilding the whole tree each time.
 
-    Decides the holes in preorder through the solver state, the last hole
-    varying fastest, and materializes every complete assignment with
-    ``state.current_tree()``.  Patch it in as
-    ``iterators._assignments_depth_first``.
+    Decides the holes in preorder through the solver state, each hole's
+    rules in ascending order and the last hole varying fastest, and
+    materializes every complete assignment with ``state.current_tree()``.
+    Patch it in as ``iterators._assignments_depth_first``.
     """
     holes = state.hole_paths()
 
@@ -242,7 +242,7 @@ def reference_assignments_depth_first(state, order_fn, constraints):
                 yield program
             return
         path = holes[i]
-        for rule in order_fn(state.domain(path)):
+        for rule in sorted(state.domain(path)):
             checkpoint = state.save_state()
             state.assign(path, rule)
             if state.propagate():

@@ -12,6 +12,7 @@ from synthkit.bench import (
     SynthesizerSpec,
     get_all_problem_grammar_pairs,
     load_problem_file,
+    run_one,
     run_suite,
 )
 from synthkit.cli import main
@@ -176,6 +177,42 @@ def test_unknown_synthesizer_kind_rejected():
 def test_probe_spec_rejects_max_size():
     with pytest.raises(SuiteLoadError):
         SynthesizerSpec(kind="probe", max_depth=4, max_size=2)
+
+
+def _mini_strings_pair(name):
+    return next(
+        (problem_file, grammar)
+        for problem_file, grammar in get_all_problem_grammar_pairs(MINI_STRINGS)
+        if problem_file.name == name
+    )
+
+
+def test_error_record_reports_the_programs_enumerated():
+    # bfs scores 401 programs cleanly; the 402nd raises on the input "hello".
+    problem_file, grammar = _mini_strings_pair("08_drop_first")
+    spec = bfs_spec(max_enumerations=3000, allow_evaluation_errors=False)
+    record = run_one(problem_file, grammar, spec, 30.0)
+    assert record.flag == "no_program"
+    assert "out of range" in record.error
+    assert record.enumerated == 402
+
+
+def test_probe_error_record_reports_the_programs_enumerated():
+    problem_file, grammar = _mini_strings_pair("01_append_excl")
+    spec = SynthesizerSpec(
+        "probe", max_depth=4, max_enumerations=3000, allow_evaluation_errors=False
+    )
+    record = run_one(problem_file, grammar, spec, 30.0)
+    assert record.error is not None
+    assert record.enumerated > 0
+
+
+def test_error_before_any_enumeration_reports_zero():
+    problem_file, grammar = _mini_strings_pair("08_drop_first")
+    problem_file.start_symbol = "Missing"
+    record = run_one(problem_file, grammar, bfs_spec(), 30.0)
+    assert record.error is not None
+    assert record.enumerated == 0
 
 
 def test_aggregate_counts_optimal_records():

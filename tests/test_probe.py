@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -230,3 +232,27 @@ def test_probe_propagates_errors_when_not_allowed(strings_grammar):
     )
     with pytest.raises(EvaluationError):
         probe(strings_grammar, "S", problem, config)
+
+
+def test_probe_error_counts_the_programs_of_earlier_cycles(g0_uniform, monkeypatch):
+    # Nothing solves the contradiction, so each cycle spends its budget of
+    # 5 programs; scoring the third program of the second cycle raises.
+    from synthkit import EvaluationError
+
+    # The package exports the function ``probe``; the module is in sys.modules.
+    probe_module = importlib.import_module("synthkit.probe")
+    scored = []
+    score = probe_module.output_vector
+
+    def failing_on_the_eighth(grammar, program, problem, allow_errors=True):
+        scored.append(program)
+        if len(scored) == 8:
+            raise EvaluationError("injected")
+        return score(grammar, program, problem, allow_errors)
+
+    monkeypatch.setattr(probe_module, "output_vector", failing_on_the_eighth)
+    problem = Problem("contradiction", (IOExample({"x": 0}, 1), IOExample({"x": 0}, 2)))
+    config = ProbeConfig(probe_cycles=3, max_depth=3, max_enumerations=5)
+    with pytest.raises(EvaluationError) as raised:
+        probe_with_stats(g0_uniform, "Int", problem, config)
+    assert raised.value.enumerated == 8

@@ -393,6 +393,58 @@ def test_local_propagation_matches_whole_tree_lookahead(g0):
     assert verdicts == {True, False}
 
 
+def _uniform_domains(node, path=()):
+    """Each uniform hole's path and domain, read off the tree itself."""
+    found = {path: frozenset(node.domain)} if isinstance(node, UniformHole) else {}
+    for i, child in enumerate(node.children):
+        found.update(_uniform_domains(child, path + (i,)))
+    return found
+
+
+def test_domain_bookkeeping_matches_a_plain_model(g0):
+    # Without constraints a state must act like a dict of frozensets with a
+    # stack of snapshot copies: assign intersects (so a rule outside the
+    # domain empties it), remove drops one rule and raises for a missing
+    # one, and a restore, also to an older or already restored checkpoint,
+    # brings back the snapshot.  propagate() fails exactly when some domain
+    # is empty.
+    rng = random.Random(5)
+    trees = [t for t in _uniform_trees_to_depth(g0, 3) if len(_uniform_domains(t)) > 1]
+    verdicts = set()
+    for _ in range(200):
+        tree = rng.choice(trees)
+        state = SolverState(g0, tree)
+        model = _uniform_domains(tree)
+        checkpoints = []
+        for _ in range(50):
+            roll = rng.random()
+            path = rng.choice(sorted(model))
+            rule = rng.randint(1, 5)
+            if roll < 0.25:
+                state.assign(path, rule)
+                model[path] &= {rule}
+            elif roll < 0.45:
+                if rule in model[path]:
+                    state.remove(path, rule)
+                    model[path] -= {rule}
+                else:
+                    with pytest.raises(KeyError):
+                        state.remove(path, rule)
+            elif roll < 0.6:
+                checkpoints.append((state.save_state(), dict(model)))
+            elif roll < 0.8 and checkpoints:
+                del checkpoints[rng.randrange(len(checkpoints)) + 1 :]
+                checkpoint, snapshot = checkpoints[-1]
+                state.restore_state(checkpoint)
+                model = dict(snapshot)
+            else:
+                verdict = state.propagate()
+                assert verdict == all(model.values())
+                verdicts.add(verdict)
+            assert _domains(state) == {p: tuple(sorted(d)) for p, d in model.items()}
+    assert verdicts == {True, False}
+
+
 ENUM_CONSTRAINED_SETS = [
     PROPAGATION_FORMS[:2],
     [PROPAGATION_FORMS[2]],
