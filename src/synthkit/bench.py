@@ -79,6 +79,8 @@ def load_problem_file(path: Path) -> ProblemFile:
     for k, entry in enumerate(raw_examples):
         if not isinstance(entry, dict) or "input" not in entry or "output" not in entry:
             raise SuiteLoadError(f"{path}: example {k} needs 'input' and 'output'")
+        if not isinstance(entry["input"], dict):
+            raise SuiteLoadError(f"{path}: example {k} input must map variables to values")
         env = {
             var: _to_value(v, path, f"example {k} input")
             for var, v in entry["input"].items()
@@ -88,8 +90,13 @@ def load_problem_file(path: Path) -> ProblemFile:
         elif set(env) != variables:
             raise SuiteLoadError(f"{path}: example {k} binds a different variable set")
         examples.append(IOExample(env, _to_value(entry["output"], path, f"example {k} output")))
+    raw_constraints = raw.get("constraints", [])
+    if not isinstance(raw_constraints, list):
+        raise SuiteLoadError(f"{path}: constraints must be a list of strings")
     constraints = []
-    for text in raw.get("constraints", []):
+    for text in raw_constraints:
+        if not isinstance(text, str):
+            raise SuiteLoadError(f"{path}: constraint {text!r} is not a string")
         try:
             constraints.append(parse_constraint(text))
         except ConstraintSyntaxError as exc:
@@ -209,7 +216,9 @@ def _run_probe(problem_file: ProblemFile, grammar: Grammar, spec: SynthesizerSpe
     config = ProbeConfig(
         probe_cycles=spec.probe_cycles,
         max_depth=spec.max_depth,
-        max_enumerations=spec.max_enumerations or 5000,
+        max_enumerations=(
+            ProbeConfig.max_enumerations if spec.max_enumerations is None else spec.max_enumerations
+        ),
         allow_evaluation_errors=spec.allow_evaluation_errors,
         constraints=problem_file.constraints,
     )

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from .errors import ConstraintSyntaxError
-from .nodes import Node, RuleNode, UniformHole, is_complete, serialize_node, subtrees
+from .nodes import Node, RuleNode, serialize_node, subtrees
 
 Pattern = Union["ConcreteRule", "DomainMember", "PatternVar"]
 
@@ -99,41 +99,26 @@ def pattern_variables(pattern: Pattern) -> set[str]:
     return names
 
 
-def match_pattern(
-    pattern: Pattern, node: Node, *, definite: bool = False
-) -> Optional[dict[str, Node]]:
-    """Match a pattern at the root of a tree.
+def match_pattern(pattern: Pattern, node: Node) -> Optional[dict[str, Node]]:
+    """Match a pattern at the root of a complete program.
 
-    Returns the variable bindings on success, ``None`` otherwise.  Without
-    ``definite`` any hole fails to match.  With ``definite`` the tree may
-    hold uniform holes and the match must hold in *every* completion: an
-    undecided node matches only a ``domain`` pattern covering its whole
-    domain, and repeated variables need complete, equal subtrees.  On a
-    complete tree both modes give the same result.
+    Returns the variable bindings on success, ``None`` otherwise; repeated
+    variables must bind equal subtrees.  A hole never matches a ``rule``
+    or ``domain`` pattern.  Over uniform trees the solver matches a pattern
+    once per position, when it posts the constraint there, and decides each
+    later check from hole domains.
     """
     bindings: dict[str, Node] = {}
 
     def walk(p: Pattern, n: Node) -> bool:
         if isinstance(p, PatternVar):
-            if p.name in bindings:
-                previous = bindings[p.name]
-                if definite and not (is_complete(previous) and is_complete(n)):
-                    return False
-                return previous == n
-            bindings[p.name] = n
-            return True
-        if isinstance(n, RuleNode):
-            if isinstance(p, ConcreteRule):
-                if n.rule != p.rule:
-                    return False
-            elif n.rule not in p.domain:
+            return bindings.setdefault(p.name, n) == n
+        if not isinstance(n, RuleNode):
+            return False
+        if isinstance(p, ConcreteRule):
+            if n.rule != p.rule:
                 return False
-        elif not (
-            definite
-            and isinstance(n, UniformHole)
-            and isinstance(p, DomainMember)
-            and n.domain <= p.domain
-        ):
+        elif n.rule not in p.domain:
             return False
         if p.children is None:
             return True

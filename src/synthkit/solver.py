@@ -11,10 +11,13 @@ change logs the hole's previous domain on a trail, so a LIFO restore puts
 each changed domain back in one step.
 
 A uniform tree's shape is fixed, so each constraint is posted once per tree
-as a *site* at every position where its pattern can still match, and each
-site records the holes a match there inspects.  Propagation is
+as a *site* at every position where its pattern can still match.  Posting
+is the one walk of the pattern over the tree: the site records the holes
+the match inspects, with the rules each pattern node accepts, and the
+subtrees bound to the variables a violation needs decided.  Propagation is
 event-driven: a call re-checks only the sites watching a hole that lost a
-rule since the previous call, and materializes only that site's subtree.
+rule since the previous call, decides whether the pattern matches from
+the watched domains alone, and materializes only the bound subtrees.
 The strength is still singleton lookahead per hole: a rule is dropped when
 fixing the hole to it makes some constraint violated in every completion.
 Propagation only ever drops rules that no satisfying program uses; the
@@ -33,7 +36,6 @@ from .constraints import (
     Ordered,
     Pattern,
     PatternVar,
-    match_pattern,
     violated_by,
 )
 from .errors import SolverStateError
@@ -178,51 +180,29 @@ class _Site:
     """One constraint posted at one position of the uniform tree.
 
     ``watched`` lists the holes a match here inspects, each with the rules
-    its pattern node accepts, or ``None`` for a hole inside a subtree bound
-    to a variable that must be complete.
+    its pattern node accepts, or ``None`` for a hole inside a bound subtree.
+    ``bound`` holds ``(name, path, node)`` for every occurrence of a
+    variable whose subtree a violation needs decided: a repeated variable,
+    or one an ``ordered`` constraint compares.
     """
 
     constraint: Constraint
-    path: Path
-    node: Node
     watched: tuple[tuple[Path, Optional[frozenset[int]]], ...]
+    bound: tuple[tuple[str, Path, Node], ...]
 
 
-def _complete_variables(constraint: Constraint) -> set[str]:
-    """Variables whose bound subtrees a definite violation needs decided."""
-    counts: dict[str, int] = {}
-
-    def count(pattern: Pattern) -> None:
-        if isinstance(pattern, PatternVar):
-            counts[pattern.name] = counts.get(pattern.name, 0) + 1
-        else:
-            for child in pattern.children or ():
-                count(child)
-
-    count(constraint.pattern)
-    names = {name for name, seen in counts.items() if seen > 1}
-    if isinstance(constraint, Ordered):
-        names.update(constraint.variables)
-    return names
-
-
-def _post_site(
-    constraint: Constraint, complete: set[str], node: Node, path: Path
-) -> _Site | None:
+def _post_site(constraint: Constraint, node: Node, path: Path) -> _Site | None:
     """The site of a constraint at a position, or None if it can never match there.
 
-    ``complete`` names the variables whose bound subtrees the site watches.
+    This is the one walk of the pattern over the tree: rule nodes are
+    matched here once, and the site keeps only what a later check reads.
     """
     watched: list[tuple[Path, Optional[frozenset[int]]]] = []
+    occurrences: list[tuple[str, Path, Node]] = []
 
     def walk(p: Pattern, n: Node, at: Path) -> bool:
         if isinstance(p, PatternVar):
-            if p.name in complete:
-                watched.extend(
-                    (hole, None)
-                    for hole, sub in _positions(n, at)
-                    if isinstance(sub, UniformHole)
-                )
+            occurrences.append((p.name, at, n))
             return True
         accepted = frozenset((p.rule,)) if isinstance(p, ConcreteRule) else p.domain
         if isinstance(n, RuleNode):
@@ -243,7 +223,16 @@ def _post_site(
 
     if not walk(constraint.pattern, node, path):
         return None
-    return _Site(constraint, path, node, tuple(watched))
+    names = [name for name, _, _ in occurrences]
+    decided = {name for name in names if names.count(name) > 1}
+    if isinstance(constraint, Ordered):
+        decided.update(constraint.variables)
+    bound = tuple(o for o in occurrences if o[0] in decided)
+    for _, at, sub in bound:
+        watched.extend(
+            (hole, None) for hole, n in _positions(sub, at) if isinstance(n, UniformHole)
+        )
+    return _Site(constraint, tuple(watched), bound)
 
 
 def _positions(node: Node, path: Path) -> Iterator[tuple[Path, Node]]:
@@ -289,9 +278,8 @@ class SolverState:
         # first call, which checks every site.
         self._checked: int | None = None
         for constraint in self.constraints:
-            complete = _complete_variables(constraint)
             for path, node in _positions(tree, ()):
-                site = _post_site(constraint, complete, node, path)
+                site = _post_site(constraint, node, path)
                 if site is not None:
                     for hole, _ in site.watched:
                         self._watchers.setdefault(hole, []).append(len(self._sites))
@@ -412,13 +400,15 @@ class SolverState:
         """Prune what one site forces; False when it is violated outright.
 
         A hole blocks the site while it is undecided and its pattern node
-        does not accept its whole domain.  With no blocking hole the site is
-        checked as it stands, and a violation there is a wipeout; with one,
-        each rule of that hole is tried; with two or more, no single choice
-        can complete a violation, so there is nothing to prune.
+        does not accept its whole domain.  With no blocking hole the pattern
+        matches in every completion, so only the bound subtrees are checked,
+        and a violation there is a wipeout.  With one, a rule its pattern
+        node does not accept stays without a check and every other rule is
+        tried; with two or more, no single choice can complete a violation,
+        so there is nothing to prune.
         """
         domains = self._domains
-        blocking = None
+        blocking = accepts = None
         for hole, accepted in site.watched:
             domain = domains[hole]
             if accepted is not None and accepted.isdisjoint(domain):
@@ -426,16 +416,29 @@ class SolverState:
             if len(domain) > 1 and (accepted is None or not accepted.issuperset(domain)):
                 if blocking is not None:
                     return True
-                blocking = hole
+                blocking, accepts = hole, accepted
         if blocking is None:
             return not self._site_violated(site, None)
         domain = domains[blocking]
-        kept = tuple(r for r in domain if not self._site_violated(site, {blocking: r}))
+        kept = tuple(
+            r
+            for r in domain
+            if accepts is not None and r not in accepts
+            or not self._site_violated(site, {blocking: r})
+        )
         if len(kept) < len(domain):
             self._set(blocking, kept)
         return bool(kept)
 
     def _site_violated(self, site: _Site, overrides: Mapping[Path, int] | None) -> bool:
-        tree = self._materialize(site.node, site.path, overrides)
-        bindings = match_pattern(site.constraint.pattern, tree, definite=True)
-        return bindings is not None and violated_by(site.constraint, bindings)
+        """Does a site whose pattern matches break its constraint?
+
+        Only the bound subtrees are built; a repeated variable's subtrees
+        must be equal for the pattern to match at all.
+        """
+        bindings: dict[str, Node] = {}
+        for name, path, node in site.bound:
+            tree = self._materialize(node, path, overrides)
+            if bindings.setdefault(name, tree) != tree:
+                return False
+        return violated_by(site.constraint, bindings)

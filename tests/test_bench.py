@@ -130,6 +130,21 @@ def test_constraints_parsed_from_problem_file(tmp_path):
     assert len(loaded.constraints) == 1
 
 
+MALFORMED_PROBLEMS = {
+    "constraints_not_a_list": dict(constraints=5),
+    "input_not_an_object": dict(examples=[{"input": [0], "output": 1}]),
+    "constraint_not_a_string": dict(constraints=[[7]]),
+}
+
+
+@pytest.mark.parametrize("fields", MALFORMED_PROBLEMS.values(), ids=list(MALFORMED_PROBLEMS))
+def test_malformed_problem_fields_are_load_errors(tmp_path, fields):
+    write_problem(tmp_path / "odd.problem.json", **fields)
+    with pytest.raises(SuiteLoadError) as excinfo:
+        load_problem_file(tmp_path / "odd.problem.json")
+    assert "odd.problem.json" in str(excinfo.value)
+
+
 # -- running ------------------------------------------------------------------
 
 
@@ -213,6 +228,14 @@ def test_error_before_any_enumeration_reports_zero():
     record = run_one(problem_file, grammar, bfs_spec(), 30.0)
     assert record.error is not None
     assert record.enumerated == 0
+
+
+def test_probe_with_a_zero_budget_enumerates_nothing():
+    problem_file, grammar = _mini_strings_pair("01_append_excl")
+    spec = SynthesizerSpec("probe", max_depth=3, max_enumerations=0, probe_cycles=1)
+    record = run_one(problem_file, grammar, spec, 30.0)
+    assert record.enumerated == 0
+    assert not record.solved
 
 
 def test_aggregate_counts_optimal_records():
@@ -304,6 +327,16 @@ def test_cli_solve_missing_file_exits_nonzero(tmp_path, capsys):
     )
     assert code != 0
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_solve_malformed_problem_exits_nonzero(tmp_path, capsys):
+    problem = tmp_path / "odd.problem.json"
+    write_problem(problem, constraints=5)
+    code = main(
+        ["solve", "--grammar", str(ARITH / "default.herbg"), "--problem", str(problem)]
+    )
+    assert code == 1
+    assert "odd.problem.json" in capsys.readouterr().err
 
 
 def test_cli_solve_mlfs_on_an_unweighted_grammar(capsys):

@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from synthkit import (
@@ -9,16 +7,11 @@ from synthkit import (
     Forbidden,
     Ordered,
     PatternVar,
-    RuleNode,
-    UniformHole,
     check_program,
     match_pattern,
     parse_constraint,
     parse_node,
 )
-from synthkit.nodes import subtrees
-
-from oracles import random_complete_tree
 
 PLUS_AA = ConcreteRule(4, (PatternVar("a"), PatternVar("a")))
 PLUS_AB = ConcreteRule(4, (PatternVar("a"), PatternVar("b")))
@@ -54,40 +47,6 @@ def test_repeated_variable_requires_deep_equality():
     tree = parse_node("4{4{1,3},4{1,3}}")
     assert match_pattern(PLUS_AA, tree) == {"a": parse_node("4{1,3}")}
     assert match_pattern(PLUS_AA, parse_node("4{4{1,3},4{3,1}}")) is None
-
-
-def test_definite_match_needs_every_completion_to_match():
-    plus_or_times = DomainMember({4, 5}, (PatternVar("a"), PatternVar("a")))
-    leaf = UniformHole(frozenset({1, 3}))
-    covered = UniformHole(frozenset({4, 5}), (parse_node("3"), parse_node("3")))
-    assert match_pattern(plus_or_times, covered, definite=True) == {"a": parse_node("3")}
-    assert match_pattern(plus_or_times, covered) is None
-    assert match_pattern(PLUS_AA, covered, definite=True) is None
-    # A repeated variable never matches undecided subtrees, even equal ones.
-    assert match_pattern(PLUS_AA, RuleNode(4, (leaf, leaf)), definite=True) is None
-
-
-def test_definite_match_agrees_on_complete_trees(g0):
-    rng = random.Random(3)
-    patterns = [
-        parse_constraint(text).pattern
-        for text in (
-            "(forbidden (rule 4 (var a) (var a)))",
-            "(forbidden (rule 4 (rule 1) (var x)))",
-            "(forbidden (domain (4 5) (rule 3) (var y)))",
-            "(forbidden (domain (1 2 3)))",
-            "(forbidden (rule 5 (var a) (rule 4 (var a) (var b))))",
-        )
-    ]
-    matched = 0
-    for _ in range(300):
-        tree = random_complete_tree(g0, "Int", rng, 4)
-        for sub in subtrees(tree):
-            for pattern in patterns:
-                plain = match_pattern(pattern, sub)
-                assert match_pattern(pattern, sub, definite=True) == plain
-                matched += plain is not None
-    assert matched
 
 
 def test_check_program_forbidden_at_root():

@@ -123,6 +123,25 @@ def test_propagate_reaches_fixed_point(g0):
     assert snapshot == {path: state.domain(path) for path in state.hole_paths()}
 
 
+def test_a_site_is_violated_only_in_every_completion(g0):
+    covered = UniformHole(frozenset({4, 5}), (RuleNode(3), RuleNode(3)))
+    # A domain pattern covering the whole hole matches every completion.
+    either = parse_constraint("(forbidden (domain (4 5) (var a) (var a)))")
+    assert SolverState(g0, covered, [either]).propagate() is False
+    # A rule pattern matches only some, so only its rule is dropped.
+    state = SolverState(g0, covered, [FORBID_PLUS_AA])
+    assert state.propagate() is True
+    assert state.domain(()) == (5,)
+    # A repeated variable needs decided, equal subtrees, even equal holes.
+    leaf = UniformHole(frozenset({1, 3}))
+    state = SolverState(g0, RuleNode(4, (leaf, leaf)), [FORBID_PLUS_AA])
+    assert state.propagate() is True
+    assert _domains(state) == {(0,): (1, 3), (1,): (1, 3)}
+    state.assign((0,), 1)
+    assert state.propagate() is True
+    assert state.domain((1,)) == (3,)
+
+
 def test_solver_state_rejects_plain_holes(g0):
     with pytest.raises(ValueError):
         SolverState(g0, Hole(FULL_INT))
