@@ -67,7 +67,10 @@ def load_problem_file(path: Path) -> ProblemFile:
         raise SuiteLoadError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise SuiteLoadError(f"{path}: expected a JSON object")
-    name = raw.get("name") or path.name.removesuffix(".problem.json")
+    name = raw.get("name")
+    if name is not None and not isinstance(name, str):
+        raise SuiteLoadError(f"{path}: name must be a string, got {name!r}")
+    name = name or path.name.removesuffix(".problem.json")
     start_symbol = raw.get("start_symbol")
     if not isinstance(start_symbol, str):
         raise SuiteLoadError(f"{path}: missing start_symbol")

@@ -1,46 +1,60 @@
-"""Program semantics: turning ASTs into expressions and evaluating them.
+"""Program semantics: turning ASTs into expressions and output vectors.
 
 Enumeration is purely syntactic; this module is the other half of the
-split.  Each grammar rule's flat token template is compiled once into an
-expression skeleton whose placeholder slots are filled with the child
-expressions of the AST node applying that rule.
+split.  Each grammar rule's flat token template is parsed once into an
+expression whose :class:`ChildRef` slots stand for the children of the
+AST node applying that rule.  That expression serves two evaluators:
+
+* :func:`to_expression` fills the slots with the children's expressions,
+  and :func:`evaluate` walks the result on one input, raising an
+  :class:`~synthkit.errors.InterpreterError` on failure;
+* :class:`RuleCode` turns each template, lazily and once per grammar
+  and problem, into a function from its children's output vectors (one
+  value per example) to its own, with slots that read no child folded into
+  constant vectors.  :func:`output_vector` is a fold of these functions
+  over the tree, and the bottom-up bank applies one per new program.  An
+  example whose evaluation fails holds :data:`EVAL_ERROR`, and an
+  ``EVAL_ERROR`` or ill-typed argument gives ``EVAL_ERROR`` again.
 
 The object language is fixed:
 
 * integers: literals, variables, ``+``, ``-``, ``*`` (64-bit wrapping)
-* booleans: ``==`` and ``<=`` on integers
+* booleans: ``true``, ``false``, and ``==`` and ``<=`` on integers
 * strings: ``concat(s, t)``, ``length(s)``, ``substring(s, i, j)`` with
   1-based inclusive indices, ``replace(s, old, new)`` replacing all
   occurrences, and ``if(cond, then, else)`` over any value type
 
 Evaluation is strict: all arguments are evaluated before the operator is
-applied, so an error anywhere in the tree is an error of the program.
-``substring`` with indices outside ``1 <= i <= j <= length`` is an
-evaluation error, not a clamped result.
+applied, so an error anywhere in the tree is an error of the program, and
+``if`` fails when either branch does.  Operand types are checked
+tag-strictly: a boolean is not an integer.  ``substring`` with indices
+outside ``1 <= i <= j <= length`` is an evaluation error, not a clamped
+result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 from weakref import WeakKeyDictionary
 
 from .errors import (
     EvaluationError,
     GrammarError,
     IncompleteTreeError,
-    InterpreterError,
     UnboundVariableError,
 )
 from .grammar import Grammar, IntLit, Placeholder, StrLit, Sym
-from .nodes import Node, RuleNode
+from .nodes import Node, RuleNode, is_complete
 from .specification import Problem, Value
 
 _INT_MIN = -(2**63)
+_INT_MAX = 2**63 - 1
 _UINT_SPAN = 2**64
 
 _BINARY_OPS = ("==", "<=", "+", "-", "*")
 _FUNCTIONS = {"concat": 2, "substring": 3, "replace": 3, "length": 1, "if": 3}
+_BOOLEANS = {"true": True, "false": False}
 
 Expression = Union["Literal", "Variable", "Apply", "ChildRef"]
 
@@ -174,6 +188,8 @@ class _TemplateParser:
                 return self.call(tok.text)
             if tok.text in _BINARY_OPS or tok.text in (",", ")"):
                 self.fail(f"unexpected {tok.text!r} in template")
+            if tok.text in _BOOLEANS:
+                return Literal(_BOOLEANS[tok.text])
             return Variable(tok.text)
         self.fail(f"unsupported token {tok!r}")
 
@@ -304,24 +320,184 @@ def values_equal(actual: Value, expected: Value) -> bool:
 EVAL_ERROR = ("<error>",)
 
 
+def output_key(vector: tuple) -> tuple:
+    """A hashable key under which two output vectors collide only when they
+    are equal element by element under :func:`values_equal`.
+
+    Python's ``True == 1`` would otherwise merge a boolean vector with an
+    integer one, so booleans are wrapped in a tuple when a vector has any.
+    """
+    if bool in map(type, vector):
+        return tuple([(v,) if type(v) is bool else v for v in vector])
+    return vector
+
+
+# -- evaluation over output vectors -------------------------------------------
+#
+# Each operator is a total function of one example's argument values: an
+# EVAL_ERROR (a tuple) or an ill-typed argument fails its type check and
+# gives EVAL_ERROR, so errors propagate without raising.  A rule's vector
+# function maps the operator over its arguments' vectors.
+
+
+def _plus(x, y):
+    if type(x) is int is type(y):
+        v = x + y
+        return v if _INT_MIN <= v <= _INT_MAX else _wrap64(v)
+    return EVAL_ERROR
+
+
+def _minus(x, y):
+    if type(x) is int is type(y):
+        v = x - y
+        return v if _INT_MIN <= v <= _INT_MAX else _wrap64(v)
+    return EVAL_ERROR
+
+
+def _times(x, y):
+    if type(x) is int is type(y):
+        v = x * y
+        return v if _INT_MIN <= v <= _INT_MAX else _wrap64(v)
+    return EVAL_ERROR
+
+
+def _equals(x, y):
+    return x == y if type(x) is int is type(y) else EVAL_ERROR
+
+
+def _at_most(x, y):
+    return x <= y if type(x) is int is type(y) else EVAL_ERROR
+
+
+def _concat(s, t):
+    return s + t if type(s) is str is type(t) else EVAL_ERROR
+
+
+def _length(s):
+    return len(s) if type(s) is str else EVAL_ERROR
+
+
+def _replace(s, old, new):
+    return s.replace(old, new) if type(s) is str is type(old) is type(new) else EVAL_ERROR
+
+
+def _substring(s, i, j):
+    if type(s) is str and type(i) is int is type(j) and 1 <= i <= j <= len(s):
+        return s[i - 1 : j]
+    return EVAL_ERROR
+
+
+def _if(cond, then, otherwise):
+    if type(cond) is not bool or then is EVAL_ERROR or otherwise is EVAL_ERROR:
+        return EVAL_ERROR
+    return then if cond else otherwise
+
+
+_VECTOR_OPS = {
+    "+": lambda a, b: tuple(map(_plus, a, b)),
+    "-": lambda a, b: tuple(map(_minus, a, b)),
+    "*": lambda a, b: tuple(map(_times, a, b)),
+    "==": lambda a, b: tuple(map(_equals, a, b)),
+    "<=": lambda a, b: tuple(map(_at_most, a, b)),
+    "concat": lambda a, b: tuple(map(_concat, a, b)),
+    "length": lambda a: tuple(map(_length, a)),
+    "replace": lambda a, b, c: tuple(map(_replace, a, b, c)),
+    "substring": lambda a, b, c: tuple(map(_substring, a, b, c)),
+    "if": lambda a, b, c: tuple(map(_if, a, b, c)),
+}
+
+
+def _compile(expr: Expression, inputs: tuple) -> Union[tuple, Callable]:
+    """An expression's vector on ``inputs`` if it reads no child slot, else
+    a function from the tuple of child vectors to its vector."""
+    if isinstance(expr, Literal):
+        return (expr.value,) * len(inputs)
+    if isinstance(expr, Variable):
+        name = expr.name
+        return tuple([env[name] if name in env else EVAL_ERROR for env in inputs])
+    if isinstance(expr, ChildRef):
+        index = expr.index
+        return lambda kids: kids[index]
+    op = _VECTOR_OPS[expr.op]
+    args = [_compile(arg, inputs) for arg in expr.args]
+    if not any(callable(arg) for arg in args):
+        return op(*args)
+    parts = [arg if callable(arg) else (lambda kids, vector=arg: vector) for arg in args]
+    return lambda kids: op(*[part(kids) for part in parts])
+
+
+def _compile_rule(template: Expression, inputs: tuple) -> Union[tuple, Callable]:
+    """A rule's constant vector, or its function of the children's vectors."""
+    if isinstance(template, Apply) and template.args == tuple(
+        ChildRef(i) for i in range(len(template.args))
+    ):
+        # The rule is one operator over its children in order, as in
+        # ``Int + Int`` or ``concat(S, S)``: the operator's vector function.
+        return _VECTOR_OPS[template.op]
+    code = _compile(template, inputs)
+    if callable(code):
+        return lambda *kids: code(kids)
+    return code
+
+
+class RuleCode(dict):
+    """A grammar's rules compiled to vector code on one problem's inputs.
+
+    Maps a rule index to its code, built on first use: for a rule with
+    children, a function from their output vectors to the rule's; for a leaf
+    rule, its output vector.  A search builds one and scores every program
+    through it.
+    """
+
+    def __init__(self, grammar: Grammar, problem: Problem):
+        super().__init__()
+        self.grammar = grammar
+        self.problem = problem
+        self.inputs = tuple(example.input for example in problem.examples)
+
+    def __missing__(self, rule: int):
+        code = _compile_rule(_template(self.grammar, rule), self.inputs)
+        self[rule] = code
+        return code
+
+    def vector(self, program: Node, allow_errors: bool = True) -> tuple:
+        """The program's output vector; see :func:`output_vector`."""
+        try:
+            vector = _fold(self, program)
+        except AttributeError:
+            # A hole has no rule to apply.
+            if is_complete(program):
+                raise
+            raise IncompleteTreeError("cannot interpret a program that still contains holes") from None
+        if not allow_errors and EVAL_ERROR in vector:
+            self.raise_first_error(program)
+        return vector
+
+    def raise_first_error(self, program: Node) -> None:
+        """Raise the error of the program's first failing example."""
+        expr = to_expression(self.grammar, program)
+        for example in self.problem.examples:
+            evaluate(expr, example.input)
+
+
+def _fold(code: RuleCode, node: RuleNode) -> tuple:
+    children = node.children
+    if children:
+        return code[node.rule](*[_fold(code, child) for child in children])
+    return code[node.rule]
+
+
 def output_vector(
     grammar: Grammar, program: Node, problem: Problem, allow_errors: bool = True
 ) -> tuple:
     """The program's output on each of the problem's examples, in order.
 
     With ``allow_errors`` an example whose evaluation fails yields
-    :data:`EVAL_ERROR`; otherwise the first error propagates.
+    :data:`EVAL_ERROR`; otherwise the first error propagates, raised by
+    :func:`evaluate` on the first failing example.  A search scoring many
+    programs keeps one :class:`RuleCode` instead.
     """
-    expr = to_expression(grammar, program)
-    outputs = []
-    for example in problem.examples:
-        try:
-            outputs.append(evaluate(expr, example.input))
-        except InterpreterError:
-            if not allow_errors:
-                raise
-            outputs.append(EVAL_ERROR)
-    return tuple(outputs)
+    return RuleCode(grammar, problem).vector(program, allow_errors)
 
 
 def run_examples(

@@ -30,7 +30,10 @@ re-enqueued, so no emitted program is walked again to price it.
 
 The bottom-up iterator grows a bank of programs per nonterminal indexed by
 node count, combining smaller programs into larger ones, optionally pruning
-programs that are observationally equivalent on a problem's inputs.
+programs that are observationally equivalent on a problem's inputs.  Given
+a problem it evaluates by value: each entry carries its output vector, and
+a new program's vector is one application of its rule's compiled function
+to its children's vectors.
 
 Every iterator takes an optional deadline (a :func:`time.monotonic` value):
 top-down search checks it on every dequeue, bottom-up on every candidate,
@@ -49,9 +52,9 @@ from typing import Callable, Iterable, Iterator, Sequence, Union
 from .constraints import Constraint, check_program
 from .errors import ConfigError, SynthkitError
 from .grammar import Grammar, set_uniform_probabilities
-from .interpreter import output_vector, run_examples
+from .interpreter import EVAL_ERROR, RuleCode, output_key, values_equal
 # Unused here, but kept as names the benchmark tracer patches on this module.
-from .interpreter import evaluate, to_expression  # noqa: F401
+from .interpreter import evaluate, run_examples, to_expression  # noqa: F401
 from .nodes import Hole, Node, RuleNode, depth, is_complete, is_uniform
 from .solver import Path, SolverState, split_first_hole
 from .specification import Problem
@@ -471,10 +474,20 @@ class BottomUpIterator:
     """Size-indexed bank enumeration: combine small programs into larger ones.
 
     Programs are emitted in increasing node count, rule-index order within a
-    size.  With ``observational_equivalence`` a new program whose outputs on
-    the problem's example inputs duplicate a banked program of the same
-    nonterminal is dropped.  The optional ``deadline`` is checked on every
-    candidate, so a bank that prunes nearly everything still stops in time.
+    size.  The bank holds, per nonterminal and size, a ``(program, vector,
+    depth)`` entry for every kept program that is shallow enough to be a
+    child within ``max_depth``.  ``vector`` is the program's output vector on
+    the problem's examples (``None`` without a problem): one application of
+    the rule's compiled vector function to the children's banked vectors, so
+    no program is evaluated from scratch.  ``depth`` comes from the
+    children's.  :attr:`last_vector` is the vector of the program emitted
+    last, which :func:`synth` scores instead of evaluating it again.
+
+    With ``observational_equivalence`` a new program whose outputs duplicate
+    a banked program of the same nonterminal (compared tag-strictly, see
+    :func:`~synthkit.interpreter.output_key`) is dropped.  The optional
+    ``deadline`` is checked on every candidate, so a bank that prunes nearly
+    everything still stops in time.
     """
 
     kind = "bottom_up"
@@ -490,15 +503,20 @@ class BottomUpIterator:
         self.grammar = config.grammar
         self.problem = problem
         self.deadline = deadline
+        self.last_vector: tuple | None = None
         self._stream = self._run()
 
     def _run(self) -> Iterator[RuleNode]:
         config = self.config
         grammar = self.grammar
         deadline = self.deadline
-        bank: dict[str, dict[int, list[RuleNode]]] = {
-            symbol: {} for symbol in grammar.nonterminals
-        }
+        constraints = config.constraints
+        prune = config.observational_equivalence
+        max_depth = config.max_depth
+        budget = config.max_enumerations
+        # Compiled on the first candidate, not when the iterator is built.
+        code = None if self.problem is None else RuleCode(grammar, self.problem)
+        bank: dict[str, dict[int, list[tuple]]] = {symbol: {} for symbol in grammar.nonterminals}
         seen_outputs: dict[str, set] = {symbol: set() for symbol in grammar.nonterminals}
         emitted = 0
         for size in range(1, config.max_size + 1):
@@ -508,34 +526,43 @@ class BottomUpIterator:
                 if childtypes:
                     if size < len(childtypes) + 1:
                         continue
-                    candidates = (
-                        RuleNode(rule, combo)
+                    combos = (
+                        zip(*combo)
                         for sizes in _compositions(size - 1, len(childtypes))
                         for combo in itertools.product(
                             *(bank[t].get(s, ()) for t, s in zip(childtypes, sizes))
                         )
                     )
                 elif size == 1:
-                    candidates = (RuleNode(rule),)
+                    # No children, no vectors, and depth 1 + max((0,)).
+                    combos = (((), (), (0,)),)
                 else:
                     continue
-                for program in candidates:
+                apply = None if code is None else code[rule]
+                seen = seen_outputs[lhs]
+                for kids, vectors, depths in combos:
                     if deadline is not None and time.monotonic() >= deadline:
                         return
-                    if config.max_depth is not None and depth(program) > config.max_depth:
+                    vector = None
+                    if apply is not None:
+                        vector = apply(*vectors) if kids else apply
+                        if prune:
+                            key = output_key(vector)
+                            if key in seen:
+                                continue
+                    program = RuleNode(rule, kids)
+                    if constraints and not check_program(constraints, program):
                         continue
-                    if config.constraints and not check_program(config.constraints, program):
-                        continue
-                    if config.observational_equivalence:
-                        vector = output_vector(grammar, program, self.problem)
-                        if vector in seen_outputs[lhs]:
-                            continue
-                        seen_outputs[lhs].add(vector)
-                    bank[lhs].setdefault(size, []).append(program)
+                    if prune:
+                        seen.add(key)
+                    program_depth = 1 + max(depths)
+                    if max_depth is None or program_depth < max_depth:
+                        bank[lhs].setdefault(size, []).append((program, vector, program_depth))
                     if lhs == config.start_symbol:
-                        if config.max_enumerations is not None and emitted >= config.max_enumerations:
+                        if budget is not None and emitted >= budget:
                             return
                         emitted += 1
+                        self.last_vector = vector
                         yield program
 
     def __iter__(self) -> Iterator[RuleNode]:
@@ -613,6 +640,9 @@ def synth(
 ) -> SynthResult:
     """Stream programs from an iterator until one solves every example.
 
+    A bottom-up bank's program is scored from the output vector the bank
+    already holds; every other program is evaluated through one
+    :class:`~synthkit.interpreter.RuleCode` for the run.
     The iterator owns the deadline and stops once it passes, also when it
     emits nothing; one long evaluation can overshoot it by a single program.
     An error that ends the search carries the programs enumerated so far as
@@ -622,16 +652,24 @@ def synth(
         raise ValueError("synth needs a problem with at least one example")
     started = time.monotonic()
     deadline = None if timeout_seconds is None else started + timeout_seconds
+    code = RuleCode(config.grammar, problem)
+    expected = tuple(example.output for example in problem.examples)
     best: Node | None = None
     best_solved = -1
     enumerated = 0
     try:
-        for program in make_iterator(config, problem=problem, deadline=deadline):
+        iterator = make_iterator(config, problem=problem, deadline=deadline)
+        banked = isinstance(iterator, BottomUpIterator)
+        for program in iterator:
             enumerated += 1
-            solved, total = run_examples(
-                config.grammar, program, problem, allow_errors=allow_evaluation_errors
-            )
-            if solved == total:
+            if banked:
+                vector = iterator.last_vector
+                if not allow_evaluation_errors and EVAL_ERROR in vector:
+                    code.raise_first_error(program)
+            else:
+                vector = code.vector(program, allow_evaluation_errors)
+            solved = sum(map(values_equal, vector, expected))
+            if solved == len(expected):
                 return SynthResult(
                     program,
                     SynthFlag.optimal_program,

@@ -22,7 +22,7 @@ from typing import Iterable, Optional
 from .constraints import Constraint
 from .errors import ConfigError, SynthkitError
 from .grammar import Grammar, set_uniform_probabilities
-from .interpreter import output_vector, run_examples, values_equal
+from .interpreter import RuleCode, output_key, run_examples, values_equal
 # Unused here, but kept as names the benchmark tracer patches on this module.
 from .interpreter import evaluate, to_expression  # noqa: F401
 from .iterators import IteratorConfig, SynthFlag, make_iterator
@@ -75,15 +75,16 @@ def _collect_promising(
     deadline: float | None = None,
     allow_evaluation_errors: bool = True,
 ) -> tuple[set[PromisingProgram], SynthFlag, int]:
-    grammar = config.grammar
+    code = RuleCode(config.grammar, problem)
     expected = [example.output for example in problem.examples]
-    # Best representative per output vector: max fitness, then fewest nodes.
+    # Best representative per output vector, keyed tag-strictly: max fitness,
+    # then fewest nodes.
     by_vector: dict[tuple, tuple[float, int, int, RuleNode]] = {}
     enumerated = 0
     try:
         for program in make_iterator(config, deadline=deadline):
             enumerated += 1
-            vector = output_vector(grammar, program, problem, allow_evaluation_errors)
+            vector = code.vector(program, allow_evaluation_errors)
             fit = sum(map(values_equal, vector, expected)) / len(expected)
             if fit == 1.0:
                 return {PromisingProgram(program, 1.0)}, SynthFlag.optimal_program, enumerated
@@ -91,9 +92,10 @@ def _collect_promising(
                 continue
             size = node_count(program)
             candidate = (fit, size, enumerated, program)
-            held = by_vector.get(vector)
+            key = output_key(vector)
+            held = by_vector.get(key)
             if held is None or (fit, -size) > (held[0], -held[1]):
-                by_vector[vector] = candidate
+                by_vector[key] = candidate
     except SynthkitError as exc:
         exc.enumerated = enumerated
         raise

@@ -8,6 +8,8 @@ import heapq
 from itertools import product
 
 from synthkit.constraints import ConcreteRule, Forbidden, PatternVar, check_program
+from synthkit.errors import InterpreterError
+from synthkit.interpreter import EVAL_ERROR, evaluate, to_expression
 from synthkit.iterators import derivation_heuristic, max_rulenode_log_probability
 from synthkit.nodes import (
     Hole,
@@ -88,6 +90,24 @@ def expand_completions(grammar, tree, max_depth):
         ]
 
     return expand(tree, max_depth)
+
+
+def reference_output_vector(grammar, program, problem, allow_errors=True):
+    """A program's output per example by walking its expression on each input.
+
+    With ``allow_errors`` a failing example yields ``EVAL_ERROR``; otherwise
+    the first error propagates.
+    """
+    expr = to_expression(grammar, program)
+    outputs = []
+    for example in problem.examples:
+        try:
+            outputs.append(evaluate(expr, example.input))
+        except InterpreterError:
+            if not allow_errors:
+                raise
+            outputs.append(EVAL_ERROR)
+    return tuple(outputs)
 
 
 def random_complete_tree(grammar, symbol, rng, max_depth):

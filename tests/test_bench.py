@@ -134,6 +134,7 @@ MALFORMED_PROBLEMS = {
     "constraints_not_a_list": dict(constraints=5),
     "input_not_an_object": dict(examples=[{"input": [0], "output": 1}]),
     "constraint_not_a_string": dict(constraints=[[7]]),
+    "name_not_a_string": dict(name=5),
 }
 
 

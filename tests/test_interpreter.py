@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -7,7 +8,9 @@ from synthkit import (
     EvaluationError,
     IncompleteTreeError,
     InterpreterError,
+    BottomUpIterator,
     IOExample,
+    IteratorConfig,
     Hole,
     Problem,
     RuleNode,
@@ -18,11 +21,13 @@ from synthkit import (
     parse_grammar,
     parse_node,
     run_examples,
+    synth,
     to_expression,
 )
 from synthkit.interpreter import Apply, Literal, Variable
 
-from oracles import random_complete_tree, reference_eval_arith
+from conftest import SUITES_DIR
+from oracles import random_complete_tree, reference_eval_arith, reference_output_vector
 
 
 def test_to_expression_renders_solution(g0):
@@ -143,30 +148,114 @@ def test_run_examples_error_handling(strings_grammar):
         run_examples(strings_grammar, program, problem, allow_errors=False)
 
 
-def test_output_vector_agrees_with_execute_on_input(strings_grammar):
-    inputs = ("", "a", "ab", "hello")
-    problem = Problem("inputs", tuple(IOExample({"x": x}, "") for x in inputs))
-    rng = random.Random(5)
-    failures = 0
-    for _ in range(300):
-        tree = random_complete_tree(strings_grammar, "S", rng, rng.randint(1, 4))
-        expected = []
-        for x in inputs:
-            try:
-                expected.append(execute_on_input(strings_grammar, tree, {"x": x}))
-            except InterpreterError:
-                expected.append(EVAL_ERROR)
-        assert output_vector(strings_grammar, tree, problem) == tuple(expected)
-        if EVAL_ERROR in expected:
-            failures += 1
-            with pytest.raises(InterpreterError):
-                output_vector(strings_grammar, tree, problem, allow_errors=False)
-        else:
-            assert output_vector(strings_grammar, tree, problem, allow_errors=False) == tuple(
-                expected
-            )
-    assert 0 < failures < 300
-    assert output_vector(strings_grammar, RuleNode(1), Problem("empty")) == ()
+# Booleans and integers in one nonterminal, ``if``, ``true``/``false``,
+# a variable no example binds (``y``), and templates mixing child slots
+# with literals and variables.
+MIXED_TEXT = """E = 0 | 1 | x | y | true | false
+E = E + E
+E = E - E
+E = E <= E
+E = E == E
+E = if ( E , E , E )
+E = x * 2 + E
+E = length ( "ab" ) + E
+E = 2 * 3
+"""
+
+MIXED_INPUTS = (0, 1, -3, 2**63 - 1, True)
+
+GRAMMAR_CASES = {
+    "arith": ("arith/default.herbg", "Int", (0, 1, -7, 2**62, 2**63 - 1)),
+    "mini-strings": ("mini-strings/default.herbg", "S", ("", "a", "ab", "hi there", "a-b.c")),
+    "mixed": (None, "E", MIXED_INPUTS),
+}
+
+
+def _case(name):
+    path, start, inputs = GRAMMAR_CASES[name]
+    text = MIXED_TEXT if path is None else (SUITES_DIR / path).read_text()
+    problem = Problem(name, tuple(IOExample({"x": x}, x) for x in inputs))
+    return parse_grammar(text), start, problem
+
+
+def assert_same_vector(got, expected):
+    """Tag-strict: every element has the expected value and type."""
+    assert got == expected
+    assert [type(v) for v in got] == [type(v) for v in expected]
+
+
+def test_output_vector_agrees_with_execute_on_input():
+    for name in GRAMMAR_CASES:
+        grammar, start, problem = _case(name)
+        rng = random.Random(5)
+        failures = 0
+        for _ in range(400):
+            tree = random_complete_tree(grammar, start, rng, rng.randint(1, 5))
+            expected = reference_output_vector(grammar, tree, problem)
+            for example, value in zip(problem.examples, expected):
+                if value is not EVAL_ERROR:
+                    got = execute_on_input(grammar, tree, example.input)
+                    assert_same_vector((got,), (value,))
+            assert_same_vector(output_vector(grammar, tree, problem), expected)
+            if EVAL_ERROR in expected:
+                failures += 1
+                with pytest.raises(InterpreterError) as raised:
+                    reference_output_vector(grammar, tree, problem, allow_errors=False)
+                with pytest.raises(type(raised.value), match=re.escape(str(raised.value))):
+                    output_vector(grammar, tree, problem, allow_errors=False)
+            else:
+                assert_same_vector(
+                    output_vector(grammar, tree, problem, allow_errors=False), expected
+                )
+        if name != "arith":
+            assert 0 < failures < 400
+        assert output_vector(grammar, RuleNode(1), Problem("empty")) == ()
+
+
+def test_output_vector_rejects_holes(g0, arith_problem):
+    with pytest.raises(IncompleteTreeError):
+        output_vector(g0, Hole(frozenset({1})), arith_problem)
+    with pytest.raises(IncompleteTreeError):
+        output_vector(g0, RuleNode(4, (RuleNode(1), Hole(frozenset({1})))), arith_problem)
+
+
+@pytest.mark.parametrize("name,max_size", [("arith", 6), ("mini-strings", 5), ("mixed", 4)])
+@pytest.mark.parametrize("pruning", [False, True])
+def test_bottom_up_bank_vectors_agree_with_oracle(name, max_size, pruning):
+    grammar, start, problem = _case(name)
+    config = IteratorConfig(
+        "bottom_up", grammar, start, max_size=max_size, observational_equivalence=pruning
+    )
+    bank = BottomUpIterator(config, problem=problem)
+    emitted = 0
+    for program in bank:
+        assert_same_vector(bank.last_vector, reference_output_vector(grammar, program, problem))
+        emitted += 1
+    assert emitted > 20
+
+
+@pytest.mark.parametrize("name", list(GRAMMAR_CASES))
+def test_synth_over_the_bank_raises_the_first_error(name):
+    # Outputs no program reaches, so synth runs until the first program
+    # that fails on some example, and raises that example's error.
+    grammar, start, problem = _case(name)
+    problem = Problem("unreachable", tuple(IOExample(e.input, "never") for e in problem.examples))
+    config = IteratorConfig(
+        "bottom_up", grammar, start, max_size=5, observational_equivalence=True
+    )
+    position, expected = 0, None
+    for position, program in enumerate(BottomUpIterator(config, problem=problem), start=1):
+        try:
+            reference_output_vector(grammar, program, problem, allow_errors=False)
+        except InterpreterError as exc:
+            expected = exc
+            break
+    if expected is None:
+        assert synth(problem, config, allow_evaluation_errors=False).flag != "optimal_program"
+        return
+    with pytest.raises(type(expected), match=re.escape(str(expected))) as raised:
+        synth(problem, config, allow_evaluation_errors=False)
+    assert raised.value.enumerated == position
 
 
 def test_outputs_compared_tag_strictly():

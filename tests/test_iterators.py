@@ -411,7 +411,7 @@ def test_bottom_up_timeout_holds_when_pruning_drops_nearly_everything():
         "unreachable", (IOExample({"x": "hello"}, 1000), IOExample({"x": "sun"}, 999))
     )
     config = IteratorConfig(
-        "bottom_up", grammar, "I", max_size=8, observational_equivalence=True
+        "bottom_up", grammar, "I", max_size=10, observational_equivalence=True
     )
     started = time.monotonic()
     result = synth(problem, config, timeout_seconds=1.0)
@@ -479,3 +479,17 @@ def test_synth_aborts_on_error_when_not_allowed(strings_grammar):
         synth(problem, config, allow_evaluation_errors=False)
     result = synth(problem, config, allow_evaluation_errors=True)
     assert result.flag == SynthFlag.suboptimal_program
+
+
+def test_observational_equivalence_keeps_bool_and_int_vectors_apart():
+    # x gives (1, 0) and 1 == x gives (True, False); Python calls those
+    # tuples equal, but they are different outputs.
+    grammar = parse_grammar("E = 1 | x\nE = E == E")
+    problem = Problem("eq", (IOExample({"x": 1}, True), IOExample({"x": 0}, False)))
+    for pruning in (False, True):
+        config = IteratorConfig(
+            "bottom_up", grammar, "E", max_size=3, observational_equivalence=pruning
+        )
+        result = synth(problem, config)
+        assert result.flag == SynthFlag.optimal_program
+        assert serialize_node(result.program) == "3{1,2}"

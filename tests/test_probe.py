@@ -242,17 +242,29 @@ def test_probe_error_counts_the_programs_of_earlier_cycles(g0_uniform, monkeypat
     # The package exports the function ``probe``; the module is in sys.modules.
     probe_module = importlib.import_module("synthkit.probe")
     scored = []
-    score = probe_module.output_vector
+    score = probe_module.RuleCode.vector
 
-    def failing_on_the_eighth(grammar, program, problem, allow_errors=True):
+    def failing_on_the_eighth(code, program, allow_errors=True):
         scored.append(program)
         if len(scored) == 8:
             raise EvaluationError("injected")
-        return score(grammar, program, problem, allow_errors)
+        return score(code, program, allow_errors)
 
-    monkeypatch.setattr(probe_module, "output_vector", failing_on_the_eighth)
+    monkeypatch.setattr(probe_module.RuleCode, "vector", failing_on_the_eighth)
     problem = Problem("contradiction", (IOExample({"x": 0}, 1), IOExample({"x": 0}, 2)))
     config = ProbeConfig(probe_cycles=3, max_depth=3, max_enumerations=5)
     with pytest.raises(EvaluationError) as raised:
         probe_with_stats(g0_uniform, "Int", problem, config)
     assert raised.value.enumerated == 8
+
+
+def test_promising_programs_keep_bool_and_int_vectors_apart():
+    # x gives (1, 0) and 1 == x gives (True, False): each solves one
+    # example, and they are different outputs although Python's == merges them.
+    grammar = set_uniform_probabilities(parse_grammar("E = 1 | x\nE = E == E"))
+    problem = Problem("mixed", (IOExample({"x": 1}, True), IOExample({"x": 0}, 0)))
+    config = IteratorConfig("mlfs", grammar, "E", max_depth=2)
+    promising, flag = get_promising_programs_with_fitness(config, problem)
+    assert flag == SynthFlag.suboptimal_program
+    programs = {serialize_node(entry.program) for entry in promising}
+    assert {"2", "3{1,2}"} <= programs
