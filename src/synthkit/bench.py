@@ -30,7 +30,7 @@ from .constraints import Constraint, parse_constraint
 from .errors import ConstraintSyntaxError, GrammarTextError, SuiteLoadError, SynthkitError
 from .grammar import Grammar
 from .grammar_text import parse_grammar
-from .interpreter import Value
+from .interpreter import _INT_MAX, _INT_MIN, Value
 from .iterators import ITERATOR_KINDS, IteratorConfig, SynthFlag, synth
 from .nodes import serialize_node
 from .probe import ProbeConfig, probe_with_stats
@@ -50,12 +50,14 @@ class ProblemFile:
 def _to_value(raw, path: Path, context: str) -> Value:
     if isinstance(raw, bool) or isinstance(raw, str):
         return raw
-    if isinstance(raw, int):
-        return raw
     if isinstance(raw, float):
-        if raw.is_integer():
-            return int(raw)
-        raise SuiteLoadError(f"{path}: non-integer number in {context}: {raw!r}")
+        if not raw.is_integer():
+            raise SuiteLoadError(f"{path}: non-integer number in {context}: {raw!r}")
+        raw = int(raw)
+    if isinstance(raw, int):
+        if not _INT_MIN <= raw <= _INT_MAX:
+            raise SuiteLoadError(f"{path}: integer outside the 64-bit range in {context}: {raw!r}")
+        return raw
     raise SuiteLoadError(f"{path}: unsupported value in {context}: {raw!r}")
 
 

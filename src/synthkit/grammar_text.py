@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 from .errors import GrammarSyntaxError, GrammarValidationError, LexError
 from .grammar import Grammar, IntLit, Placeholder, Rule, StrLit, Sym, TemplateToken
+from .interpreter import _INT_MAX, _INT_MIN, Literal
 
 _TOKEN_RE = re.compile(
     r"""
@@ -80,12 +81,6 @@ def _unescape_string(raw: str, line_no: int) -> str:
             out.append(ch)
         i += 1
     return "".join(out)
-
-
-def _escape_string(value: str) -> str:
-    out = value.replace("\\", "\\\\").replace('"', '\\"')
-    out = out.replace("\n", "\\n").replace("\t", "\\t")
-    return f'"{out}"'
 
 
 @dataclass
@@ -176,7 +171,12 @@ def _to_template(tokens: list[_Tok], nonterminals: set[str]) -> tuple[TemplateTo
                 raise GrammarSyntaxError(
                     "decimal literals are only valid as probability prefixes", tok.line
                 )
-            template.append(IntLit(int(tok.text)))
+            value = int(tok.text)
+            if not _INT_MIN <= value <= _INT_MAX:
+                raise GrammarSyntaxError(
+                    f"integer literal {tok.text} is outside the 64-bit range", tok.line
+                )
+            template.append(IntLit(value))
         elif tok.kind == "string":
             template.append(StrLit(_unescape_string(tok.text, tok.line)))
         else:
@@ -243,9 +243,7 @@ def _token_text(token: TemplateToken) -> str:
         return token.symbol
     if isinstance(token, Sym):
         return token.text
-    if isinstance(token, IntLit):
-        return str(token.value)
-    return _escape_string(token.value)
+    return str(Literal(token.value))
 
 
 def serialize_grammar(grammar: Grammar) -> str:

@@ -1,22 +1,26 @@
 """Program semantics: turning ASTs into expressions and output vectors.
 
 Enumeration is purely syntactic; this module is the other half of the
-split.  Each grammar rule's flat token template is parsed once into an
-expression whose :class:`ChildRef` slots stand for the children of the
-AST node applying that rule.  That expression serves two evaluators:
+split.  Each operator is defined once, in ``_OPERATORS``, by its total
+function of one example's argument values and the argument types it
+expects; the parser and both evaluators below derive from that table.
+Each grammar rule's flat token template is parsed once into an expression
+whose :class:`ChildRef` slots stand for the children of the AST node
+applying that rule.  Then:
 
 * :func:`to_expression` fills the slots with the children's expressions,
   and :func:`evaluate` walks the result on one input, raising an
-  :class:`~synthkit.errors.InterpreterError` on failure;
+  :class:`~synthkit.errors.InterpreterError` whose message names the
+  failing argument where the function gives ``EVAL_ERROR``;
 * :class:`RuleCode` turns each template, lazily and once per grammar
   and problem, into a function from its children's output vectors (one
   value per example) to its own, with slots that read no child folded into
   constant vectors.  :func:`output_vector` is a fold of these functions
   over the tree, and the bottom-up bank applies one per new program.  An
-  example whose evaluation fails holds :data:`EVAL_ERROR`, and an
+  example whose evaluation fails holds ``EVAL_ERROR``, and an
   ``EVAL_ERROR`` or ill-typed argument gives ``EVAL_ERROR`` again.
 
-The object language is fixed:
+The object language:
 
 * integers: literals, variables, ``+``, ``-``, ``*`` (64-bit wrapping)
 * booleans: ``true``, ``false``, and ``==`` and ``<=`` on integers
@@ -52,8 +56,6 @@ _INT_MIN = -(2**63)
 _INT_MAX = 2**63 - 1
 _UINT_SPAN = 2**64
 
-_BINARY_OPS = ("==", "<=", "+", "-", "*")
-_FUNCTIONS = {"concat": 2, "substring": 3, "replace": 3, "length": 1, "if": 3}
 _BOOLEANS = {"true": True, "false": False}
 
 Expression = Union["Literal", "Variable", "Apply", "ChildRef"]
@@ -67,7 +69,8 @@ class Literal:
         if isinstance(self.value, bool):
             return "true" if self.value else "false"
         if isinstance(self.value, str):
-            return '"' + self.value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+            text = self.value.replace("\\", "\\\\").replace('"', '\\"')
+            return '"' + text.replace("\n", "\\n").replace("\t", "\\t") + '"'
         return str(self.value)
 
 
@@ -241,103 +244,19 @@ def to_expression(grammar: Grammar, node: Node) -> Expression:
 
 
 # -- evaluation ---------------------------------------------------------------
-
-
-def _wrap64(value: int) -> int:
-    return (value - _INT_MIN) % _UINT_SPAN + _INT_MIN
-
-
-def _as_int(value: Value, op: str) -> int:
-    if type(value) is not int:
-        raise EvaluationError(f"{op} expects an integer, got {value!r}")
-    return value
-
-
-def _as_str(value: Value, op: str) -> str:
-    if type(value) is not str:
-        raise EvaluationError(f"{op} expects a string, got {value!r}")
-    return value
-
-
-def evaluate(expr: Expression, env: Mapping[str, Value]) -> Value:
-    """Strictly evaluate an expression in a variable environment."""
-    if isinstance(expr, Literal):
-        return expr.value
-    if isinstance(expr, Variable):
-        try:
-            return env[expr.name]
-        except KeyError:
-            raise UnboundVariableError(f"variable {expr.name!r} is not bound") from None
-    if isinstance(expr, Apply):
-        args = [evaluate(a, env) for a in expr.args]
-        return _apply(expr.op, args)
-    raise EvaluationError(f"cannot evaluate template slot {expr}")
-
-
-def _apply(op: str, args: list[Value]) -> Value:
-    if op == "+":
-        return _wrap64(_as_int(args[0], op) + _as_int(args[1], op))
-    if op == "-":
-        return _wrap64(_as_int(args[0], op) - _as_int(args[1], op))
-    if op == "*":
-        return _wrap64(_as_int(args[0], op) * _as_int(args[1], op))
-    if op == "==":
-        return _as_int(args[0], op) == _as_int(args[1], op)
-    if op == "<=":
-        return _as_int(args[0], op) <= _as_int(args[1], op)
-    if op == "concat":
-        return _as_str(args[0], op) + _as_str(args[1], op)
-    if op == "length":
-        return len(_as_str(args[0], op))
-    if op == "replace":
-        return _as_str(args[0], op).replace(_as_str(args[1], op), _as_str(args[2], op))
-    if op == "substring":
-        text = _as_str(args[0], op)
-        i = _as_int(args[1], op)
-        j = _as_int(args[2], op)
-        if not 1 <= i <= j <= len(text):
-            raise EvaluationError(f"substring indices ({i}, {j}) out of range for {text!r}")
-        return text[i - 1 : j]
-    if op == "if":
-        cond = args[0]
-        if type(cond) is not bool:
-            raise EvaluationError(f"if expects a boolean condition, got {cond!r}")
-        return args[1] if cond else args[2]
-    raise EvaluationError(f"unknown operator {op!r}")
-
-
-def execute_on_input(grammar: Grammar, node: Node, env: Mapping[str, Value]) -> Value:
-    """Evaluate a complete AST directly on one input environment."""
-    return evaluate(to_expression(grammar, node), env)
-
-
-def values_equal(actual: Value, expected: Value) -> bool:
-    """Tag-strict equality: booleans never compare equal to integers."""
-    return type(actual) is type(expected) and actual == expected
-
+#
+# Each operator is a total function of one example's argument values: an
+# EVAL_ERROR (a tuple) or an ill-typed argument fails its type check and
+# gives EVAL_ERROR, so errors propagate without raising.  :func:`evaluate`
+# applies the function to one input's values and raises on EVAL_ERROR; a
+# rule's vector function maps it over its arguments' vectors.
 
 # Output recorded for an example whose evaluation raised an interpreter error.
 EVAL_ERROR = ("<error>",)
 
 
-def output_key(vector: tuple) -> tuple:
-    """A hashable key under which two output vectors collide only when they
-    are equal element by element under :func:`values_equal`.
-
-    Python's ``True == 1`` would otherwise merge a boolean vector with an
-    integer one, so booleans are wrapped in a tuple when a vector has any.
-    """
-    if bool in map(type, vector):
-        return tuple([(v,) if type(v) is bool else v for v in vector])
-    return vector
-
-
-# -- evaluation over output vectors -------------------------------------------
-#
-# Each operator is a total function of one example's argument values: an
-# EVAL_ERROR (a tuple) or an ill-typed argument fails its type check and
-# gives EVAL_ERROR, so errors propagate without raising.  A rule's vector
-# function maps the operator over its arguments' vectors.
+def _wrap64(value: int) -> int:
+    return (value - _INT_MIN) % _UINT_SPAN + _INT_MIN
 
 
 def _plus(x, y):
@@ -393,18 +312,92 @@ def _if(cond, then, otherwise):
     return then if cond else otherwise
 
 
-_VECTOR_OPS = {
-    "+": lambda a, b: tuple(map(_plus, a, b)),
-    "-": lambda a, b: tuple(map(_minus, a, b)),
-    "*": lambda a, b: tuple(map(_times, a, b)),
-    "==": lambda a, b: tuple(map(_equals, a, b)),
-    "<=": lambda a, b: tuple(map(_at_most, a, b)),
-    "concat": lambda a, b: tuple(map(_concat, a, b)),
-    "length": lambda a: tuple(map(_length, a)),
-    "replace": lambda a, b, c: tuple(map(_replace, a, b, c)),
-    "substring": lambda a, b, c: tuple(map(_substring, a, b, c)),
-    "if": lambda a, b, c: tuple(map(_if, a, b, c)),
+# The object language: each operator's per-example function and the type
+# of each argument (None for any value).  Symbols are infix, names are
+# called with parenthesized arguments.
+_OPERATORS = {
+    "==": (_equals, (int, int)),
+    "<=": (_at_most, (int, int)),
+    "+": (_plus, (int, int)),
+    "-": (_minus, (int, int)),
+    "*": (_times, (int, int)),
+    "concat": (_concat, (str, str)),
+    "substring": (_substring, (str, int, int)),
+    "replace": (_replace, (str, str, str)),
+    "length": (_length, (str,)),
+    "if": (_if, (bool, None, None)),
 }
+
+# Function names and their arities; the symbols are the infix operators.
+_FUNCTIONS = {name: len(types) for name, (_, types) in _OPERATORS.items() if name.isidentifier()}
+_BINARY_OPS = tuple(name for name in _OPERATORS if name not in _FUNCTIONS)
+
+_TYPE_NAMES = {int: "an integer", str: "a string", bool: "a boolean condition"}
+
+
+def _failure(op: str, args: list[Value]) -> str:
+    """Why ``op`` gave EVAL_ERROR on ``args``: the first ill-typed argument,
+    or else a ``substring`` range outside its text."""
+    for value, kind in zip(args, _OPERATORS[op][1]):
+        if kind is not None and type(value) is not kind:
+            return f"{op} expects {_TYPE_NAMES[kind]}, got {value!r}"
+    text, i, j = args
+    return f"substring indices ({i}, {j}) out of range for {text!r}"
+
+
+def evaluate(expr: Expression, env: Mapping[str, Value]) -> Value:
+    """Strictly evaluate an expression in a variable environment."""
+    if isinstance(expr, Literal):
+        return expr.value
+    if isinstance(expr, Variable):
+        try:
+            return env[expr.name]
+        except KeyError:
+            raise UnboundVariableError(f"variable {expr.name!r} is not bound") from None
+    if isinstance(expr, Apply):
+        args = [evaluate(a, env) for a in expr.args]
+        entry = _OPERATORS.get(expr.op)
+        if entry is None:
+            raise EvaluationError(f"unknown operator {expr.op!r}")
+        value = entry[0](*args)
+        if value is EVAL_ERROR:
+            raise EvaluationError(_failure(expr.op, args))
+        return value
+    raise EvaluationError(f"cannot evaluate template slot {expr}")
+
+
+def execute_on_input(grammar: Grammar, node: Node, env: Mapping[str, Value]) -> Value:
+    """Evaluate a complete AST directly on one input environment."""
+    return evaluate(to_expression(grammar, node), env)
+
+
+def values_equal(actual: Value, expected: Value) -> bool:
+    """Tag-strict equality: booleans never compare equal to integers."""
+    return type(actual) is type(expected) and actual == expected
+
+
+def output_key(vector: tuple) -> tuple:
+    """A hashable key under which two output vectors collide only when they
+    are equal element by element under :func:`values_equal`.
+
+    Python's ``True == 1`` would otherwise merge a boolean vector with an
+    integer one, so booleans are wrapped in a tuple when a vector has any.
+    """
+    if bool in map(type, vector):
+        return tuple([(v,) if type(v) is bool else v for v in vector])
+    return vector
+
+
+# -- evaluation over output vectors -------------------------------------------
+
+# Each operator lifted to map over one vector per argument.  The lifts take
+# fixed positional parameters: a ``*vectors`` lift is measurably slower.
+_LIFTS = {
+    1: lambda op: lambda a: tuple(map(op, a)),
+    2: lambda op: lambda a, b: tuple(map(op, a, b)),
+    3: lambda op: lambda a, b, c: tuple(map(op, a, b, c)),
+}
+_VECTOR_OPS = {name: _LIFTS[len(types)](op) for name, (op, types) in _OPERATORS.items()}
 
 
 def _compile(expr: Expression, inputs: tuple) -> Union[tuple, Callable]:

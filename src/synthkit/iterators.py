@@ -213,7 +213,6 @@ class QueueEntry:
 
     tree: Node
     is_uniform: bool
-    priority: Priority = 0
     programs: Iterator | None = None
     peeked: RuleNode | None = None
     # Log-probability of ``peeked``, carried along by mlfs.
@@ -263,8 +262,8 @@ class TopDownIterator:
     # -- queue machinery ------------------------------------------------------
 
     def _push(self, entry: QueueEntry, parent_value: Priority, is_requeued: bool) -> None:
-        entry.priority = self._priority(entry, parent_value, is_requeued)
-        heapq.heappush(self._heap, (entry.priority, next(self._tie), entry))
+        priority = self._priority(entry, parent_value, is_requeued)
+        heapq.heappush(self._heap, (priority, next(self._tie), entry))
 
     def _push_tree(self, tree: Node, parent_value: Priority) -> None:
         if not is_uniform(tree):

@@ -79,7 +79,7 @@ def _collect_promising(
     expected = [example.output for example in problem.examples]
     # Best representative per output vector, keyed tag-strictly: max fitness,
     # then fewest nodes.
-    by_vector: dict[tuple, tuple[float, int, int, RuleNode]] = {}
+    by_vector: dict[tuple, tuple[float, int, RuleNode]] = {}
     enumerated = 0
     try:
         for program in make_iterator(config, deadline=deadline):
@@ -91,15 +91,14 @@ def _collect_promising(
             if fit <= 0.0:
                 continue
             size = node_count(program)
-            candidate = (fit, size, enumerated, program)
             key = output_key(vector)
             held = by_vector.get(key)
             if held is None or (fit, -size) > (held[0], -held[1]):
-                by_vector[key] = candidate
+                by_vector[key] = (fit, size, program)
     except SynthkitError as exc:
         exc.enumerated = enumerated
         raise
-    promising = {PromisingProgram(prog, fit) for fit, _, _, prog in by_vector.values()}
+    promising = {PromisingProgram(prog, fit) for fit, _, prog in by_vector.values()}
     flag = SynthFlag.suboptimal_program if promising else SynthFlag.no_program
     return promising, flag, enumerated
 

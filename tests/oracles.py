@@ -8,8 +8,8 @@ import heapq
 from itertools import product
 
 from synthkit.constraints import ConcreteRule, Forbidden, PatternVar, check_program
-from synthkit.errors import InterpreterError
-from synthkit.interpreter import EVAL_ERROR, evaluate, to_expression
+from synthkit.errors import EvaluationError, InterpreterError, UnboundVariableError
+from synthkit.interpreter import EVAL_ERROR, Apply, Literal, Variable, to_expression
 from synthkit.iterators import derivation_heuristic, max_rulenode_log_probability
 from synthkit.nodes import (
     Hole,
@@ -92,6 +92,80 @@ def expand_completions(grammar, tree, max_depth):
     return expand(tree, max_depth)
 
 
+def _ref_wrap64(value):
+    return (value + 2**63) % 2**64 - 2**63
+
+
+def _ref_int(value, op):
+    if type(value) is not int:
+        raise EvaluationError(f"{op} expects an integer, got {value!r}")
+    return value
+
+
+def _ref_str(value, op):
+    if type(value) is not str:
+        raise EvaluationError(f"{op} expects a string, got {value!r}")
+    return value
+
+
+# The operators reference_apply knows, with their argument counts.
+REFERENCE_ARITIES = {
+    "+": 2, "-": 2, "*": 2, "==": 2, "<=": 2,
+    "concat": 2, "length": 1, "replace": 3, "substring": 3, "if": 3,
+}
+
+
+def reference_apply(op, args):
+    """One operator's result on argument values, written case by case.
+
+    Raises ``EvaluationError`` with the interpreter's exact message on an
+    ill-typed argument, a ``substring`` range outside its text, or an
+    unknown operator.
+    """
+    if op == "+":
+        return _ref_wrap64(_ref_int(args[0], op) + _ref_int(args[1], op))
+    if op == "-":
+        return _ref_wrap64(_ref_int(args[0], op) - _ref_int(args[1], op))
+    if op == "*":
+        return _ref_wrap64(_ref_int(args[0], op) * _ref_int(args[1], op))
+    if op == "==":
+        return _ref_int(args[0], op) == _ref_int(args[1], op)
+    if op == "<=":
+        return _ref_int(args[0], op) <= _ref_int(args[1], op)
+    if op == "concat":
+        return _ref_str(args[0], op) + _ref_str(args[1], op)
+    if op == "length":
+        return len(_ref_str(args[0], op))
+    if op == "replace":
+        return _ref_str(args[0], op).replace(_ref_str(args[1], op), _ref_str(args[2], op))
+    if op == "substring":
+        text = _ref_str(args[0], op)
+        i = _ref_int(args[1], op)
+        j = _ref_int(args[2], op)
+        if not 1 <= i <= j <= len(text):
+            raise EvaluationError(f"substring indices ({i}, {j}) out of range for {text!r}")
+        return text[i - 1 : j]
+    if op == "if":
+        cond = args[0]
+        if type(cond) is not bool:
+            raise EvaluationError(f"if expects a boolean condition, got {cond!r}")
+        return args[1] if cond else args[2]
+    raise EvaluationError(f"unknown operator {op!r}")
+
+
+def reference_evaluate(expr, env):
+    """Strictly evaluate an expression with :func:`reference_apply`."""
+    if isinstance(expr, Literal):
+        return expr.value
+    if isinstance(expr, Variable):
+        if expr.name not in env:
+            raise UnboundVariableError(f"variable {expr.name!r} is not bound")
+        return env[expr.name]
+    if isinstance(expr, Apply):
+        return reference_apply(expr.op, [reference_evaluate(a, env) for a in expr.args])
+    raise EvaluationError(f"cannot evaluate template slot {expr}")
+
+
 def reference_output_vector(grammar, program, problem, allow_errors=True):
     """A program's output per example by walking its expression on each input.
 
@@ -102,7 +176,7 @@ def reference_output_vector(grammar, program, problem, allow_errors=True):
     outputs = []
     for example in problem.examples:
         try:
-            outputs.append(evaluate(expr, example.input))
+            outputs.append(reference_evaluate(expr, example.input))
         except InterpreterError:
             if not allow_errors:
                 raise

@@ -121,6 +121,16 @@ def test_non_integer_number_rejected(tmp_path):
         load_problem_file(tmp_path / "f.problem.json")
 
 
+@pytest.mark.parametrize("value", [2**63, -(2**63) - 1, 2**70, 1e30])
+def test_integer_outside_64_bits_rejected(tmp_path, value):
+    path = tmp_path / "big.problem.json"
+    write_problem(path, examples=[{"input": {"x": 2**63 - 1}, "output": -(2**63)}])
+    assert load_problem_file(path).problem.examples[0].output == -(2**63)
+    write_problem(path, examples=[{"input": {"x": 0}, "output": value}])
+    with pytest.raises(SuiteLoadError, match="big.problem.json"):
+        load_problem_file(path)
+
+
 def test_constraints_parsed_from_problem_file(tmp_path):
     write_problem(
         tmp_path / "c.problem.json",

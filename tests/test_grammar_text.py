@@ -114,6 +114,13 @@ def test_string_literals_with_escapes():
     assert g.rule(2).rhs == (StrLit("a\\b"),)
 
 
+def test_integer_literal_outside_64_bits_rejected():
+    assert parse_grammar("Int = 9223372036854775807").rule(1).rhs[0].value == 2**63 - 1
+    with pytest.raises(GrammarSyntaxError) as excinfo:
+        parse_grammar("Int = x\nInt = 99999999999999999999")
+    assert excinfo.value.line == 2
+
+
 def test_line_numbers_in_errors():
     with pytest.raises(GrammarSyntaxError) as excinfo:
         parse_grammar("S = x\nS = | y")

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 
@@ -24,10 +25,16 @@ from synthkit import (
     synth,
     to_expression,
 )
-from synthkit.interpreter import Apply, Literal, Variable
+from synthkit.interpreter import _VECTOR_OPS, Apply, Literal, Variable
 
 from conftest import SUITES_DIR
-from oracles import random_complete_tree, reference_eval_arith, reference_output_vector
+from oracles import (
+    REFERENCE_ARITIES,
+    random_complete_tree,
+    reference_apply,
+    reference_eval_arith,
+    reference_output_vector,
+)
 
 
 def test_to_expression_renders_solution(g0):
@@ -105,6 +112,47 @@ def test_if_is_strict_in_both_branches():
     expr = Apply("if", (Literal(True), Literal("ok"), bad))
     with pytest.raises(EvaluationError):
         evaluate(expr, {})
+
+
+# Integers at and around the 64-bit bounds, booleans, and strings with and
+# without the characters the string operators look for.
+VALUE_GRID = (0, 1, 2, 3, -1, 2**63 - 1, -(2**63), 2**62, True, False, "", "a", "hello", "-", "ab-c")
+
+
+def _outcome(run):
+    try:
+        value = run()
+    except Exception as exc:
+        return "raised", type(exc), str(exc)
+    return "value", type(value), value
+
+
+def test_every_operator_has_a_reference():
+    assert set(_VECTOR_OPS) == set(REFERENCE_ARITIES)
+
+
+@pytest.mark.parametrize("op,arity", [*REFERENCE_ARITIES.items(), ("nope", 1)])
+def test_operator_matches_the_reference_on_a_value_grid(op, arity):
+    # evaluate gives the reference's value and type, or its error and
+    # message; the vector function fails exactly where the reference does.
+    for args in itertools.product(VALUE_GRID, repeat=arity):
+        expected = _outcome(lambda: reference_apply(op, list(args)))
+        got = _outcome(lambda: evaluate(Apply(op, tuple(map(Literal, args))), {}))
+        assert got == expected, (op, args)
+        if op in _VECTOR_OPS:
+            (value,) = _VECTOR_OPS[op](*[(a,) for a in args])
+            if expected[0] == "raised":
+                assert value is EVAL_ERROR, (op, args)
+            else:
+                assert ("value", type(value), value) == expected, (op, args)
+
+
+def test_string_literals_render_escaped():
+    g = parse_grammar('S = "a\\nb\\tc\\"d\\\\e"')
+    assert g.rule(1).rhs[0].value == 'a\nb\tc"d\\e'
+    text = str(to_expression(g, RuleNode(1)))
+    assert text == '"a\\nb\\tc\\"d\\\\e"'
+    assert parse_grammar(f"S = {text}").rule(1) == g.rule(1)
 
 
 def test_integer_arithmetic_wraps_at_64_bits(g0):
