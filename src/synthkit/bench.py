@@ -30,7 +30,7 @@ from .constraints import Constraint, parse_constraint
 from .errors import ConstraintSyntaxError, GrammarTextError, SuiteLoadError, SynthkitError
 from .grammar import Grammar
 from .grammar_text import parse_grammar
-from .interpreter import _INT_MAX, _INT_MIN, Value
+from .interpreter import Value
 from .iterators import ITERATOR_KINDS, IteratorConfig, SynthFlag, synth
 from .nodes import serialize_node
 from .probe import ProbeConfig, probe_with_stats
@@ -48,17 +48,13 @@ class ProblemFile:
 
 
 def _to_value(raw, path: Path, context: str) -> Value:
-    if isinstance(raw, bool) or isinstance(raw, str):
-        return raw
+    """A JSON value as an example value: an integral number such as ``1e30``
+    becomes an int; :class:`IOExample` checks the value itself."""
     if isinstance(raw, float):
         if not raw.is_integer():
             raise SuiteLoadError(f"{path}: non-integer number in {context}: {raw!r}")
-        raw = int(raw)
-    if isinstance(raw, int):
-        if not _INT_MIN <= raw <= _INT_MAX:
-            raise SuiteLoadError(f"{path}: integer outside the 64-bit range in {context}: {raw!r}")
-        return raw
-    raise SuiteLoadError(f"{path}: unsupported value in {context}: {raw!r}")
+        return int(raw)
+    return raw
 
 
 def load_problem_file(path: Path) -> ProblemFile:
@@ -94,7 +90,12 @@ def load_problem_file(path: Path) -> ProblemFile:
             variables = set(env)
         elif set(env) != variables:
             raise SuiteLoadError(f"{path}: example {k} binds a different variable set")
-        examples.append(IOExample(env, _to_value(entry["output"], path, f"example {k} output")))
+        output = _to_value(entry["output"], path, f"example {k} output")
+        try:
+            example = IOExample(env, output)
+        except ValueError as exc:
+            raise SuiteLoadError(f"{path}: example {k} {exc}") from None
+        examples.append(example)
     raw_constraints = raw.get("constraints", [])
     if not isinstance(raw_constraints, list):
         raise SuiteLoadError(f"{path}: constraints must be a list of strings")

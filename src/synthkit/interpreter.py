@@ -16,7 +16,7 @@ applying that rule.  Then:
   and problem, into a function from its children's output vectors (one
   value per example) to its own, with slots that read no child folded into
   constant vectors.  :func:`output_vector` is a fold of these functions
-  over the tree, and the bottom-up bank applies one per new program.  An
+  over the tree, and every iterator applies one per node it builds.  An
   example whose evaluation fails holds ``EVAL_ERROR``, and an
   ``EVAL_ERROR`` or ill-typed argument gives ``EVAL_ERROR`` again.
 
@@ -50,10 +50,8 @@ from .errors import (
 )
 from .grammar import Grammar, IntLit, Placeholder, StrLit, Sym
 from .nodes import Node, RuleNode, is_complete
-from .specification import Problem, Value
+from .specification import _INT_MAX, _INT_MIN, Problem, Value
 
-_INT_MIN = -(2**63)
-_INT_MAX = 2**63 - 1
 _UINT_SPAN = 2**64
 
 _BOOLEANS = {"true": True, "false": False}
@@ -359,6 +357,8 @@ def evaluate(expr: Expression, env: Mapping[str, Value]) -> Value:
         entry = _OPERATORS.get(expr.op)
         if entry is None:
             raise EvaluationError(f"unknown operator {expr.op!r}")
+        if len(args) != len(entry[1]):
+            raise EvaluationError(f"{expr.op} takes {len(entry[1])} arguments, got {len(args)}")
         value = entry[0](*args)
         if value is EVAL_ERROR:
             raise EvaluationError(_failure(expr.op, args))

@@ -26,14 +26,24 @@ changed to the root; emitted programs share their unchanged subtrees.  The
 mlfs enumeration compiles each uniform tree once into a builder from the
 per-hole choice vector, which returns the program together with its
 log-probability; that value is the queue priority when the tree is
-re-enqueued, so no emitted program is walked again to price it.
+re-enqueued, so no emitted program is walked again to price it.  The
+builder memoizes every node below the root on the part of the choice
+vector that holds that node's holes, so mlfs programs share their
+unchanged subtrees too.
 
 The bottom-up iterator grows a bank of programs per nonterminal indexed by
 node count, combining smaller programs into larger ones, optionally pruning
-programs that are observationally equivalent on a problem's inputs.  Given
-a problem it evaluates by value: each entry carries its output vector, and
-a new program's vector is one application of its rule's compiled function
-to its children's vectors.
+programs that are observationally equivalent on a problem's inputs.
+
+Every iterator evaluates by value.  Given a problem it compiles the grammar
+lazily into one :class:`~synthkit.interpreter.RuleCode`, its ``code``, and
+sets ``last_vector`` to each program's output vector on the problem's
+examples just before it yields the program.  A node's vector is one
+application of its rule's compiled function to its children's vectors,
+computed where the node is built: the top-down streams carry a vector with
+every subtree they share, and each bottom-up bank entry holds its own, so
+a vector costs one rule application per node actually built.  Without a
+problem every vector is ``None`` and no rule is compiled.
 
 Every iterator takes an optional deadline (a :func:`time.monotonic` value):
 top-down search checks it on every dequeue, bottom-up on every candidate,
@@ -215,6 +225,8 @@ class QueueEntry:
     is_uniform: bool
     programs: Iterator | None = None
     peeked: RuleNode | None = None
+    # Output vector of ``peeked``, or None without a problem.
+    vector: tuple | None = None
     # Log-probability of ``peeked``, carried along by mlfs.
     log_probability: float | None = None
 
@@ -225,18 +237,24 @@ class TopDownIterator:
     Iterating yields complete programs; :meth:`next_program` returns ``None``
     once the queue is exhausted, ``max_enumerations`` is reached, or the
     optional ``deadline`` (a :func:`time.monotonic` value, checked on every
-    dequeue) has passed.
+    dequeue) has passed.  Given a problem, :attr:`last_vector` is the output
+    vector of the program yielded last, built with the program from its
+    subtrees' vectors through :attr:`code`.
     """
 
     kind = "bfs"
 
-    def __init__(self, config: IteratorConfig, deadline: float | None = None):
+    def __init__(
+        self, config: IteratorConfig, problem: Problem | None = None, deadline: float | None = None
+    ):
         if config.kind != self.kind:
             raise ConfigError(f"config kind {config.kind!r} does not match {self.kind!r}")
         self.config = config
         self.deadline = deadline
         self.grammar = config.grammar
         self.constraints = config.constraints
+        self.code = None if problem is None else RuleCode(self.grammar, problem)
+        self.last_vector: tuple | None = None
         self._heap: list[tuple[Priority, int, QueueEntry]] = []
         self._tie = itertools.count()
         self._counter = itertools.count()
@@ -252,12 +270,12 @@ class TopDownIterator:
             counter=self._counter, dfs_over_shapes=self.config.dfs_over_shapes,
         )
 
-    def _uniform_programs(self, state: SolverState) -> Iterator[RuleNode]:
-        return _assignments_depth_first(state, self.constraints)
+    def _uniform_programs(self, state: SolverState) -> Iterator[tuple[RuleNode, tuple | None]]:
+        return _assignments_depth_first(state, self.code)
 
     def _advance(self, entry: QueueEntry) -> None:
         """Peek a uniform entry's next program; ``None`` once it is exhausted."""
-        entry.peeked = next(entry.programs, None)
+        entry.peeked, entry.vector = next(entry.programs, (None, None))
 
     # -- queue machinery ------------------------------------------------------
 
@@ -296,11 +314,12 @@ class TopDownIterator:
                 for piece in pieces or ():
                     self._push_tree(piece, priority)
                 continue
-            program = entry.peeked
+            program, vector = entry.peeked, entry.vector
             self._advance(entry)
             if entry.peeked is not None:
                 self._push(entry, priority, True)
             emitted += 1
+            self.last_vector = vector
             yield program
 
     def __iter__(self) -> Iterator[RuleNode]:
@@ -339,97 +358,126 @@ class MLFSIterator(TopDownIterator):
             return -entry.log_probability
         return super()._priority(entry, parent_value, is_requeued)
 
-    def _uniform_programs(self, state: SolverState) -> Iterator[tuple[RuleNode, float]]:
-        return _assignments_best_first(state, self.grammar, self.constraints)
+    def _uniform_programs(self, state: SolverState) -> Iterator[tuple]:
+        return _assignments_best_first(state, self.grammar, self.code)
 
     def _advance(self, entry: QueueEntry) -> None:
-        entry.peeked, entry.log_probability = next(entry.programs, (None, None))
+        entry.peeked, entry.log_probability, entry.vector = next(
+            entry.programs, (None, None, None)
+        )
 
 
-def _assignments_depth_first(state, constraints) -> Iterator[RuleNode]:
+def _assignments_depth_first(state, code=None) -> Iterator[tuple[RuleNode, tuple | None]]:
     """Enumerate a uniform tree's programs depth-first over its holes.
 
-    Every node of the tree gets a generator of its complete subtrees.  A
+    Every node of the tree gets a generator of its complete subtrees, each
+    with its output vector through ``code`` (``None`` without code).  A
     hole's generator tries its rules in the domain's ascending order,
     decides the hole through the solver state (save, assign, propagate, and
     restore once the choice is used up) and then walks the product of its
     children's generators left to right, so holes are decided in preorder
     and the last one varies fastest.  Only the nodes on the path from the
-    hole that changed to the root are built anew; the subtrees beside that
+    hole that changed to the root are built anew, each with one application
+    of its rule's code to its children's vectors; the subtrees beside that
     path are the ones yielded before, which is safe because rule nodes are
     immutable.
+
+    Propagation alone decides the constraints, so no program is checked
+    again.  The solver state posts a site at every position where a
+    constraint's pattern can still match this tree's shape and domains,
+    and a position without a site matches in no completion.  Every hole is
+    decided by an assignment followed by propagation, and that propagation
+    re-checks each site watching the hole.  Once the last hole a site
+    watches is decided, the site has no blocking hole, so its pattern
+    matches and its bound subtrees are checked whole; a violation wipes the
+    choice out.  Sites that watch no hole are checked by the state's first
+    propagation, before the stream starts.  So every complete program the
+    stream reaches satisfies every constraint.
     """
-    for program in _subtree_stream(state, state.root, ())():
-        if check_program(constraints, program):
-            yield program
+    return _subtree_stream(state, state.root, (), code)()
 
 
-def _subtree_stream(state, node: Node, path: Path) -> Callable[[], Iterable[RuleNode]]:
-    """A function that starts a fresh stream of a node's complete subtrees."""
+def _subtree_stream(
+    state, node: Node, path: Path, code
+) -> Callable[[], Iterable[tuple[RuleNode, tuple | None]]]:
+    """A function that starts a fresh stream of a node's complete subtrees,
+    each paired with its output vector."""
     if is_complete(node):
-        complete = (node,)
+        complete = ((node, None if code is None else code.vector(node)),)
         return lambda: complete
     children = tuple(
-        _subtree_stream(state, child, path + (i,))
+        _subtree_stream(state, child, path + (i,), code)
         for i, child in enumerate(node.children)
     )
     if isinstance(node, RuleNode):
-        return lambda: (RuleNode(node.rule, kids) for kids in _product(children))
+        rule = node.rule
+        apply = None if code is None else code[rule]
+        return lambda: (
+            (RuleNode(rule, kids), None if apply is None else apply(*vectors))
+            for kids, vectors in _product(children)
+        )
 
-    def decide() -> Iterator[RuleNode]:
+    def decide() -> Iterator[tuple[RuleNode, tuple | None]]:
         for rule in state.domain(path):
             checkpoint = state.save_state()
             state.assign(path, rule)
             if state.propagate():
-                if children:
-                    for kids in _product(children):
-                        yield RuleNode(rule, kids)
+                apply = None if code is None else code[rule]
+                if not children:
+                    yield RuleNode(rule), apply
                 else:
-                    yield RuleNode(rule)
+                    for kids, vectors in _product(children):
+                        yield RuleNode(rule, kids), None if apply is None else apply(*vectors)
             state.restore_state(checkpoint)
 
     return decide
 
 
-def _product(children: tuple) -> Iterator[tuple[RuleNode, ...]]:
-    """One subtree per child stream, left to right, the last varying fastest.
+def _product(children: tuple) -> Iterator[tuple[tuple[RuleNode, ...], tuple]]:
+    """One subtree per child stream, left to right, the last varying fastest,
+    paired with the tuple of their vectors.
 
     A later child's stream restarts for every subtree of an earlier one,
     because the earlier child's choices change what the later may take.
     """
     first, rest = children[0], children[1:]
     if not rest:
-        for head in first():
-            yield (head,)
-        return
-    for head in first():
-        for tail in _product(rest):
-            yield (head,) + tail
+        for head, vector in first():
+            yield (head,), (vector,)
+    else:
+        for head, vector in first():
+            for kids, vectors in _product(rest):
+                yield (head,) + kids, (vector,) + vectors
 
 
-def _assignments_best_first(state, grammar, constraints) -> Iterator[tuple[RuleNode, float]]:
+def _assignments_best_first(
+    state, grammar, code=None
+) -> Iterator[tuple[RuleNode, float, tuple | None]]:
     """Enumerate a uniform tree's programs by non-increasing probability.
 
     Assignments are tuples of per-hole choice indices (rules sorted by the
     mlfs heuristic); each tuple is reached once by incrementing positions in
     non-decreasing order, and a heap orders them by summed log-probability.
-    Each program is built straight from its choice tuple and yielded with
-    its log-probability, summed in :func:`max_rulenode_log_probability`'s
-    order so the two agree exactly.
+    Each program is built from its choice tuple by :func:`_choice_builder`
+    and yielded with its log-probability, summed in
+    :func:`max_rulenode_log_probability`'s order so the two agree exactly,
+    and its output vector through ``code`` (``None`` without code).
+    Programs that break one of the state's constraints are skipped.
     """
     holes = state.hole_paths()
     ordered = [derivation_heuristic("mlfs", grammar, state.domain(p)) for p in holes]
     values = [[grammar.log_probability(r) for r in rules] for rules in ordered]
     slots = {path: (i, ordered[i], values[i]) for i, path in enumerate(holes)}
-    build = _choice_builder(grammar, state.root, (), slots)
+    build = _choice_builder(grammar, state.root, slots, code)
+    constraints = state.constraints
 
     start = (0,) * len(holes)
     heap = [(-sum(v[0] for v in values), start, 0)]
     while heap:
         neg_total, indices, frontier = heapq.heappop(heap)
-        program, log_probability = build(indices)
+        program, log_probability, vector = build(indices)
         if check_program(constraints, program):
-            yield program, log_probability
+            yield program, log_probability, vector
         for m in range(frontier, len(holes)):
             j = indices[m]
             if j + 1 < len(values[m]):
@@ -438,35 +486,73 @@ def _assignments_best_first(state, grammar, constraints) -> Iterator[tuple[RuleN
                 heapq.heappush(heap, (neg_total - delta, bumped, m))
 
 
-def _choice_builder(grammar, node: Node, path: Path, slots) -> Callable[[tuple], tuple[RuleNode, float]]:
-    """A function from a choice tuple to a node's subtree and its log-probability.
+def _choice_builder(grammar, root: Node, slots, code) -> Callable[[tuple], tuple]:
+    """A function from a choice tuple to the tree's program, its
+    log-probability and its output vector.
 
     ``slots`` maps each hole's path to its position in the choice tuple,
-    its ordered rules and their log-probabilities.
+    its ordered rules and their log-probabilities.  Positions follow the
+    preorder of the holes, so the holes below a node fill one contiguous
+    part ``choices[lo:hi]`` of the tuple.  Every node whose holes are a
+    proper part of the tuple memoizes what it builds on that part, so a
+    program reuses the subtrees, log-probabilities and vectors of an
+    earlier one wherever their choices agree.  A node holding every hole,
+    the root above all, is built afresh: the popped tuples are distinct, so
+    its cache would never hit and would keep every program alive.  The
+    caches live as long as the returned function.
     """
-    if is_complete(node):
-        complete = (node, max_rulenode_log_probability(node, grammar))
-        return lambda choices: complete
-    children = [
-        _choice_builder(grammar, child, path + (i,), slots)
-        for i, child in enumerate(node.children)
-    ]
-    if isinstance(node, RuleNode):
-        position, rules, values = None, (node.rule,), (grammar.log_probability(node.rule),)
-    else:
-        position, rules, values = slots[path]
 
-    def build(choices: tuple) -> tuple[RuleNode, float]:
-        j = 0 if position is None else choices[position]
-        total = values[j]
-        built = []
-        for child in children:
-            subtree, value = child(choices)
-            built.append(subtree)
-            total += value
-        return RuleNode(rules[j], tuple(built)), total
+    def builder(node: Node, path: Path) -> tuple[Callable[[tuple], tuple], tuple[int, ...]]:
+        """The node's builder and the positions of its holes."""
+        if is_complete(node):
+            complete = (
+                node,
+                max_rulenode_log_probability(node, grammar),
+                None if code is None else code.vector(node),
+            )
+            return (lambda choices: complete), ()
+        compiled = [builder(child, path + (i,)) for i, child in enumerate(node.children)]
+        children = [child for child, _ in compiled]
+        if isinstance(node, RuleNode):
+            position, rules, values = None, (node.rule,), (grammar.log_probability(node.rule),)
+            positions = ()
+        else:
+            position, rules, values = slots[path]
+            positions = (position,)
+        for _, below in compiled:
+            positions += below
 
-    return build
+        def build(choices: tuple) -> tuple:
+            j = 0 if position is None else choices[position]
+            rule = rules[j]
+            if not children:
+                return RuleNode(rule), values[j], None if code is None else code[rule]
+            total = values[j]
+            kids = []
+            vectors = []
+            for child in children:
+                subtree, value, vector = child(choices)
+                kids.append(subtree)
+                total += value
+                vectors.append(vector)
+            vector = None if code is None else code[rule](*vectors)
+            return RuleNode(rule, tuple(kids)), total, vector
+
+        if len(positions) == len(slots):
+            return build, positions
+        cache: dict = {}
+        lo, hi = positions[0], positions[-1] + 1
+
+        def memoized(choices: tuple) -> tuple:
+            key = choices[lo:hi]
+            hit = cache.get(key)
+            if hit is None:
+                hit = cache[key] = build(choices)
+            return hit
+
+        return memoized, positions
+
+    return builder(root, ())[0]
 
 
 class BottomUpIterator:
@@ -480,7 +566,7 @@ class BottomUpIterator:
     the rule's compiled vector function to the children's banked vectors, so
     no program is evaluated from scratch.  ``depth`` comes from the
     children's.  :attr:`last_vector` is the vector of the program emitted
-    last, which :func:`synth` scores instead of evaluating it again.
+    last.
 
     With ``observational_equivalence`` a new program whose outputs duplicate
     a banked program of the same nonterminal (compared tag-strictly, see
@@ -502,6 +588,7 @@ class BottomUpIterator:
         self.grammar = config.grammar
         self.problem = problem
         self.deadline = deadline
+        self.code = None if problem is None else RuleCode(self.grammar, problem)
         self.last_vector: tuple | None = None
         self._stream = self._run()
 
@@ -513,8 +600,7 @@ class BottomUpIterator:
         prune = config.observational_equivalence
         max_depth = config.max_depth
         budget = config.max_enumerations
-        # Compiled on the first candidate, not when the iterator is built.
-        code = None if self.problem is None else RuleCode(grammar, self.problem)
+        code = self.code
         bank: dict[str, dict[int, list[tuple]]] = {symbol: {} for symbol in grammar.nonterminals}
         seen_outputs: dict[str, set] = {symbol: set() for symbol in grammar.nonterminals}
         emitted = 0
@@ -589,6 +675,7 @@ _ITERATORS = {
     "bfs": BFSIterator,
     "dfs": DFSIterator,
     "mlfs": MLFSIterator,
+    "bottom_up": BottomUpIterator,
 }
 
 
@@ -597,12 +684,12 @@ def make_iterator(
 ):
     """Instantiate the iterator a config describes.
 
-    Every kind stops once ``deadline`` (a :func:`time.monotonic` value)
-    passes, checked on each dequeue (top-down) or candidate (bottom-up).
+    Given a problem, every kind sets ``last_vector`` to the output vector of
+    each program it yields.  Every kind stops once ``deadline`` (a
+    :func:`time.monotonic` value) passes, checked on each dequeue (top-down)
+    or candidate (bottom-up).
     """
-    if config.kind == "bottom_up":
-        return BottomUpIterator(config, problem=problem, deadline=deadline)
-    return _ITERATORS[config.kind](config, deadline=deadline)
+    return _ITERATORS[config.kind](config, problem=problem, deadline=deadline)
 
 
 def bottom_up_iterate(config: IteratorConfig, problem: Problem | None = None) -> Iterator[RuleNode]:
@@ -639,10 +726,11 @@ def synth(
 ) -> SynthResult:
     """Stream programs from an iterator until one solves every example.
 
-    A bottom-up bank's program is scored from the output vector the bank
-    already holds; every other program is evaluated through one
-    :class:`~synthkit.interpreter.RuleCode` for the run.
-    The iterator owns the deadline and stops once it passes, also when it
+    Every program is scored from the output vector its iterator hands over
+    with it (``last_vector``), so no program is evaluated from scratch.
+    Without ``allow_evaluation_errors`` a vector holding ``EVAL_ERROR``
+    raises the error of the program's first failing example.  The iterator
+    owns the deadline and stops once it passes, also when it
     emits nothing; one long evaluation can overshoot it by a single program.
     An error that ends the search carries the programs enumerated so far as
     its ``enumerated`` attribute.
@@ -651,22 +739,17 @@ def synth(
         raise ValueError("synth needs a problem with at least one example")
     started = time.monotonic()
     deadline = None if timeout_seconds is None else started + timeout_seconds
-    code = RuleCode(config.grammar, problem)
     expected = tuple(example.output for example in problem.examples)
     best: Node | None = None
     best_solved = -1
     enumerated = 0
     try:
         iterator = make_iterator(config, problem=problem, deadline=deadline)
-        banked = isinstance(iterator, BottomUpIterator)
         for program in iterator:
             enumerated += 1
-            if banked:
-                vector = iterator.last_vector
-                if not allow_evaluation_errors and EVAL_ERROR in vector:
-                    code.raise_first_error(program)
-            else:
-                vector = code.vector(program, allow_evaluation_errors)
+            vector = iterator.last_vector
+            if not allow_evaluation_errors and EVAL_ERROR in vector:
+                iterator.code.raise_first_error(program)
             solved = sum(map(values_equal, vector, expected))
             if solved == len(expected):
                 return SynthResult(

@@ -22,7 +22,7 @@ from typing import Iterable, Optional
 from .constraints import Constraint
 from .errors import ConfigError, SynthkitError
 from .grammar import Grammar, set_uniform_probabilities
-from .interpreter import RuleCode, output_key, run_examples, values_equal
+from .interpreter import EVAL_ERROR, output_key, run_examples, values_equal
 # Unused here, but kept as names the benchmark tracer patches on this module.
 from .interpreter import evaluate, to_expression  # noqa: F401
 from .iterators import IteratorConfig, SynthFlag, make_iterator
@@ -75,16 +75,24 @@ def _collect_promising(
     deadline: float | None = None,
     allow_evaluation_errors: bool = True,
 ) -> tuple[set[PromisingProgram], SynthFlag, int]:
-    code = RuleCode(config.grammar, problem)
+    """Score one mlfs enumeration from the output vectors it hands over.
+
+    Returns the promising programs, the flag and the programs enumerated.
+    Without ``allow_evaluation_errors`` a vector holding ``EVAL_ERROR``
+    raises the error of the program's first failing example.
+    """
     expected = [example.output for example in problem.examples]
     # Best representative per output vector, keyed tag-strictly: max fitness,
     # then fewest nodes.
     by_vector: dict[tuple, tuple[float, int, RuleNode]] = {}
     enumerated = 0
     try:
-        for program in make_iterator(config, deadline=deadline):
+        iterator = make_iterator(config, problem=problem, deadline=deadline)
+        for program in iterator:
             enumerated += 1
-            vector = code.vector(program, allow_evaluation_errors)
+            vector = iterator.last_vector
+            if not allow_evaluation_errors and EVAL_ERROR in vector:
+                iterator.code.raise_first_error(program)
             fit = sum(map(values_equal, vector, expected)) / len(expected)
             if fit == 1.0:
                 return {PromisingProgram(program, 1.0)}, SynthFlag.optimal_program, enumerated

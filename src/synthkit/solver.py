@@ -20,9 +20,12 @@ rule since the previous call, decides whether the pattern matches from
 the watched domains alone, and materializes only the bound subtrees.
 The strength is still singleton lookahead per hole: a rule is dropped when
 fixing the hole to it makes some constraint violated in every completion.
-Propagation only ever drops rules that no satisfying program uses; the
-final :func:`~synthkit.constraints.check_program` filter stays the ground
-truth that rejects the programs it lets through.
+Propagation only ever drops rules that no satisfying program uses.  When
+every hole is decided by an assignment followed by propagation, as in the
+bfs/dfs stream, it also rejects every program that breaks a constraint, so
+that stream checks nothing afterwards.  mlfs builds its programs from
+choice tuples outside the state and still filters them with
+:func:`~synthkit.constraints.check_program`, the ground truth.
 """
 
 from __future__ import annotations

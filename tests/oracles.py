@@ -319,21 +319,24 @@ def _violated_here(constraint, node):
     return any(a > b for a, b in zip(texts, texts[1:]))
 
 
-def reference_assignments_depth_first(state, constraints):
+def reference_assignments_depth_first(state, code=None):
     """A uniform tree's programs depth-first, rebuilding the whole tree each time.
 
     Decides the holes in preorder through the solver state, each hole's
     rules in ascending order and the last hole varying fastest, and
-    materializes every complete assignment with ``state.current_tree()``.
-    Patch it in as ``iterators._assignments_depth_first``.
+    materializes every complete assignment with ``state.current_tree()``,
+    keeping those that satisfy the state's constraints.  Each program comes
+    with its output vector from a whole-tree fold, ``code.vector(program)``
+    (``None`` without code).  Patch it in as
+    ``iterators._assignments_depth_first``.
     """
     holes = state.hole_paths()
 
     def fill(i):
         if i == len(holes):
             program = state.current_tree()
-            if check_program(constraints, program):
-                yield program
+            if check_program(state.constraints, program):
+                yield program, None if code is None else code.vector(program)
             return
         path = holes[i]
         for rule in sorted(state.domain(path)):
@@ -346,12 +349,14 @@ def reference_assignments_depth_first(state, constraints):
     return fill(0)
 
 
-def reference_assignments_best_first(state, grammar, constraints):
+def reference_assignments_best_first(state, grammar, code=None):
     """A uniform tree's programs best-first, each with its log-probability.
 
     Walks the per-hole choice tuples by summed log-probability, materializes
-    each with ``state.current_tree(overrides)`` and pairs it with
-    ``max_rulenode_log_probability``.  Patch it in as
+    each with ``state.current_tree(overrides)``, keeps those that satisfy
+    the state's constraints and pairs each with
+    ``max_rulenode_log_probability`` and its whole-tree ``code.vector``
+    (``None`` without code).  Patch it in as
     ``iterators._assignments_best_first``.
     """
     holes = state.hole_paths()
@@ -362,8 +367,9 @@ def reference_assignments_best_first(state, grammar, constraints):
         neg_total, indices, frontier = heapq.heappop(heap)
         overrides = {path: ordered[i][j] for i, (path, j) in enumerate(zip(holes, indices))}
         program = state.current_tree(overrides)
-        if check_program(constraints, program):
-            yield program, max_rulenode_log_probability(program, grammar)
+        if check_program(state.constraints, program):
+            vector = None if code is None else code.vector(program)
+            yield program, max_rulenode_log_probability(program, grammar), vector
         for m in range(frontier, len(holes)):
             j = indices[m]
             if j + 1 < len(values[m]):

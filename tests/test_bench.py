@@ -131,6 +131,15 @@ def test_integer_outside_64_bits_rejected(tmp_path, value):
         load_problem_file(path)
 
 
+@pytest.mark.parametrize("value", [None, [1], {"a": 1}])
+def test_unsupported_json_value_rejected(tmp_path, value):
+    path = tmp_path / "odd.problem.json"
+    for example in ({"input": {"x": value}, "output": 1}, {"input": {"x": 0}, "output": value}):
+        write_problem(path, examples=[example])
+        with pytest.raises(SuiteLoadError, match="odd.problem.json: example 0"):
+            load_problem_file(path)
+
+
 def test_constraints_parsed_from_problem_file(tmp_path):
     write_problem(
         tmp_path / "c.problem.json",

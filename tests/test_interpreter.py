@@ -18,6 +18,7 @@ from synthkit import (
     UnboundVariableError,
     evaluate,
     execute_on_input,
+    make_iterator,
     output_vector,
     parse_grammar,
     parse_node,
@@ -282,17 +283,33 @@ def test_bottom_up_bank_vectors_agree_with_oracle(name, max_size, pruning):
     assert emitted > 20
 
 
+TOP_DOWN_DEPTHS = {"arith": 4, "mini-strings": 4, "mixed": 3}
+
+
 @pytest.mark.parametrize("name", list(GRAMMAR_CASES))
-def test_synth_over_the_bank_raises_the_first_error(name):
-    # Outputs no program reaches, so synth runs until the first program
-    # that fails on some example, and raises that example's error.
+@pytest.mark.parametrize("kind", ["bfs", "dfs", "mlfs"])
+def test_top_down_vectors_agree_with_oracle(kind, name):
+    # Each vector is built from the vectors of the subtrees the stream
+    # shares, or from the memoized subtrees of the mlfs builder.
     grammar, start, problem = _case(name)
-    problem = Problem("unreachable", tuple(IOExample(e.input, "never") for e in problem.examples))
     config = IteratorConfig(
-        "bottom_up", grammar, start, max_size=5, observational_equivalence=True
+        kind, grammar, start, max_depth=TOP_DOWN_DEPTHS[name], max_enumerations=3000
     )
+    iterator = make_iterator(config, problem=problem)
+    emitted = 0
+    for program in iterator:
+        assert_same_vector(iterator.last_vector, reference_output_vector(grammar, program, problem))
+        emitted += 1
+    assert emitted == 3000
+    assert make_iterator(config).code is None
+
+
+def _assert_synth_raises_the_first_error(grammar, problem, config):
+    """Outputs no program reaches, so synth runs until the first program
+    that fails on some example, and raises that example's error."""
+    problem = Problem("unreachable", tuple(IOExample(e.input, "never") for e in problem.examples))
     position, expected = 0, None
-    for position, program in enumerate(BottomUpIterator(config, problem=problem), start=1):
+    for position, program in enumerate(make_iterator(config, problem=problem), start=1):
         try:
             reference_output_vector(grammar, program, problem, allow_errors=False)
         except InterpreterError as exc:
@@ -304,6 +321,56 @@ def test_synth_over_the_bank_raises_the_first_error(name):
     with pytest.raises(type(expected), match=re.escape(str(expected))) as raised:
         synth(problem, config, allow_evaluation_errors=False)
     assert raised.value.enumerated == position
+
+
+@pytest.mark.parametrize("name", list(GRAMMAR_CASES))
+def test_synth_over_the_bank_raises_the_first_error(name):
+    grammar, start, problem = _case(name)
+    config = IteratorConfig(
+        "bottom_up", grammar, start, max_size=5, observational_equivalence=True
+    )
+    _assert_synth_raises_the_first_error(grammar, problem, config)
+
+
+@pytest.mark.parametrize("name", list(GRAMMAR_CASES))
+@pytest.mark.parametrize("kind", ["bfs", "dfs", "mlfs"])
+def test_synth_over_top_down_raises_the_first_error(kind, name):
+    grammar, start, problem = _case(name)
+    config = IteratorConfig(
+        kind, grammar, start, max_depth=TOP_DOWN_DEPTHS[name], max_enumerations=3000
+    )
+    _assert_synth_raises_the_first_error(grammar, problem, config)
+
+
+@pytest.mark.parametrize("value", [2**63, -(2**63) - 1, 2**70, 1.0, None, [1], 3j])
+def test_example_values_must_be_interpreter_values(value):
+    with pytest.raises(ValueError, match="input 'y'"):
+        IOExample({"y": value}, 0)
+    with pytest.raises(ValueError, match="output"):
+        IOExample({"y": 0}, value)
+
+
+def test_examples_at_the_64_bit_bounds_score_alike_with_and_without_arithmetic():
+    # Out-of-range values are rejected, so a value the program passes
+    # through unchanged scores like the same value after ``+ 0``.
+    grammar = parse_grammar("Int = y | 0\nInt = Int + Int")
+    for value in (2**63 - 1, -(2**63)):
+        problem = Problem("bound", (IOExample({"y": value}, value),))
+        assert run_examples(grammar, parse_node("1"), problem) == (1, 1)
+        assert run_examples(grammar, parse_node("3{1,2}"), problem) == (1, 1)
+    with pytest.raises(ValueError):
+        IOExample({"y": 2**70}, 2**70)
+
+
+@pytest.mark.parametrize(
+    "op,args",
+    [("+", (Literal(1),)), ("length", (Literal("a"), Literal("b"))), ("if", ()),
+     ("substring", (Literal("ab"), Literal(1)))],
+)
+def test_wrong_argument_count_is_an_interpreter_error(op, args):
+    expr = Apply(op, args)
+    with pytest.raises(InterpreterError, match=f"^{re.escape(op)} takes"):
+        evaluate(expr, {})
 
 
 def test_outputs_compared_tag_strictly():

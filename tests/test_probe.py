@@ -242,15 +242,28 @@ def test_probe_error_counts_the_programs_of_earlier_cycles(g0_uniform, monkeypat
     # The package exports the function ``probe``; the module is in sys.modules.
     probe_module = importlib.import_module("synthkit.probe")
     scored = []
-    score = probe_module.RuleCode.vector
+    make = probe_module.make_iterator
 
-    def failing_on_the_eighth(code, program, allow_errors=True):
-        scored.append(program)
-        if len(scored) == 8:
-            raise EvaluationError("injected")
-        return score(code, program, allow_errors)
+    class FailingOnTheEighth:
+        """An iterator whose eighth program's vector cannot be read."""
 
-    monkeypatch.setattr(probe_module.RuleCode, "vector", failing_on_the_eighth)
+        def __init__(self, iterator):
+            self.iterator = iterator
+            self.code = iterator.code
+
+        def __iter__(self):
+            return iter(self.iterator)
+
+        @property
+        def last_vector(self):
+            scored.append(self.iterator.last_vector)
+            if len(scored) == 8:
+                raise EvaluationError("injected")
+            return self.iterator.last_vector
+
+    monkeypatch.setattr(
+        probe_module, "make_iterator", lambda *a, **k: FailingOnTheEighth(make(*a, **k))
+    )
     problem = Problem("contradiction", (IOExample({"x": 0}, 1), IOExample({"x": 0}, 2)))
     config = ProbeConfig(probe_cycles=3, max_depth=3, max_enumerations=5)
     with pytest.raises(EvaluationError) as raised:

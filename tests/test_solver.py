@@ -530,3 +530,54 @@ def test_iterators_emit_the_same_sequence_under_reference_propagation(g0, kind, 
                 assert local == drain(family, max_depth, max_size, constraints)
     if kind == "mlfs":
         assert priorities and all(priorities)
+
+
+def _random_pattern(rng, top):
+    """A rule or domain pattern of depth at most 2 over arith's rules; below
+    the top also a pattern variable named a or b."""
+    if not top and rng.random() < 0.3:
+        return f"(var {rng.choice('ab')})"
+    if rng.random() < 0.5:
+        rules = [rng.choice((4, 5)) if top and rng.random() < 0.75 else rng.randint(1, 5)]
+        head = f"rule {rules[0]}"
+    else:
+        rules = sorted(rng.sample(range(1, 6), rng.randint(1, 4)))
+        head = f"domain ({' '.join(map(str, rules))})"
+    if top and {4, 5} & set(rules) and rng.random() < 0.7:
+        return f"({head} {_random_pattern(rng, False)} {_random_pattern(rng, False)})"
+    return f"({head})"
+
+
+def _random_constraint(rng):
+    pattern = _random_pattern(rng, True)
+    names = [name for name in "ab" if f"(var {name})" in pattern]
+    if names and rng.random() < 0.5:
+        rng.shuffle(names)
+        return parse_constraint(f"(ordered {pattern} ({' '.join(names)}))")
+    return parse_constraint(f"(forbidden {pattern})")
+
+
+@pytest.mark.parametrize("kind", ["bfs", "dfs"])
+def test_propagation_alone_decides_constraints(g0, kind):
+    # bfs and dfs check no emitted program against the constraints, so the
+    # solver's propagation must reject exactly the programs that break
+    # one.  bfs must emit the filtered unconstrained sequence; dfs order
+    # depends on what propagation prunes, so it must emit the same set,
+    # each program once.
+    def drain(constraints):
+        config = IteratorConfig(
+            kind, g0, "Int", max_depth=4, max_size=7, constraints=tuple(constraints)
+        )
+        return list(make_iterator(config))
+
+    unconstrained = drain(())
+    rng = random.Random(29)
+    for _ in range(40):
+        constraints = [_random_constraint(rng) for _ in range(rng.randint(1, 2))]
+        expected = [serialize_node(p) for p in unconstrained if check_program(constraints, p)]
+        emitted = [serialize_node(p) for p in drain(constraints)]
+        if kind == "bfs":
+            assert emitted == expected, constraints
+        else:
+            assert len(set(emitted)) == len(emitted), constraints
+            assert set(emitted) == set(expected), constraints
