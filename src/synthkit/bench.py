@@ -27,11 +27,17 @@ from itertools import repeat
 from pathlib import Path
 
 from .constraints import Constraint, parse_constraint
-from .errors import ConstraintSyntaxError, GrammarTextError, SuiteLoadError, SynthkitError
+from .errors import (
+    ConfigError,
+    ConstraintSyntaxError,
+    GrammarTextError,
+    SuiteLoadError,
+    SynthkitError,
+)
 from .grammar import Grammar
 from .grammar_text import parse_grammar
 from .interpreter import Value
-from .iterators import ITERATOR_KINDS, IteratorConfig, SynthFlag, synth
+from .iterators import ITERATOR_KINDS, IteratorConfig, SynthFlag, check_timeout, synth
 from .nodes import serialize_node
 from .probe import ProbeConfig, probe_with_stats
 from .specification import IOExample, Problem
@@ -160,6 +166,8 @@ class SynthesizerSpec:
             raise SuiteLoadError(f"unknown synthesizer kind {self.kind!r}")
         if self.kind == "probe" and self.max_size is not None:
             raise SuiteLoadError("probe takes no max_size; bound it with max_depth")
+        if self.probe_cycles < 0:
+            raise SuiteLoadError(f"probe cycles must be non-negative, got {self.probe_cycles}")
 
 
 @dataclass
@@ -261,6 +269,7 @@ def _run_iterator(problem_file: ProblemFile, grammar: Grammar, spec: Synthesizer
 
 
 def run_one(problem_file: ProblemFile, grammar: Grammar, spec: SynthesizerSpec, timeout: float) -> ProblemRecord:
+    check_timeout(timeout)
     started = time.monotonic()
     try:
         if spec.kind == "probe":
@@ -295,7 +304,12 @@ def run_suite(
     of that many worker processes, each against its own grammar copy, and
     the report keeps suite order either way.  Workers are spawned, not
     forked, so a caller's threads cannot leave them holding a copied lock.
+    A negative timeout or a parallelism below 1 raises ConfigError before
+    any problem runs.
     """
+    check_timeout(timeout_seconds)
+    if parallelism < 1:
+        raise ConfigError(f"parallelism must be at least 1, got {parallelism}")
     if parallelism > 1 and len(pairs) > 1:
         problem_files, grammars = zip(*pairs)
         spawn = multiprocessing.get_context("spawn")

@@ -117,6 +117,8 @@ class Grammar:
             self._log_probabilities: tuple[float, ...] | None = logs
         else:
             self._log_probabilities = None
+        # Largest log-probability of each hole domain asked for so far.
+        self._domain_maxima: dict[frozenset[int], float] = {}
 
     # -- basic lookups ----------------------------------------------------
 
@@ -173,6 +175,18 @@ class Grammar:
             raise ConfigError("grammar has no probabilities")
         self.rule(index)
         return self._log_probabilities[index - 1]
+
+    def max_log_probability(self, domain: frozenset[int]) -> float:
+        """The largest log-probability among a hole domain's rules.
+
+        Computed once per domain and grammar, then read from a table.
+        """
+        best = self._domain_maxima.get(domain)
+        if best is None:
+            if not domain:
+                raise ValueError("hole with an empty domain")
+            best = self._domain_maxima[domain] = max(self.log_probability(r) for r in domain)
+        return best
 
     def probability(self, index: int) -> float:
         return math.exp(self.log_probability(index))

@@ -163,17 +163,23 @@ def max_rulenode_log_probability(node: Node, grammar: Grammar) -> float:
     """Log-probability of the most likely program reachable from a tree.
 
     Decided nodes contribute their rule's log-probability, holes the maximum
-    over their domain; children are summed recursively.
+    over their domain; children are summed recursively.  Both are read from
+    tables: the grammar's log-probabilities and its per-domain maxima.
     """
+    logs = grammar.log_probabilities
+    if logs is None:
+        raise ConfigError("grammar has no probabilities")
+    return _max_log_probability(node, logs, grammar.max_log_probability)
+
+
+def _max_log_probability(node: Node, logs: tuple[float, ...], domain_max) -> float:
     if isinstance(node, RuleNode):
-        total = grammar.log_probability(node.rule)
+        total = logs[node.rule - 1]
     else:
-        if not node.domain:
-            raise ValueError("hole with an empty domain")
-        total = max(grammar.log_probability(r) for r in node.domain)
+        total = domain_max(node.domain)
     if not isinstance(node, Hole):
         for child in node.children:
-            total += max_rulenode_log_probability(child, grammar)
+            total += _max_log_probability(child, logs, domain_max)
     return total
 
 
@@ -372,10 +378,10 @@ def _assignments_depth_first(state, code=None) -> Iterator[tuple[RuleNode, tuple
 
     Every node of the tree gets a generator of its complete subtrees, each
     with its output vector through ``code`` (``None`` without code).  A
-    hole's generator tries its rules in the domain's ascending order,
-    decides the hole through the solver state (save, assign, propagate, and
-    restore once the choice is used up) and then walks the product of its
-    children's generators left to right, so holes are decided in preorder
+    hole's generator takes its rules in the domain's ascending order from
+    :meth:`~synthkit.solver.SolverState.decisions`, which decides the hole
+    in the solver state, and then walks the product of its children's
+    generators left to right, so holes are decided in preorder
     and the last one varies fastest.  Only the nodes on the path from the
     hole that changed to the root are built anew, each with one application
     of its rule's code to its children's vectors; the subtrees beside that
@@ -385,14 +391,18 @@ def _assignments_depth_first(state, code=None) -> Iterator[tuple[RuleNode, tuple
     Propagation alone decides the constraints, so no program is checked
     again.  The solver state posts a site at every position where a
     constraint's pattern can still match this tree's shape and domains,
-    and a position without a site matches in no completion.  Every hole is
-    decided by an assignment followed by propagation, and that propagation
-    re-checks each site watching the hole.  Once the last hole a site
+    and a position without a site matches in no completion.  A hole that a
+    site watches is decided by an assignment followed by propagation, and
+    that propagation re-checks each site watching the hole.  A hole no site
+    watches is decided by iterating its domain: no site reads it, and no
+    propagation is pending when a hole is decided, so assigning and
+    propagating it would change nothing else.  Once the last hole a site
     watches is decided, the site has no blocking hole, so its pattern
     matches and its bound subtrees are checked whole; a violation wipes the
     choice out.  Sites that watch no hole are checked by the state's first
     propagation, before the stream starts.  So every complete program the
-    stream reaches satisfies every constraint.
+    stream reaches satisfies every constraint, and without constraints the
+    stream makes no trail calls at all.
     """
     return _subtree_stream(state, state.root, (), code)()
 
@@ -418,17 +428,13 @@ def _subtree_stream(
         )
 
     def decide() -> Iterator[tuple[RuleNode, tuple | None]]:
-        for rule in state.domain(path):
-            checkpoint = state.save_state()
-            state.assign(path, rule)
-            if state.propagate():
-                apply = None if code is None else code[rule]
-                if not children:
-                    yield RuleNode(rule), apply
-                else:
-                    for kids, vectors in _product(children):
-                        yield RuleNode(rule, kids), None if apply is None else apply(*vectors)
-            state.restore_state(checkpoint)
+        for rule in state.decisions(path):
+            apply = None if code is None else code[rule]
+            if not children:
+                yield RuleNode(rule), apply
+            else:
+                for kids, vectors in _product(children):
+                    yield RuleNode(rule, kids), None if apply is None else apply(*vectors)
 
     return decide
 
@@ -697,6 +703,12 @@ def bottom_up_iterate(config: IteratorConfig, problem: Problem | None = None) ->
     return iter(BottomUpIterator(config, problem=problem))
 
 
+def check_timeout(timeout_seconds: float | None) -> None:
+    """Reject a negative (or NaN) timeout; ``None`` means no timeout."""
+    if timeout_seconds is not None and not timeout_seconds >= 0:
+        raise ConfigError(f"timeout must be non-negative, got {timeout_seconds}")
+
+
 @dataclass
 class SynthStats:
     enumerated: int
@@ -733,8 +745,9 @@ def synth(
     owns the deadline and stops once it passes, also when it
     emits nothing; one long evaluation can overshoot it by a single program.
     An error that ends the search carries the programs enumerated so far as
-    its ``enumerated`` attribute.
+    its ``enumerated`` attribute.  A negative timeout raises ConfigError.
     """
+    check_timeout(timeout_seconds)
     if not problem.examples:
         raise ValueError("synth needs a problem with at least one example")
     started = time.monotonic()

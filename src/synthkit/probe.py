@@ -25,7 +25,7 @@ from .grammar import Grammar, set_uniform_probabilities
 from .interpreter import EVAL_ERROR, output_key, run_examples, values_equal
 # Unused here, but kept as names the benchmark tracer patches on this module.
 from .interpreter import evaluate, to_expression  # noqa: F401
-from .iterators import IteratorConfig, SynthFlag, make_iterator
+from .iterators import IteratorConfig, SynthFlag, check_timeout, make_iterator
 from .nodes import Node, RuleNode, node_count, subtrees
 from .specification import Problem
 
@@ -45,6 +45,10 @@ class ProbeConfig:
     max_enumerations: int = 5000
     allow_evaluation_errors: bool = True
     constraints: tuple[Constraint, ...] = ()
+
+    def __post_init__(self):
+        if self.probe_cycles < 0:
+            raise ConfigError(f"probe_cycles must be non-negative, got {self.probe_cycles}")
 
 
 @dataclass
@@ -170,8 +174,9 @@ def probe_with_stats(
     A cycle the deadline cut short is not counted as completed, and the
     grammar is not reweighted on its partial promising set.  An error that
     ends a cycle carries the programs enumerated over all cycles so far as
-    its ``enumerated`` attribute.
+    its ``enumerated`` attribute.  A negative timeout raises ConfigError.
     """
+    check_timeout(timeout_seconds)
     _require_examples(problem)
     config = config or ProbeConfig()
     deadline = None if timeout_seconds is None else time.monotonic() + timeout_seconds

@@ -20,11 +20,15 @@ rule since the previous call, decides whether the pattern matches from
 the watched domains alone, and materializes only the bound subtrees.
 The strength is still singleton lookahead per hole: a rule is dropped when
 fixing the hole to it makes some constraint violated in every completion.
-Propagation only ever drops rules that no satisfying program uses.  When
-every hole is decided by an assignment followed by propagation, as in the
-bfs/dfs stream, it also rejects every program that breaks a constraint, so
-that stream checks nothing afterwards.  mlfs builds its programs from
-choice tuples outside the state and still filters them with
+Propagation only ever drops rules that no satisfying program uses.
+:meth:`~SolverState.decisions` decides one hole at a time.  A hole that some
+site watches is assigned each rule and propagated; any other hole's rules
+are simply iterated, because no site reads its domain and propagation never
+changes it, so there assignment and propagation would be exact no-ops.
+Deciding every hole this way, as the bfs/dfs stream does, rejects every
+program that breaks a constraint, so that stream checks nothing afterwards,
+and a search without constraints makes no trail calls.  mlfs builds its
+programs from choice tuples outside the state and still filters them with
 :func:`~synthkit.constraints.check_program`, the ground truth.
 """
 
@@ -313,6 +317,30 @@ class SolverState:
         domain = self._domains[path]
         if domain != (rule,):
             self._set(path, (rule,) if rule in domain else ())
+
+    def decisions(self, path: Path) -> Iterator[int]:
+        """Decide a hole to each of its rules in turn, ascending.
+
+        A rule is yielded with the hole decided to it and propagated, and
+        its changes are undone when the next rule is asked for; a rule
+        whose propagation wipes out is skipped.  Propagation reads a hole's
+        domain only through the sites that watch it and never changes an
+        unwatched hole, so while nothing awaits propagation, deciding an
+        unwatched hole is an exact no-op on the state: its rules are
+        yielded as they are, with no trail work, and its domain stays whole.
+        """
+        domain = self._domains[path]
+        if path not in self._watchers and self._checked == len(self._trail):
+            return iter(domain)
+        return self._decide(path, domain)
+
+    def _decide(self, path: Path, domain: tuple[int, ...]) -> Iterator[int]:
+        for rule in domain:
+            checkpoint = self.save_state()
+            self.assign(path, rule)
+            if self.propagate():
+                yield rule
+            self.restore_state(checkpoint)
 
     def save_state(self) -> Checkpoint:
         checkpoint = Checkpoint(len(self._trail), self._checked, len(self._live))

@@ -10,7 +10,7 @@ from itertools import product
 from synthkit.constraints import ConcreteRule, Forbidden, PatternVar, check_program
 from synthkit.errors import EvaluationError, InterpreterError, UnboundVariableError
 from synthkit.interpreter import EVAL_ERROR, Apply, Literal, Variable, to_expression
-from synthkit.iterators import derivation_heuristic, max_rulenode_log_probability
+from synthkit.iterators import derivation_heuristic
 from synthkit.nodes import (
     Hole,
     RuleNode,
@@ -319,6 +319,27 @@ def _violated_here(constraint, node):
     return any(a > b for a, b in zip(texts, texts[1:]))
 
 
+def reference_max_rulenode_log_probability(node, grammar):
+    """Log-probability of the most likely program reachable from a tree.
+
+    Asks the grammar for every rule's log-probability, range-checked, and
+    takes each hole's maximum over its whole domain on every call.  Decided
+    nodes contribute their rule's value, holes their domain's maximum, and
+    children are summed recursively in order, the summation order
+    ``iterators.max_rulenode_log_probability`` must keep.
+    """
+    if isinstance(node, RuleNode):
+        total = grammar.log_probability(node.rule)
+    else:
+        if not node.domain:
+            raise ValueError("hole with an empty domain")
+        total = max(grammar.log_probability(r) for r in node.domain)
+    if not isinstance(node, Hole):
+        for child in node.children:
+            total += reference_max_rulenode_log_probability(child, grammar)
+    return total
+
+
 def reference_assignments_depth_first(state, code=None):
     """A uniform tree's programs depth-first, rebuilding the whole tree each time.
 
@@ -355,8 +376,8 @@ def reference_assignments_best_first(state, grammar, code=None):
     Walks the per-hole choice tuples by summed log-probability, materializes
     each with ``state.current_tree(overrides)``, keeps those that satisfy
     the state's constraints and pairs each with
-    ``max_rulenode_log_probability`` and its whole-tree ``code.vector``
-    (``None`` without code).  Patch it in as
+    ``reference_max_rulenode_log_probability`` and its whole-tree
+    ``code.vector`` (``None`` without code).  Patch it in as
     ``iterators._assignments_best_first``.
     """
     holes = state.hole_paths()
@@ -369,7 +390,7 @@ def reference_assignments_best_first(state, grammar, code=None):
         program = state.current_tree(overrides)
         if check_program(state.constraints, program):
             vector = None if code is None else code.vector(program)
-            yield program, max_rulenode_log_probability(program, grammar), vector
+            yield program, reference_max_rulenode_log_probability(program, grammar), vector
         for m in range(frontier, len(holes)):
             j = indices[m]
             if j + 1 < len(values[m]):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from synthkit import SuiteLoadError
+from synthkit import ConfigError, SuiteLoadError
 from synthkit.bench import (
     ProblemRecord,
     SuiteReport,
@@ -214,6 +214,28 @@ def test_probe_spec_rejects_max_size():
         SynthesizerSpec(kind="probe", max_depth=4, max_size=2)
 
 
+def test_negative_probe_cycles_rejected():
+    with pytest.raises(SuiteLoadError):
+        SynthesizerSpec(kind="probe", max_depth=4, probe_cycles=-3)
+    assert SynthesizerSpec(kind="probe", max_depth=4, probe_cycles=0).probe_cycles == 0
+
+
+def test_negative_timeout_rejected_before_any_run():
+    pairs = get_all_problem_grammar_pairs(ARITH)
+    problem_file, grammar = pairs[0]
+    with pytest.raises(ConfigError):
+        run_one(problem_file, grammar, bfs_spec(), -1.0)
+    with pytest.raises(ConfigError):
+        run_suite(pairs, bfs_spec(), timeout_seconds=-1.0)
+
+
+@pytest.mark.parametrize("parallelism", [0, -4])
+def test_parallelism_below_one_rejected(parallelism):
+    pairs = get_all_problem_grammar_pairs(ARITH)
+    with pytest.raises(ConfigError):
+        run_suite(pairs, bfs_spec(), timeout_seconds=30.0, parallelism=parallelism)
+
+
 def _mini_strings_pair(name):
     return next(
         (problem_file, grammar)
@@ -395,6 +417,24 @@ def test_cli_bench_probe_with_max_size_exits_nonzero(capsys):
     captured = capsys.readouterr()
     assert code != 0
     assert "error:" in captured.err and "max_size" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--cycles", "-2"], "probe cycles"),
+        (["--timeout", "-1"], "timeout"),
+        (["--parallelism", "-4"], "parallelism"),
+    ],
+)
+def test_cli_bench_rejects_negative_budgets(capsys, flags, message):
+    code = main(
+        ["bench", "--suite", str(ARITH), "--synthesizer", "probe", "--max-depth", "3"] + flags
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "error:" in captured.err and message in captured.err
     assert captured.out == ""
 
 

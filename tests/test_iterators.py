@@ -381,6 +381,13 @@ def test_synth_timeout_flags_run(g0, arith_problem):
     assert result.stats.enumerated == 0
 
 
+@pytest.mark.parametrize("timeout", [-1.0, float("nan")])
+def test_synth_rejects_a_negative_timeout(g0, arith_problem, timeout):
+    config = IteratorConfig("bfs", g0, "Int", max_depth=3)
+    with pytest.raises(ConfigError):
+        synth(arith_problem, config, timeout_seconds=timeout)
+
+
 def test_synth_timeout_holds_when_propagation_prunes_everything(g0, arith_problem):
     # Every program has a leaf in {1, 2, 3}, so no uniform tree survives
     # propagation and nothing is ever emitted; the deadline must still stop

@@ -156,6 +156,16 @@ def test_probe_zero_cycles(g0, arith_problem):
     assert probe(g0, "Int", arith_problem, ProbeConfig(probe_cycles=0, max_depth=5)) is None
 
 
+def test_negative_probe_cycles_rejected():
+    with pytest.raises(ConfigError):
+        ProbeConfig(probe_cycles=-3)
+
+
+def test_probe_negative_timeout_rejected(g0, arith_problem):
+    with pytest.raises(ConfigError):
+        probe_with_stats(g0, "Int", arith_problem, ProbeConfig(max_depth=3), timeout_seconds=-1.0)
+
+
 def test_probe_unsatisfiable_keeps_normalization(g0_uniform):
     problem = Problem(
         "contradiction", (IOExample({"x": 0}, 1), IOExample({"x": 0}, 2))

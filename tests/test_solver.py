@@ -3,6 +3,7 @@ import random
 import pytest
 
 from synthkit import (
+    ConfigError,
     Hole,
     IteratorConfig,
     RuleNode,
@@ -17,6 +18,7 @@ from synthkit import (
     max_rulenode_log_probability,
     parse_constraint,
     parse_grammar,
+    parse_node,
     serialize_node,
 )
 from synthkit import iterators
@@ -29,6 +31,7 @@ from oracles import (
     random_partial_tree,
     reference_assignments_best_first,
     reference_assignments_depth_first,
+    reference_max_rulenode_log_probability,
     reference_propagate,
     reference_split_first_hole,
 )
@@ -581,3 +584,93 @@ def test_propagation_alone_decides_constraints(g0, kind):
         else:
             assert len(set(emitted)) == len(emitted), constraints
             assert set(emitted) == set(expected), constraints
+
+
+def _counting(monkeypatch, names):
+    """Count calls of the named SolverState methods."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(SolverState, name)
+
+        def counted(self, *args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(SolverState, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("kind", ["bfs", "dfs"])
+def test_unconstrained_drains_make_no_trail_calls(g0, kind, monkeypatch):
+    # No site watches any hole without constraints, so every hole is
+    # decided by iterating its domain: the only propagation is the one
+    # each uniform tree gets when it is queued.
+    strings = parse_grammar((SUITES_DIR / "mini-strings" / "default.herbg").read_text())
+    counts = _counting(
+        monkeypatch, ["__init__", "save_state", "assign", "restore_state", "propagate"]
+    )
+    for grammar, start, max_depth, max_size in [(g0, "Int", 4, 9), (strings, "S", 3, 6)]:
+        config = IteratorConfig(kind, grammar, start, max_depth=max_depth, max_size=max_size)
+        assert sum(1 for _ in make_iterator(config)) > 0
+    assert counts["__init__"] > 0
+    assert counts["propagate"] == counts["__init__"]
+    assert counts["save_state"] == counts["assign"] == counts["restore_state"] == 0
+
+
+@pytest.mark.parametrize("kind", ["bfs", "dfs"])
+def test_a_constraint_watching_part_of_a_tree_keeps_the_reference_sequence(
+    g0, kind, monkeypatch
+):
+    # Only holes under a multiplication are watched here, so one stream
+    # decides watched holes through the trail and the rest by iteration.
+    constraint = parse_constraint("(forbidden (rule 5 (var a) (var a)))")
+    config = IteratorConfig(
+        kind, g0, "Int", max_depth=4, max_size=9, constraints=(constraint,)
+    )
+    watched = set()
+    decisions = SolverState.decisions
+
+    def recording_decisions(state, path):
+        watched.add(path in state._watchers)
+        return decisions(state, path)
+
+    monkeypatch.setattr(SolverState, "decisions", recording_decisions)
+    emitted = [serialize_node(p) for p in make_iterator(config)]
+    assert watched == {True, False}
+    with monkeypatch.context() as patch:
+        patch.setattr(iterators, "_assignments_depth_first", reference_assignments_depth_first)
+        expected = [serialize_node(p) for p in make_iterator(config)]
+    assert emitted and emitted == expected
+    assert all(check_program((constraint,), parse_node(text)) for text in emitted)
+
+
+def _random_probabilities(grammar, rng):
+    """Seeded random rule probabilities, now and then a zero."""
+    weights = [0.0 if rng.random() < 0.1 else rng.random() for _ in grammar.indices]
+    for ids in grammar.bytype.values():
+        if not any(weights[i - 1] for i in ids):
+            weights[ids[0] - 1] = 1.0
+        total = sum(weights[i - 1] for i in ids)
+        for i in ids:
+            weights[i - 1] /= total
+    return grammar.with_probabilities(weights)
+
+
+def test_max_rulenode_log_probability_equals_the_reference_exactly(g0):
+    # The bound reads rules and domain maxima from tables; every value must
+    # equal the per-rule walk bit for bit, cached or not.
+    strings = parse_grammar((SUITES_DIR / "mini-strings" / "default.herbg").read_text())
+    rng = random.Random(12)
+    checked = 0
+    for grammar, start in [(g0, "Int"), (strings, "S")]:
+        with pytest.raises(ConfigError):
+            max_rulenode_log_probability(Hole(frozenset(grammar.rules_for(start))), grammar)
+        for _ in range(20):
+            weighted = _random_probabilities(grammar, rng)
+            trees = [random_partial_tree(weighted, start, rng, 5) for _ in range(30)]
+            for _ in range(2):
+                for tree in trees:
+                    expected = reference_max_rulenode_log_probability(tree, weighted)
+                    assert max_rulenode_log_probability(tree, weighted) == expected
+                    checked += 1
+    assert checked == 2400
