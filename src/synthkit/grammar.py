@@ -9,7 +9,7 @@ logarithms; linear probabilities are derived views.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
 
 from .errors import ConfigError, GrammarError
@@ -55,15 +55,16 @@ class Rule:
 
     lhs: str
     rhs: tuple[TemplateToken, ...]
+    # The template's placeholder symbols in order, derived once.
+    childtypes: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rhs", tuple(self.rhs))
         if not self.rhs:
             raise GrammarError(f"rule for {self.lhs!r} has an empty template")
-
-    @property
-    def childtypes(self) -> tuple[str, ...]:
-        return tuple(t.symbol for t in self.rhs if isinstance(t, Placeholder))
+        object.__setattr__(
+            self, "childtypes", tuple(t.symbol for t in self.rhs if isinstance(t, Placeholder))
+        )
 
     @property
     def arity(self) -> int:
@@ -74,27 +75,45 @@ class Rule:
         return self.arity == 0
 
 
+class _Structure:
+    """Tables that depend only on the rules, shared by every grammar over them.
+
+    Built once per rule set; reweighted copies of a grammar reuse it.
+    """
+
+    def __init__(self, rules: Iterable[Rule]):
+        self.rules: tuple[Rule, ...] = tuple(rules)
+        if not self.rules:
+            raise GrammarError("a grammar needs at least one rule")
+        by_type: dict[str, list[int]] = {}
+        for i, rule in enumerate(self.rules, start=1):
+            by_type.setdefault(rule.lhs, []).append(i)
+        self.by_type = {sym: tuple(ids) for sym, ids in by_type.items()}
+        # One full-domain hole per nonterminal.
+        self.holes = {sym: Hole(frozenset(ids)) for sym, ids in self.by_type.items()}
+        # Shape classes of each hole domain asked for so far.
+        self.shape_classes: dict[frozenset[int], tuple[UniformHole, ...]] = {}
+
+
 class Grammar:
     """An ordered, 1-indexed collection of rules plus derived lookup tables.
 
     Immutable once constructed; probability updates build a new grammar via
-    :meth:`with_probabilities` or :meth:`with_log_probabilities`.
+    :meth:`with_probabilities` or :meth:`with_log_probabilities`, which
+    shares the tables that depend only on the rules.
     """
 
     def __init__(
         self,
-        rules: Iterable[Rule],
+        rules: Iterable[Rule] | _Structure,
         probabilities: Sequence[float] | None = None,
         log_probabilities: Sequence[float] | None = None,
     ):
-        self._rules: tuple[Rule, ...] = tuple(rules)
-        if not self._rules:
-            raise GrammarError("a grammar needs at least one rule")
-
-        by_type: dict[str, list[int]] = {}
-        for i, rule in enumerate(self._rules, start=1):
-            by_type.setdefault(rule.lhs, []).append(i)
-        self._by_type = {sym: tuple(ids) for sym, ids in by_type.items()}
+        # Reweighted copies pass their source's structure instead of rules.
+        structure = rules if isinstance(rules, _Structure) else _Structure(rules)
+        self._structure = structure
+        self._rules = structure.rules
+        self._by_type = structure.by_type
 
         if probabilities is not None and log_probabilities is not None:
             raise GrammarError("pass either probabilities or log_probabilities, not both")
@@ -192,10 +211,10 @@ class Grammar:
         return math.exp(self.log_probability(index))
 
     def with_probabilities(self, probabilities: Sequence[float]) -> "Grammar":
-        return Grammar(self._rules, probabilities=probabilities)
+        return Grammar(self._structure, probabilities=probabilities)
 
     def with_log_probabilities(self, log_probabilities: Sequence[float]) -> "Grammar":
-        return Grammar(self._rules, log_probabilities=log_probabilities)
+        return Grammar(self._structure, log_probabilities=log_probabilities)
 
     # -- validated node construction ----------------------------------------
 
@@ -226,7 +245,10 @@ class Grammar:
         if (symbol is None) == (domain is None):
             raise GrammarError("pass exactly one of symbol or domain")
         if symbol is not None:
-            return Hole(frozenset(self.rules_for(symbol)))
+            try:
+                return self._structure.holes[symbol]
+            except KeyError:
+                raise GrammarError(f"unknown nonterminal {symbol!r}") from None
         domain = frozenset(domain)
         if not domain:
             raise GrammarError("hole domain must be non-empty")
@@ -234,6 +256,25 @@ class Grammar:
         if len(lhs_set) != 1:
             raise GrammarError(f"hole domain mixes nonterminals {sorted(lhs_set)}")
         return Hole(domain)
+
+    def shape_classes(self, domain: frozenset[int]) -> tuple[UniformHole, ...]:
+        """A hole domain split into maximal classes of rules with equal childtypes.
+
+        Each class is a uniform hole whose children are full-domain plain
+        holes of its childtypes; classes are ordered by their smallest rule.
+        Computed once per domain and rule set, then read from a table.
+        """
+        table = self._structure.shape_classes
+        classes = table.get(domain)
+        if classes is None:
+            groups: dict[tuple[str, ...], list[int]] = {}
+            for rule in sorted(domain):
+                groups.setdefault(self.childtypes(rule), []).append(rule)
+            classes = table[domain] = tuple(
+                UniformHole(frozenset(rules), tuple(self.hole(symbol) for symbol in shape))
+                for shape, rules in groups.items()
+            )
+        return classes
 
     def uniform_hole(self, domain: Iterable[int], children: Sequence[Node] = ()) -> UniformHole:
         """Build a uniform hole, checking that all domain rules share one shape."""

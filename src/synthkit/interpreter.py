@@ -4,9 +4,9 @@ Enumeration is purely syntactic; this module is the other half of the
 split.  Each operator is defined once, in ``_OPERATORS``, by its total
 function of one example's argument values and the argument types it
 expects; the parser and both evaluators below derive from that table.
-Each grammar rule's flat token template is parsed once into an expression
-whose :class:`ChildRef` slots stand for the children of the AST node
-applying that rule.  Then:
+Each rule's flat token template is parsed once, whatever grammar holds
+the rule, into an expression whose :class:`ChildRef` slots stand for the
+children of the AST node applying that rule.  Then:
 
 * :func:`to_expression` fills the slots with the children's expressions,
   and :func:`evaluate` walks the result on one input, raising an
@@ -48,7 +48,7 @@ from .errors import (
     IncompleteTreeError,
     UnboundVariableError,
 )
-from .grammar import Grammar, IntLit, Placeholder, StrLit, Sym
+from .grammar import Grammar, IntLit, Placeholder, Rule, StrLit, Sym
 from .nodes import Node, RuleNode, is_complete
 from .specification import _INT_MAX, _INT_MIN, Problem, Value
 
@@ -207,18 +207,18 @@ class _TemplateParser:
         return Apply(name, tuple(args))
 
 
-_template_cache: "WeakKeyDictionary[Grammar, dict[int, Expression]]" = WeakKeyDictionary()
+# Parsed templates keyed by the rule itself, so every grammar holding an
+# equal rule (reweighted copies, per-task grammars) shares one parse.
+_template_cache: "WeakKeyDictionary[Rule, Expression]" = WeakKeyDictionary()
 
 
 def _template(grammar: Grammar, rule_index: int) -> Expression:
-    per_grammar = _template_cache.get(grammar)
-    if per_grammar is None:
-        per_grammar = {}
-        _template_cache[grammar] = per_grammar
-    template = per_grammar.get(rule_index)
+    rule = grammar.rule(rule_index)
+    template = _template_cache.get(rule)
     if template is None:
-        template = _TemplateParser(rule_index, grammar.rule(rule_index).rhs).parse()
-        per_grammar[rule_index] = template
+        # A parse error names this grammar's index; only parses that
+        # succeed are kept.
+        template = _template_cache[rule] = _TemplateParser(rule_index, rule.rhs).parse()
     return template
 
 

@@ -1,13 +1,18 @@
 """Program enumeration: top-down priority-queue search and bottom-up banks.
 
 Top-down iterators keep a priority queue of trees (lower value dequeues
-first, ties by insertion order).  Dequeuing a tree that still has plain
-holes splits its leftmost one into same-shape classes with
+first, ties by insertion order).  Each queued tree carries its survey
+(:class:`~synthkit.solver.Surveyed`): the paths of its plain holes in
+preorder, its node count and its depth.  Dequeuing a tree that still has
+plain holes splits its leftmost one into same-shape classes with
 :func:`~synthkit.solver.split_first_hole`, which keeps exactly the pieces
-within ``max_depth`` and ``max_size``; dequeuing a uniform tree emits its
-next complete program and re-enqueues the tree until its programs are
-exhausted.  Every queue value, fresh or re-enqueued, comes from the
-iterator's ``_priority`` method, and the discipline differs per iterator:
+within ``max_depth`` and ``max_size`` and derives each piece's survey from
+the tree's, so no queued tree is walked again: a piece is uniform exactly
+when it has no holes left, and bfs keys it by its carried depth.
+Dequeuing a uniform tree emits its next complete program and re-enqueues
+the tree until its programs are exhausted.  Every queue value, fresh or
+re-enqueued, comes from the iterator's ``_priority`` method, and the
+discipline differs per iterator:
 
 * ``bfs``   -- fresh trees are keyed by (depth, insertion counter): FIFO
   within a depth layer; a re-enqueued uniform tree keeps its position, so
@@ -55,7 +60,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
@@ -65,8 +70,8 @@ from .grammar import Grammar, set_uniform_probabilities
 from .interpreter import EVAL_ERROR, RuleCode, output_key, values_equal
 # Unused here, but kept as names the benchmark tracer patches on this module.
 from .interpreter import evaluate, run_examples, to_expression  # noqa: F401
-from .nodes import Hole, Node, RuleNode, depth, is_complete, is_uniform
-from .solver import Path, SolverState, split_first_hole
+from .nodes import Hole, Node, RuleNode, depth, is_complete
+from .solver import Path, SolverState, Surveyed, split_first_hole, survey
 from .specification import Problem
 
 Priority = Union[int, float, tuple]
@@ -195,7 +200,7 @@ def derivation_heuristic(kind: str, grammar: Grammar, domain: Sequence[int]) -> 
 def priority_function(
     kind: str,
     grammar: Grammar,
-    tree: Node,
+    tree: Node | Surveyed,
     parent_value: Priority,
     is_requeued: bool,
     counter: Iterator[int] | None = None,
@@ -207,34 +212,43 @@ def priority_function(
     root).  For bfs a fresh tree gets the lexicographic pair of its depth
     and the next insertion counter: FIFO within a depth layer, so emitted
     program depths never decrease; a re-enqueued tree keeps its position.
+    A :class:`~synthkit.solver.Surveyed` tree's depth is read from its
+    survey rather than walked.
     """
     if kind == "bfs":
         if is_requeued:
             return parent_value
         if counter is None:
             raise ConfigError("bfs priorities need an insertion counter")
-        return (depth(tree), next(counter))
+        return (tree.depth if isinstance(tree, Surveyed) else depth(tree), next(counter))
     if kind == "dfs":
         if is_requeued and not dfs_over_shapes:
             return parent_value
         return parent_value - 1
     if kind == "mlfs":
+        if isinstance(tree, Surveyed):
+            tree = tree.tree
         return -max_rulenode_log_probability(tree, grammar)
     raise ConfigError(f"unknown iterator kind {kind!r}")
 
 
 @dataclass
 class QueueEntry:
-    """One queued tree plus the bookkeeping to resume its enumeration."""
+    """One queued tree with its survey, plus the bookkeeping to resume its
+    enumeration."""
 
-    tree: Node
-    is_uniform: bool
+    piece: Surveyed
     programs: Iterator | None = None
     peeked: RuleNode | None = None
     # Output vector of ``peeked``, or None without a problem.
     vector: tuple | None = None
     # Log-probability of ``peeked``, carried along by mlfs.
     log_probability: float | None = None
+    # A tree is uniform exactly when its survey lists no plain hole.
+    is_uniform: bool = field(init=False)
+
+    def __post_init__(self):
+        self.is_uniform = not self.piece.holes
 
 
 class TopDownIterator:
@@ -264,7 +278,7 @@ class TopDownIterator:
         self._heap: list[tuple[Priority, int, QueueEntry]] = []
         self._tie = itertools.count()
         self._counter = itertools.count()
-        self._push_tree(Hole(frozenset(self.grammar.rules_for(config.start_symbol))), 0)
+        self._push_piece(survey(self.grammar.hole(config.start_symbol)), 0)
         self._stream = self._run()
 
     # -- per-kind knobs -----------------------------------------------------
@@ -272,7 +286,7 @@ class TopDownIterator:
     def _priority(self, entry: QueueEntry, parent_value: Priority, is_requeued: bool) -> Priority:
         """Queue priority of a fresh or re-enqueued entry, partial or uniform."""
         return priority_function(
-            self.kind, self.grammar, entry.tree, parent_value, is_requeued,
+            self.kind, self.grammar, entry.piece, parent_value, is_requeued,
             counter=self._counter, dfs_over_shapes=self.config.dfs_over_shapes,
         )
 
@@ -289,14 +303,14 @@ class TopDownIterator:
         priority = self._priority(entry, parent_value, is_requeued)
         heapq.heappush(self._heap, (priority, next(self._tie), entry))
 
-    def _push_tree(self, tree: Node, parent_value: Priority) -> None:
-        if not is_uniform(tree):
-            self._push(QueueEntry(tree, is_uniform=False), parent_value, False)
+    def _push_piece(self, piece: Surveyed, parent_value: Priority) -> None:
+        if piece.holes:
+            self._push(QueueEntry(piece), parent_value, False)
             return
-        state = SolverState(self.grammar, tree, self.constraints)
+        state = SolverState(self.grammar, piece.tree, self.constraints)
         if not state.propagate():
             return
-        entry = QueueEntry(tree, is_uniform=True, programs=self._uniform_programs(state))
+        entry = QueueEntry(piece, programs=self._uniform_programs(state))
         self._advance(entry)
         if entry.peeked is not None:
             self._push(entry, parent_value, False)
@@ -313,12 +327,13 @@ class TopDownIterator:
             priority, _, entry = heapq.heappop(self._heap)
             if not entry.is_uniform:
                 # One hole per dequeue, so a tree never fans out by more
-                # than its class count; the split drops out-of-bound pieces.
+                # than its class count; the split drops out-of-bound pieces
+                # and hands each piece over with its survey.
                 pieces = split_first_hole(
-                    self.grammar, entry.tree, self.config.max_depth, self.config.max_size
+                    self.grammar, entry.piece, self.config.max_depth, self.config.max_size
                 )
-                for piece in pieces or ():
-                    self._push_tree(piece, priority)
+                for piece in pieces:
+                    self._push_piece(piece, priority)
                 continue
             program, vector = entry.peeked, entry.vector
             self._advance(entry)
@@ -359,13 +374,20 @@ class MLFSIterator(TopDownIterator):
 
     kind = "mlfs"
 
+    def __init__(
+        self, config: IteratorConfig, problem: Problem | None = None, deadline: float | None = None
+    ):
+        # Each hole domain's heuristic order and its log-probabilities.
+        self._orders: dict[tuple[int, ...], tuple[list[int], list[float]]] = {}
+        super().__init__(config, problem, deadline)
+
     def _priority(self, entry, parent_value, is_requeued):
         if entry.is_uniform:
             return -entry.log_probability
         return super()._priority(entry, parent_value, is_requeued)
 
     def _uniform_programs(self, state: SolverState) -> Iterator[tuple]:
-        return _assignments_best_first(state, self.grammar, self.code)
+        return _assignments_best_first(state, self.grammar, self.code, self._orders)
 
     def _advance(self, entry: QueueEntry) -> None:
         entry.peeked, entry.log_probability, entry.vector = next(
@@ -457,7 +479,7 @@ def _product(children: tuple) -> Iterator[tuple[tuple[RuleNode, ...], tuple]]:
 
 
 def _assignments_best_first(
-    state, grammar, code=None
+    state, grammar, code=None, orders=None
 ) -> Iterator[tuple[RuleNode, float, tuple | None]]:
     """Enumerate a uniform tree's programs by non-increasing probability.
 
@@ -469,11 +491,23 @@ def _assignments_best_first(
     :func:`max_rulenode_log_probability`'s order so the two agree exactly,
     and its output vector through ``code`` (``None`` without code).
     Programs that break one of the state's constraints are skipped.
+    ``orders`` maps a hole domain to its rules in heuristic order and their
+    log-probabilities; missing domains are added, so a table kept across
+    uniform trees sorts each distinct domain once.
     """
+    if orders is None:
+        orders = {}
+    logs = grammar.log_probabilities
     holes = state.hole_paths()
-    ordered = [derivation_heuristic("mlfs", grammar, state.domain(p)) for p in holes]
-    values = [[grammar.log_probability(r) for r in rules] for rules in ordered]
-    slots = {path: (i, ordered[i], values[i]) for i, path in enumerate(holes)}
+    slots = {}
+    for i, path in enumerate(holes):
+        domain = state.domain(path)
+        order = orders.get(domain)
+        if order is None:
+            rules = derivation_heuristic("mlfs", grammar, domain)
+            order = orders[domain] = (rules, [logs[r - 1] for r in rules])
+        slots[path] = (i,) + order
+    values = [slots[path][2] for path in holes]
     build = _choice_builder(grammar, state.root, slots, code)
     constraints = state.constraints
 

@@ -3,8 +3,15 @@
 :func:`split_first_hole` is the one splitting primitive: it replaces a
 partial program's leftmost plain hole with one uniform hole per same-shape
 rule class, and returns exactly the pieces within the search's depth and
-size bounds.  :func:`decompose` folds that split over every plain hole.  A
-:class:`SolverState` then owns the mutable hole domains of one uniform tree:
+size bounds.  :func:`decompose` folds the same split over every plain hole.
+The classes of a domain, each with its full-domain child holes, come from
+the grammar's table (:meth:`~synthkit.grammar.Grammar.shape_classes`).
+A split works on a :class:`Surveyed` tree, which carries the paths of its
+plain holes in preorder, its node count and its depth; every piece gets its
+own survey from its parent's without a walk, so a search that queues
+surveyed trees walks no partial tree after building it, and a piece is
+uniform exactly when it has no holes left.  A bare tree is surveyed once.
+A :class:`SolverState` then owns the mutable hole domains of one uniform tree:
 :meth:`~SolverState.propagate` filters domains to a fixed point under the
 active constraints.  Domains are immutable ascending tuples, and every
 change logs the hole's previous domain on a trail, so a LIFO restore puts
@@ -35,7 +42,7 @@ programs from choice tuples outside the state and still filters them with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .constraints import (
     ConcreteRule,
@@ -52,17 +59,24 @@ from .nodes import Hole, Node, RuleNode, UniformHole
 Path = tuple[int, ...]
 
 
-def _shape_classes(grammar: Grammar, domain: Iterable[int]) -> list[tuple[frozenset[int], tuple[str, ...]]]:
-    """Partition a hole domain into maximal equal-childtypes classes.
+class Surveyed(NamedTuple):
+    """A tree with its survey: the paths of its plain holes in preorder,
+    its node count and its depth.
 
-    Classes are ordered by their smallest rule index, members ascending.
+    The tree is uniform exactly when ``holes`` is empty.
     """
-    groups: dict[tuple[str, ...], list[int]] = {}
-    for rule in sorted(domain):
-        groups.setdefault(grammar.childtypes(rule), []).append(rule)
-    classes = [(frozenset(rules), shape) for shape, rules in groups.items()]
-    classes.sort(key=lambda item: min(item[0]))
-    return classes
+
+    tree: Node
+    holes: tuple[Path, ...]
+    size: int
+    depth: int
+
+
+def survey(tree: Node) -> Surveyed:
+    """The tree with its survey, from one walk."""
+    holes: list[Path] = []
+    size, height = _survey(tree, (), holes)
+    return Surveyed(tree, tuple(holes), size, height)
 
 
 def _survey(node: Node, path: Path, holes: list[Path]) -> tuple[int, int]:
@@ -84,50 +98,58 @@ def _replace(node: Node, path: Path, replacement: Node) -> Node:
     if not path:
         return replacement
     index = path[0]
-    children = tuple(
-        _replace(child, path[1:], replacement) if i == index else child
-        for i, child in enumerate(node.children)
-    )
+    children = list(node.children)
+    children[index] = _replace(children[index], path[1:], replacement)
     if isinstance(node, RuleNode):
-        return RuleNode(node.rule, children)
-    return UniformHole(node.domain, children)
+        return RuleNode(node.rule, tuple(children))
+    return UniformHole(node.domain, tuple(children))
 
 
-def _split_hole(
-    grammar: Grammar, tree: Node, path: Path | None, max_depth: int | None, max_size: int | None
-) -> list[Node] | None:
-    """Split the plain hole at ``path``, or the leftmost one when ``path`` is None.
+def _split(
+    grammar: Grammar, surveyed: Surveyed, k: int, max_depth: int | None, max_size: int | None
+) -> list[Surveyed]:
+    """Split the ``k``-th plain hole of a surveyed tree, in preorder.
 
-    Returns ``None`` when there is no such hole.  A class is dropped when
-    its piece would exceed a bound: its fresh children add ``len(shape)``
-    nodes and sit one level below the hole, at depth ``len(path) + 2``.
+    The one splitter.  Each piece gets its survey from its parent's without
+    a walk: the hole's fresh children take its place in the preorder hole
+    list, they add ``len(shape)`` nodes, and they sit one level below the
+    hole, at depth ``len(path) + 2``.  A piece beyond a bound is dropped
+    before it is built.
     """
-    holes: list[Path] = []
-    size, height = _survey(tree, (), holes)
-    if path is None:
-        if not holes:
-            return None
-        path = holes[0]
+    tree, holes, size, height = surveyed
+    path = holes[k]
     hole = tree
     for index in path:
         hole = hole.children[index]
+    before, after = holes[:k], holes[k + 1 :]
+    level = len(path) + 2
     pieces = []
-    for rules, shape in _shape_classes(grammar, hole.domain):
-        if max_size is not None and size + len(shape) > max_size:
+    for replacement in grammar.shape_classes(hole.domain):
+        arity = len(replacement.children)
+        piece_size = size + arity
+        piece_depth = max(height, level) if arity else height
+        if max_size is not None and piece_size > max_size:
             continue
-        if max_depth is not None and (height > max_depth or shape and len(path) + 2 > max_depth):
+        if max_depth is not None and piece_depth > max_depth:
             continue
-        replacement = UniformHole(rules, tuple(grammar.hole(symbol) for symbol in shape))
-        pieces.append(_replace(tree, path, replacement))
+        children = tuple([path + (i,) for i in range(arity)])
+        pieces.append(
+            Surveyed(
+                _replace(tree, path, replacement),
+                before + children + after,
+                piece_size,
+                piece_depth,
+            )
+        )
     return pieces
 
 
 def split_first_hole(
     grammar: Grammar,
-    tree: Node,
+    tree: Node | Surveyed,
     max_depth: int | None = None,
     max_size: int | None = None,
-) -> list[Node] | None:
+) -> list[Node] | list[Surveyed] | None:
     """Replace the leftmost plain hole with one uniform hole per shape class.
 
     Each piece swaps the hole for a uniform hole over one same-shape class
@@ -136,8 +158,17 @@ def split_first_hole(
     Exactly the pieces within the bounds are returned: a piece's depth is
     at most ``max_depth`` and its node count at most ``max_size``.  Returns
     ``None`` when the tree has no plain hole.
+
+    A bare tree is surveyed once and its pieces come back bare.  A
+    :class:`Surveyed` tree is not walked at all, and each of its pieces
+    comes back with its own survey.
     """
-    return _split_hole(grammar, tree, None, max_depth, max_size)
+    if isinstance(tree, Surveyed):
+        return _split(grammar, tree, 0, max_depth, max_size) if tree.holes else None
+    surveyed = survey(tree)
+    if not surveyed.holes:
+        return None
+    return [piece.tree for piece in _split(grammar, surveyed, 0, max_depth, max_size)]
 
 
 def decompose(
@@ -154,16 +185,16 @@ def decompose(
     the splits add stay plain holes.  A tree without plain holes is returned
     unchanged as a singleton list.
     """
-    holes: list[Path] = []
-    _survey(tree, (), holes)
-    pieces = [tree]
-    for path in holes:
+    pieces = [survey(tree)]
+    # A split puts the fresh children where its hole was, so the original
+    # holes still to split are always the last ``remaining`` of a piece's.
+    for remaining in range(len(pieces[0].holes), 0, -1):
         pieces = [
             split
             for piece in pieces
-            for split in _split_hole(grammar, piece, path, max_depth, max_size)
+            for split in _split(grammar, piece, len(piece.holes) - remaining, max_depth, max_size)
         ]
-    return pieces
+    return [piece.tree for piece in pieces]
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,6 +20,7 @@ from synthkit.nodes import (
     node_count,
     serialize_node,
 )
+from synthkit.solver import Surveyed
 
 
 def enumerate_programs(grammar, symbol, max_depth, _cache=None):
@@ -370,7 +371,7 @@ def reference_assignments_depth_first(state, code=None):
     return fill(0)
 
 
-def reference_assignments_best_first(state, grammar, code=None):
+def reference_assignments_best_first(state, grammar, code=None, orders=None):
     """A uniform tree's programs best-first, each with its log-probability.
 
     Walks the per-hole choice tuples by summed log-probability, materializes
@@ -378,7 +379,8 @@ def reference_assignments_best_first(state, grammar, code=None):
     the state's constraints and pairs each with
     ``reference_max_rulenode_log_probability`` and its whole-tree
     ``code.vector`` (``None`` without code).  Patch it in as
-    ``iterators._assignments_best_first``.
+    ``iterators._assignments_best_first``; ``orders`` is ignored, every
+    hole is sorted afresh.
     """
     holes = state.hole_paths()
     ordered = [derivation_heuristic("mlfs", grammar, state.domain(p)) for p in holes]
@@ -398,14 +400,31 @@ def reference_assignments_best_first(state, grammar, code=None):
                 heapq.heappush(heap, (neg_total - (values[m][j + 1] - values[m][j]), bumped, m))
 
 
+def reference_survey(tree):
+    """The tree with its survey from fresh walks: its plain holes' paths in
+    preorder, ``node_count`` and ``depth``."""
+
+    def paths(node, at):
+        if isinstance(node, Hole):
+            return [at]
+        return [p for i, child in enumerate(node.children) for p in paths(child, at + (i,))]
+
+    return Surveyed(tree, tuple(paths(tree, ())), node_count(tree), depth(tree))
+
+
 def reference_split_first_hole(grammar, tree, max_depth=None, max_size=None):
     """Split the leftmost plain hole, then drop the pieces that exceed a bound.
 
     Builds one piece per same-shape class of the hole's domain, each with
     fresh full-domain children, and only afterwards filters them by their
     whole-tree ``depth`` and ``node_count``.  Returns None when the tree has
-    no plain hole.  Patch it in as ``iterators.split_first_hole``.
+    no plain hole.  Given a ``Surveyed`` tree, as the iterators pass it, it
+    ignores the survey and returns each piece with a fresh one from
+    :func:`reference_survey`.  Patch it in as ``iterators.split_first_hole``.
     """
+    if isinstance(tree, Surveyed):
+        pieces = reference_split_first_hole(grammar, tree.tree, max_depth, max_size)
+        return None if pieces is None else [reference_survey(piece) for piece in pieces]
 
     def find(node):
         if isinstance(node, Hole):

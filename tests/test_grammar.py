@@ -6,12 +6,16 @@ import pytest
 from synthkit import (
     GrammarError,
     Hole,
+    IteratorConfig,
     RuleNode,
     arity,
+    make_iterator,
     parse_grammar,
     set_uniform_probabilities,
+    to_expression,
 )
 from synthkit.grammar import Grammar, IntLit, Placeholder, Rule, Sym
+from synthkit.iterators import derivation_heuristic
 
 
 def test_arity_terminal_rule(g0):
@@ -147,6 +151,55 @@ def test_hole_factory(g0):
     assert g0.hole(domain={1, 3}) == Hole(frozenset({1, 3}))
     with pytest.raises(GrammarError):
         g0.hole("Bool")
+
+
+def test_structure_lookups_keep_their_checks(g0):
+    strings = parse_grammar("S = x | concat(S, S) | substring(S, I, I)\nI = 1 | length(S)")
+    for grammar in (g0, strings, strings.with_probabilities([0.5, 0.25, 0.25, 0.5, 0.5])):
+        for symbol in grammar.nonterminals:
+            assert grammar.hole(symbol) == Hole(frozenset(grammar.rules_for(symbol)))
+        with pytest.raises(GrammarError):
+            grammar.hole("Bool")
+        for index in (0, grammar.rule_count + 1):
+            with pytest.raises(IndexError):
+                grammar.childtypes(index)
+    assert strings.childtypes(3) == ("S", "I", "I")
+
+
+def test_reweighted_copies_share_structure_but_read_their_own_probabilities(g0):
+    full = frozenset(g0.rules_for("Int"))
+    source = g0.with_probabilities([0.3, 0.1, 0.25, 0.2, 0.15])
+    # Fill the source's tables first, so a copy that read them would fail.
+    assert source.max_log_probability(full) == math.log(0.3)
+    assert derivation_heuristic("mlfs", source, sorted(full)) == [1, 3, 4, 5, 2]
+    config = IteratorConfig("mlfs", source, "Int", max_depth=2)
+    assert [next(make_iterator(config))] == [RuleNode(1)]
+
+    copies = (
+        source.with_probabilities([0.1, 0.2, 0.35, 0.15, 0.2]),
+        source.with_log_probabilities([math.log(p) for p in (0.1, 0.2, 0.35, 0.15, 0.2)]),
+    )
+    for copy in copies:
+        assert copy.max_log_probability(full) == math.log(0.35)
+        assert derivation_heuristic("mlfs", copy, sorted(full)) == [3, 2, 5, 4, 1]
+        config = IteratorConfig("mlfs", copy, "Int", max_depth=2)
+        assert [next(make_iterator(config))] == [RuleNode(3)]
+        assert copy.hole("Int") is source.hole("Int")
+        assert copy.shape_classes(full) is source.shape_classes(full)
+    assert source.max_log_probability(full) == math.log(0.3)
+    assert g0.hole("Int") is source.hole("Int")
+
+
+def test_a_template_error_names_the_index_in_its_own_grammar():
+    # Templates are shared between grammars holding an equal rule; an
+    # error must still name the failing rule's index in the grammar asked.
+    bad = Rule("S", (Sym("+"),))
+    first = Grammar([Rule("S", (Sym("x"),)), bad])
+    second = Grammar([bad, Rule("S", (Sym("x"),)), Rule("S", (Sym("y"),))])
+    for grammar, index in ((first, 2), (second, 1), (first, 2)):
+        with pytest.raises(GrammarError, match=f"^rule {index}:"):
+            to_expression(grammar, RuleNode(index))
+    assert str(to_expression(second, RuleNode(2))) == str(to_expression(first, RuleNode(1)))
 
 
 def test_hole_factory_rejects_mixed_nonterminals():

@@ -23,7 +23,7 @@ from synthkit import (
 )
 from synthkit import iterators
 from synthkit.iterators import MLFSIterator
-from synthkit.solver import SolverState, split_first_hole
+from synthkit.solver import SolverState, split_first_hole, survey
 
 from conftest import SUITES_DIR
 from oracles import (
@@ -34,6 +34,7 @@ from oracles import (
     reference_max_rulenode_log_probability,
     reference_propagate,
     reference_split_first_hole,
+    reference_survey,
 )
 
 FORBID_PLUS_AA = parse_constraint("(forbidden (rule 4 (var a) (var a)))")
@@ -317,6 +318,37 @@ def test_split_first_hole_matches_the_build_then_filter_reference(g0):
                 )
 
 
+def test_split_carries_each_piece_survey(g0):
+    # Splitting a surveyed tree walks nothing: each piece's survey comes
+    # from its parent's.  Down a chain of splits every carried survey must
+    # equal a fresh walk of its piece, the pieces must equal the
+    # reference's, and "no holes left" must mean uniform.
+    strings = parse_grammar((SUITES_DIR / "mini-strings" / "default.herbg").read_text())
+    rng = random.Random(41)
+    for grammar, start in ((g0, "Int"), (strings, "S")):
+        for _ in range(100):
+            tree = random_partial_tree(grammar, start, rng, rng.randint(1, 4))
+            assert survey(tree) == reference_survey(tree)
+            for max_depth, max_size in SPLIT_BOUNDS:
+                frontier = [survey(tree)]
+                for _ in range(1 if max_depth is max_size is None else 40):
+                    if not frontier:
+                        break
+                    surveyed = frontier.pop()
+                    pieces = split_first_hole(grammar, surveyed, max_depth, max_size)
+                    expected = reference_split_first_hole(
+                        grammar, surveyed.tree, max_depth, max_size
+                    )
+                    if expected is None:
+                        assert pieces is None and not surveyed.holes
+                        continue
+                    assert [piece.tree for piece in pieces] == expected
+                    for piece in pieces:
+                        assert piece == reference_survey(piece.tree)
+                        assert (not piece.holes) == is_uniform(piece.tree)
+                    frontier.extend(pieces)
+
+
 def test_decompose_returns_exactly_the_pieces_within_bounds(g0):
     rng = random.Random(31)
     for _ in range(100):
@@ -520,14 +552,24 @@ def test_iterators_emit_the_same_sequence_under_reference_propagation(g0, kind, 
         )
         return [serialize_node(p) for p in make_iterator(config)]
 
+    reference_splits = []
+
+    def counted_reference_split(*args):
+        reference_splits.append(1)
+        return reference_split_first_hole(*args)
+
     for family, max_depth, max_size, constraints in SEQUENCE_CASES:
         local = drain(family, max_depth, max_size, constraints)
         with monkeypatch.context() as patch:
             patch.setattr(iterators, "_assignments_depth_first", reference_assignments_depth_first)
             patch.setattr(iterators, "_assignments_best_first", reference_assignments_best_first)
             assert local and local == drain(family, max_depth, max_size, constraints)
-            patch.setattr(iterators, "split_first_hole", reference_split_first_hole)
+            # The iterator splits through this name, so the reference and
+            # its freshly walked surveys replace every split.
+            del reference_splits[:]
+            patch.setattr(iterators, "split_first_hole", counted_reference_split)
             assert local == drain(family, max_depth, max_size, constraints)
+            assert reference_splits
             if constraints:
                 patch.setattr(SolverState, "propagate", reference_propagate)
                 assert local == drain(family, max_depth, max_size, constraints)
