@@ -39,7 +39,8 @@ result.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Union
+from operator import eq
+from typing import Callable, Mapping, Sequence, Union
 from weakref import WeakKeyDictionary
 
 from .errors import (
@@ -376,6 +377,34 @@ def values_equal(actual: Value, expected: Value) -> bool:
     return type(actual) is type(expected) and actual == expected
 
 
+def solved_counter(expected: Sequence[Value]) -> Callable[[tuple], int]:
+    """A function counting the positions where an output vector's value
+    equals ``expected``'s under :func:`values_equal`.
+
+    The count runs in C, through ``operator.eq`` on the raw values.  Python's
+    ``==`` differs from :func:`values_equal` only between a boolean and the
+    integer 0 or 1 (``True == 1``): strings equal no value of another type,
+    and ``EVAL_ERROR``, a tuple of a string, equals no legal value.  So only
+    the positions where ``expected`` holds a boolean, a 0 or a 1 are checked
+    again for a type match.
+    """
+    expected = tuple(expected)
+    confusable = tuple(
+        i for i, value in enumerate(expected) if type(value) in (bool, int) and value in (0, 1)
+    )
+    if not confusable:
+        return lambda vector: sum(map(eq, vector, expected))
+
+    def count(vector: tuple) -> int:
+        solved = sum(map(eq, vector, expected))
+        for i in confusable:
+            if type(vector[i]) is not type(expected[i]) and vector[i] == expected[i]:
+                solved -= 1
+        return solved
+
+    return count
+
+
 def output_key(vector: tuple) -> tuple:
     """A hashable key under which two output vectors collide only when they
     are equal element by element under :func:`values_equal`.
@@ -507,5 +536,5 @@ def run_examples(
     if not problem.examples:
         return 0, 0
     outputs = output_vector(grammar, node, problem, allow_errors)
-    expected = (example.output for example in problem.examples)
-    return sum(map(values_equal, outputs, expected)), len(outputs)
+    count = solved_counter(example.output for example in problem.examples)
+    return count(outputs), len(outputs)

@@ -53,21 +53,48 @@ problem every vector is ``None`` and no rule is compiled.
 Every iterator takes an optional deadline (a :func:`time.monotonic` value):
 top-down search checks it on every dequeue, bottom-up on every candidate,
 so a search stops in time even when it emits nothing.
+
+Top-down searches over one grammar share their enumeration.  A top-down
+search never reads its problem: its program sequence depends only on its
+key -- the kind, start symbol, ``max_depth``, ``max_size``, constraints,
+``dfs_over_shapes`` and the grammar's log-probabilities -- and only the
+output vectors depend on the problem.  A search with a problem and a
+``max_enumerations`` budget whose key was seen before over the same rules
+replays one recorded enumeration.  The recorded search runs once, with a
+:class:`_Tape` in place of its ``RuleCode``: each of its "vectors" is the
+index of a tape entry ``(rule, child entries)``, one per rule application.
+Each consumer replays the tape through its own ``RuleCode``, one rule
+application per entry, as many as the search itself would make, and
+extends the recording where it ends.  Its deadline pauses the recorded
+search rather than ending it.  The first sight of a key only notes it and
+searches afresh, as does every search without a problem or a budget, so
+the enumeration workloads and bottom-up search never record.  Recordings
+live in a table keyed weakly by the grammar's rule structure: at most four
+recordings and eight noted keys per structure, each evicting the least
+recently used.  A recording holds the programs handed over so far, their
+tape and the paused search's queue; a consumer holds one vector per tape
+entry it replayed.  The table is module state, so pickling a grammar never
+carries it, and a worker process that receives grammars by pickle starts
+without recordings.
 """
 
 from __future__ import annotations
 
+import copy
 import heapq
 import itertools
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Sequence, Union
+from weakref import WeakKeyDictionary
 
 from .constraints import Constraint, check_program
 from .errors import ConfigError, SynthkitError
 from .grammar import Grammar, set_uniform_probabilities
-from .interpreter import EVAL_ERROR, RuleCode, output_key, values_equal
+from .interpreter import EVAL_ERROR, RuleCode, output_key, solved_counter
 # Unused here, but kept as names the benchmark tracer patches on this module.
 from .interpreter import evaluate, run_examples, to_expression  # noqa: F401
 from .nodes import Hole, Node, RuleNode, depth, is_complete
@@ -279,7 +306,8 @@ class TopDownIterator:
         self._tie = itertools.count()
         self._counter = itertools.count()
         self._push_piece(survey(self.grammar.hole(config.start_symbol)), 0)
-        self._stream = self._run()
+        recording = None if problem is None else _recording_for(config)
+        self._stream = self._run() if recording is None else self._replay(recording)
 
     # -- per-kind knobs -----------------------------------------------------
 
@@ -315,15 +343,21 @@ class TopDownIterator:
         if entry.peeked is not None:
             self._push(entry, parent_value, False)
 
-    def _run(self) -> Iterator[RuleNode]:
+    def _run(self, pause: bool = False) -> Iterator[RuleNode | None]:
+        """The search.  With ``pause`` a passed deadline yields ``None``
+        instead of ending it, and the search resumes under whatever
+        deadline is set when it is next advanced."""
         emitted = 0
         budget = self.config.max_enumerations
-        deadline = self.deadline
         while self._heap:
             if budget is not None and emitted >= budget:
                 return
+            deadline = self.deadline
             if deadline is not None and time.monotonic() >= deadline:
-                return
+                if not pause:
+                    return
+                yield None
+                continue
             priority, _, entry = heapq.heappop(self._heap)
             if not entry.is_uniform:
                 # One hole per dequeue, so a tree never fans out by more
@@ -342,6 +376,38 @@ class TopDownIterator:
             emitted += 1
             self.last_vector = vector
             yield program
+
+    def _replay(self, recording: _Recording) -> Iterator[RuleNode]:
+        """The recorded search's programs, each with its vector replayed
+        from the tape through :attr:`code`, extending the recording where
+        it ends."""
+        programs, roots = recording.programs, recording.roots
+        tape = recording.tape
+        rules, children_of = tape.rules, tape.children
+        code = self.code
+        vectors: list[tuple] = []
+        append, vector_at = vectors.append, vectors.__getitem__
+        deadline = self.deadline
+        for emitted in range(self.config.max_enumerations):
+            if deadline is not None and time.monotonic() >= deadline:
+                return
+            if emitted == len(roots) and not recording.extend(deadline):
+                if recording.broken:
+                    # Another consumer's extension raised; search afresh
+                    # and pass over the programs already handed over.
+                    stream = self._run()
+                    for _ in itertools.islice(stream, emitted):
+                        pass
+                    yield from stream
+                return
+            index = roots[emitted]
+            # One rule application per tape entry, in tape order: children
+            # always come before their parent.
+            start = len(vectors)
+            for rule, children in zip(rules[start : index + 1], children_of[start : index + 1]):
+                append(code[rule](*map(vector_at, children)) if children else code[rule])
+            self.last_vector = vectors[index]
+            yield programs[emitted]
 
     def __iter__(self) -> Iterator[RuleNode]:
         return self._stream
@@ -595,6 +661,160 @@ def _choice_builder(grammar, root: Node, slots, code) -> Callable[[tuple], tuple
     return builder(root, ())[0]
 
 
+# -- shared enumerations ------------------------------------------------------
+
+
+class _Tape(dict):
+    """Stands in for a :class:`~synthkit.interpreter.RuleCode` while a search
+    is recorded.
+
+    It follows the same protocol, ``tape[rule]`` and ``tape.vector(node)``,
+    but a node's "vector" is the index of an entry on the tape: one entry
+    per rule application the search makes, each after its children's.
+    Entry ``i`` applies ``rules[i]`` to the entries ``children[i]``.
+    """
+
+    def __init__(self, grammar: Grammar):
+        super().__init__()
+        self.grammar = grammar
+        self.rules: list[int] = []
+        self.children: list[tuple[int, ...]] = []
+
+    def __missing__(self, rule: int):
+        rules, children_of = self.rules, self.children
+
+        def code(*children: int) -> int:
+            rules.append(rule)
+            children_of.append(children)
+            return len(rules) - 1
+
+        # A leaf rule's code is its one entry, as a RuleCode's is its vector.
+        self[rule] = code if self.grammar.childtypes(rule) else code()
+        return self[rule]
+
+    def vector(self, node: RuleNode) -> int:
+        if node.children:
+            return self[node.rule](*[self.vector(child) for child in node.children])
+        return self[node.rule]
+
+
+class _Recording:
+    """One top-down search, run once and replayed by every search with its key.
+
+    :attr:`programs` holds the programs in emission order and :attr:`roots`
+    the tape entry of each one's root.  The search runs without a budget or
+    a deadline of its own: a consumer extends it one program at a time under
+    the consumer's deadline, which pauses the search rather than ending it.
+    One consumer at a time extends it; a program's root is recorded only
+    after its tape entries, so other threads may replay meanwhile.  A search
+    that raises is dropped from its shelf and marked broken.
+    """
+
+    def __init__(self, config: IteratorConfig, shelf: _Shelf, key: tuple):
+        # A grammar over a fresh structure, so the recording holds no
+        # reference to the structure that keys its shelf.
+        rules = [config.grammar.rule(i) for i in config.grammar.indices]
+        grammar = Grammar(rules, log_probabilities=config.grammar.log_probabilities)
+        # Consumers read as far as their own budgets; without one, the
+        # search may have no bound at all, which only a config check forbids.
+        config = copy.copy(config)
+        config.grammar, config.max_enumerations = grammar, None
+        self.search = _ITERATORS[config.kind](config)
+        # Nothing is built before the search first runs: its root is a hole.
+        self.tape = self.search.code = _Tape(grammar)
+        self.programs: list[RuleNode] = []
+        self.roots: list[int] = []
+        self.broken = False
+        self._lock = threading.Lock()
+        # The recording holds the only stream, so no cycle keeps a dropped
+        # recording's search alive until the collector runs.
+        self._stream = self.search._run(pause=True)
+        self.search._stream = None
+        self._shelf, self._key = shelf, key
+
+    def extend(self, deadline: float | None) -> bool:
+        """Record the search's next program; False once the search is
+        exhausted, paused at ``deadline`` or broken."""
+        with self._lock:
+            if self.broken:
+                return False
+            self.search.deadline = deadline
+            try:
+                program = next(self._stream, None)
+            except BaseException:
+                self.broken = True
+                self._shelf.drop(self._key, self)
+                raise
+            if program is None:
+                return False
+            self.programs.append(program)
+            self.roots.append(self.search.last_vector)
+            return True
+
+
+class _Shelf:
+    """The recordings kept for one grammar structure.
+
+    A key seen once is only noted; the second search with it starts a
+    recording.  At most ``RECORDINGS`` recordings and ``NOTED`` noted keys
+    are kept, each evicting its least recently used.  A key must come back
+    within ``NOTED`` new keys to be recorded, so a key that recurs only
+    after many others, and would be evicted again before its next use,
+    costs no recording.
+    """
+
+    RECORDINGS = 4
+    NOTED = 8
+
+    def __init__(self):
+        self.noted: OrderedDict[tuple, None] = OrderedDict()
+        self.recordings: OrderedDict[tuple, _Recording] = OrderedDict()
+
+    def lookup(self, key: tuple, config: IteratorConfig) -> _Recording | None:
+        recording = self.recordings.get(key)
+        if recording is not None:
+            self.recordings.move_to_end(key)
+            return recording
+        if key not in self.noted:
+            self.noted[key] = None
+            if len(self.noted) > self.NOTED:
+                self.noted.popitem(last=False)
+            return None
+        del self.noted[key]
+        recording = self.recordings[key] = _Recording(config, self, key)
+        if len(self.recordings) > self.RECORDINGS:
+            self.recordings.popitem(last=False)
+        return recording
+
+    def drop(self, key: tuple, recording: _Recording) -> None:
+        with _SHELVES_LOCK:
+            if self.recordings.get(key) is recording:
+                del self.recordings[key]
+
+
+# One shelf per grammar structure, alive as long as some grammar holds it.
+# Module state, so pickling a grammar never carries a recording.
+_SHELVES: "WeakKeyDictionary[object, _Shelf]" = WeakKeyDictionary()
+_SHELVES_LOCK = threading.Lock()
+
+
+def _recording_for(config: IteratorConfig) -> _Recording | None:
+    """The shared recording a top-down search with a problem replays, or
+    ``None`` to search afresh: without a budget, or on a key's first sight."""
+    if config.max_enumerations is None:
+        return None
+    key = (
+        config.kind, config.start_symbol, config.max_depth, config.max_size,
+        config.constraints, config.dfs_over_shapes, config.grammar.log_probabilities,
+    )
+    structure = config.grammar._structure
+    with _SHELVES_LOCK:
+        shelf = _SHELVES.get(structure)
+        if shelf is None:
+            shelf = _SHELVES[structure] = _Shelf()
+        return shelf.lookup(key, config)
+
+
 class BottomUpIterator:
     """Size-indexed bank enumeration: combine small programs into larger ones.
 
@@ -786,7 +1006,7 @@ def synth(
         raise ValueError("synth needs a problem with at least one example")
     started = time.monotonic()
     deadline = None if timeout_seconds is None else started + timeout_seconds
-    expected = tuple(example.output for example in problem.examples)
+    count_solved = solved_counter(example.output for example in problem.examples)
     best: Node | None = None
     best_solved = -1
     enumerated = 0
@@ -797,8 +1017,8 @@ def synth(
             vector = iterator.last_vector
             if not allow_evaluation_errors and EVAL_ERROR in vector:
                 iterator.code.raise_first_error(program)
-            solved = sum(map(values_equal, vector, expected))
-            if solved == len(expected):
+            solved = count_solved(vector)
+            if solved == len(vector):
                 return SynthResult(
                     program,
                     SynthFlag.optimal_program,

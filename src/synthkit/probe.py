@@ -87,8 +87,10 @@ def _collect_promising(
     """
     expected = [example.output for example in problem.examples]
     # Best representative per output vector, keyed tag-strictly: max fitness,
-    # then fewest nodes.
-    by_vector: dict[tuple, tuple[float, int, RuleNode]] = {}
+    # then fewest nodes, then the earliest.  Programs with one vector have one
+    # fitness, so sizes are counted only when a vector comes again; a held
+    # size is None until then.
+    by_vector: dict[tuple, tuple[float, int | None, RuleNode]] = {}
     enumerated = 0
     try:
         iterator = make_iterator(config, problem=problem, deadline=deadline)
@@ -97,16 +99,22 @@ def _collect_promising(
             vector = iterator.last_vector
             if not allow_evaluation_errors and EVAL_ERROR in vector:
                 iterator.code.raise_first_error(program)
+            # Counted through values_equal rather than solved_counter: the
+            # benchmark's smoke test patches values_equal here to check that
+            # a wrongly accepted program fails a run.
             fit = sum(map(values_equal, vector, expected)) / len(expected)
             if fit == 1.0:
                 return {PromisingProgram(program, 1.0)}, SynthFlag.optimal_program, enumerated
             if fit <= 0.0:
                 continue
-            size = node_count(program)
             key = output_key(vector)
             held = by_vector.get(key)
-            if held is None or (fit, -size) > (held[0], -held[1]):
-                by_vector[key] = (fit, size, program)
+            if held is None or fit > held[0]:
+                by_vector[key] = (fit, None, program)
+            elif fit == held[0]:
+                held_size = held[1] or node_count(held[2])
+                size = node_count(program)
+                by_vector[key] = (fit, size, program) if size < held_size else (fit, held_size, held[2])
     except SynthkitError as exc:
         exc.enumerated = enumerated
         raise

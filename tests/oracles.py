@@ -10,6 +10,7 @@ from itertools import product
 from synthkit.constraints import ConcreteRule, Forbidden, PatternVar, check_program
 from synthkit.errors import EvaluationError, InterpreterError, UnboundVariableError
 from synthkit.interpreter import EVAL_ERROR, Apply, Literal, Variable, to_expression
+from synthkit import iterators
 from synthkit.iterators import derivation_heuristic
 from synthkit.nodes import (
     Hole,
@@ -463,3 +464,10 @@ def reference_split_first_hole(grammar, tree, max_depth=None, max_size=None):
         if (max_depth is None or depth(piece) <= max_depth)
         and (max_size is None or node_count(piece) <= max_size)
     ]
+
+
+def has_recording(grammar):
+    """Whether a top-down search over the grammar's rules is recorded for
+    replay, so that a search with its key would not run the search code."""
+    shelf = iterators._SHELVES.get(grammar._structure)
+    return bool(shelf and shelf.recordings)

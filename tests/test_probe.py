@@ -25,6 +25,8 @@ from synthkit import (
     set_uniform_probabilities,
 )
 
+from oracles import has_recording
+
 
 def test_fitness_of_solution(g0, arith_problem):
     assert fitness(parse_node("4{3,4{1,3}}"), g0, arith_problem) == 1.0
@@ -276,6 +278,7 @@ def test_probe_error_counts_the_programs_of_earlier_cycles(g0_uniform, monkeypat
     )
     problem = Problem("contradiction", (IOExample({"x": 0}, 1), IOExample({"x": 0}, 2)))
     config = ProbeConfig(probe_cycles=3, max_depth=3, max_enumerations=5)
+    assert not has_recording(g0_uniform)
     with pytest.raises(EvaluationError) as raised:
         probe_with_stats(g0_uniform, "Int", problem, config)
     assert raised.value.enumerated == 8
@@ -291,3 +294,63 @@ def test_promising_programs_keep_bool_and_int_vectors_apart():
     assert flag == SynthFlag.suboptimal_program
     programs = {serialize_node(entry.program) for entry in promising}
     assert {"2", "3{1,2}"} <= programs
+
+
+def _promising_by_the_full_loop(config, problem):
+    """Representatives as chosen when every positive-fitness program's size
+    was counted: per output vector the highest fitness, then the fewest
+    nodes, then the earliest.  Also counts the programs that replaced a held
+    one by being smaller, and the ties that kept the held one."""
+    from synthkit.interpreter import output_key, values_equal
+    from synthkit.iterators import make_iterator
+    from synthkit.nodes import node_count
+
+    expected = [example.output for example in problem.examples]
+    by_vector = {}
+    smaller = kept = 0
+    iterator = make_iterator(config, problem=problem)
+    for program in iterator:
+        vector = iterator.last_vector
+        fit = sum(map(values_equal, vector, expected)) / len(expected)
+        assert fit < 1.0
+        if fit <= 0.0:
+            continue
+        size = node_count(program)
+        key = output_key(vector)
+        held = by_vector.get(key)
+        if held is None or (fit, -size) > (held[0], -held[1]):
+            smaller += held is not None
+            by_vector[key] = (fit, size, program)
+        else:
+            kept += 1
+    return {PromisingProgram(prog, fit) for fit, _, prog in by_vector.values()}, smaller, kept
+
+
+def test_promising_representatives_match_the_full_size_loop(strings_grammar):
+    # dfs reaches deep programs first, so a smaller program often comes
+    # after a larger one with the same outputs.
+    problems = [
+        Problem("ends", (IOExample({"x": "hello"}, "o!"), IOExample({"x": "ab"}, "b"))),
+        Problem("heads", (IOExample({"x": "hello"}, "h"), IOExample({"x": "ab"}, "ab!"))),
+    ]
+    weightings = [
+        [0.3, 0.1, 0.5, 0.1, 0.2, 0.3, 0.5],
+        [0.1, 0.6, 0.1, 0.2, 0.7, 0.1, 0.2],
+    ]
+    smaller = kept = 0
+    for problem in problems:
+        for weights in weightings:
+            grammar = strings_grammar.with_probabilities(weights)
+            for kind, max_depth, budget in (("mlfs", 4, 3000), ("dfs", 3, 2000), ("dfs", 4, 3000)):
+                config = IteratorConfig(
+                    kind, grammar, "S", max_depth=max_depth, max_enumerations=budget
+                )
+                expected, replaced, ties = _promising_by_the_full_loop(config, problem)
+                smaller += replaced
+                kept += ties
+                promising, flag = get_promising_programs_with_fitness(config, problem)
+                assert flag == (SynthFlag.suboptimal_program if expected else SynthFlag.no_program)
+                assert {(serialize_node(p.program), p.fitness) for p in promising} == {
+                    (serialize_node(p.program), p.fitness) for p in expected
+                }
+    assert smaller and kept

@@ -27,6 +27,7 @@ from synthkit.solver import SolverState, split_first_hole, survey
 
 from conftest import SUITES_DIR
 from oracles import (
+    has_recording,
     expand_completions,
     random_partial_tree,
     reference_assignments_best_first,
@@ -550,6 +551,8 @@ def test_iterators_emit_the_same_sequence_under_reference_propagation(g0, kind, 
             kind, grammar, start, max_depth=max_depth, max_size=max_size,
             constraints=tuple(constraints),
         )
+        # A replayed search would run none of the patched code.
+        assert not has_recording(grammar)
         return [serialize_node(p) for p in make_iterator(config)]
 
     reference_splits = []
@@ -653,6 +656,7 @@ def test_unconstrained_drains_make_no_trail_calls(g0, kind, monkeypatch):
     )
     for grammar, start, max_depth, max_size in [(g0, "Int", 4, 9), (strings, "S", 3, 6)]:
         config = IteratorConfig(kind, grammar, start, max_depth=max_depth, max_size=max_size)
+        assert not has_recording(grammar)
         assert sum(1 for _ in make_iterator(config)) > 0
     assert counts["__init__"] > 0
     assert counts["propagate"] == counts["__init__"]
@@ -677,6 +681,7 @@ def test_a_constraint_watching_part_of_a_tree_keeps_the_reference_sequence(
         return decisions(state, path)
 
     monkeypatch.setattr(SolverState, "decisions", recording_decisions)
+    assert not has_recording(g0)
     emitted = [serialize_node(p) for p in make_iterator(config)]
     assert watched == {True, False}
     with monkeypatch.context() as patch:
