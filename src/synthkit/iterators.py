@@ -24,17 +24,21 @@ discipline differs per iterator:
   log-probability it can still reach, and uniform trees enumerate their
   programs best-first, so emitted probabilities never increase.
 
-A uniform tree's shape is fixed, so consecutive programs of one tree differ
-only in a few holes.  The bfs/dfs enumeration gives every node a generator
-of its complete subtrees and rebuilds only the path from the hole that
-changed to the root; emitted programs share their unchanged subtrees.  The
-mlfs enumeration compiles each uniform tree once into a builder from the
-per-hole choice vector, which returns the program together with its
-log-probability; that value is the queue priority when the tree is
-re-enqueued, so no emitted program is walked again to price it.  The
-builder memoizes every node below the root on the part of the choice
-vector that holds that node's holes, so mlfs programs share their
-unchanged subtrees too.
+Every queued tree is made of holes only: the root is the start symbol's
+hole, and a split replaces a hole with a uniform hole over full-domain
+holes.  So a uniform tree's nodes are exactly its holes, in the preorder of
+:meth:`~synthkit.solver.SolverState.hole_paths`, its shape is fixed, and
+consecutive programs of one tree differ only in a few holes.  The bfs/dfs
+enumeration gives every hole a generator of its complete subtrees and
+rebuilds only the path from the hole that changed to the root; emitted
+programs share their unchanged subtrees.  The mlfs enumeration compiles
+each uniform tree once into a builder from the per-hole choice vector,
+which returns the program together with its log-probability; that value
+is the queue priority when the tree is re-enqueued, so no emitted program
+is walked again to price it.  The builder numbers the holes in preorder,
+so the subtree at hole ``i`` with ``n`` nodes owns ``choices[i:i+n]``;
+every subtree below the root memoizes what it builds on its part, so mlfs
+programs share their unchanged subtrees too.
 
 The bottom-up iterator grows a bank of programs per nonterminal indexed by
 node count, combining smaller programs into larger ones, optionally pruning
@@ -61,8 +65,10 @@ key -- the kind, start symbol, ``max_depth``, ``max_size``, constraints,
 output vectors depend on the problem.  A search with a problem and a
 ``max_enumerations`` budget whose key was seen before over the same rules
 replays one recorded enumeration.  The recorded search runs once, with a
-:class:`_Tape` in place of its ``RuleCode``: each of its "vectors" is the
-index of a tape entry ``(rule, child entries)``, one per rule application.
+:class:`_Tape` in place of its ``RuleCode``.  The searches ask their code
+for ``code[rule]`` alone, and the tape answers with a function whose
+"vector" is the index of a new tape entry ``(rule, child entries)``, one
+per rule application.
 Each consumer replays the tape through its own ``RuleCode``, one rule
 application per entry, as many as the search itself would make, and
 extends the recording where it ends.  Its deadline pauses the recorded
@@ -88,7 +94,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 from weakref import WeakKeyDictionary
 
 from .constraints import Constraint, check_program
@@ -97,7 +103,7 @@ from .grammar import Grammar, set_uniform_probabilities
 from .interpreter import EVAL_ERROR, RuleCode, output_key, solved_counter
 # Unused here, but kept as names the benchmark tracer patches on this module.
 from .interpreter import evaluate, run_examples, to_expression  # noqa: F401
-from .nodes import Hole, Node, RuleNode, depth, is_complete
+from .nodes import Hole, Node, RuleNode, depth
 from .solver import Path, SolverState, Surveyed, split_first_hole, survey
 from .specification import Problem
 
@@ -163,32 +169,22 @@ class IteratorConfig:
 
 
 def _is_recursive(grammar: Grammar, start: str) -> bool:
-    reachable: set[str] = set()
-    stack = [start]
-    while stack:
-        symbol = stack.pop()
-        if symbol in reachable:
-            continue
-        reachable.add(symbol)
+    """Whether some symbol reachable from ``start`` derives itself: a
+    depth-first search from ``start`` that meets a symbol on its own path."""
+    on_path: set[str] = set()
+    finished: set[str] = set()
+
+    def reaches_a_cycle(symbol: str) -> bool:
+        on_path.add(symbol)
         for rule in grammar.rules_for(symbol):
-            stack.extend(grammar.childtypes(rule))
-    for symbol in reachable:
-        seen: set[str] = set()
-        stack = [
-            child
-            for rule in grammar.rules_for(symbol)
-            for child in grammar.childtypes(rule)
-        ]
-        while stack:
-            current = stack.pop()
-            if current == symbol:
-                return True
-            if current in seen:
-                continue
-            seen.add(current)
-            for rule in grammar.rules_for(current):
-                stack.extend(grammar.childtypes(rule))
-    return False
+            for child in grammar.childtypes(rule):
+                if child in on_path or child not in finished and reaches_a_cycle(child):
+                    return True
+        on_path.remove(symbol)
+        finished.add(symbol)
+        return False
+
+    return reaches_a_cycle(start)
 
 
 def max_rulenode_log_probability(node: Node, grammar: Grammar) -> float:
@@ -278,7 +274,33 @@ class QueueEntry:
         self.is_uniform = not self.piece.holes
 
 
-class TopDownIterator:
+class _ProgramIterator:
+    """The iteration protocol every iterator shares, over its ``_stream``.
+
+    The stream's frame holds the iterator, so an iterator dropped before its
+    stream ends lives until the cycle collector runs; :meth:`close` ends the
+    stream, which frees the search's state as soon as the last reference
+    to the iterator goes.
+    """
+
+    _stream: Iterator[RuleNode]
+
+    def __iter__(self) -> Iterator[RuleNode]:
+        return self._stream
+
+    def __next__(self) -> RuleNode:
+        return next(self._stream)
+
+    def next_program(self) -> RuleNode | None:
+        """The next complete program, or ``None`` once exhausted."""
+        return next(self._stream, None)
+
+    def close(self) -> None:
+        """End the stream; the iterator yields nothing more."""
+        self._stream.close()
+
+
+class TopDownIterator(_ProgramIterator):
     """Priority-queue search over shape-decomposed trees.
 
     Iterating yields complete programs; :meth:`next_program` returns ``None``
@@ -409,16 +431,6 @@ class TopDownIterator:
             self.last_vector = vectors[index]
             yield programs[emitted]
 
-    def __iter__(self) -> Iterator[RuleNode]:
-        return self._stream
-
-    def __next__(self) -> RuleNode:
-        return next(self._stream)
-
-    def next_program(self) -> RuleNode | None:
-        """The next complete program, or ``None`` once exhausted."""
-        return next(self._stream, None)
-
 
 class BFSIterator(TopDownIterator):
     kind = "bfs"
@@ -464,13 +476,14 @@ class MLFSIterator(TopDownIterator):
 def _assignments_depth_first(state, code=None) -> Iterator[tuple[RuleNode, tuple | None]]:
     """Enumerate a uniform tree's programs depth-first over its holes.
 
-    Every node of the tree gets a generator of its complete subtrees, each
-    with its output vector through ``code`` (``None`` without code).  A
-    hole's generator takes its rules in the domain's ascending order from
+    Every node of a uniform tree is a hole, and each gets a generator of its
+    complete subtrees, each with its output vector through ``code``
+    (``None`` without code).  A hole's generator takes its rules in the
+    domain's ascending order from
     :meth:`~synthkit.solver.SolverState.decisions`, which decides the hole
     in the solver state, and then walks the product of its children's
-    generators left to right, so holes are decided in preorder
-    and the last one varies fastest.  Only the nodes on the path from the
+    generators left to right, so holes are decided in preorder and the last
+    one varies fastest.  Only the nodes on the path from the
     hole that changed to the root are built anew, each with one application
     of its rule's code to its children's vectors; the subtrees beside that
     path are the ones yielded before, which is safe because rule nodes are
@@ -497,23 +510,13 @@ def _assignments_depth_first(state, code=None) -> Iterator[tuple[RuleNode, tuple
 
 def _subtree_stream(
     state, node: Node, path: Path, code
-) -> Callable[[], Iterable[tuple[RuleNode, tuple | None]]]:
-    """A function that starts a fresh stream of a node's complete subtrees,
+) -> Callable[[], Iterator[tuple[RuleNode, tuple | None]]]:
+    """A function that starts a fresh stream of a hole's complete subtrees,
     each paired with its output vector."""
-    if is_complete(node):
-        complete = ((node, None if code is None else code.vector(node)),)
-        return lambda: complete
     children = tuple(
         _subtree_stream(state, child, path + (i,), code)
         for i, child in enumerate(node.children)
     )
-    if isinstance(node, RuleNode):
-        rule = node.rule
-        apply = None if code is None else code[rule]
-        return lambda: (
-            (RuleNode(rule, kids), None if apply is None else apply(*vectors))
-            for kids, vectors in _product(children)
-        )
 
     def decide() -> Iterator[tuple[RuleNode, tuple | None]]:
         for rule in state.decisions(path):
@@ -545,7 +548,7 @@ def _product(children: tuple) -> Iterator[tuple[tuple[RuleNode, ...], tuple]]:
 
 
 def _assignments_best_first(
-    state, grammar, code=None, orders=None
+    state, grammar, code, orders
 ) -> Iterator[tuple[RuleNode, float, tuple | None]]:
     """Enumerate a uniform tree's programs by non-increasing probability.
 
@@ -561,30 +564,27 @@ def _assignments_best_first(
     log-probabilities; missing domains are added, so a table kept across
     uniform trees sorts each distinct domain once.
     """
-    if orders is None:
-        orders = {}
     logs = grammar.log_probabilities
-    holes = state.hole_paths()
-    slots = {}
-    for i, path in enumerate(holes):
+    slots = []
+    for path in state.hole_paths():
         domain = state.domain(path)
         order = orders.get(domain)
         if order is None:
             rules = derivation_heuristic("mlfs", grammar, domain)
             order = orders[domain] = (rules, [logs[r - 1] for r in rules])
-        slots[path] = (i,) + order
-    values = [slots[path][2] for path in holes]
-    build = _choice_builder(grammar, state.root, slots, code)
+        slots.append(order)
+    values = [slot[1] for slot in slots]
+    build, _ = _choice_builder(state.root, slots, code)
     constraints = state.constraints
 
-    start = (0,) * len(holes)
+    start = (0,) * len(slots)
     heap = [(-sum(v[0] for v in values), start, 0)]
     while heap:
         neg_total, indices, frontier = heapq.heappop(heap)
         program, log_probability, vector = build(indices)
         if check_program(constraints, program):
             yield program, log_probability, vector
-        for m in range(frontier, len(holes)):
+        for m in range(frontier, len(slots)):
             j = indices[m]
             if j + 1 < len(values[m]):
                 bumped = indices[:m] + (j + 1,) + indices[m + 1 :]
@@ -592,73 +592,58 @@ def _assignments_best_first(
                 heapq.heappush(heap, (neg_total - delta, bumped, m))
 
 
-def _choice_builder(grammar, root: Node, slots, code) -> Callable[[tuple], tuple]:
-    """A function from a choice tuple to the tree's program, its
-    log-probability and its output vector.
+def _choice_builder(
+    node: Node, slots: list, code, i: int = 0
+) -> tuple[Callable[[tuple], tuple], int]:
+    """A function from a choice tuple to the subtree's program, its
+    log-probability and its output vector, and the position just past the
+    subtree.
 
-    ``slots`` maps each hole's path to its position in the choice tuple,
-    its ordered rules and their log-probabilities.  Positions follow the
-    preorder of the holes, so the holes below a node fill one contiguous
-    part ``choices[lo:hi]`` of the tuple.  Every node whose holes are a
-    proper part of the tuple memoizes what it builds on that part, so a
-    program reuses the subtrees, log-probabilities and vectors of an
-    earlier one wherever their choices agree.  A node holding every hole,
-    the root above all, is built afresh: the popped tuples are distinct, so
-    its cache would never hit and would keep every program alive.  The
-    caches live as long as the returned function.
+    Every node of a uniform tree is a hole, numbered in preorder, and
+    ``slots[i]`` holds the ordered rules of hole ``i`` and their
+    log-probabilities.  The subtree at hole ``i`` owns the part
+    ``choices[i:i+n]`` of the tuple, where ``n`` is its node count, and
+    memoizes what it builds on that part, so a program reuses the
+    subtrees, log-probabilities and vectors of an earlier one wherever
+    their choices agree.  The root, at position 0, is built afresh: the
+    popped tuples are distinct, so its cache would never hit and would keep
+    every program alive.  The caches live as long as the returned function.
     """
+    rules, values = slots[i]
+    children = []
+    end = i + 1
+    for child in node.children:
+        child_build, end = _choice_builder(child, slots, code, end)
+        children.append(child_build)
 
-    def builder(node: Node, path: Path) -> tuple[Callable[[tuple], tuple], tuple[int, ...]]:
-        """The node's builder and the positions of its holes."""
-        if is_complete(node):
-            complete = (
-                node,
-                max_rulenode_log_probability(node, grammar),
-                None if code is None else code.vector(node),
-            )
-            return (lambda choices: complete), ()
-        compiled = [builder(child, path + (i,)) for i, child in enumerate(node.children)]
-        children = [child for child, _ in compiled]
-        if isinstance(node, RuleNode):
-            position, rules, values = None, (node.rule,), (grammar.log_probability(node.rule),)
-            positions = ()
-        else:
-            position, rules, values = slots[path]
-            positions = (position,)
-        for _, below in compiled:
-            positions += below
+    def build(choices: tuple) -> tuple:
+        j = choices[i]
+        rule = rules[j]
+        if not children:
+            return RuleNode(rule), values[j], None if code is None else code[rule]
+        total = values[j]
+        kids = []
+        vectors = []
+        for child in children:
+            subtree, value, vector = child(choices)
+            kids.append(subtree)
+            total += value
+            vectors.append(vector)
+        vector = None if code is None else code[rule](*vectors)
+        return RuleNode(rule, tuple(kids)), total, vector
 
-        def build(choices: tuple) -> tuple:
-            j = 0 if position is None else choices[position]
-            rule = rules[j]
-            if not children:
-                return RuleNode(rule), values[j], None if code is None else code[rule]
-            total = values[j]
-            kids = []
-            vectors = []
-            for child in children:
-                subtree, value, vector = child(choices)
-                kids.append(subtree)
-                total += value
-                vectors.append(vector)
-            vector = None if code is None else code[rule](*vectors)
-            return RuleNode(rule, tuple(kids)), total, vector
+    if i == 0:
+        return build, end
+    cache: dict = {}
 
-        if len(positions) == len(slots):
-            return build, positions
-        cache: dict = {}
-        lo, hi = positions[0], positions[-1] + 1
+    def memoized(choices: tuple) -> tuple:
+        key = choices[i:end]
+        hit = cache.get(key)
+        if hit is None:
+            hit = cache[key] = build(choices)
+        return hit
 
-        def memoized(choices: tuple) -> tuple:
-            key = choices[lo:hi]
-            hit = cache.get(key)
-            if hit is None:
-                hit = cache[key] = build(choices)
-            return hit
-
-        return memoized, positions
-
-    return builder(root, ())[0]
+    return memoized, end
 
 
 # -- shared enumerations ------------------------------------------------------
@@ -668,10 +653,10 @@ class _Tape(dict):
     """Stands in for a :class:`~synthkit.interpreter.RuleCode` while a search
     is recorded.
 
-    It follows the same protocol, ``tape[rule]`` and ``tape.vector(node)``,
-    but a node's "vector" is the index of an entry on the tape: one entry
-    per rule application the search makes, each after its children's.
-    Entry ``i`` applies ``rules[i]`` to the entries ``children[i]``.
+    It follows the one protocol the searches use, ``tape[rule]``, but a
+    node's "vector" is the index of an entry on the tape: one entry per
+    rule application the search makes, each after its children's.  Entry
+    ``i`` applies ``rules[i]`` to the entries ``children[i]``.
     """
 
     def __init__(self, grammar: Grammar):
@@ -691,11 +676,6 @@ class _Tape(dict):
         # A leaf rule's code is its one entry, as a RuleCode's is its vector.
         self[rule] = code if self.grammar.childtypes(rule) else code()
         return self[rule]
-
-    def vector(self, node: RuleNode) -> int:
-        if node.children:
-            return self[node.rule](*[self.vector(child) for child in node.children])
-        return self[node.rule]
 
 
 class _Recording:
@@ -815,7 +795,7 @@ def _recording_for(config: IteratorConfig) -> _Recording | None:
         return shelf.lookup(key, config)
 
 
-class BottomUpIterator:
+class BottomUpIterator(_ProgramIterator):
     """Size-indexed bank enumeration: combine small programs into larger ones.
 
     Programs are emitted in increasing node count, rule-index order within a
@@ -910,15 +890,6 @@ class BottomUpIterator:
                         self.last_vector = vector
                         yield program
 
-    def __iter__(self) -> Iterator[RuleNode]:
-        return self._stream
-
-    def __next__(self) -> RuleNode:
-        return next(self._stream)
-
-    def next_program(self) -> RuleNode | None:
-        return next(self._stream, None)
-
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """Ordered compositions of ``total`` into ``parts`` positive integers."""
@@ -1012,20 +983,23 @@ def synth(
     enumerated = 0
     try:
         iterator = make_iterator(config, problem=problem, deadline=deadline)
-        for program in iterator:
-            enumerated += 1
-            vector = iterator.last_vector
-            if not allow_evaluation_errors and EVAL_ERROR in vector:
-                iterator.code.raise_first_error(program)
-            solved = count_solved(vector)
-            if solved == len(vector):
-                return SynthResult(
-                    program,
-                    SynthFlag.optimal_program,
-                    SynthStats(enumerated, time.monotonic() - started),
-                )
-            if solved > best_solved:
-                best, best_solved = program, solved
+        try:
+            for program in iterator:
+                enumerated += 1
+                vector = iterator.last_vector
+                if not allow_evaluation_errors and EVAL_ERROR in vector:
+                    iterator.code.raise_first_error(program)
+                solved = count_solved(vector)
+                if solved == len(vector):
+                    return SynthResult(
+                        program,
+                        SynthFlag.optimal_program,
+                        SynthStats(enumerated, time.monotonic() - started),
+                    )
+                if solved > best_solved:
+                    best, best_solved = program, solved
+        finally:
+            iterator.close()
     except SynthkitError as exc:
         exc.enumerated = enumerated
         raise

@@ -94,27 +94,35 @@ def _collect_promising(
     enumerated = 0
     try:
         iterator = make_iterator(config, problem=problem, deadline=deadline)
-        for program in iterator:
-            enumerated += 1
-            vector = iterator.last_vector
-            if not allow_evaluation_errors and EVAL_ERROR in vector:
-                iterator.code.raise_first_error(program)
-            # Counted through values_equal rather than solved_counter: the
-            # benchmark's smoke test patches values_equal here to check that
-            # a wrongly accepted program fails a run.
-            fit = sum(map(values_equal, vector, expected)) / len(expected)
-            if fit == 1.0:
-                return {PromisingProgram(program, 1.0)}, SynthFlag.optimal_program, enumerated
-            if fit <= 0.0:
-                continue
-            key = output_key(vector)
-            held = by_vector.get(key)
-            if held is None or fit > held[0]:
-                by_vector[key] = (fit, None, program)
-            elif fit == held[0]:
-                held_size = held[1] or node_count(held[2])
-                size = node_count(program)
-                by_vector[key] = (fit, size, program) if size < held_size else (fit, held_size, held[2])
+        # Closing the stream closes the iterator; a stand-in that only
+        # iterates (a test wraps the iterator this way) is closed the same.
+        programs = iter(iterator)
+        try:
+            for program in programs:
+                enumerated += 1
+                vector = iterator.last_vector
+                if not allow_evaluation_errors and EVAL_ERROR in vector:
+                    iterator.code.raise_first_error(program)
+                # Counted through values_equal rather than solved_counter: the
+                # benchmark's smoke test patches values_equal here to check that
+                # a wrongly accepted program fails a run.
+                fit = sum(map(values_equal, vector, expected)) / len(expected)
+                if fit == 1.0:
+                    return {PromisingProgram(program, 1.0)}, SynthFlag.optimal_program, enumerated
+                if fit <= 0.0:
+                    continue
+                key = output_key(vector)
+                held = by_vector.get(key)
+                if held is None or fit > held[0]:
+                    by_vector[key] = (fit, None, program)
+                elif fit == held[0]:
+                    held_size = held[1] or node_count(held[2])
+                    size = node_count(program)
+                    by_vector[key] = (
+                        (fit, size, program) if size < held_size else (fit, held_size, held[2])
+                    )
+        finally:
+            programs.close()
     except SynthkitError as exc:
         exc.enumerated = enumerated
         raise

@@ -280,6 +280,42 @@ def test_bottom_up_exhausts_when_no_rule_applies():
     assert emit_all(IteratorConfig("bottom_up", g, "S", max_size=6)) == []
 
 
+
+@pytest.mark.parametrize(
+    "constraints, emitted",
+    [
+        (("(ordered (rule 4 (var a) (var b)) (a b))",), 1713),
+        (("(forbidden (rule 4 (rule 1) (var x)))", "(forbidden (rule 5 (var a) (var a)))"), 1875),
+    ],
+    ids=["ordered", "two-forbidden"],
+)
+def test_bottom_up_under_constraints_emits_the_filtered_sequence(g0, constraints, emitted):
+    from synthkit import check_program
+
+    def drain(constraints):
+        config = IteratorConfig(
+            "bottom_up", g0, "Int", max_depth=4, max_size=7, constraints=constraints
+        )
+        return [serialize_node(p) for p in make_iterator(config)]
+
+    constraints = tuple(parse_constraint(text) for text in constraints)
+    unconstrained = drain(())
+    assert len(unconstrained) == 3477
+    expected = [p for p in unconstrained if check_program(constraints, parse_node(p))]
+    assert drain(constraints) == expected
+    assert len(expected) == emitted
+
+
+@pytest.mark.parametrize("budget", [37, 0])
+def test_bottom_up_budget_emits_a_prefix(g0, budget):
+    everything = emit_all(IteratorConfig("bottom_up", g0, "Int", max_size=5))
+    iterator = make_iterator(
+        IteratorConfig("bottom_up", g0, "Int", max_size=5, max_enumerations=budget)
+    )
+    programs = [serialize_node(p) for p in iterator]
+    assert programs == everything[:budget]
+    assert iterator.next_program() is None
+
 # -- config validation ------------------------------------------------------------
 
 
@@ -327,6 +363,33 @@ def test_finite_grammar_needs_no_bound():
     g = parse_grammar("S = a | b")
     assert emit_all(IteratorConfig("bfs", g, "S")) == ["1", "2"]
 
+
+
+@pytest.mark.parametrize(
+    "bounds", [{"max_depth": 0}, {"max_size": 0}, {"max_enumerations": -1}]
+)
+def test_bounds_out_of_range_are_rejected(g0, bounds):
+    with pytest.raises(ConfigError):
+        IteratorConfig("bfs", g0, "Int", **bounds)
+
+
+@pytest.mark.parametrize(
+    "text, recursive",
+    [
+        ("S = 1\nS = S + S", True),
+        ("S = 1\nS = A + A\nA = 2\nA = S * S", True),
+        ("S = A + B\nA = C * C\nB = C + C\nC = 1 | 2", False),
+        ("S = A + A\nA = 1\nA = A * A", True),
+    ],
+    ids=["self", "through-another", "diamond", "reaches-a-recursive-symbol"],
+)
+def test_only_a_grammar_that_can_recurse_needs_a_bound(text, recursive):
+    grammar = parse_grammar(text)
+    if recursive:
+        with pytest.raises(ConfigError):
+            IteratorConfig("bfs", grammar, "S")
+    else:
+        assert len(emit_all(IteratorConfig("bfs", grammar, "S"))) == 16
 
 # -- synth -------------------------------------------------------------------------
 

@@ -205,6 +205,85 @@ def test_a_key_seen_once_runs_plain_and_the_second_sight_records(monkeypatch):
     assert started == [1]
 
 
+def test_a_key_followed_by_enough_new_keys_is_forgotten(monkeypatch):
+    started = []
+
+    def counted(config, shelf, key):
+        started.append(key)
+        return object()
+
+    monkeypatch.setattr(iterators, "_Recording", counted)
+    shelf = iterators._Shelf()
+    assert shelf.lookup("first", None) is None
+    for newer in range(iterators._Shelf.NOTED):
+        assert shelf.lookup(newer, None) is None
+    assert "first" not in shelf.noted
+    # Its next sight only notes it again; the sight after that records.
+    assert shelf.lookup("first", None) is None
+    assert not started and "first" in shelf.noted
+    assert shelf.lookup("first", None) is not None
+    assert started == ["first"]
+
+
+@pytest.mark.parametrize(
+    "kind, replayed",
+    [("bfs", False), ("bfs", True), ("mlfs", False), ("bottom_up", False)],
+    ids=["bfs", "bfs-replayed", "mlfs", "bottom-up"],
+)
+def test_synth_frees_its_iterator_without_the_cycle_collector(kind, replayed, monkeypatch):
+    grammar = _grammar("arith", False)
+    problem = FAMILIES["arith"][3]
+    config = IteratorConfig(
+        kind, grammar, "Int", max_depth=None if kind == "bottom_up" else 4, max_size=7,
+        max_enumerations=BUDGET,
+    )
+    if replayed:
+        for _ in range(2):
+            synth(problem, config)
+        assert has_recording(grammar)
+    built = []
+    make = iterators.make_iterator
+
+    def tracked(*args, **kwargs):
+        iterator = make(*args, **kwargs)
+        built.append(weakref.ref(iterator))
+        return iterator
+
+    monkeypatch.setattr(iterators, "make_iterator", tracked)
+    gc.collect()
+    gc.disable()
+    try:
+        result = synth(problem, config)
+        (iterator,) = built
+        assert result.flag == SynthFlag.optimal_program
+        assert iterator() is None
+    finally:
+        gc.enable()
+
+
+def test_probe_frees_its_iterators_without_the_cycle_collector(monkeypatch):
+    probe_module = sys.modules["synthkit.probe"]
+    grammar = _grammar("arith", True)
+    problem = FAMILIES["arith"][3]
+    built = []
+    make = probe_module.make_iterator
+
+    def tracked(*args, **kwargs):
+        iterator = make(*args, **kwargs)
+        built.append(weakref.ref(iterator))
+        return iterator
+
+    monkeypatch.setattr(probe_module, "make_iterator", tracked)
+    gc.collect()
+    gc.disable()
+    try:
+        run = probe_with_stats(grammar, "Int", problem, ProbeConfig(max_depth=4))
+        assert run.program is not None
+        assert built and all(iterator() is None for iterator in built)
+    finally:
+        gc.enable()
+
+
 class _Clock:
     """A monotonic clock that advances by one on every reading."""
 

@@ -23,6 +23,7 @@ from synthkit import (
 )
 from synthkit import iterators
 from synthkit.iterators import MLFSIterator
+from synthkit.nodes import subtrees
 from synthkit.solver import SolverState, split_first_hole, survey
 
 from conftest import SUITES_DIR
@@ -721,3 +722,46 @@ def test_max_rulenode_log_probability_equals_the_reference_exactly(g0):
                     assert max_rulenode_log_probability(tree, weighted) == expected
                     checked += 1
     assert checked == 2400
+
+
+@pytest.mark.parametrize(
+    "kind, dfs_over_shapes",
+    [("bfs", False), ("dfs", False), ("dfs", True), ("mlfs", False)],
+    ids=["bfs", "dfs", "dfs-over-shapes", "mlfs"],
+)
+def test_every_queued_tree_is_made_of_holes(g0, kind, dfs_over_shapes, monkeypatch):
+    # The uniform-tree enumerations handle holes only: the search starts
+    # from a hole and a split replaces a hole with a uniform hole over
+    # full-domain holes, so no queued piece and no solver state's tree
+    # holds a rule node.
+    strings = parse_grammar((SUITES_DIR / "mini-strings" / "default.herbg").read_text())
+    trees = []
+    split = iterators.split_first_hole
+    init = SolverState.__init__
+
+    def recording_split(*args):
+        pieces = split(*args)
+        trees.extend(piece.tree for piece in pieces)
+        return pieces
+
+    def recording_init(state, grammar, tree, constraints=()):
+        trees.append(tree)
+        init(state, grammar, tree, constraints)
+
+    monkeypatch.setattr(iterators, "split_first_hole", recording_split)
+    monkeypatch.setattr(SolverState, "__init__", recording_init)
+    cases = [
+        (g0, "Int", 4, 7, None, ()),
+        (g0, "Int", 4, 7, None, (ORDER_PLUS,)),
+        (strings, "S", 3, None, 20000, ()),
+    ]
+    for grammar, start, max_depth, max_size, budget, constraints in cases:
+        config = IteratorConfig(
+            kind, grammar, start, max_depth=max_depth, max_size=max_size,
+            max_enumerations=budget, constraints=constraints, dfs_over_shapes=dfs_over_shapes,
+        )
+        # A replayed search would run none of the patched code.
+        assert not has_recording(config.grammar)
+        assert sum(1 for _ in make_iterator(config)) > 0
+    assert len(trees) > 100
+    assert not any(isinstance(node, RuleNode) for tree in trees for node in subtrees(tree))
