@@ -19,7 +19,7 @@ children; repeated variable names must bind structurally equal subtrees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import ConstraintSyntaxError
 from .nodes import Node, RuleNode, serialize_node, subtrees
@@ -106,7 +106,7 @@ def match_pattern(pattern: Pattern, node: Node) -> Optional[dict[str, Node]]:
     variables must bind equal subtrees.  A hole never matches a ``rule``
     or ``domain`` pattern.  Over uniform trees the solver matches a pattern
     once per position, when it posts the constraint there, and decides each
-    later check from hole domains.
+    later check from hole rules alone.
     """
     bindings: dict[str, Node] = {}
 
@@ -133,7 +133,12 @@ def violated_by(constraint: Constraint, bindings: dict[str, Node]) -> bool:
     """Does a match with these complete bindings break the constraint?"""
     if isinstance(constraint, Forbidden):
         return True
-    texts = [serialize_node(bindings[v]) for v in constraint.variables]
+    return misordered([serialize_node(bindings[v]) for v in constraint.variables])
+
+
+def misordered(texts: Sequence[str]) -> bool:
+    """Does a text ever exceed the next one?  The violation of an
+    ``ordered`` constraint, given its variables' serialized subtrees."""
     return any(a > b for a, b in zip(texts, texts[1:]))
 
 

@@ -97,7 +97,7 @@ from enum import Enum
 from typing import Callable, Iterator, Sequence, Union
 from weakref import WeakKeyDictionary
 
-from .constraints import Constraint, check_program
+from .constraints import ConcreteRule, Constraint, Pattern, PatternVar, check_program
 from .errors import ConfigError, SynthkitError
 from .grammar import Grammar, set_uniform_probabilities
 from .interpreter import EVAL_ERROR, RuleCode, output_key, solved_counter
@@ -128,7 +128,10 @@ class IteratorConfig:
     search, which fills its bank size by size.  ``dfs_over_shapes`` applies
     to dfs only and ``observational_equivalence`` to bottom-up only; setting
     either for another kind is an error.  mlfs over a grammar without
-    probabilities runs on uniform ones.
+    probabilities runs on uniform ones.  A constraint whose pattern can
+    never match a program of the grammar is an error too: it names a rule
+    outside the grammar, or gives a pattern node a child count that no rule
+    of the node takes.
     """
 
     kind: str  # one of ITERATOR_KINDS
@@ -146,6 +149,8 @@ class IteratorConfig:
         if self.kind not in ITERATOR_KINDS:
             raise ConfigError(f"unknown iterator kind {self.kind!r}")
         self.grammar.rules_for(self.start_symbol)
+        for constraint in self.constraints:
+            _check_pattern(self.grammar, constraint.pattern)
         for name in ("max_depth", "max_size"):
             bound = getattr(self, name)
             if bound is not None and bound < 1:
@@ -166,6 +171,33 @@ class IteratorConfig:
                 raise ConfigError(
                     "a recursive grammar needs max_depth, max_size, or max_enumerations"
                 )
+
+
+def _check_pattern(grammar: Grammar, pattern: Pattern) -> None:
+    """Raise ConfigError unless every node of a constraint pattern can match
+    a program of the grammar."""
+    if isinstance(pattern, PatternVar):
+        return
+    if isinstance(pattern, ConcreteRule):
+        rules, node = (pattern.rule,), f"(rule {pattern.rule})"
+    else:
+        rules = tuple(sorted(pattern.domain))
+        node = f"(domain ({' '.join(map(str, rules))}))"
+    for rule in rules:
+        if rule not in grammar.indices:
+            raise ConfigError(
+                f"constraint pattern {node} names rule {rule}, outside the grammar's "
+                f"rules 1 to {grammar.rule_count}"
+            )
+    if pattern.children is None:
+        return
+    count = len(pattern.children)
+    if all(grammar.arity(rule) != count for rule in rules):
+        raise ConfigError(
+            f"constraint pattern {node} has child count {count}, which no rule it names takes"
+        )
+    for child in pattern.children:
+        _check_pattern(grammar, child)
 
 
 def _is_recursive(grammar: Grammar, start: str) -> bool:
@@ -499,8 +531,8 @@ def _assignments_depth_first(state, code=None) -> Iterator[tuple[RuleNode, tuple
     propagation is pending when a hole is decided, so assigning and
     propagating it would change nothing else.  Once the last hole a site
     watches is decided, the site has no blocking hole, so its pattern
-    matches and its bound subtrees are checked whole; a violation wipes the
-    choice out.  Sites that watch no hole are checked by the state's first
+    matches and its bound texts are checked; a violation wipes the choice
+    out.  Sites that watch no hole are checked by the state's first
     propagation, before the stream starts.  So every complete program the
     stream reaches satisfies every constraint, and without constraints the
     stream makes no trail calls at all.
@@ -555,14 +587,16 @@ def _assignments_best_first(
     Assignments are tuples of per-hole choice indices (rules sorted by the
     mlfs heuristic); each tuple is reached once by incrementing positions in
     non-decreasing order, and a heap orders them by summed log-probability.
-    Each program is built from its choice tuple by :func:`_choice_builder`
-    and yielded with its log-probability, summed in
-    :func:`max_rulenode_log_probability`'s order so the two agree exactly,
-    and its output vector through ``code`` (``None`` without code).
-    Programs that break one of the state's constraints are skipped.
-    ``orders`` maps a hole domain to its rules in heuristic order and their
-    log-probabilities; missing domains are added, so a table kept across
-    uniform trees sorts each distinct domain once.
+    A popped tuple is first checked against the state's constraint sites
+    by :meth:`~synthkit.solver.SolverState.choice_test`, which reads the
+    chosen rules in place: a tuple whose program breaks a constraint is
+    skipped before anything is built.  Every other program is built from
+    its choice tuple by :func:`_choice_builder` and yielded with its
+    log-probability, summed in :func:`max_rulenode_log_probability`'s order
+    so the two agree exactly, and its output vector through ``code``
+    (``None`` without code).  ``orders`` maps a hole domain to its rules in
+    heuristic order and their log-probabilities; missing domains are added,
+    so a table kept across uniform trees sorts each distinct domain once.
     """
     logs = grammar.log_probabilities
     slots = []
@@ -575,15 +609,14 @@ def _assignments_best_first(
         slots.append(order)
     values = [slot[1] for slot in slots]
     build, _ = _choice_builder(state.root, slots, code)
-    constraints = state.constraints
+    passes = state.choice_test([slot[0] for slot in slots])
 
     start = (0,) * len(slots)
     heap = [(-sum(v[0] for v in values), start, 0)]
     while heap:
         neg_total, indices, frontier = heapq.heappop(heap)
-        program, log_probability, vector = build(indices)
-        if check_program(constraints, program):
-            yield program, log_probability, vector
+        if passes is None or passes(indices):
+            yield build(indices)
         for m in range(frontier, len(slots)):
             j = indices[m]
             if j + 1 < len(values[m]):

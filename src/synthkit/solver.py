@@ -19,30 +19,36 @@ each changed domain back in one step.
 
 A uniform tree's shape is fixed, so each constraint is posted once per tree
 as a *site* at every position where its pattern can still match.  Posting
-is the one walk of the pattern over the tree: the site records the holes
-the match inspects, with the rules each pattern node accepts, and the
-subtrees bound to the variables a violation needs decided.  Propagation is
-event-driven: a call re-checks only the sites watching a hole that lost a
-rule since the previous call, decides whether the pattern matches from
-the watched domains alone, and materializes only the bound subtrees.
-The strength is still singleton lookahead per hole: a rule is dropped when
-fixing the hole to it makes some constraint violated in every completion.
-Propagation only ever drops rules that no satisfying program uses.
-:meth:`~SolverState.decisions` decides one hole at a time.  A hole that some
-site watches is assigned each rule and propagated; any other hole's rules
-are simply iterated, because no site reads its domain and propagation never
-changes it, so there assignment and propagation would be exact no-ops.
-Deciding every hole this way, as the bfs/dfs stream does, rejects every
-program that breaks a constraint, so that stream checks nothing afterwards,
-and a search without constraints makes no trail calls.  mlfs builds its
-programs from choice tuples outside the state and still filters them with
+is the one walk of the pattern over the tree, and it compiles the site into
+a form that reads hole rules alone: the holes the match inspects, with the
+rules each pattern node accepts, and for each subtree bound to a variable
+that a violation needs decided, its holes in preorder and a text template
+with one slot per hole.  Formatting a template with its holes' rules gives
+exactly the subtree's serialized text, so no check builds a tree.
+Propagation is event-driven: a call re-checks only the sites watching a
+hole that lost a rule since the previous call, decides whether the pattern
+matches from the watched domains, and formats the bound texts from the
+decided holes.  The strength is still singleton lookahead per hole: a rule
+is dropped when fixing the hole to it makes some constraint violated in
+every completion.  Propagation only ever drops rules that no satisfying
+program uses.  :meth:`~SolverState.decisions` decides one hole at a time.
+A hole that some site watches is assigned each rule and propagated; any
+other hole's rules are simply iterated, because no site reads its domain
+and propagation never changes it, so there assignment and propagation would
+be exact no-ops.  Deciding every hole this way, as the bfs/dfs stream does,
+rejects every program that breaks a constraint, so that stream checks
+nothing afterwards, and a search without constraints makes no trail calls.
+mlfs walks complete assignments as choice tuples outside the state;
+:meth:`~SolverState.choice_test` decides each tuple from the same compiled
+sites, reading the chosen rules in place, so mlfs builds only the programs
+that satisfy every constraint, and neither search calls
 :func:`~synthkit.constraints.check_program`, the ground truth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .constraints import (
     ConcreteRule,
@@ -50,7 +56,7 @@ from .constraints import (
     Ordered,
     Pattern,
     PatternVar,
-    violated_by,
+    misordered,
 )
 from .errors import SolverStateError
 from .grammar import Grammar
@@ -215,18 +221,43 @@ class Checkpoint:
 
 @dataclass(frozen=True)
 class _Site:
-    """One constraint posted at one position of the uniform tree.
+    """One constraint posted at one position of the uniform tree, compiled
+    to be decided from hole rules.
 
     ``watched`` lists the holes a match here inspects, each with the rules
     its pattern node accepts, or ``None`` for a hole inside a bound subtree.
-    ``bound`` holds ``(name, path, node)`` for every occurrence of a
+    ``bound`` holds ``(holes, template)`` for every occurrence of a
     variable whose subtree a violation needs decided: a repeated variable,
-    or one an ``ordered`` constraint compares.
+    or one an ``ordered`` constraint compares.  ``holes`` are the paths of
+    the subtree's uniform holes in preorder, and ``template`` is a
+    :meth:`str.format` string with one ``{}`` per hole, in which a fixed
+    rule node is written literally: formatted with the holes' rules, it is
+    exactly :func:`~synthkit.nodes.serialize_node` of the decided subtree.
+    ``repeats`` pairs each later occurrence of a repeated variable with its
+    first, and ``compared`` lists the first occurrence of each variable an
+    ``ordered`` constraint compares, in its order (``None`` for
+    ``forbidden``), all as indices into ``bound``.
     """
 
-    constraint: Constraint
     watched: tuple[tuple[Path, Optional[frozenset[int]]], ...]
-    bound: tuple[tuple[str, Path, Node], ...]
+    bound: tuple[tuple[tuple[Path, ...], str], ...]
+    repeats: tuple[tuple[int, int], ...]
+    compared: tuple[int, ...] | None
+
+    def violated(self, texts: Sequence[str]) -> bool:
+        """Does a match whose bound subtrees read ``texts``, in the order of
+        ``bound``, break the constraint?
+
+        A repeated variable's texts must be equal for the pattern to match
+        at all; equal text means equal subtrees, because
+        :func:`~synthkit.nodes.parse_node` inverts ``serialize_node``.  A
+        ``forbidden`` match is a violation outright, an ``ordered`` one
+        compares its texts as :func:`~synthkit.constraints.violated_by` does.
+        """
+        for first, later in self.repeats:
+            if texts[first] != texts[later]:
+                return False
+        return self.compared is None or misordered([texts[i] for i in self.compared])
 
 
 def _post_site(constraint: Constraint, node: Node, path: Path) -> _Site | None:
@@ -265,12 +296,40 @@ def _post_site(constraint: Constraint, node: Node, path: Path) -> _Site | None:
     decided = {name for name in names if names.count(name) > 1}
     if isinstance(constraint, Ordered):
         decided.update(constraint.variables)
-    bound = tuple(o for o in occurrences if o[0] in decided)
-    for _, at, sub in bound:
-        watched.extend(
-            (hole, None) for hole, n in _positions(sub, at) if isinstance(n, UniformHole)
-        )
-    return _Site(constraint, tuple(watched), bound)
+    bound = []
+    first: dict[str, int] = {}
+    repeats = []
+    for name, at, sub in occurrences:
+        if name in decided:
+            holes: list[Path] = []
+            template = _template(sub, at, holes)
+            watched.extend((hole, None) for hole in holes)
+            if name in first:
+                repeats.append((first[name], len(bound)))
+            else:
+                first[name] = len(bound)
+            bound.append((tuple(holes), template))
+    compared = None
+    if isinstance(constraint, Ordered):
+        compared = tuple(first[name] for name in constraint.variables)
+    return _Site(tuple(watched), tuple(bound), tuple(repeats), compared)
+
+
+def _template(node: Node, path: Path, holes: list[Path]) -> str:
+    """The serialization template of a uniform subtree, appending the paths
+    of its uniform holes in preorder: one ``{}`` per hole, a rule node's
+    index written literally, and braces doubled."""
+    if isinstance(node, UniformHole):
+        holes.append(path)
+        head = "{}"
+    else:
+        head = str(node.rule)
+    if not node.children:
+        return head
+    children = ",".join(
+        _template(child, path + (i,), holes) for i, child in enumerate(node.children)
+    )
+    return f"{head}{{{{{children}}}}}"
 
 
 def _positions(node: Node, path: Path) -> Iterator[tuple[Path, Node]]:
@@ -400,19 +459,16 @@ class SolverState:
 
     # -- materialization ----------------------------------------------------
 
-    def current_tree(self, overrides: Mapping[Path, int] | None = None) -> Node:
+    def current_tree(self) -> Node:
         """The tree under current domains; singleton domains become rule nodes."""
-        return self._materialize(self.root, (), overrides)
+        return self._materialize(self.root, ())
 
-    def _materialize(self, node: Node, path: Path, overrides) -> Node:
+    def _materialize(self, node: Node, path: Path) -> Node:
         children = tuple(
-            self._materialize(child, path + (i,), overrides)
-            for i, child in enumerate(node.children)
+            self._materialize(child, path + (i,)) for i, child in enumerate(node.children)
         )
         if isinstance(node, RuleNode):
             return RuleNode(node.rule, children)
-        if overrides is not None and path in overrides:
-            return RuleNode(overrides[path], children)
         domain = self._domains[path]
         if len(domain) == 1:
             return RuleNode(domain[0], children)
@@ -466,7 +522,8 @@ class SolverState:
         matches in every completion, so only the bound subtrees are checked,
         and a violation there is a wipeout.  With one, a rule its pattern
         node does not accept stays without a check and every other rule is
-        tried; with two or more, no single choice can complete a violation,
+        tried, the bound texts read once when the hole is a pattern node's;
+        with two or more, no single choice can complete a violation,
         so there is nothing to prune.
         """
         domains = self._domains
@@ -480,27 +537,83 @@ class SolverState:
                     return True
                 blocking, accepts = hole, accepted
         if blocking is None:
-            return not self._site_violated(site, None)
+            return not self._site_violated(site, None, None)
         domain = domains[blocking]
-        kept = tuple(
-            r
-            for r in domain
-            if accepts is not None and r not in accepts
-            or not self._site_violated(site, {blocking: r})
-        )
+        if accepts is None:
+            kept = tuple(r for r in domain if not self._site_violated(site, blocking, r))
+        elif self._site_violated(site, None, None):
+            # No bound text reads a pattern node's hole, so either every
+            # rule the node accepts completes a violation or none does.
+            kept = tuple(r for r in domain if r not in accepts)
+        else:
+            return True
         if len(kept) < len(domain):
             self._set(blocking, kept)
         return bool(kept)
 
-    def _site_violated(self, site: _Site, overrides: Mapping[Path, int] | None) -> bool:
-        """Does a site whose pattern matches break its constraint?
+    def _site_violated(self, site: _Site, blocking: Path | None, rule: int | None) -> bool:
+        """Does a site whose pattern matches break its constraint, with the
+        ``blocking`` hole, if any, decided to ``rule``?
 
-        Only the bound subtrees are built; a repeated variable's subtrees
-        must be equal for the pattern to match at all.
+        Every other hole of a bound subtree is decided, so each bound text
+        is its template formatted with the holes' single rules; no tree is
+        built.
         """
-        bindings: dict[str, Node] = {}
-        for name, path, node in site.bound:
-            tree = self._materialize(node, path, overrides)
-            if bindings.setdefault(name, tree) != tree:
-                return False
-        return violated_by(site.constraint, bindings)
+        return site.violated(self._bound_texts(site, blocking, rule))
+
+    def _bound_texts(self, site: _Site, blocking: Path | None, rule: int | None) -> list[str]:
+        """The serialized bound subtrees of a site, in the order of its
+        ``bound``, with ``blocking`` decided to ``rule``."""
+        domains = self._domains
+        return [
+            template.format(*[rule if hole == blocking else domains[hole][0] for hole in holes])
+            for holes, template in site.bound
+        ]
+
+    # -- complete assignments --------------------------------------------------
+
+    def choice_test(self, rules: Sequence[Sequence[int]]) -> Callable[[tuple], bool] | None:
+        """A test of complete assignments, given as choice tuples, against
+        every posted site; ``None`` when no site is posted.
+
+        Holes are numbered in the preorder of :meth:`hole_paths`, and a
+        tuple decides hole ``i`` to ``rules[i][choices[i]]``.  A site's
+        pattern matches when each watched hole's rule is one its pattern
+        node accepts; its bound texts are then its templates over the
+        holes' rules, and :meth:`_Site.violated` decides it, as propagation
+        does.  A position where no site was posted matches in no
+        assignment, so a tuple passes exactly when its program satisfies
+        :func:`~synthkit.constraints.check_program`, and no program is
+        built to tell.
+        """
+        if not self._sites:
+            return None
+        position = {path: i for i, path in enumerate(self._domains)}
+        sites = [
+            (
+                site,
+                tuple(
+                    (position[hole], accepted)
+                    for hole, accepted in site.watched
+                    if accepted is not None
+                ),
+                tuple(
+                    (tuple(position[hole] for hole in holes), template)
+                    for holes, template in site.bound
+                ),
+            )
+            for site in self._sites
+        ]
+
+        def passes(choices: tuple) -> bool:
+            for site, tests, bound in sites:
+                if all(rules[i][choices[i]] in accepted for i, accepted in tests) and site.violated(
+                    [
+                        template.format(*[rules[i][choices[i]] for i in holes])
+                        for holes, template in bound
+                    ]
+                ):
+                    return False
+            return True
+
+        return passes

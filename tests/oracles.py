@@ -241,6 +241,29 @@ def grammars_equivalent(a, b, tolerance=1e-9):
     return True
 
 
+def reference_materialize(state, overrides=None, node=None, path=()):
+    """A solver state's tree, or its subtree ``node`` at ``path``, under the
+    state's domains: a singleton domain becomes a rule node, and a hole in
+    ``overrides`` becomes a rule node of the rule it maps to.  Serialized,
+    a bound subtree built this way is what a solver site's text for it
+    must read.
+    """
+    if node is None:
+        node = state.root
+    children = tuple(
+        reference_materialize(state, overrides, child, path + (i,))
+        for i, child in enumerate(node.children)
+    )
+    if isinstance(node, RuleNode):
+        return RuleNode(node.rule, children)
+    if overrides is not None and path in overrides:
+        return RuleNode(overrides[path], children)
+    domain = state.domain(path)
+    if len(domain) == 1:
+        return RuleNode(domain[0], children)
+    return UniformHole(frozenset(domain), children)
+
+
 def reference_propagate(state):
     """Whole-tree singleton lookahead: the propagation a SolverState must equal.
 
@@ -256,11 +279,11 @@ def reference_propagate(state):
     changed = True
     while changed:
         changed = False
-        if definitely_violated(constraints, state.current_tree()):
+        if definitely_violated(constraints, reference_materialize(state)):
             return False
         for path in state.hole_paths():
             for rule in state.domain(path):
-                if definitely_violated(constraints, state.current_tree({path: rule})):
+                if definitely_violated(constraints, reference_materialize(state, {path: rule})):
                     state.remove(path, rule)
                     changed = True
             if not state.domain(path):
@@ -376,7 +399,7 @@ def reference_assignments_best_first(state, grammar, code=None, orders=None):
     """A uniform tree's programs best-first, each with its log-probability.
 
     Walks the per-hole choice tuples by summed log-probability, materializes
-    each with ``state.current_tree(overrides)``, keeps those that satisfy
+    each with :func:`reference_materialize`, keeps those that satisfy
     the state's constraints and pairs each with
     ``reference_max_rulenode_log_probability`` and its whole-tree
     ``code.vector`` (``None`` without code).  Patch it in as
@@ -390,7 +413,7 @@ def reference_assignments_best_first(state, grammar, code=None, orders=None):
     while heap:
         neg_total, indices, frontier = heapq.heappop(heap)
         overrides = {path: ordered[i][j] for i, (path, j) in enumerate(zip(holes, indices))}
-        program = state.current_tree(overrides)
+        program = reference_materialize(state, overrides)
         if check_program(state.constraints, program):
             vector = None if code is None else code.vector(program)
             yield program, reference_max_rulenode_log_probability(program, grammar), vector

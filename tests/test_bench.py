@@ -381,6 +381,17 @@ def test_cli_solve_malformed_problem_exits_nonzero(tmp_path, capsys):
     assert "odd.problem.json" in capsys.readouterr().err
 
 
+def test_cli_solve_a_constraint_that_can_never_match_exits_nonzero(tmp_path, capsys):
+    problem = tmp_path / "never.problem.json"
+    write_problem(problem, constraints=["(forbidden (rule 4 (var a)))"])
+    code = main(
+        ["solve", "--grammar", str(ARITH / "default.herbg"), "--problem", str(problem),
+         "--max-depth", "3"]
+    )
+    assert code == 1
+    assert "child count" in capsys.readouterr().err
+
+
 def test_cli_solve_mlfs_on_an_unweighted_grammar(capsys):
     code = main(
         [

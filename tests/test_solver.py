@@ -23,8 +23,9 @@ from synthkit import (
 )
 from synthkit import iterators
 from synthkit.iterators import MLFSIterator
+from synthkit.constraints import Ordered, PatternVar
 from synthkit.nodes import subtrees
-from synthkit.solver import SolverState, split_first_hole, survey
+from synthkit.solver import SolverState, _positions, _post_site, split_first_hole, survey
 
 from conftest import SUITES_DIR
 from oracles import (
@@ -33,6 +34,7 @@ from oracles import (
     random_partial_tree,
     reference_assignments_best_first,
     reference_assignments_depth_first,
+    reference_materialize,
     reference_max_rulenode_log_probability,
     reference_propagate,
     reference_split_first_hole,
@@ -765,3 +767,193 @@ def test_every_queued_tree_is_made_of_holes(g0, kind, dfs_over_shapes, monkeypat
         assert sum(1 for _ in make_iterator(config)) > 0
     assert len(trees) > 100
     assert not any(isinstance(node, RuleNode) for tree in trees for node in subtrees(tree))
+
+
+def _variable_occurrences(pattern, at):
+    """Name and tree path of every variable occurrence of a pattern posted
+    at ``at``, in the pattern's preorder."""
+    if isinstance(pattern, PatternVar):
+        yield pattern.name, at
+        return
+    for i, child in enumerate(pattern.children or ()):
+        yield from _variable_occurrences(child, at + (i,))
+
+
+def _subtree(tree, path):
+    for index in path:
+        tree = tree.children[index]
+    return tree
+
+
+def test_site_templates_read_the_serialized_materialized_subtrees(g0):
+    # A site reads each bound subtree as its template formatted with the
+    # holes' rules.  For every site of random uniform trees, some with
+    # fixed rule nodes, and for every hole of its bound subtrees decided to
+    # each rule of its original domain, the texts must equal serializing
+    # the subtrees that the old check materialized.
+    rng = random.Random(16)
+    checked = literal = 0
+    for _ in range(200):
+        tree = random_partial_tree(g0, "Int", rng, 4)
+        while not is_uniform(tree):
+            tree = rng.choice(decompose(g0, tree, max_depth=5))
+        state = SolverState(g0, tree, PROPAGATION_FORMS)
+        original = _domains(state)
+        for path, domain in original.items():
+            state.assign(path, rng.choice(domain))
+        reposted = []
+        for constraint in PROPAGATION_FORMS:
+            for at, node in _positions(tree, ()):
+                site = _post_site(constraint, node, at)
+                if site is None:
+                    continue
+                reposted.append(site)
+                occurrences = list(_variable_occurrences(constraint.pattern, at))
+                names = [name for name, _ in occurrences]
+                compared = constraint.variables if isinstance(constraint, Ordered) else ()
+                bound = [
+                    path
+                    for name, path in occurrences
+                    if names.count(name) > 1 or name in compared
+                ]
+                assert len(site.bound) == len(bound)
+                literal += sum(
+                    any(c.isdigit() for c in template) for _, template in site.bound
+                )
+                blockers = [(None, None)] + [
+                    (hole, rule)
+                    for holes, _ in site.bound
+                    for hole in holes
+                    for rule in original[hole]
+                ]
+                for blocking, rule in blockers:
+                    overrides = None if blocking is None else {blocking: rule}
+                    expected = [
+                        serialize_node(
+                            reference_materialize(state, overrides, _subtree(tree, path), path)
+                        )
+                        for path in bound
+                    ]
+                    assert state._bound_texts(site, blocking, rule) == expected
+                    checked += 1
+        assert reposted == state._sites
+    assert checked > 1000 and literal > 0
+
+
+def _unconstrained_copy(state):
+    """A state over the same tree with the state's current domains and no
+    constraints."""
+
+    def narrow(node, path):
+        children = tuple(narrow(child, path + (i,)) for i, child in enumerate(node.children))
+        if isinstance(node, RuleNode):
+            return RuleNode(node.rule, children)
+        return UniformHole(frozenset(state.domain(path)), children)
+
+    return SolverState(state.grammar, narrow(state.root, ()), ())
+
+
+def test_constrained_mlfs_checks_choices_before_it_builds(g0, monkeypatch):
+    # mlfs decides each popped choice tuple against the state's sites
+    # before it builds the program.  Per uniform tree it must yield exactly
+    # the same walk without constraints filtered by check_program: the
+    # same programs in the same order, with the same log-probabilities.
+    # It must never call check_program, and it must build a program only
+    # to emit it.
+    grammar = g0.with_probabilities([0.3, 0.1, 0.25, 0.2, 0.15])
+    best_first = iterators._assignments_best_first
+    choice_builder = iterators._choice_builder
+    yielded, builds = [], []
+
+    def recording(state, grammar, code, orders):
+        for item in best_first(state, grammar, code, orders):
+            yielded.append(item)
+            yield item
+
+    def filtered(state, grammar, code, orders):
+        for item in best_first(_unconstrained_copy(state), grammar, code, orders):
+            if check_program(state.constraints, item[0]):
+                yielded.append(item)
+                yield item
+
+    def counting_builder(node, slots, code, i=0):
+        build, end = choice_builder(node, slots, code, i)
+        if i:
+            return build, end
+
+        def counted(choices):
+            builds.append(choices)
+            return build(choices)
+
+        return counted, end
+
+    def refuse(constraints, program):
+        raise AssertionError("mlfs called check_program")
+
+    rng = random.Random(41)
+    total = 0
+    for _ in range(12):
+        constraints = tuple(rng.sample(PROPAGATION_FORMS, rng.randint(1, 3)))
+        config = IteratorConfig(
+            "mlfs", grammar, "Int", max_depth=4, max_size=7, constraints=constraints
+        )
+        # A replayed search would run none of the patched code.
+        assert not has_recording(grammar)
+        with monkeypatch.context() as patch:
+            patch.setattr(iterators, "check_program", refuse)
+            patch.setattr(iterators, "_assignments_best_first", recording)
+            patch.setattr(iterators, "_choice_builder", counting_builder)
+            del yielded[:], builds[:]
+            emitted = list(make_iterator(config))
+            assert len(builds) == len(emitted)
+            checked = list(yielded)
+        with monkeypatch.context() as patch:
+            patch.setattr(iterators, "_assignments_best_first", filtered)
+            del yielded[:]
+            assert list(make_iterator(config)) == emitted
+        assert checked == yielded, constraints
+        total += len(emitted)
+    assert total > 5000
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(forbidden (rule 99))",
+        "(forbidden (rule 0))",
+        "(forbidden (domain (2 6)))",
+        "(ordered (rule 4 (var a) (rule 7)) (a))",
+    ],
+)
+def test_a_constraint_naming_a_rule_outside_the_grammar_is_a_config_error(g0, text):
+    with pytest.raises(ConfigError, match="outside the grammar"):
+        IteratorConfig("bfs", g0, "Int", max_depth=3, constraints=(parse_constraint(text),))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(forbidden (rule 4 (var a)))",
+        "(forbidden (rule 1 (var a)))",
+        "(forbidden (rule 5 (var a) (rule 4 (var b) (var c) (var d))))",
+    ],
+)
+def test_a_rule_pattern_with_the_wrong_child_count_is_a_config_error(g0, text):
+    with pytest.raises(ConfigError, match="child count"):
+        IteratorConfig("dfs", g0, "Int", max_depth=3, constraints=(parse_constraint(text),))
+
+
+@pytest.mark.parametrize(
+    "text", ["(forbidden (domain (1 2) (var a)))", "(forbidden (domain (4 5) (var a)))"]
+)
+def test_a_domain_pattern_no_rule_of_which_takes_its_child_count_is_a_config_error(g0, text):
+    with pytest.raises(ConfigError, match="child count"):
+        IteratorConfig("mlfs", g0, "Int", max_depth=3, constraints=(parse_constraint(text),))
+
+
+@pytest.mark.parametrize("kind", ["bfs", "dfs", "mlfs", "bottom_up"])
+def test_every_propagation_form_is_a_valid_constraint(g0, kind):
+    # A domain pattern needs only one of its rules to take its child count.
+    mixed = parse_constraint("(forbidden (domain (1 4) (var a) (var b)))")
+    for constraint in PROPAGATION_FORMS + [mixed]:
+        IteratorConfig(kind, g0, "Int", max_depth=3, max_size=5, constraints=(constraint,))
