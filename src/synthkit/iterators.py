@@ -28,17 +28,19 @@ Every queued tree is made of holes only: the root is the start symbol's
 hole, and a split replaces a hole with a uniform hole over full-domain
 holes.  So a uniform tree's nodes are exactly its holes, in the preorder of
 :meth:`~synthkit.solver.SolverState.hole_paths`, its shape is fixed, and
-consecutive programs of one tree differ only in a few holes.  The bfs/dfs
-enumeration gives every hole a generator of its complete subtrees and
-rebuilds only the path from the hole that changed to the root; emitted
-programs share their unchanged subtrees.  The mlfs enumeration compiles
-each uniform tree once into a builder from the per-hole choice vector,
-which returns the program together with its log-probability; that value
-is the queue priority when the tree is re-enqueued, so no emitted program
-is walked again to price it.  The builder numbers the holes in preorder,
-so the subtree at hole ``i`` with ``n`` nodes owns ``choices[i:i+n]``;
-every subtree below the root memoizes what it builds on its part, so mlfs
-programs share their unchanged subtrees too.
+consecutive programs of one tree differ only in a few holes.  Every kind
+walks a uniform tree's programs as per-hole choice tuples and compiles the
+tree once into a builder from a tuple (:func:`_choice_builder`).  The
+builder numbers the holes in preorder, so the subtree at hole ``i`` with
+``n`` nodes owns ``choices[i:i+n]``; every subtree below the root memoizes
+what it builds on its part, so programs share their unchanged subtrees,
+and the caches die with the tree's walk.  bfs and dfs walk the tuples in
+lexicographic order over the holes' ascending domains and test each
+prefix where some constraint sites complete, so a failing prefix skips
+every tuple that extends it.  mlfs walks them best-first, and its builder
+also returns the program's log-probability; that value is the queue
+priority when the tree is re-enqueued, so no emitted program is walked
+again to price it.
 
 The bottom-up iterator grows a bank of programs per nonterminal indexed by
 node count, combining smaller programs into larger ones, optionally pruning
@@ -104,7 +106,7 @@ from .interpreter import EVAL_ERROR, RuleCode, output_key, solved_counter
 # Unused here, but kept as names the benchmark tracer patches on this module.
 from .interpreter import evaluate, run_examples, to_expression  # noqa: F401
 from .nodes import Hole, Node, RuleNode, depth
-from .solver import Path, SolverState, Surveyed, split_first_hole, survey
+from .solver import SolverState, Surveyed, split_first_hole, survey
 from .specification import Problem
 
 Priority = Union[int, float, tuple]
@@ -508,75 +510,47 @@ class MLFSIterator(TopDownIterator):
 def _assignments_depth_first(state, code=None) -> Iterator[tuple[RuleNode, tuple | None]]:
     """Enumerate a uniform tree's programs depth-first over its holes.
 
-    Every node of a uniform tree is a hole, and each gets a generator of its
-    complete subtrees, each with its output vector through ``code``
-    (``None`` without code).  A hole's generator takes its rules in the
-    domain's ascending order from
-    :meth:`~synthkit.solver.SolverState.decisions`, which decides the hole
-    in the solver state, and then walks the product of its children's
-    generators left to right, so holes are decided in preorder and the last
-    one varies fastest.  Only the nodes on the path from the
-    hole that changed to the root are built anew, each with one application
-    of its rule's code to its children's vectors; the subtrees beside that
-    path are the ones yielded before, which is safe because rule nodes are
-    immutable.
+    Every node of a uniform tree is a hole, and its programs are the choice
+    tuples over the holes' propagated domains in lexicographic order: holes
+    in the preorder of :meth:`~synthkit.solver.SolverState.hole_paths`, each
+    domain ascending, the last hole varying fastest.  Each passing tuple is
+    built by :func:`_choice_builder`, with its output vector through
+    ``code`` (``None`` without code) and no log-probability.
 
-    Propagation alone decides the constraints, so no program is checked
-    again.  The solver state posts a site at every position where a
-    constraint's pattern can still match this tree's shape and domains,
-    and a position without a site matches in no completion.  A hole that a
-    site watches is decided by an assignment followed by propagation, and
-    that propagation re-checks each site watching the hole.  A hole no site
-    watches is decided by iterating its domain: no site reads it, and no
-    propagation is pending when a hole is decided, so assigning and
-    propagating it would change nothing else.  Once the last hole a site
-    watches is decided, the site has no blocking hole, so its pattern
-    matches and its bound texts are checked; a violation wipes the choice
-    out.  Sites that watch no hole are checked by the state's first
-    propagation, before the stream starts.  So every complete program the
-    stream reaches satisfies every constraint, and without constraints the
-    stream makes no trail calls at all.
+    Propagation is not run again: the state's first propagation settled
+    every site that reads no hole, and
+    :meth:`~synthkit.solver.SolverState.choice_tests` groups the other
+    sites by the last position each reads.  :func:`itertools.product` runs
+    over the positions up to the next such position, and the prefix is
+    tested there, so a prefix that breaks a constraint skips every tuple
+    that extends it.  Without constraints the walk is one product.
     """
-    return _subtree_stream(state, state.root, (), code)()
+    domains = [state.domain(path) for path in state.hole_paths()]
+    build, _ = _choice_builder(state.root, [(rules, None) for rules in domains], code)
+    ranges = [range(len(rules)) for rules in domains]
+    segments = []
+    start = 0
+    for last, test in state.choice_tests(domains):
+        segments.append((ranges[start : last + 1], test))
+        start = last + 1
+    if start < len(ranges):
+        segments.append((ranges[start:], None))
+    return _walk(segments, 0, (), build)
 
 
-def _subtree_stream(
-    state, node: Node, path: Path, code
-) -> Callable[[], Iterator[tuple[RuleNode, tuple | None]]]:
-    """A function that starts a fresh stream of a hole's complete subtrees,
-    each paired with its output vector."""
-    children = tuple(
-        _subtree_stream(state, child, path + (i,), code)
-        for i, child in enumerate(node.children)
-    )
-
-    def decide() -> Iterator[tuple[RuleNode, tuple | None]]:
-        for rule in state.decisions(path):
-            apply = None if code is None else code[rule]
-            if not children:
-                yield RuleNode(rule), apply
+def _walk(segments: list, k: int, prefix: tuple, build) -> Iterator:
+    """The programs of every passing tuple that extends ``prefix``, where
+    ``segments[k:]`` hold the ranges of the remaining positions, each run
+    with the test of the prefix that ends it, or ``None``."""
+    ranges, test = segments[k]
+    deeper = k + 1 < len(segments)
+    for part in itertools.product(*ranges):
+        choices = prefix + part
+        if test is None or test(choices):
+            if deeper:
+                yield from _walk(segments, k + 1, choices, build)
             else:
-                for kids, vectors in _product(children):
-                    yield RuleNode(rule, kids), None if apply is None else apply(*vectors)
-
-    return decide
-
-
-def _product(children: tuple) -> Iterator[tuple[tuple[RuleNode, ...], tuple]]:
-    """One subtree per child stream, left to right, the last varying fastest,
-    paired with the tuple of their vectors.
-
-    A later child's stream restarts for every subtree of an earlier one,
-    because the earlier child's choices change what the later may take.
-    """
-    first, rest = children[0], children[1:]
-    if not rest:
-        for head, vector in first():
-            yield (head,), (vector,)
-    else:
-        for head, vector in first():
-            for kids, vectors in _product(rest):
-                yield (head,) + kids, (vector,) + vectors
+                yield build(choices)
 
 
 def _assignments_best_first(
@@ -634,13 +608,15 @@ def _choice_builder(
 
     Every node of a uniform tree is a hole, numbered in preorder, and
     ``slots[i]`` holds the ordered rules of hole ``i`` and their
-    log-probabilities.  The subtree at hole ``i`` owns the part
-    ``choices[i:i+n]`` of the tuple, where ``n`` is its node count, and
-    memoizes what it builds on that part, so a program reuses the
-    subtrees, log-probabilities and vectors of an earlier one wherever
-    their choices agree.  The root, at position 0, is built afresh: the
-    popped tuples are distinct, so its cache would never hit and would keep
-    every program alive.  The caches live as long as the returned function.
+    log-probabilities, or ``None`` in their place: then nothing is summed
+    and the function returns the program and its vector alone.  The
+    subtree at hole ``i`` owns the part ``choices[i:i+n]`` of the tuple,
+    where ``n`` is its node count, and memoizes what it builds on that
+    part, so a program reuses the subtrees, log-probabilities and vectors
+    of an earlier one wherever their choices agree.  The root, at position
+    0, is built afresh: every tuple is built at most once, so its cache
+    would never hit and would keep every program alive.  The caches live
+    as long as the returned function.
     """
     rules, values = slots[i]
     children = []
@@ -649,21 +625,37 @@ def _choice_builder(
         child_build, end = _choice_builder(child, slots, code, end)
         children.append(child_build)
 
-    def build(choices: tuple) -> tuple:
-        j = choices[i]
-        rule = rules[j]
-        if not children:
-            return RuleNode(rule), values[j], None if code is None else code[rule]
-        total = values[j]
-        kids = []
-        vectors = []
-        for child in children:
-            subtree, value, vector = child(choices)
-            kids.append(subtree)
-            total += value
-            vectors.append(vector)
-        vector = None if code is None else code[rule](*vectors)
-        return RuleNode(rule, tuple(kids)), total, vector
+    if values is None:
+
+        def build(choices: tuple) -> tuple:
+            rule = rules[choices[i]]
+            if not children:
+                return RuleNode(rule), None if code is None else code[rule]
+            kids = []
+            vectors = []
+            for child in children:
+                subtree, vector = child(choices)
+                kids.append(subtree)
+                vectors.append(vector)
+            return RuleNode(rule, tuple(kids)), None if code is None else code[rule](*vectors)
+
+    else:
+
+        def build(choices: tuple) -> tuple:
+            j = choices[i]
+            rule = rules[j]
+            if not children:
+                return RuleNode(rule), values[j], None if code is None else code[rule]
+            total = values[j]
+            kids = []
+            vectors = []
+            for child in children:
+                subtree, value, vector = child(choices)
+                kids.append(subtree)
+                total += value
+                vectors.append(vector)
+            vector = None if code is None else code[rule](*vectors)
+            return RuleNode(rule, tuple(kids)), total, vector
 
     if i == 0:
         return build, end

@@ -31,18 +31,17 @@ matches from the watched domains, and formats the bound texts from the
 decided holes.  The strength is still singleton lookahead per hole: a rule
 is dropped when fixing the hole to it makes some constraint violated in
 every completion.  Propagation only ever drops rules that no satisfying
-program uses.  :meth:`~SolverState.decisions` decides one hole at a time.
-A hole that some site watches is assigned each rule and propagated; any
-other hole's rules are simply iterated, because no site reads its domain
-and propagation never changes it, so there assignment and propagation would
-be exact no-ops.  Deciding every hole this way, as the bfs/dfs stream does,
-rejects every program that breaks a constraint, so that stream checks
-nothing afterwards, and a search without constraints makes no trail calls.
-mlfs walks complete assignments as choice tuples outside the state;
-:meth:`~SolverState.choice_test` decides each tuple from the same compiled
-sites, reading the chosen rules in place, so mlfs builds only the programs
-that satisfy every constraint, and neither search calls
-:func:`~synthkit.constraints.check_program`, the ground truth.
+program uses.  A search enumerates a uniform tree's complete assignments
+as choice tuples outside the state, holes numbered in the preorder of
+:meth:`~SolverState.hole_paths`, after one propagation of the tree.
+:meth:`~SolverState.choice_tests` compiles the sites into tests grouped by
+the last tuple position each site reads, and a test reads the chosen rules
+in place.  bfs and dfs test each prefix where a group completes and skip
+every tuple that extends a failing one.  mlfs tests each tuple it pops
+against all the same sites at once, with :meth:`~SolverState.choice_test`.
+So every search builds only the programs that satisfy every constraint,
+and none calls :func:`~synthkit.constraints.check_program`, the ground
+truth.
 """
 
 from __future__ import annotations
@@ -408,30 +407,6 @@ class SolverState:
         if domain != (rule,):
             self._set(path, (rule,) if rule in domain else ())
 
-    def decisions(self, path: Path) -> Iterator[int]:
-        """Decide a hole to each of its rules in turn, ascending.
-
-        A rule is yielded with the hole decided to it and propagated, and
-        its changes are undone when the next rule is asked for; a rule
-        whose propagation wipes out is skipped.  Propagation reads a hole's
-        domain only through the sites that watch it and never changes an
-        unwatched hole, so while nothing awaits propagation, deciding an
-        unwatched hole is an exact no-op on the state: its rules are
-        yielded as they are, with no trail work, and its domain stays whole.
-        """
-        domain = self._domains[path]
-        if path not in self._watchers and self._checked == len(self._trail):
-            return iter(domain)
-        return self._decide(path, domain)
-
-    def _decide(self, path: Path, domain: tuple[int, ...]) -> Iterator[int]:
-        for rule in domain:
-            checkpoint = self.save_state()
-            self.assign(path, rule)
-            if self.propagate():
-                yield rule
-            self.restore_state(checkpoint)
-
     def save_state(self) -> Checkpoint:
         checkpoint = Checkpoint(len(self._trail), self._checked, len(self._live))
         self._live.append(checkpoint)
@@ -572,48 +547,75 @@ class SolverState:
 
     # -- complete assignments --------------------------------------------------
 
-    def choice_test(self, rules: Sequence[Sequence[int]]) -> Callable[[tuple], bool] | None:
-        """A test of complete assignments, given as choice tuples, against
-        every posted site; ``None`` when no site is posted.
+    def choice_tests(
+        self, rules: Sequence[Sequence[int]]
+    ) -> list[tuple[int, Callable[[tuple], bool]]]:
+        """Tests of choice tuples against the posted sites, one per tuple
+        position where some site completes, ascending by position.
 
         Holes are numbered in the preorder of :meth:`hole_paths`, and a
-        tuple decides hole ``i`` to ``rules[i][choices[i]]``.  A site's
-        pattern matches when each watched hole's rule is one its pattern
-        node accepts; its bound texts are then its templates over the
-        holes' rules, and :meth:`_Site.violated` decides it, as propagation
-        does.  A position where no site was posted matches in no
-        assignment, so a tuple passes exactly when its program satisfies
+        tuple decides hole ``i`` to ``rules[i][choices[i]]``.  The sites
+        are grouped by the last position they read, and ``(k, test)``
+        decides every site of the group at ``k`` from the tuple's first
+        ``k + 1`` positions, so a prefix that fails rules out every tuple
+        extending it.  A site that reads no position was settled by the
+        first :meth:`propagate`, and a position where no site was posted
+        matches in no assignment, so after that propagation a tuple passes
+        every test exactly when its program satisfies
         :func:`~synthkit.constraints.check_program`, and no program is
         built to tell.
         """
-        if not self._sites:
-            return None
+        groups: dict[int, list] = {}
+        for last, compiled in self._compiled_sites():
+            groups.setdefault(last, []).append(compiled)
+        return [(last, _tuple_test(groups[last], rules)) for last in sorted(groups)]
+
+    def choice_test(self, rules: Sequence[Sequence[int]]) -> Callable[[tuple], bool] | None:
+        """One test of complete choice tuples against every site that
+        :meth:`choice_tests` groups, in posting order; ``None`` when there
+        is none."""
+        sites = [compiled for _, compiled in self._compiled_sites()]
+        return _tuple_test(sites, rules) if sites else None
+
+    def _compiled_sites(self) -> Iterator[tuple[int, tuple]]:
+        """Each site that reads some hole, in posting order, with the last
+        tuple position it reads, its watched pattern-node positions with
+        their accepted rules, and its bound positions with their templates."""
         position = {path: i for i, path in enumerate(self._domains)}
-        sites = [
-            (
-                site,
-                tuple(
-                    (position[hole], accepted)
-                    for hole, accepted in site.watched
-                    if accepted is not None
-                ),
-                tuple(
-                    (tuple(position[hole] for hole in holes), template)
-                    for holes, template in site.bound
-                ),
-            )
-            for site in self._sites
-        ]
+        for site in self._sites:
+            if site.watched:
+                yield max(position[hole] for hole, _ in site.watched), (
+                    site,
+                    tuple(
+                        (position[hole], accepted)
+                        for hole, accepted in site.watched
+                        if accepted is not None
+                    ),
+                    tuple(
+                        (tuple(position[hole] for hole in holes), template)
+                        for holes, template in site.bound
+                    ),
+                )
 
-        def passes(choices: tuple) -> bool:
-            for site, tests, bound in sites:
-                if all(rules[i][choices[i]] in accepted for i, accepted in tests) and site.violated(
-                    [
-                        template.format(*[rules[i][choices[i]] for i in holes])
-                        for holes, template in bound
-                    ]
-                ):
-                    return False
-            return True
 
-        return passes
+def _tuple_test(sites: list, rules: Sequence[Sequence[int]]) -> Callable[[tuple], bool]:
+    """A test of choice tuples against compiled sites.
+
+    A site's pattern matches when each watched hole's rule is one its
+    pattern node accepts; its bound texts are then its templates over the
+    holes' rules, and :meth:`_Site.violated` decides it, as propagation
+    does.
+    """
+
+    def passes(choices: tuple) -> bool:
+        for site, tests, bound in sites:
+            if all(rules[i][choices[i]] in accepted for i, accepted in tests) and site.violated(
+                [
+                    template.format(*[rules[i][choices[i]] for i in holes])
+                    for holes, template in bound
+                ]
+            ):
+                return False
+        return True
+
+    return passes

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -650,9 +651,9 @@ def _counting(monkeypatch, names):
 
 @pytest.mark.parametrize("kind", ["bfs", "dfs"])
 def test_unconstrained_drains_make_no_trail_calls(g0, kind, monkeypatch):
-    # No site watches any hole without constraints, so every hole is
-    # decided by iterating its domain: the only propagation is the one
-    # each uniform tree gets when it is queued.
+    # Without constraints the choice-tuple walk is one product over the
+    # holes' domains: the only propagation is the one each uniform tree
+    # gets when it is queued.
     strings = parse_grammar((SUITES_DIR / "mini-strings" / "default.herbg").read_text())
     counts = _counting(
         monkeypatch, ["__init__", "save_state", "assign", "restore_state", "propagate"]
@@ -666,32 +667,164 @@ def test_unconstrained_drains_make_no_trail_calls(g0, kind, monkeypatch):
     assert counts["save_state"] == counts["assign"] == counts["restore_state"] == 0
 
 
+@pytest.mark.parametrize("kind", ["bfs", "dfs", "mlfs"])
+def test_constrained_drains_propagate_once_per_uniform_tree(g0, kind, monkeypatch):
+    # Every search decides constraints with choice-tuple tests, so under
+    # constraints too the only propagation is the one each uniform tree
+    # gets when it is queued, and no search touches the trail.
+    counts = _counting(
+        monkeypatch, ["__init__", "save_state", "assign", "restore_state", "propagate"]
+    )
+    for constraints in ENUM_CONSTRAINED_SETS:
+        config = IteratorConfig(
+            kind, g0, "Int", max_depth=4, max_size=7, constraints=tuple(constraints)
+        )
+        assert not has_recording(g0)
+        assert sum(1 for _ in make_iterator(config)) > 0
+    assert counts["__init__"] > 0
+    assert counts["propagate"] == counts["__init__"]
+    assert counts["save_state"] == counts["assign"] == counts["restore_state"] == 0
+
+
 @pytest.mark.parametrize("kind", ["bfs", "dfs"])
 def test_a_constraint_watching_part_of_a_tree_keeps_the_reference_sequence(
     g0, kind, monkeypatch
 ):
-    # Only holes under a multiplication are watched here, so one stream
-    # decides watched holes through the trail and the rest by iteration.
+    # Only holes under a multiplication are read here, so the choice-tuple
+    # walk tests a prefix at some positions of a tree and at others only
+    # extends it.
     constraint = parse_constraint("(forbidden (rule 5 (var a) (var a)))")
     config = IteratorConfig(
         kind, g0, "Int", max_depth=4, max_size=9, constraints=(constraint,)
     )
-    watched = set()
-    decisions = SolverState.decisions
+    tested = set()
+    choice_tests = SolverState.choice_tests
 
-    def recording_decisions(state, path):
-        watched.add(path in state._watchers)
-        return decisions(state, path)
+    def recording_choice_tests(state, rules):
+        groups = choice_tests(state, rules)
+        checkpoints = {last for last, _ in groups}
+        tested.update(position in checkpoints for position in range(len(rules)))
+        return groups
 
-    monkeypatch.setattr(SolverState, "decisions", recording_decisions)
+    monkeypatch.setattr(SolverState, "choice_tests", recording_choice_tests)
     assert not has_recording(g0)
     emitted = [serialize_node(p) for p in make_iterator(config)]
-    assert watched == {True, False}
+    assert tested == {True, False}
     with monkeypatch.context() as patch:
         patch.setattr(iterators, "_assignments_depth_first", reference_assignments_depth_first)
         expected = [serialize_node(p) for p in make_iterator(config)]
     assert emitted and emitted == expected
     assert all(check_program((constraint,), parse_node(text)) for text in emitted)
+
+
+MINI_STRINGS_CONSTRAINT_SETS = [
+    ["(ordered (rule 8 (var a) (var b)) (a b))"],
+    ["(forbidden (rule 10 (var a) (rule 11) (rule 11)))"],
+    [
+        "(ordered (rule 8 (var a) (var b)) (a b))",
+        "(forbidden (rule 10 (var a) (rule 11) (rule 11)))",
+    ],
+    ["(forbidden (rule 9 (var a) (var a) (var b)))", "(forbidden (rule 8 (var a) (rule 1)))"],
+]
+
+
+@pytest.mark.parametrize("kind", ["bfs", "dfs"])
+def test_the_choice_tuple_walk_tests_each_prefix_where_its_sites_complete(
+    g0, kind, monkeypatch
+):
+    # Per uniform tree, bfs and dfs must yield exactly the reference's
+    # programs, which decides every hole through the trail and checks each
+    # complete tree.  Each group of sites must be tested on prefixes that
+    # end at the position where it completes, once for each prefix whose
+    # earlier groups pass, so a failing prefix skips every tuple extending
+    # it; and only the programs the walk yields are built.
+    strings = parse_grammar((SUITES_DIR / "mini-strings" / "default.herbg").read_text())
+    walk = iterators._assignments_depth_first
+    choice_builder = iterators._choice_builder
+    choice_tests = SolverState.choice_tests
+    calls, builds, latest = [], [], {}
+    seen = {"trees": 0, "early": 0, "skipped": 0}
+
+    def recording_choice_tests(state, rules):
+        groups = choice_tests(state, rules)
+
+        def recorded(last, test):
+            def passes(choices):
+                verdict = test(choices)
+                calls.append((last, choices, verdict))
+                return verdict
+
+            return passes
+
+        latest["groups"] = groups
+        return [(last, recorded(last, test)) for last, test in groups]
+
+    def counting_builder(node, slots, code, i=0):
+        build, end = choice_builder(node, slots, code, i)
+        if i:
+            return build, end
+
+        def counted(choices):
+            builds.append(choices)
+            return build(choices)
+
+        return counted, end
+
+    def checked_walk(state, code=None):
+        del calls[:], builds[:]
+        programs = list(walk(state, code))
+        assert len(builds) == len(programs)
+        expected = list(reference_assignments_depth_first(state, code))
+        assert [serialize_node(p) for p, _ in programs] == [
+            serialize_node(p) for p, _ in expected
+        ]
+        # A group sits at the last position its sites read.
+        position = {path: i for i, path in enumerate(state.hole_paths())}
+        completions = {
+            max(position[hole] for hole, _ in site.watched)
+            for site in state._sites
+            if site.watched
+        }
+        assert [last for last, _ in latest["groups"]] == sorted(completions)
+        # Replay the prefix skip over every tuple of the propagated domains.
+        ranges = [range(len(state.domain(path))) for path in state.hole_paths()]
+        survivors = [()]
+        for last, test in latest["groups"]:
+            prefixes = [
+                prefix + part
+                for prefix in survivors
+                for part in itertools.product(*ranges[len(prefix) : last + 1])
+            ]
+            assert [choices for at, choices, _ in calls if at == last] == prefixes
+            survivors = [prefix for prefix in prefixes if test(prefix)]
+            if last < len(ranges) - 1:
+                seen["early"] += 1
+                seen["skipped"] += len(survivors) < len(prefixes)
+        assert all(len(choices) == last + 1 for last, choices, _ in calls)
+        seen["trees"] += 1
+        return iter(programs)
+
+    cases = []
+    rng = random.Random(53)
+    for _ in range(16):
+        constraints = tuple(_random_constraint(rng) for _ in range(rng.randint(1, 2)))
+        cases.append((g0, "Int", 4, 7, constraints))
+    for texts in MINI_STRINGS_CONSTRAINT_SETS:
+        constraints = tuple(parse_constraint(text) for text in texts)
+        cases.append((strings, "S", 3, 6, constraints))
+    monkeypatch.setattr(SolverState, "choice_tests", recording_choice_tests)
+    monkeypatch.setattr(iterators, "_choice_builder", counting_builder)
+    monkeypatch.setattr(iterators, "_assignments_depth_first", checked_walk)
+    for grammar, start, max_depth, max_size, constraints in cases:
+        config = IteratorConfig(
+            kind, grammar, start, max_depth=max_depth, max_size=max_size,
+            constraints=constraints,
+        )
+        assert not has_recording(grammar)
+        programs = list(make_iterator(config))
+        assert all(check_program(constraints, program) for program in programs)
+    assert seen["trees"] > 150
+    assert seen["early"] > 150 and seen["skipped"] > 30
 
 
 def _random_probabilities(grammar, rng):
