@@ -33,14 +33,14 @@ walks a uniform tree's programs as per-hole choice tuples and compiles the
 tree once into a builder from a tuple (:func:`_choice_builder`).  The
 builder numbers the holes in preorder, so the subtree at hole ``i`` with
 ``n`` nodes owns ``choices[i:i+n]``; every subtree below the root memoizes
-what it builds on its part, so programs share their unchanged subtrees,
-and the caches die with the tree's walk.  bfs and dfs walk the tuples in
-lexicographic order over the holes' ascending domains and test each
-prefix where some constraint sites complete, so a failing prefix skips
-every tuple that extends it.  mlfs walks them best-first, and its builder
-also returns the program's log-probability; that value is the queue
-priority when the tree is re-enqueued, so no emitted program is walked
-again to price it.
+what it builds on its part, a bounded number of parts at a time, so
+programs share their unchanged subtrees, and the caches die with the
+tree's walk.  bfs and dfs walk the tuples in lexicographic order over the
+holes' ascending domains and test each prefix where some constraint sites
+complete, so a failing prefix skips every tuple that extends it.  mlfs
+walks them best-first, and its builder also returns the program's
+log-probability, the queue priority when the tree is re-enqueued, so no
+emitted program is walked again to price it.
 
 The bottom-up iterator grows a bank of programs per nonterminal indexed by
 node count, combining smaller programs into larger ones, optionally pruning
@@ -517,13 +517,12 @@ def _assignments_depth_first(state, code=None) -> Iterator[tuple[RuleNode, tuple
     built by :func:`_choice_builder`, with its output vector through
     ``code`` (``None`` without code) and no log-probability.
 
-    Propagation is not run again: the state's first propagation settled
-    every site that reads no hole, and
-    :meth:`~synthkit.solver.SolverState.choice_tests` groups the other
-    sites by the last position each reads.  :func:`itertools.product` runs
-    over the positions up to the next such position, and the prefix is
-    tested there, so a prefix that breaks a constraint skips every tuple
-    that extends it.  Without constraints the walk is one product.
+    Propagation is not run again: it settled every site but the open ones,
+    which :meth:`~synthkit.solver.SolverState.choice_tests` groups by the
+    last position each reads.  :func:`itertools.product` runs over the
+    positions up to the next such position, where the prefix is tested, so
+    a prefix that breaks a constraint skips every tuple that extends it.
+    Without constraints the walk is one product.
     """
     domains = [state.domain(path) for path in state.hole_paths()]
     build, _ = _choice_builder(state.root, [(rules, None) for rules in domains], code)
@@ -550,7 +549,8 @@ def _walk(segments: list, k: int, prefix: tuple, build) -> Iterator:
             if deeper:
                 yield from _walk(segments, k + 1, choices, build)
             else:
-                yield build(choices)
+                program, _, vector = build(choices)
+                yield program, vector
 
 
 def _assignments_best_first(
@@ -599,6 +599,9 @@ def _assignments_best_first(
                 heapq.heappush(heap, (neg_total - delta, bumped, m))
 
 
+_CACHED_PARTS = 1024
+
+
 def _choice_builder(
     node: Node, slots: list, code, i: int = 0
 ) -> tuple[Callable[[tuple], tuple], int]:
@@ -609,14 +612,15 @@ def _choice_builder(
     Every node of a uniform tree is a hole, numbered in preorder, and
     ``slots[i]`` holds the ordered rules of hole ``i`` and their
     log-probabilities, or ``None`` in their place: then nothing is summed
-    and the function returns the program and its vector alone.  The
-    subtree at hole ``i`` owns the part ``choices[i:i+n]`` of the tuple,
-    where ``n`` is its node count, and memoizes what it builds on that
-    part, so a program reuses the subtrees, log-probabilities and vectors
-    of an earlier one wherever their choices agree.  The root, at position
-    0, is built afresh: every tuple is built at most once, so its cache
-    would never hit and would keep every program alive.  The caches live
-    as long as the returned function.
+    and the log-probability is ``None``.  The subtree at hole ``i`` owns
+    the part ``choices[i:i+n]`` of the tuple, where ``n`` is its node
+    count, and memoizes what it builds on that part, so a program reuses
+    the subtrees, log-probabilities and vectors of an earlier one wherever
+    their choices agree.  A full cache (``_CACHED_PARTS``) starts over, so
+    memory is bounded per hole; a run of tuples sharing a part still hits.
+    The root, at position 0, is built afresh: every tuple is built at most
+    once, so its cache would never hit and would keep every program alive.
+    The caches live as long as the returned function.
     """
     rules, values = slots[i]
     children = []
@@ -625,37 +629,22 @@ def _choice_builder(
         child_build, end = _choice_builder(child, slots, code, end)
         children.append(child_build)
 
-    if values is None:
-
-        def build(choices: tuple) -> tuple:
-            rule = rules[choices[i]]
-            if not children:
-                return RuleNode(rule), None if code is None else code[rule]
-            kids = []
-            vectors = []
-            for child in children:
-                subtree, vector = child(choices)
-                kids.append(subtree)
-                vectors.append(vector)
-            return RuleNode(rule, tuple(kids)), None if code is None else code[rule](*vectors)
-
-    else:
-
-        def build(choices: tuple) -> tuple:
-            j = choices[i]
-            rule = rules[j]
-            if not children:
-                return RuleNode(rule), values[j], None if code is None else code[rule]
-            total = values[j]
-            kids = []
-            vectors = []
-            for child in children:
-                subtree, value, vector = child(choices)
-                kids.append(subtree)
+    def build(choices: tuple) -> tuple:
+        j = choices[i]
+        rule = rules[j]
+        total = None if values is None else values[j]
+        if not children:
+            return RuleNode(rule), total, None if code is None else code[rule]
+        kids = []
+        vectors = []
+        for child in children:
+            subtree, value, vector = child(choices)
+            kids.append(subtree)
+            if total is not None:
                 total += value
-                vectors.append(vector)
-            vector = None if code is None else code[rule](*vectors)
-            return RuleNode(rule, tuple(kids)), total, vector
+            vectors.append(vector)
+        vector = None if code is None else code[rule](*vectors)
+        return RuleNode(rule, tuple(kids)), total, vector
 
     if i == 0:
         return build, end
@@ -665,6 +654,8 @@ def _choice_builder(
         key = choices[i:end]
         hit = cache.get(key)
         if hit is None:
+            if len(cache) >= _CACHED_PARTS:
+                cache.clear()
             hit = cache[key] = build(choices)
         return hit
 

@@ -31,17 +31,15 @@ matches from the watched domains, and formats the bound texts from the
 decided holes.  The strength is still singleton lookahead per hole: a rule
 is dropped when fixing the hole to it makes some constraint violated in
 every completion.  Propagation only ever drops rules that no satisfying
-program uses.  A search enumerates a uniform tree's complete assignments
-as choice tuples outside the state, holes numbered in the preorder of
-:meth:`~SolverState.hole_paths`, after one propagation of the tree.
-:meth:`~SolverState.choice_tests` compiles the sites into tests grouped by
-the last tuple position each site reads, and a test reads the chosen rules
-in place.  bfs and dfs test each prefix where a group completes and skip
-every tuple that extends a failing one.  mlfs tests each tuple it pops
-against all the same sites at once, with :meth:`~SolverState.choice_test`.
-So every search builds only the programs that satisfy every constraint,
-and none calls :func:`~synthkit.constraints.check_program`, the ground
-truth.
+program uses.  A site no completion can match, or whose outcome turns on
+at most one undecided hole, is then settled; propagation records the
+others as open.  After one propagation a search walks a uniform tree's
+assignments as choice tuples over :meth:`~SolverState.hole_paths`, and
+:meth:`~SolverState.choice_tests` (grouped by the last position a site
+reads, to test prefixes) or :meth:`~SolverState.choice_test` (all at
+once) decides the open sites from the chosen rules in place.  So no
+search builds a program that breaks a constraint, or calls
+:func:`~synthkit.constraints.check_program`, the ground truth.
 """
 
 from __future__ import annotations
@@ -263,7 +261,8 @@ def _post_site(constraint: Constraint, node: Node, path: Path) -> _Site | None:
     """The site of a constraint at a position, or None if it can never match there.
 
     This is the one walk of the pattern over the tree: rule nodes are
-    matched here once, and the site keeps only what a later check reads.
+    matched here once, a repeated variable bound to subtrees of different
+    shapes never matches, and the site keeps only what a later check reads.
     """
     watched: list[tuple[Path, Optional[frozenset[int]]]] = []
     occurrences: list[tuple[str, Path, Node]] = []
@@ -296,22 +295,30 @@ def _post_site(constraint: Constraint, node: Node, path: Path) -> _Site | None:
     if isinstance(constraint, Ordered):
         decided.update(constraint.variables)
     bound = []
-    first: dict[str, int] = {}
+    # The index into ``bound`` and the shape of each variable's first occurrence.
+    first: dict[str, tuple[int, tuple]] = {}
     repeats = []
     for name, at, sub in occurrences:
         if name in decided:
             holes: list[Path] = []
             template = _template(sub, at, holes)
             watched.extend((hole, None) for hole in holes)
-            if name in first:
-                repeats.append((first[name], len(bound)))
+            if name not in first:
+                first[name] = len(bound), _shape(sub)
+            elif first[name][1] == _shape(sub):
+                repeats.append((first[name][0], len(bound)))
             else:
-                first[name] = len(bound)
+                return None
             bound.append((tuple(holes), template))
     compared = None
     if isinstance(constraint, Ordered):
-        compared = tuple(first[name] for name in constraint.variables)
+        compared = tuple(first[name][0] for name in constraint.variables)
     return _Site(tuple(watched), tuple(bound), tuple(repeats), compared)
+
+
+def _shape(node: Node) -> tuple:
+    """The tree's structure with its rules left out."""
+    return tuple(_shape(child) for child in node.children)
 
 
 def _template(node: Node, path: Path, holes: list[Path]) -> str:
@@ -370,6 +377,8 @@ class SolverState:
         self._live: list[Checkpoint] = []
         self._sites: list[_Site] = []
         self._watchers: dict[Path, list[int]] = {}
+        # Sites that propagation left open, their outcome turning on two or more holes.
+        self._open: set[int] = set()
         # Trail prefix whose changes propagation has seen; None until the
         # first call, which checks every site.
         self._checked: int | None = None
@@ -427,6 +436,8 @@ class SolverState:
         while len(self._trail) > checkpoint.trail_length:
             path, previous = self._trail.pop()
             self._domains[path] = previous
+            # A site settled on the narrower domain may be open again.
+            self._open.update(self._watchers.get(path, ()))
         if checkpoint.checked is None or self._checked is None:
             self._checked = None
         else:
@@ -457,7 +468,8 @@ class SolverState:
         A rule is removed from a hole when fixing the hole to it yields a
         definite constraint violation, i.e. one present in every completion
         of the remaining holes.  Only sites watching a hole that lost a
-        rule since the previous call are looked at again.
+        rule since the previous call are looked at again.  A site checked
+        here is settled, broken by no completion, or left open.
         """
         domains, trail, watchers = self._domains, self._trail, self._watchers
         if self._checked is None:
@@ -468,6 +480,7 @@ class SolverState:
             read = self._checked
         queued = set(dirty)
         current = None
+        open_sites = self._open
         while True:
             # Every change not yet seen wakes the sites watching its hole;
             # the site that just made it is already at its fixed point.
@@ -484,35 +497,41 @@ class SolverState:
                 break
             current = dirty.pop()
             queued.discard(current)
-            if not self._filter_site(self._sites[current]):
+            is_open = self._filter_site(self._sites[current])
+            if is_open is None:
                 return False
+            (open_sites.add if is_open else open_sites.discard)(current)
         self._checked = len(trail)
         return True
 
-    def _filter_site(self, site: _Site) -> bool:
-        """Prune what one site forces; False when it is violated outright.
+    def _filter_site(self, site: _Site) -> bool | None:
+        """Prune what one site forces: ``None`` when it is violated
+        outright, else whether it stays open.
 
-        A hole blocks the site while it is undecided and its pattern node
-        does not accept its whole domain.  With no blocking hole the pattern
-        matches in every completion, so only the bound subtrees are checked,
-        and a violation there is a wipeout.  With one, a rule its pattern
-        node does not accept stays without a check and every other rule is
+        A site no completion matches is settled.  A hole blocks the site
+        while it is undecided and its pattern node does not accept its
+        whole domain.  With no blocking hole the pattern matches in every
+        completion, so only the bound subtrees are checked, and a violation
+        there is a wipeout.  With one, a rule its pattern node
+        does not accept stays without a check and every other rule is
         tried, the bound texts read once when the hole is a pattern node's;
-        with two or more, no single choice can complete a violation,
-        so there is nothing to prune.
+        either way no completion breaks the site once the hole is pruned.
+        With two or more, no single choice can complete a violation, so
+        there is nothing to prune and the site stays open.
         """
         domains = self._domains
-        blocking = accepts = None
+        blockers = []
         for hole, accepted in site.watched:
             domain = domains[hole]
             if accepted is not None and accepted.isdisjoint(domain):
-                return True
+                return False
             if len(domain) > 1 and (accepted is None or not accepted.issuperset(domain)):
-                if blocking is not None:
-                    return True
-                blocking, accepts = hole, accepted
-        if blocking is None:
-            return not self._site_violated(site, None, None)
+                blockers.append((hole, accepted))
+        if len(blockers) > 1:
+            return True
+        if not blockers:
+            return None if self._site_violated(site, None, None) else False
+        [(blocking, accepts)] = blockers
         domain = domains[blocking]
         if accepts is None:
             kept = tuple(r for r in domain if not self._site_violated(site, blocking, r))
@@ -521,10 +540,10 @@ class SolverState:
             # rule the node accepts completes a violation or none does.
             kept = tuple(r for r in domain if r not in accepts)
         else:
-            return True
+            return False
         if len(kept) < len(domain):
             self._set(blocking, kept)
-        return bool(kept)
+        return False if kept else None
 
     def _site_violated(self, site: _Site, blocking: Path | None, rule: int | None) -> bool:
         """Does a site whose pattern matches break its constraint, with the
@@ -550,20 +569,20 @@ class SolverState:
     def choice_tests(
         self, rules: Sequence[Sequence[int]]
     ) -> list[tuple[int, Callable[[tuple], bool]]]:
-        """Tests of choice tuples against the posted sites, one per tuple
-        position where some site completes, ascending by position.
+        """Tests of choice tuples against the sites :meth:`propagate` left
+        open, one per tuple position where some open site completes,
+        ascending by position.
 
         Holes are numbered in the preorder of :meth:`hole_paths`, and a
-        tuple decides hole ``i`` to ``rules[i][choices[i]]``.  The sites
-        are grouped by the last position they read, and ``(k, test)``
+        tuple decides hole ``i`` to ``rules[i][choices[i]]``.  The open
+        sites are grouped by the last position they read, and ``(k, test)``
         decides every site of the group at ``k`` from the tuple's first
         ``k + 1`` positions, so a prefix that fails rules out every tuple
-        extending it.  A site that reads no position was settled by the
-        first :meth:`propagate`, and a position where no site was posted
-        matches in no assignment, so after that propagation a tuple passes
-        every test exactly when its program satisfies
-        :func:`~synthkit.constraints.check_program`, and no program is
-        built to tell.
+        extending it.  No completion breaks a settled site, and no site was
+        posted where no assignment matches, so after propagation a tuple
+        passes every test exactly when its program satisfies
+        :func:`~synthkit.constraints.check_program`.  Before the first
+        propagation no site is open.
         """
         groups: dict[int, list] = {}
         for last, compiled in self._compiled_sites():
@@ -571,31 +590,27 @@ class SolverState:
         return [(last, _tuple_test(groups[last], rules)) for last in sorted(groups)]
 
     def choice_test(self, rules: Sequence[Sequence[int]]) -> Callable[[tuple], bool] | None:
-        """One test of complete choice tuples against every site that
-        :meth:`choice_tests` groups, in posting order; ``None`` when there
-        is none."""
+        """One test of complete choice tuples against every open site; ``None`` if none."""
         sites = [compiled for _, compiled in self._compiled_sites()]
         return _tuple_test(sites, rules) if sites else None
 
     def _compiled_sites(self) -> Iterator[tuple[int, tuple]]:
-        """Each site that reads some hole, in posting order, with the last
-        tuple position it reads, its watched pattern-node positions with
-        their accepted rules, and its bound positions with their templates."""
+        """Each open site in posting order, with the last position it reads, its
+        pattern-node positions and accepted rules, its bound positions and templates."""
         position = {path: i for i, path in enumerate(self._domains)}
-        for site in self._sites:
-            if site.watched:
-                yield max(position[hole] for hole, _ in site.watched), (
-                    site,
-                    tuple(
-                        (position[hole], accepted)
-                        for hole, accepted in site.watched
-                        if accepted is not None
-                    ),
-                    tuple(
-                        (tuple(position[hole] for hole in holes), template)
-                        for holes, template in site.bound
-                    ),
-                )
+        for site in map(self._sites.__getitem__, sorted(self._open)):
+            yield max(position[hole] for hole, _ in site.watched), (
+                site,
+                tuple(
+                    (position[hole], accepted)
+                    for hole, accepted in site.watched
+                    if accepted is not None
+                ),
+                tuple(
+                    (tuple(position[hole] for hole in holes), template)
+                    for holes, template in site.bound
+                ),
+            )
 
 
 def _tuple_test(sites: list, rules: Sequence[Sequence[int]]) -> Callable[[tuple], bool]:

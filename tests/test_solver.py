@@ -151,6 +151,34 @@ def test_a_site_is_violated_only_in_every_completion(g0):
     assert state.domain((1,)) == (3,)
 
 
+def test_choice_tuples_are_tested_only_against_the_sites_propagation_left_open(g0):
+    leaf = UniformHole(frozenset({1, 3}))
+    state = SolverState(g0, UniformHole(frozenset({4, 5}), (leaf, leaf)), [FORBID_PLUS_AA])
+
+    def rules():
+        return [state.domain(path) for path in state.hole_paths()]
+
+    # Propagation decides which sites the tuples must answer for.
+    assert state.choice_tests(rules()) == [] and state.choice_test(rules()) is None
+    assert state.propagate() is True
+    # All three holes are undecided, so the site stays open.
+    [(last, test)] = state.choice_tests(rules())
+    assert last == 2
+    assert [test(choices) for choices in [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 0, 0)]] == [
+        False, True, False, True,
+    ]
+    checkpoint = state.save_state()
+    state.assign((), 4)
+    state.assign((0,), 1)
+    # One undecided hole is left: propagation prunes it and settles the site.
+    assert state.propagate() is True
+    assert state.domain((1,)) == (3,)
+    assert state.choice_tests(rules()) == []
+    # Restoring the wider domains opens the site again.
+    state.restore_state(checkpoint)
+    assert [last for last, _ in state.choice_tests(rules())] == [2]
+
+
 def test_solver_state_rejects_plain_holes(g0):
     with pytest.raises(ValueError):
         SolverState(g0, Hole(FULL_INT))
@@ -690,26 +718,28 @@ def test_constrained_drains_propagate_once_per_uniform_tree(g0, kind, monkeypatc
 def test_a_constraint_watching_part_of_a_tree_keeps_the_reference_sequence(
     g0, kind, monkeypatch
 ):
-    # Only holes under a multiplication are read here, so the choice-tuple
-    # walk tests a prefix at some positions of a tree and at others only
-    # extends it.
+    # Only holes under a multiplication are read here, so the compiled
+    # sites of some tree read some of its positions and not others.
     constraint = parse_constraint("(forbidden (rule 5 (var a) (var a)))")
     config = IteratorConfig(
         kind, g0, "Int", max_depth=4, max_size=9, constraints=(constraint,)
     )
-    tested = set()
+    partly_read = 0
     choice_tests = SolverState.choice_tests
 
     def recording_choice_tests(state, rules):
-        groups = choice_tests(state, rules)
-        checkpoints = {last for last, _ in groups}
-        tested.update(position in checkpoints for position in range(len(rules)))
-        return groups
+        nonlocal partly_read
+        read = set()
+        for _, (_, watched, bound) in state._compiled_sites():
+            read.update(position for position, _ in watched)
+            read.update(position for positions, _ in bound for position in positions)
+        partly_read += 0 < len(read) < len(rules)
+        return choice_tests(state, rules)
 
     monkeypatch.setattr(SolverState, "choice_tests", recording_choice_tests)
     assert not has_recording(g0)
     emitted = [serialize_node(p) for p in make_iterator(config)]
-    assert tested == {True, False}
+    assert partly_read > 0
     with monkeypatch.context() as patch:
         patch.setattr(iterators, "_assignments_depth_first", reference_assignments_depth_first)
         expected = [serialize_node(p) for p in make_iterator(config)]
@@ -728,6 +758,18 @@ MINI_STRINGS_CONSTRAINT_SETS = [
 ]
 
 
+def _open_after_propagation(state, site):
+    # No completion breaks a site whose pattern no domain can match, or
+    # whose outcome turns on at most one hole: propagation pruned that one.
+    undecided = 0
+    for hole, accepted in site.watched:
+        domain = state.domain(hole)
+        if accepted is not None and accepted.isdisjoint(domain):
+            return False
+        undecided += len(domain) > 1 and (accepted is None or not accepted.issuperset(domain))
+    return undecided > 1
+
+
 @pytest.mark.parametrize("kind", ["bfs", "dfs"])
 def test_the_choice_tuple_walk_tests_each_prefix_where_its_sites_complete(
     g0, kind, monkeypatch
@@ -743,7 +785,7 @@ def test_the_choice_tuple_walk_tests_each_prefix_where_its_sites_complete(
     choice_builder = iterators._choice_builder
     choice_tests = SolverState.choice_tests
     calls, builds, latest = [], [], {}
-    seen = {"trees": 0, "early": 0, "skipped": 0}
+    seen = {"trees": 0, "early": 0, "skipped": 0, "settled": 0}
 
     def recording_choice_tests(state, rules):
         groups = choice_tests(state, rules)
@@ -778,13 +820,15 @@ def test_the_choice_tuple_walk_tests_each_prefix_where_its_sites_complete(
         assert [serialize_node(p) for p, _ in programs] == [
             serialize_node(p) for p, _ in expected
         ]
-        # A group sits at the last position its sites read.
+        # A group sits at the last position its sites read, and only the
+        # sites propagation left open are tested.
         position = {path: i for i, path in enumerate(state.hole_paths())}
         completions = {
             max(position[hole] for hole, _ in site.watched)
             for site in state._sites
-            if site.watched
+            if _open_after_propagation(state, site)
         }
+        seen["settled"] += sum(not _open_after_propagation(state, site) for site in state._sites)
         assert [last for last, _ in latest["groups"]] == sorted(completions)
         # Replay the prefix skip over every tuple of the propagated domains.
         ranges = [range(len(state.domain(path))) for path in state.hole_paths()]
@@ -824,7 +868,8 @@ def test_the_choice_tuple_walk_tests_each_prefix_where_its_sites_complete(
         programs = list(make_iterator(config))
         assert all(check_program(constraints, program) for program in programs)
     assert seen["trees"] > 150
-    assert seen["early"] > 150 and seen["skipped"] > 30
+    assert seen["early"] > 60 and seen["skipped"] > 30
+    assert seen["settled"] > 100
 
 
 def _random_probabilities(grammar, rng):
