@@ -37,7 +37,9 @@ from .errors import (
 from .grammar import Grammar
 from .grammar_text import parse_grammar
 from .interpreter import Value
-from .iterators import ITERATOR_KINDS, IteratorConfig, SynthFlag, check_timeout, synth
+from .iterators import (
+    ITERATOR_KINDS, IteratorConfig, SynthFlag, check_bounds, check_timeout, synth
+)
 from .nodes import serialize_node
 from .probe import ProbeConfig, probe_with_stats
 from .specification import IOExample, Problem
@@ -168,6 +170,7 @@ class SynthesizerSpec:
             raise SuiteLoadError("probe takes no max_size; bound it with max_depth")
         if self.probe_cycles < 0:
             raise SuiteLoadError(f"probe cycles must be non-negative, got {self.probe_cycles}")
+        check_bounds(self.kind, self.max_depth, self.max_size, self.max_enumerations)
 
 
 @dataclass

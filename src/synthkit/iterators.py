@@ -30,8 +30,10 @@ holes.  So a uniform tree's nodes are exactly its holes, in the preorder of
 :meth:`~synthkit.solver.SolverState.hole_paths`, its shape is fixed, and
 consecutive programs of one tree differ only in a few holes.  Every kind
 walks a uniform tree's programs as per-hole choice tuples and compiles the
-tree once into a builder from a tuple (:func:`_choice_builder`).  The
-builder numbers the holes in preorder, so the subtree at hole ``i`` with
+tree once into a builder from a tuple (:func:`_choice_builder`).  Holes
+are numbered once, in that preorder: the solver state's domains and
+constraint tests, the walks and the builder all index the tuple the same
+way, so the subtree at hole ``i`` with
 ``n`` nodes owns ``choices[i:i+n]``; every subtree below the root memoizes
 what it builds on its part, a bounded number of parts at a time, so
 programs share their unchanged subtrees, and the caches die with the
@@ -40,7 +42,10 @@ holes' ascending domains and test each prefix where some constraint sites
 complete, so a failing prefix skips every tuple that extends it.  mlfs
 walks them best-first, and its builder also returns the program's
 log-probability, the queue priority when the tree is re-enqueued, so no
-emitted program is walked again to price it.
+emitted program is walked again to price it.  Every walk yields what the
+builder returns, ``(program, log-probability, vector)``, the
+log-probability ``None`` for bfs and dfs, so one step peeks every kind's
+next program.
 
 The bottom-up iterator grows a bank of programs per nonterminal indexed by
 node count, combining smaller programs into larger ones, optionally pruning
@@ -153,22 +158,14 @@ class IteratorConfig:
         self.grammar.rules_for(self.start_symbol)
         for constraint in self.constraints:
             _check_pattern(self.grammar, constraint.pattern)
-        for name in ("max_depth", "max_size"):
-            bound = getattr(self, name)
-            if bound is not None and bound < 1:
-                raise ConfigError(f"{name} must be positive, got {bound}")
-        if self.max_enumerations is not None and self.max_enumerations < 0:
-            raise ConfigError("max_enumerations must be non-negative")
+        check_bounds(self.kind, self.max_depth, self.max_size, self.max_enumerations)
         if self.dfs_over_shapes and self.kind != "dfs":
             raise ConfigError(f"dfs_over_shapes applies to dfs, not {self.kind}")
         if self.observational_equivalence and self.kind != "bottom_up":
             raise ConfigError(f"observational_equivalence applies to bottom_up, not {self.kind}")
         if self.kind == "mlfs" and not self.grammar.has_probabilities:
             self.grammar = set_uniform_probabilities(self.grammar)
-        if self.kind == "bottom_up":
-            if self.max_size is None:
-                raise ConfigError("bottom-up search needs max_size")
-        elif self.max_depth is None and self.max_size is None and self.max_enumerations is None:
+        if self.max_depth is None and self.max_size is None and self.max_enumerations is None:
             if _is_recursive(self.grammar, self.start_symbol):
                 raise ConfigError(
                     "a recursive grammar needs max_depth, max_size, or max_enumerations"
@@ -374,12 +371,14 @@ class TopDownIterator(_ProgramIterator):
             counter=self._counter, dfs_over_shapes=self.config.dfs_over_shapes,
         )
 
-    def _uniform_programs(self, state: SolverState) -> Iterator[tuple[RuleNode, tuple | None]]:
+    def _uniform_programs(self, state: SolverState) -> Iterator[tuple]:
         return _assignments_depth_first(state, self.code)
 
     def _advance(self, entry: QueueEntry) -> None:
         """Peek a uniform entry's next program; ``None`` once it is exhausted."""
-        entry.peeked, entry.vector = next(entry.programs, (None, None))
+        entry.peeked, entry.log_probability, entry.vector = next(
+            entry.programs, (None, None, None)
+        )
 
     # -- queue machinery ------------------------------------------------------
 
@@ -501,21 +500,17 @@ class MLFSIterator(TopDownIterator):
     def _uniform_programs(self, state: SolverState) -> Iterator[tuple]:
         return _assignments_best_first(state, self.grammar, self.code, self._orders)
 
-    def _advance(self, entry: QueueEntry) -> None:
-        entry.peeked, entry.log_probability, entry.vector = next(
-            entry.programs, (None, None, None)
-        )
 
-
-def _assignments_depth_first(state, code=None) -> Iterator[tuple[RuleNode, tuple | None]]:
+def _assignments_depth_first(state, code=None) -> Iterator[tuple[RuleNode, None, tuple | None]]:
     """Enumerate a uniform tree's programs depth-first over its holes.
 
     Every node of a uniform tree is a hole, and its programs are the choice
     tuples over the holes' propagated domains in lexicographic order: holes
     in the preorder of :meth:`~synthkit.solver.SolverState.hole_paths`, each
     domain ascending, the last hole varying fastest.  Each passing tuple is
-    built by :func:`_choice_builder`, with its output vector through
-    ``code`` (``None`` without code) and no log-probability.
+    built by :func:`_choice_builder` and yielded as it comes: the program,
+    ``None`` for its log-probability, and its output vector through
+    ``code`` (``None`` without code).
 
     Propagation is not run again: it settled every site but the open ones,
     which :meth:`~synthkit.solver.SolverState.choice_tests` groups by the
@@ -549,8 +544,7 @@ def _walk(segments: list, k: int, prefix: tuple, build) -> Iterator:
             if deeper:
                 yield from _walk(segments, k + 1, choices, build)
             else:
-                program, _, vector = build(choices)
-                yield program, vector
+                yield build(choices)
 
 
 def _assignments_best_first(
@@ -942,6 +936,20 @@ def make_iterator(
 def bottom_up_iterate(config: IteratorConfig, problem: Problem | None = None) -> Iterator[RuleNode]:
     """Stream programs from a bottom-up bank enumeration."""
     return iter(BottomUpIterator(config, problem=problem))
+
+
+def check_bounds(
+    kind: str, max_depth: int | None, max_size: int | None, max_enumerations: int | None
+) -> None:
+    """Reject a depth or size bound below 1, a negative enumeration budget,
+    and bottom-up search without ``max_size``; ``None`` means no bound."""
+    for name, bound in (("max_depth", max_depth), ("max_size", max_size)):
+        if bound is not None and bound < 1:
+            raise ConfigError(f"{name} must be positive, got {bound}")
+    if max_enumerations is not None and max_enumerations < 0:
+        raise ConfigError(f"max_enumerations must be non-negative, got {max_enumerations}")
+    if kind == "bottom_up" and max_size is None:
+        raise ConfigError("bottom-up search needs max_size")
 
 
 def check_timeout(timeout_seconds: float | None) -> None:

@@ -25,7 +25,7 @@ from .grammar import Grammar, set_uniform_probabilities
 from .interpreter import EVAL_ERROR, output_key, run_examples, values_equal
 # Unused here, but kept as names the benchmark tracer patches on this module.
 from .interpreter import evaluate, to_expression  # noqa: F401
-from .iterators import IteratorConfig, SynthFlag, check_timeout, make_iterator
+from .iterators import IteratorConfig, SynthFlag, check_bounds, check_timeout, make_iterator
 from .nodes import Node, RuleNode, node_count, subtrees
 from .specification import Problem
 
@@ -49,6 +49,7 @@ class ProbeConfig:
     def __post_init__(self):
         if self.probe_cycles < 0:
             raise ConfigError(f"probe_cycles must be non-negative, got {self.probe_cycles}")
+        check_bounds("mlfs", self.max_depth, None, self.max_enumerations)
 
 
 @dataclass

@@ -17,27 +17,33 @@ active constraints.  Domains are immutable ascending tuples, and every
 change logs the hole's previous domain on a trail, so a LIFO restore puts
 each changed domain back in one step.
 
+A state numbers its tree's holes once, in the preorder of
+:meth:`~SolverState.hole_paths`: domains, trail, watchers and sites all
+use those numbers, and only the public methods take paths.
 A uniform tree's shape is fixed, so each constraint is posted once per tree
 as a *site* at every position where its pattern can still match.  Posting
-is the one walk of the pattern over the tree, and it compiles the site into
-a form that reads hole rules alone: the holes the match inspects, with the
-rules each pattern node accepts, and for each subtree bound to a variable
-that a violation needs decided, its holes in preorder and a text template
-with one slot per hole.  Formatting a template with its holes' rules gives
-exactly the subtree's serialized text, so no check builds a tree.
-Propagation is event-driven: a call re-checks only the sites watching a
-hole that lost a rule since the previous call, decides whether the pattern
-matches from the watched domains, and formats the bound texts from the
-decided holes.  The strength is still singleton lookahead per hole: a rule
+is the one walk of the pattern over the tree, and it compiles the site to
+hole numbers: the holes the match inspects, with the rules each pattern
+node accepts; for each subtree bound to a variable that a violation needs
+decided, its holes in preorder and a text template with one slot per hole;
+and the last hole the site reads.  Formatting a template with its holes'
+rules gives exactly the subtree's serialized text, so no check builds a
+tree.  One function reads a compiled site, :func:`_tuple_test`: it decides
+sites on a choice tuple, which gives hole ``i`` the rule ``choices[i]``
+indexes in that hole's rule sequence.
+Propagation is event-driven: a call re-checks only the sites reading a
+hole that lost a rule since the previous call, and decides each with the
+tuple test over the current domains, every decided hole at its only rule.
+The strength is still singleton lookahead per hole: a rule
 is dropped when fixing the hole to it makes some constraint violated in
 every completion.  Propagation only ever drops rules that no satisfying
 program uses.  A site no completion can match, or whose outcome turns on
 at most one undecided hole, is then settled; propagation records the
 others as open.  After one propagation a search walks a uniform tree's
-assignments as choice tuples over :meth:`~SolverState.hole_paths`, and
-:meth:`~SolverState.choice_tests` (grouped by the last position a site
+assignments as choice tuples over the same numbering, and
+:meth:`~SolverState.choice_tests` (grouped by the last hole a site
 reads, to test prefixes) or :meth:`~SolverState.choice_test` (all at
-once) decides the open sites from the chosen rules in place.  So no
+once) hands the open sites to the same tuple test.  So no
 search builds a program that breaks a constraint, or calls
 :func:`~synthkit.constraints.check_program`, the ground truth.
 """
@@ -45,7 +51,7 @@ search builds a program that breaks a constraint, or calls
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .constraints import (
     ConcreteRule,
@@ -60,6 +66,8 @@ from .grammar import Grammar
 from .nodes import Hole, Node, RuleNode, UniformHole
 
 Path = tuple[int, ...]
+# A test of choice tuples: True when no site it holds is violated.
+TupleTest = Callable[[Sequence[int]], bool]
 
 
 class Surveyed(NamedTuple):
@@ -221,25 +229,27 @@ class _Site:
     """One constraint posted at one position of the uniform tree, compiled
     to be decided from hole rules.
 
-    ``watched`` lists the holes a match here inspects, each with the rules
-    its pattern node accepts, or ``None`` for a hole inside a bound subtree.
-    ``bound`` holds ``(holes, template)`` for every occurrence of a
-    variable whose subtree a violation needs decided: a repeated variable,
-    or one an ``ordered`` constraint compares.  ``holes`` are the paths of
-    the subtree's uniform holes in preorder, and ``template`` is a
-    :meth:`str.format` string with one ``{}`` per hole, in which a fixed
-    rule node is written literally: formatted with the holes' rules, it is
-    exactly :func:`~synthkit.nodes.serialize_node` of the decided subtree.
-    ``repeats`` pairs each later occurrence of a repeated variable with its
-    first, and ``compared`` lists the first occurrence of each variable an
-    ``ordered`` constraint compares, in its order (``None`` for
-    ``forbidden``), all as indices into ``bound``.
+    Holes are numbered in the preorder of :meth:`SolverState.hole_paths`.
+    ``pattern`` lists the holes a match here inspects, each with the rules
+    its pattern node accepts.  ``bound`` holds ``(holes, template)`` for
+    every occurrence of a variable whose subtree a violation needs decided:
+    a repeated variable, or one an ``ordered`` constraint compares.
+    ``holes`` are the numbers of the subtree's uniform holes in preorder,
+    and ``template`` is a :meth:`str.format` string with one ``{}`` per
+    hole, in which a fixed rule node is written literally: formatted with
+    the holes' rules, it is exactly :func:`~synthkit.nodes.serialize_node`
+    of the decided subtree.  ``repeats`` pairs each later occurrence of a
+    repeated variable with its first, and ``compared`` lists the first
+    occurrence of each variable an ``ordered`` constraint compares, in its
+    order (``None`` for ``forbidden``), all as indices into ``bound``.
+    ``last`` is the highest hole number the site reads, -1 for none.
     """
 
-    watched: tuple[tuple[Path, Optional[frozenset[int]]], ...]
-    bound: tuple[tuple[tuple[Path, ...], str], ...]
+    pattern: tuple[tuple[int, frozenset[int]], ...]
+    bound: tuple[tuple[tuple[int, ...], str], ...]
     repeats: tuple[tuple[int, int], ...]
     compared: tuple[int, ...] | None
+    last: int
 
     def violated(self, texts: Sequence[str]) -> bool:
         """Does a match whose bound subtrees read ``texts``, in the order of
@@ -257,14 +267,17 @@ class _Site:
         return self.compared is None or misordered([texts[i] for i in self.compared])
 
 
-def _post_site(constraint: Constraint, node: Node, path: Path) -> _Site | None:
+def _post_site(
+    constraint: Constraint, node: Node, path: Path, number: dict[Path, int]
+) -> _Site | None:
     """The site of a constraint at a position, or None if it can never match there.
 
-    This is the one walk of the pattern over the tree: rule nodes are
-    matched here once, a repeated variable bound to subtrees of different
-    shapes never matches, and the site keeps only what a later check reads.
+    ``number`` maps each uniform hole's path to its number.  This is the
+    one walk of the pattern over the tree: rule nodes are matched here
+    once, a repeated variable bound to subtrees of different shapes never
+    matches, and the site keeps only what a later check reads.
     """
-    watched: list[tuple[Path, Optional[frozenset[int]]]] = []
+    pattern: list[tuple[int, frozenset[int]]] = []
     occurrences: list[tuple[str, Path, Node]] = []
 
     def walk(p: Pattern, n: Node, at: Path) -> bool:
@@ -278,7 +291,7 @@ def _post_site(constraint: Constraint, node: Node, path: Path) -> _Site | None:
         else:
             if n.domain.isdisjoint(accepted):
                 return False
-            watched.append((at, accepted))
+            pattern.append((number[at], accepted))
         if p.children is None:
             return True
         if len(p.children) != len(n.children):
@@ -300,9 +313,8 @@ def _post_site(constraint: Constraint, node: Node, path: Path) -> _Site | None:
     repeats = []
     for name, at, sub in occurrences:
         if name in decided:
-            holes: list[Path] = []
-            template = _template(sub, at, holes)
-            watched.extend((hole, None) for hole in holes)
+            holes: list[int] = []
+            template = _template(sub, at, number, holes)
             if name not in first:
                 first[name] = len(bound), _shape(sub)
             elif first[name][1] == _shape(sub):
@@ -313,7 +325,8 @@ def _post_site(constraint: Constraint, node: Node, path: Path) -> _Site | None:
     compared = None
     if isinstance(constraint, Ordered):
         compared = tuple(first[name][0] for name in constraint.variables)
-    return _Site(tuple(watched), tuple(bound), tuple(repeats), compared)
+    read = [hole for hole, _ in pattern] + [hole for holes, _ in bound for hole in holes]
+    return _Site(tuple(pattern), tuple(bound), tuple(repeats), compared, max(read, default=-1))
 
 
 def _shape(node: Node) -> tuple:
@@ -321,19 +334,19 @@ def _shape(node: Node) -> tuple:
     return tuple(_shape(child) for child in node.children)
 
 
-def _template(node: Node, path: Path, holes: list[Path]) -> str:
-    """The serialization template of a uniform subtree, appending the paths
-    of its uniform holes in preorder: one ``{}`` per hole, a rule node's
-    index written literally, and braces doubled."""
+def _template(node: Node, path: Path, number: dict[Path, int], holes: list[int]) -> str:
+    """The serialization template of a uniform subtree, appending the
+    numbers of its uniform holes in preorder: one ``{}`` per hole, a rule
+    node's index written literally, and braces doubled."""
     if isinstance(node, UniformHole):
-        holes.append(path)
+        holes.append(number[path])
         head = "{}"
     else:
         head = str(node.rule)
     if not node.children:
         return head
     children = ",".join(
-        _template(child, path + (i,), holes) for i, child in enumerate(node.children)
+        _template(child, path + (i,), number, holes) for i, child in enumerate(node.children)
     )
     return f"{head}{{{{{children}}}}}"
 
@@ -354,10 +367,12 @@ class SolverState:
     in each uniform hole's domain, an ascending tuple that is replaced, never
     changed in place.  That ascending order is the order in which bfs and
     dfs try a hole's rules.  Holes whose domain shrinks to one rule count as
-    decided and materialize as rule nodes.
+    decided and materialize as rule nodes.  Inside the state a hole is its
+    number in the preorder of :meth:`hole_paths`; the public methods take
+    its path.
 
     Each constraint is posted once at every position where its pattern can
-    still match; propagation re-checks only the sites that watch a hole
+    still match; propagation re-checks only the sites that read a hole
     which lost a rule since the previous call.
     """
 
@@ -365,56 +380,61 @@ class SolverState:
         self.grammar = grammar
         self.root = tree
         self.constraints = tuple(constraints)
-        self._domains: dict[Path, tuple[int, ...]] = {
-            path: tuple(sorted(node.domain))
-            for path, node in _positions(tree, ())
-            if isinstance(node, UniformHole)
-        }
+        positions = list(_positions(tree, ()))
+        holes = [(path, node) for path, node in positions if isinstance(node, UniformHole)]
+        # Each hole's number, by path: the one translation from paths.
+        self._number: dict[Path, int] = {path: i for i, (path, _) in enumerate(holes)}
+        self._domains: list[tuple[int, ...]] = [tuple(sorted(node.domain)) for _, node in holes]
         # (hole, its domain before the change), one entry per change.
-        self._trail: list[tuple[Path, tuple[int, ...]]] = []
+        self._trail: list[tuple[int, tuple[int, ...]]] = []
         # Checkpoints that can still be restored, oldest first; restoring
         # one drops every checkpoint taken after it.
         self._live: list[Checkpoint] = []
         self._sites: list[_Site] = []
-        self._watchers: dict[Path, list[int]] = {}
+        # The sites reading each hole.
+        self._watchers: list[list[int]] = [[] for _ in holes]
         # Sites that propagation left open, their outcome turning on two or more holes.
         self._open: set[int] = set()
         # Trail prefix whose changes propagation has seen; None until the
         # first call, which checks every site.
         self._checked: int | None = None
         for constraint in self.constraints:
-            for path, node in _positions(tree, ()):
-                site = _post_site(constraint, node, path)
+            for path, node in positions:
+                site = _post_site(constraint, node, path, self._number)
                 if site is not None:
-                    for hole, _ in site.watched:
-                        self._watchers.setdefault(hole, []).append(len(self._sites))
+                    bound = [hole for holes, _ in site.bound for hole in holes]
+                    for hole in [hole for hole, _ in site.pattern] + bound:
+                        self._watchers[hole].append(len(self._sites))
                     self._sites.append(site)
 
     # -- domains and the trail -------------------------------------------
 
     def hole_paths(self) -> list[Path]:
-        return list(self._domains)
+        """The uniform holes' paths in preorder, the order that numbers them."""
+        return list(self._number)
 
     def domain(self, path: Path) -> tuple[int, ...]:
         """The hole's remaining rules, ascending: the order bfs and dfs try them in."""
-        return self._domains[path]
+        return self._domains[self._number[path]]
 
-    def _set(self, path: Path, domain: tuple[int, ...]) -> None:
+    def _set(self, hole: int, domain: tuple[int, ...]) -> None:
         """Replace a hole's domain, logging the previous one on the trail."""
-        self._trail.append((path, self._domains[path]))
-        self._domains[path] = domain
+        self._trail.append((hole, self._domains[hole]))
+        self._domains[hole] = domain
 
     def remove(self, path: Path, rule: int) -> None:
-        domain = self._domains[path]
+        hole = self._number[path]
+        domain = self._domains[hole]
         if rule not in domain:
             raise KeyError(rule)
-        self._set(path, tuple(r for r in domain if r != rule))
+        self._set(hole, tuple(r for r in domain if r != rule))
 
     def assign(self, path: Path, rule: int) -> None:
         """Shrink a hole's domain to one rule, or to nothing if the rule is absent."""
-        domain = self._domains[path]
+        hole = self._number[path]
+        domain = self._domains[hole]
         if domain != (rule,):
-            self._set(path, (rule,) if rule in domain else ())
+            self._set(hole, (rule,) if rule in domain else ())
 
     def save_state(self) -> Checkpoint:
         checkpoint = Checkpoint(len(self._trail), self._checked, len(self._live))
@@ -434,10 +454,10 @@ class SolverState:
             )
         del live[checkpoint.level + 1 :]
         while len(self._trail) > checkpoint.trail_length:
-            path, previous = self._trail.pop()
-            self._domains[path] = previous
+            hole, previous = self._trail.pop()
+            self._domains[hole] = previous
             # A site settled on the narrower domain may be open again.
-            self._open.update(self._watchers.get(path, ()))
+            self._open.update(self._watchers[hole])
         if checkpoint.checked is None or self._checked is None:
             self._checked = None
         else:
@@ -455,7 +475,7 @@ class SolverState:
         )
         if isinstance(node, RuleNode):
             return RuleNode(node.rule, children)
-        domain = self._domains[path]
+        domain = self._domains[self._number[path]]
         if len(domain) == 1:
             return RuleNode(domain[0], children)
         return UniformHole(frozenset(domain), children)
@@ -467,7 +487,7 @@ class SolverState:
 
         A rule is removed from a hole when fixing the hole to it yields a
         definite constraint violation, i.e. one present in every completion
-        of the remaining holes.  Only sites watching a hole that lost a
+        of the remaining holes.  Only sites reading a hole that lost a
         rule since the previous call are looked at again.  A site checked
         here is settled, broken by no completion, or left open.
         """
@@ -482,14 +502,14 @@ class SolverState:
         current = None
         open_sites = self._open
         while True:
-            # Every change not yet seen wakes the sites watching its hole;
+            # Every change not yet seen wakes the sites reading its hole;
             # the site that just made it is already at its fixed point.
             while read < len(trail):
-                path = trail[read][0]
+                hole = trail[read][0]
                 read += 1
-                if not domains[path]:
+                if not domains[hole]:
                     return False
-                for index in watchers.get(path, ()):
+                for index in watchers[hole]:
                     if index != current and index not in queued:
                         queued.add(index)
                         dirty.append(index)
@@ -509,72 +529,50 @@ class SolverState:
         outright, else whether it stays open.
 
         A site no completion matches is settled.  A hole blocks the site
-        while it is undecided and its pattern node does not accept its
-        whole domain.  With no blocking hole the pattern matches in every
-        completion, so only the bound subtrees are checked, and a violation
-        there is a wipeout.  With one, a rule its pattern node
-        does not accept stays without a check and every other rule is
-        tried, the bound texts read once when the hole is a pattern node's;
-        either way no completion breaks the site once the hole is pruned.
-        With two or more, no single choice can complete a violation, so
-        there is nothing to prune and the site stays open.
+        while it is undecided and its pattern node, if any, does not accept
+        its whole domain.  With two or more blocking holes no single choice
+        can complete a violation, so there is nothing to prune and the site
+        stays open.  Otherwise the site is decided by :func:`_tuple_test`
+        on the tuple that takes every hole's first rule, which is its only
+        one or one its pattern node accepts: with no blocking hole a
+        violation there is a wipeout, and with one each of its rules is
+        tried in that tuple and a rule that completes a violation is
+        pruned, so no completion breaks the site afterwards.
         """
         domains = self._domains
         blockers = []
-        for hole, accepted in site.watched:
+        for hole, accepted in site.pattern:
             domain = domains[hole]
-            if accepted is not None and accepted.isdisjoint(domain):
+            if accepted.isdisjoint(domain):
                 return False
-            if len(domain) > 1 and (accepted is None or not accepted.issuperset(domain)):
-                blockers.append((hole, accepted))
+            if len(domain) > 1 and not accepted.issuperset(domain):
+                blockers.append(hole)
+        blockers += [hole for holes, _ in site.bound for hole in holes if len(domains[hole]) > 1]
         if len(blockers) > 1:
             return True
+        passes = _tuple_test((site,), domains)
+        choices = [0] * len(domains)
         if not blockers:
-            return None if self._site_violated(site, None, None) else False
-        [(blocking, accepts)] = blockers
+            return False if passes(choices) else None
+        [blocking] = blockers
         domain = domains[blocking]
-        if accepts is None:
-            kept = tuple(r for r in domain if not self._site_violated(site, blocking, r))
-        elif self._site_violated(site, None, None):
-            # No bound text reads a pattern node's hole, so either every
-            # rule the node accepts completes a violation or none does.
-            kept = tuple(r for r in domain if r not in accepts)
-        else:
-            return False
+        kept = []
+        for j, rule in enumerate(domain):
+            choices[blocking] = j
+            if passes(choices):
+                kept.append(rule)
         if len(kept) < len(domain):
-            self._set(blocking, kept)
+            self._set(blocking, tuple(kept))
         return False if kept else None
-
-    def _site_violated(self, site: _Site, blocking: Path | None, rule: int | None) -> bool:
-        """Does a site whose pattern matches break its constraint, with the
-        ``blocking`` hole, if any, decided to ``rule``?
-
-        Every other hole of a bound subtree is decided, so each bound text
-        is its template formatted with the holes' single rules; no tree is
-        built.
-        """
-        return site.violated(self._bound_texts(site, blocking, rule))
-
-    def _bound_texts(self, site: _Site, blocking: Path | None, rule: int | None) -> list[str]:
-        """The serialized bound subtrees of a site, in the order of its
-        ``bound``, with ``blocking`` decided to ``rule``."""
-        domains = self._domains
-        return [
-            template.format(*[rule if hole == blocking else domains[hole][0] for hole in holes])
-            for holes, template in site.bound
-        ]
 
     # -- complete assignments --------------------------------------------------
 
-    def choice_tests(
-        self, rules: Sequence[Sequence[int]]
-    ) -> list[tuple[int, Callable[[tuple], bool]]]:
+    def choice_tests(self, rules: Sequence[Sequence[int]]) -> list[tuple[int, TupleTest]]:
         """Tests of choice tuples against the sites :meth:`propagate` left
         open, one per tuple position where some open site completes,
         ascending by position.
 
-        Holes are numbered in the preorder of :meth:`hole_paths`, and a
-        tuple decides hole ``i`` to ``rules[i][choices[i]]``.  The open
+        A tuple decides hole ``i`` to ``rules[i][choices[i]]``.  The open
         sites are grouped by the last position they read, and ``(k, test)``
         decides every site of the group at ``k`` from the tuple's first
         ``k + 1`` positions, so a prefix that fails rules out every tuple
@@ -584,53 +582,38 @@ class SolverState:
         :func:`~synthkit.constraints.check_program`.  Before the first
         propagation no site is open.
         """
-        groups: dict[int, list] = {}
-        for last, compiled in self._compiled_sites():
-            groups.setdefault(last, []).append(compiled)
+        groups: dict[int, list[_Site]] = {}
+        for index in sorted(self._open):
+            site = self._sites[index]
+            groups.setdefault(site.last, []).append(site)
         return [(last, _tuple_test(groups[last], rules)) for last in sorted(groups)]
 
-    def choice_test(self, rules: Sequence[Sequence[int]]) -> Callable[[tuple], bool] | None:
+    def choice_test(self, rules: Sequence[Sequence[int]]) -> TupleTest | None:
         """One test of complete choice tuples against every open site; ``None`` if none."""
-        sites = [compiled for _, compiled in self._compiled_sites()]
+        sites = [self._sites[index] for index in sorted(self._open)]
         return _tuple_test(sites, rules) if sites else None
 
-    def _compiled_sites(self) -> Iterator[tuple[int, tuple]]:
-        """Each open site in posting order, with the last position it reads, its
-        pattern-node positions and accepted rules, its bound positions and templates."""
-        position = {path: i for i, path in enumerate(self._domains)}
-        for site in map(self._sites.__getitem__, sorted(self._open)):
-            yield max(position[hole] for hole, _ in site.watched), (
-                site,
-                tuple(
-                    (position[hole], accepted)
-                    for hole, accepted in site.watched
-                    if accepted is not None
-                ),
-                tuple(
-                    (tuple(position[hole] for hole in holes), template)
-                    for holes, template in site.bound
-                ),
-            )
 
+def _tuple_test(sites: Sequence[_Site], rules: Sequence[Sequence[int]]) -> TupleTest:
+    """A test of choice tuples against compiled sites: the one reader of a
+    site, for propagation and the walks alike.
 
-def _tuple_test(sites: list, rules: Sequence[Sequence[int]]) -> Callable[[tuple], bool]:
-    """A test of choice tuples against compiled sites.
-
-    A site's pattern matches when each watched hole's rule is one its
-    pattern node accepts; its bound texts are then its templates over the
-    holes' rules, and :meth:`_Site.violated` decides it, as propagation
-    does.
+    A tuple decides hole ``i`` to ``rules[i][choices[i]]``.  A site's
+    pattern matches when each of its pattern holes' rules is one its node
+    accepts; its bound texts are then its templates over the holes' rules,
+    and :meth:`_Site.violated` decides it.  The test passes when no site
+    is violated.
     """
 
-    def passes(choices: tuple) -> bool:
-        for site, tests, bound in sites:
-            if all(rules[i][choices[i]] in accepted for i, accepted in tests) and site.violated(
-                [
+    def passes(choices: Sequence[int]) -> bool:
+        for site in sites:
+            if all(rules[i][choices[i]] in accepted for i, accepted in site.pattern):
+                texts = [
                     template.format(*[rules[i][choices[i]] for i in holes])
-                    for holes, template in bound
+                    for holes, template in site.bound
                 ]
-            ):
-                return False
+                if site.violated(texts):
+                    return False
         return True
 
     return passes

@@ -372,8 +372,9 @@ def reference_assignments_depth_first(state, code=None):
     rules in ascending order and the last hole varying fastest, and
     materializes every complete assignment with ``state.current_tree()``,
     keeping those that satisfy the state's constraints.  Each program comes
-    with its output vector from a whole-tree fold, ``code.vector(program)``
-    (``None`` without code).  Patch it in as
+    as ``(program, None, vector)``, as the iterators' walk yields it: no
+    log-probability, and the output vector from a whole-tree fold,
+    ``code.vector(program)`` (``None`` without code).  Patch it in as
     ``iterators._assignments_depth_first``.
     """
     holes = state.hole_paths()
@@ -382,7 +383,7 @@ def reference_assignments_depth_first(state, code=None):
         if i == len(holes):
             program = state.current_tree()
             if check_program(state.constraints, program):
-                yield program, None if code is None else code.vector(program)
+                yield program, None, None if code is None else code.vector(program)
             return
         path = holes[i]
         for rule in sorted(state.domain(path)):

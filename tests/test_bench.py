@@ -16,6 +16,8 @@ from synthkit.bench import (
     run_suite,
 )
 from synthkit.cli import main
+from synthkit.iterators import check_bounds
+from synthkit.probe import ProbeConfig
 
 from conftest import SUITES_DIR
 
@@ -218,6 +220,29 @@ def test_negative_probe_cycles_rejected():
     with pytest.raises(SuiteLoadError):
         SynthesizerSpec(kind="probe", max_depth=4, probe_cycles=-3)
     assert SynthesizerSpec(kind="probe", max_depth=4, probe_cycles=0).probe_cycles == 0
+
+
+@pytest.mark.parametrize(
+    "kind, bounds, message",
+    [
+        ("bfs", {"max_depth": 0}, "max_depth"),
+        ("dfs", {"max_size": 0}, "max_size"),
+        ("mlfs", {"max_enumerations": -1}, "max_enumerations"),
+        ("bottom_up", {"max_depth": 3}, "max_size"),
+        ("probe", {"max_depth": -1}, "max_depth"),
+        ("probe", {"max_enumerations": -5}, "max_enumerations"),
+    ],
+)
+def test_bad_bounds_are_rejected_before_any_problem_runs(kind, bounds, message):
+    # A spec is checked when it is made, so a suite run never starts with
+    # a bound that every problem would report as an error.
+    with pytest.raises(ConfigError, match=message):
+        check_bounds(kind, *map(bounds.get, ("max_depth", "max_size", "max_enumerations")))
+    with pytest.raises(ConfigError, match=message):
+        SynthesizerSpec(kind, **bounds)
+    if kind == "probe":
+        with pytest.raises(ConfigError, match=message):
+            ProbeConfig(**bounds)
 
 
 def test_negative_timeout_rejected_before_any_run():
@@ -437,6 +462,10 @@ def test_cli_bench_probe_with_max_size_exits_nonzero(capsys):
         (["--cycles", "-2"], "probe cycles"),
         (["--timeout", "-1"], "timeout"),
         (["--parallelism", "-4"], "parallelism"),
+        (["--max-depth", "0"], "max_depth"),
+        (["--max-enumerations", "-1"], "max_enumerations"),
+        (["--synthesizer", "bfs", "--max-depth", "0"], "max_depth"),
+        (["--synthesizer", "bottom-up"], "max_size"),
     ],
 )
 def test_cli_bench_rejects_negative_budgets(capsys, flags, message):

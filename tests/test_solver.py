@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -26,7 +27,15 @@ from synthkit import iterators
 from synthkit.iterators import MLFSIterator
 from synthkit.constraints import Ordered, PatternVar
 from synthkit.nodes import subtrees
-from synthkit.solver import SolverState, _positions, _post_site, split_first_hole, survey
+from synthkit.solver import (
+    SolverState,
+    _positions,
+    _post_site,
+    _Site,
+    _tuple_test,
+    split_first_hole,
+    survey,
+)
 
 from conftest import SUITES_DIR
 from oracles import (
@@ -730,9 +739,9 @@ def test_a_constraint_watching_part_of_a_tree_keeps_the_reference_sequence(
     def recording_choice_tests(state, rules):
         nonlocal partly_read
         read = set()
-        for _, (_, watched, bound) in state._compiled_sites():
-            read.update(position for position, _ in watched)
-            read.update(position for positions, _ in bound for position in positions)
+        for site in map(state._sites.__getitem__, state._open):
+            read.update(hole for hole, _ in site.pattern)
+            read.update(hole for holes, _ in site.bound for hole in holes)
         partly_read += 0 < len(read) < len(rules)
         return choice_tests(state, rules)
 
@@ -758,16 +767,22 @@ MINI_STRINGS_CONSTRAINT_SETS = [
 ]
 
 
-def _open_after_propagation(state, site):
+def _open_after_propagation(domains, site):
     # No completion breaks a site whose pattern no domain can match, or
     # whose outcome turns on at most one hole: propagation pruned that one.
     undecided = 0
-    for hole, accepted in site.watched:
-        domain = state.domain(hole)
-        if accepted is not None and accepted.isdisjoint(domain):
+    for hole, accepted in site.pattern:
+        domain = domains[hole]
+        if accepted.isdisjoint(domain):
             return False
-        undecided += len(domain) > 1 and (accepted is None or not accepted.issuperset(domain))
+        undecided += len(domain) > 1 and not accepted.issuperset(domain)
+    undecided += sum(len(domains[hole]) > 1 for holes, _ in site.bound for hole in holes)
     return undecided > 1
+
+
+def _holes_read(site):
+    """The numbers of the holes a site reads: its pattern's, then its bound subtrees'."""
+    return [hole for hole, _ in site.pattern] + [hole for holes, _ in site.bound for hole in holes]
 
 
 @pytest.mark.parametrize("kind", ["bfs", "dfs"])
@@ -817,18 +832,33 @@ def test_the_choice_tuple_walk_tests_each_prefix_where_its_sites_complete(
         programs = list(walk(state, code))
         assert len(builds) == len(programs)
         expected = list(reference_assignments_depth_first(state, code))
-        assert [serialize_node(p) for p, _ in programs] == [
-            serialize_node(p) for p, _ in expected
+        assert [(serialize_node(p), v) for p, v, _ in programs] == [
+            (serialize_node(p), v) for p, v, _ in expected
         ]
+        # The reference propagates through the same site reader as the
+        # walk, so the walk must also equal what check_program keeps of
+        # every assignment of the tree's original domains, in order.
+        paths = state.hole_paths()
+        original = _uniform_domains(state.root)
+        truth = [
+            serialize_node(program)
+            for rules in itertools.product(*(sorted(original[path]) for path in paths))
+            for program in [reference_materialize(state, dict(zip(paths, rules)))]
+            if check_program(state.constraints, program)
+        ]
+        assert [serialize_node(p) for p, _, _ in programs] == truth
         # A group sits at the last position its sites read, and only the
         # sites propagation left open are tested.
-        position = {path: i for i, path in enumerate(state.hole_paths())}
+        domains = [state.domain(path) for path in state.hole_paths()]
+        assert all(site.last == max(_holes_read(site), default=-1) for site in state._sites)
         completions = {
-            max(position[hole] for hole, _ in site.watched)
+            max(_holes_read(site))
             for site in state._sites
-            if _open_after_propagation(state, site)
+            if _open_after_propagation(domains, site)
         }
-        seen["settled"] += sum(not _open_after_propagation(state, site) for site in state._sites)
+        seen["settled"] += sum(
+            not _open_after_propagation(domains, site) for site in state._sites
+        )
         assert [last for last, _ in latest["groups"]] == sorted(completions)
         # Replay the prefix skip over every tuple of the propagated domains.
         ranges = [range(len(state.domain(path))) for path in state.hole_paths()]
@@ -963,12 +993,21 @@ def _subtree(tree, path):
     return tree
 
 
-def test_site_templates_read_the_serialized_materialized_subtrees(g0):
+def test_site_templates_read_the_serialized_materialized_subtrees(g0, monkeypatch):
     # A site reads each bound subtree as its template formatted with the
-    # holes' rules.  For every site of random uniform trees, some with
-    # fixed rule nodes, and for every hole of its bound subtrees decided to
-    # each rule of its original domain, the texts must equal serializing
-    # the subtrees that the old check materialized.
+    # holes' rules, through the one tuple test.  For every site of random
+    # uniform trees, some with fixed rule nodes, and for every hole of its
+    # bound subtrees decided to each rule of its original domain, the texts
+    # the test reads must equal serializing the subtrees that the old check
+    # materialized.
+    texts_read = []
+    violated = _Site.violated
+
+    def recording_violated(site, texts):
+        texts_read.append(list(texts))
+        return violated(site, texts)
+
+    monkeypatch.setattr(_Site, "violated", recording_violated)
     rng = random.Random(16)
     checked = literal = 0
     for _ in range(200):
@@ -976,13 +1015,17 @@ def test_site_templates_read_the_serialized_materialized_subtrees(g0):
         while not is_uniform(tree):
             tree = rng.choice(decompose(g0, tree, max_depth=5))
         state = SolverState(g0, tree, PROPAGATION_FORMS)
-        original = _domains(state)
-        for path, domain in original.items():
+        paths = state.hole_paths()
+        number = {path: i for i, path in enumerate(paths)}
+        original = [state.domain(path) for path in paths]
+        for path, domain in zip(paths, original):
             state.assign(path, rng.choice(domain))
+        # Every hole decided to its assigned rule, read from its original domain.
+        decided = [domain.index(state.domain(path)[0]) for path, domain in zip(paths, original)]
         reposted = []
         for constraint in PROPAGATION_FORMS:
             for at, node in _positions(tree, ()):
-                site = _post_site(constraint, node, at)
+                site = _post_site(constraint, node, at, number)
                 if site is None:
                     continue
                 reposted.append(site)
@@ -995,9 +1038,12 @@ def test_site_templates_read_the_serialized_materialized_subtrees(g0):
                     if names.count(name) > 1 or name in compared
                 ]
                 assert len(site.bound) == len(bound)
+                assert site.last == max(_holes_read(site), default=-1)
                 literal += sum(
                     any(c.isdigit() for c in template) for _, template in site.bound
                 )
+                # With no pattern left to match, the test reads every bound text.
+                reader = _tuple_test((dataclasses.replace(site, pattern=()),), original)
                 blockers = [(None, None)] + [
                     (hole, rule)
                     for holes, _ in site.bound
@@ -1005,14 +1051,19 @@ def test_site_templates_read_the_serialized_materialized_subtrees(g0):
                     for rule in original[hole]
                 ]
                 for blocking, rule in blockers:
-                    overrides = None if blocking is None else {blocking: rule}
+                    overrides = None if blocking is None else {paths[blocking]: rule}
+                    choices = list(decided)
+                    if blocking is not None:
+                        choices[blocking] = original[blocking].index(rule)
                     expected = [
                         serialize_node(
                             reference_materialize(state, overrides, _subtree(tree, path), path)
                         )
                         for path in bound
                     ]
-                    assert state._bound_texts(site, blocking, rule) == expected
+                    del texts_read[:]
+                    reader(choices)
+                    assert texts_read == [expected]
                     checked += 1
         assert reposted == state._sites
     assert checked > 1000 and literal > 0
