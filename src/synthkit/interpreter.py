@@ -485,7 +485,7 @@ class RuleCode(dict):
     def vector(self, program: Node, allow_errors: bool = True) -> tuple:
         """The program's output vector; see :func:`output_vector`."""
         try:
-            vector = _fold(self, program)
+            vector = _fold(self, program, {})
         except AttributeError:
             # A hole has no rule to apply.
             if is_complete(program):
@@ -502,11 +502,31 @@ class RuleCode(dict):
             evaluate(expr, example.input)
 
 
-def _fold(code: RuleCode, node: RuleNode) -> tuple:
+def _fold(code: RuleCode, node: RuleNode, memo: dict) -> tuple:
+    """The program's output vector: each inner node's code applied to its
+    children's vectors, each leaf's vector read from ``code``.
+
+    ``memo`` maps ``id(node)`` to the vector of every inner node folded
+    below a root with it, so a subtree that several programs share is
+    folded once; a root's own vector is not kept.  The memo is sound only
+    while every node it keys stays alive, since a freed node's id may be
+    given to a new one: :meth:`RuleCode.vector` passes a fresh dict, and a
+    replaying search keeps one for its whole replay over programs its
+    recording keeps alive.
+    """
     children = node.children
-    if children:
-        return code[node.rule](*[_fold(code, child) for child in children])
-    return code[node.rule]
+    if not children:
+        return code[node.rule]
+    vectors = []
+    for child in children:
+        if child.children:
+            vector = memo.get(id(child))
+            if vector is None:
+                vector = memo[id(child)] = _fold(code, child, memo)
+        else:
+            vector = code[child.rule]
+        vectors.append(vector)
+    return code[node.rule](*vectors)
 
 
 def output_vector(

@@ -55,11 +55,12 @@ Every iterator evaluates by value.  Given a problem it compiles the grammar
 lazily into one :class:`~synthkit.interpreter.RuleCode`, its ``code``, and
 sets ``last_vector`` to each program's output vector on the problem's
 examples just before it yields the program.  A node's vector is one
-application of its rule's compiled function to its children's vectors,
-computed where the node is built: the top-down streams carry a vector with
-every subtree they share, and each bottom-up bank entry holds its own, so
-a vector costs one rule application per node actually built.  Without a
-problem every vector is ``None`` and no rule is compiled.
+application of its rule's compiled function to its children's vectors: a
+fresh top-down stream computes it where the node is built and carries it
+with every subtree it shares, a replayed one folds each shared subtree
+once (see below), and each bottom-up bank entry holds its own, so a vector
+costs one rule application per node actually built.  Without a problem
+every vector is ``None`` and no rule is compiled.
 
 Every iterator takes an optional deadline (a :func:`time.monotonic` value):
 top-down search checks it on every dequeue, bottom-up on every candidate,
@@ -71,24 +72,25 @@ key -- the kind, start symbol, ``max_depth``, ``max_size``, constraints,
 ``dfs_over_shapes`` and the grammar's log-probabilities -- and only the
 output vectors depend on the problem.  A search with a problem and a
 ``max_enumerations`` budget whose key was seen before over the same rules
-replays one recorded enumeration.  The recorded search runs once, with a
-:class:`_Tape` in place of its ``RuleCode``.  The searches ask their code
-for ``code[rule]`` alone, and the tape answers with a function whose
-"vector" is the index of a new tape entry ``(rule, child entries)``, one
-per rule application.
-Each consumer replays the tape through its own ``RuleCode``, one rule
-application per entry, as many as the search itself would make, and
-extends the recording where it ends.  Its deadline pauses the recorded
-search rather than ending it.  The first sight of a key only notes it and
+replays one recorded enumeration.  The recorded search runs once, as a
+plain search without a problem, and the recording keeps the programs it
+hands over.  Each consumer folds every replayed program through its own
+``RuleCode`` with :func:`~synthkit.interpreter._fold`, the one fold the
+interpreter also scores a single program with, and a memo keyed by node
+identity: programs share their unchanged subtrees, so each shared subtree
+costs one rule application per consumer, as in a fresh search.  The memo
+is the consumer's own and is freed with it; its keys stay valid because
+the recording keeps every replayed node alive.  A consumer extends the
+recording where it ends, and its deadline pauses the recorded search
+rather than ending it.  The first sight of a key only notes it and
 searches afresh, as does every search without a problem or a budget, so
 the enumeration workloads and bottom-up search never record.  Recordings
 live in a table keyed weakly by the grammar's rule structure: at most four
 recordings and eight noted keys per structure, each evicting the least
-recently used.  A recording holds the programs handed over so far, their
-tape and the paused search's queue; a consumer holds one vector per tape
-entry it replayed.  The table is module state, so pickling a grammar never
-carries it, and a worker process that receives grammars by pickle starts
-without recordings.
+recently used.  A recording holds the programs handed over so far and the
+paused search's queue.  The table is module state, so pickling a grammar
+never carries it, and a worker process that receives grammars by pickle
+starts without recordings.
 """
 
 from __future__ import annotations
@@ -107,7 +109,7 @@ from weakref import WeakKeyDictionary
 from .constraints import ConcreteRule, Constraint, Pattern, PatternVar, check_program
 from .errors import ConfigError, SynthkitError
 from .grammar import Grammar, set_uniform_probabilities
-from .interpreter import EVAL_ERROR, RuleCode, output_key, solved_counter
+from .interpreter import EVAL_ERROR, RuleCode, _fold, output_key, solved_counter
 # Unused here, but kept as names the benchmark tracer patches on this module.
 from .interpreter import evaluate, run_examples, to_expression  # noqa: F401
 from .nodes import Hole, Node, RuleNode, depth
@@ -338,8 +340,9 @@ class TopDownIterator(_ProgramIterator):
     once the queue is exhausted, ``max_enumerations`` is reached, or the
     optional ``deadline`` (a :func:`time.monotonic` value, checked on every
     dequeue) has passed.  Given a problem, :attr:`last_vector` is the output
-    vector of the program yielded last, built with the program from its
-    subtrees' vectors through :attr:`code`.
+    vector of the program yielded last, through :attr:`code`: a fresh search
+    builds it with the program from its subtrees' vectors, and a search that
+    replays a recording folds the recorded program (:meth:`_replay`).
     """
 
     kind = "bfs"
@@ -433,20 +436,19 @@ class TopDownIterator(_ProgramIterator):
             yield program
 
     def _replay(self, recording: _Recording) -> Iterator[RuleNode]:
-        """The recorded search's programs, each with its vector replayed
-        from the tape through :attr:`code`, extending the recording where
-        it ends."""
-        programs, roots = recording.programs, recording.roots
-        tape = recording.tape
-        rules, children_of = tape.rules, tape.children
-        code = self.code
-        vectors: list[tuple] = []
-        append, vector_at = vectors.append, vectors.__getitem__
+        """The recorded search's programs, extending the recording where it
+        ends, each with its vector folded through :attr:`code`.
+
+        The fold's memo is this replay's own and dies with it; it keys the
+        recorded programs' nodes, which the recording keeps alive, so a
+        subtree that several programs share is folded once.
+        """
+        programs, code, memo = recording.programs, self.code, {}
         deadline = self.deadline
         for emitted in range(self.config.max_enumerations):
             if deadline is not None and time.monotonic() >= deadline:
                 return
-            if emitted == len(roots) and not recording.extend(deadline):
+            if emitted == len(programs) and not recording.extend(deadline):
                 if recording.broken:
                     # Another consumer's extension raised; search afresh
                     # and pass over the programs already handed over.
@@ -455,14 +457,9 @@ class TopDownIterator(_ProgramIterator):
                         pass
                     yield from stream
                 return
-            index = roots[emitted]
-            # One rule application per tape entry, in tape order: children
-            # always come before their parent.
-            start = len(vectors)
-            for rule, children in zip(rules[start : index + 1], children_of[start : index + 1]):
-                append(code[rule](*map(vector_at, children)) if children else code[rule])
-            self.last_vector = vectors[index]
-            yield programs[emitted]
+            program = programs[emitted]
+            self.last_vector = _fold(code, program, memo)
+            yield program
 
 
 class BFSIterator(TopDownIterator):
@@ -659,45 +656,17 @@ def _choice_builder(
 # -- shared enumerations ------------------------------------------------------
 
 
-class _Tape(dict):
-    """Stands in for a :class:`~synthkit.interpreter.RuleCode` while a search
-    is recorded.
-
-    It follows the one protocol the searches use, ``tape[rule]``, but a
-    node's "vector" is the index of an entry on the tape: one entry per
-    rule application the search makes, each after its children's.  Entry
-    ``i`` applies ``rules[i]`` to the entries ``children[i]``.
-    """
-
-    def __init__(self, grammar: Grammar):
-        super().__init__()
-        self.grammar = grammar
-        self.rules: list[int] = []
-        self.children: list[tuple[int, ...]] = []
-
-    def __missing__(self, rule: int):
-        rules, children_of = self.rules, self.children
-
-        def code(*children: int) -> int:
-            rules.append(rule)
-            children_of.append(children)
-            return len(rules) - 1
-
-        # A leaf rule's code is its one entry, as a RuleCode's is its vector.
-        self[rule] = code if self.grammar.childtypes(rule) else code()
-        return self[rule]
-
-
 class _Recording:
     """One top-down search, run once and replayed by every search with its key.
 
-    :attr:`programs` holds the programs in emission order and :attr:`roots`
-    the tape entry of each one's root.  The search runs without a budget or
-    a deadline of its own: a consumer extends it one program at a time under
-    the consumer's deadline, which pauses the search rather than ending it.
-    One consumer at a time extends it; a program's root is recorded only
-    after its tape entries, so other threads may replay meanwhile.  A search
-    that raises is dropped from its shelf and marked broken.
+    The search runs without a problem, a budget or a deadline of its own,
+    so it builds programs and no vectors: :attr:`programs` holds them in
+    emission order, and keeps alive every node a consumer's fold memo keys.
+    A consumer extends it one program at a time under the consumer's
+    deadline, which pauses the search rather than ending it.  One consumer
+    at a time extends it; a program is appended whole, so other threads may
+    replay meanwhile.  A search that raises is dropped from its shelf and
+    marked broken.
     """
 
     def __init__(self, config: IteratorConfig, shelf: _Shelf, key: tuple):
@@ -710,10 +679,7 @@ class _Recording:
         config = copy.copy(config)
         config.grammar, config.max_enumerations = grammar, None
         self.search = _ITERATORS[config.kind](config)
-        # Nothing is built before the search first runs: its root is a hole.
-        self.tape = self.search.code = _Tape(grammar)
         self.programs: list[RuleNode] = []
-        self.roots: list[int] = []
         self.broken = False
         self._lock = threading.Lock()
         # The recording holds the only stream, so no cycle keeps a dropped
@@ -738,7 +704,6 @@ class _Recording:
             if program is None:
                 return False
             self.programs.append(program)
-            self.roots.append(self.search.last_vector)
             return True
 
 

@@ -78,6 +78,10 @@ def _drain(config, problem, deadline=None):
     return [(serialize_node(program), iterator.last_vector) for program in iterator]
 
 
+# The builder's default cache bound, and one so small that its caches start
+# over all the time: the recorded search then builds equal subtrees again as
+# new objects, which each consumer's fold must still score alike.
+@pytest.mark.parametrize("cached_parts", [None, 2], ids=["cached", "caches-start-over"])
 @pytest.mark.parametrize("constrained", [False, True], ids=["plain", "constrained"])
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 @pytest.mark.parametrize(
@@ -85,8 +89,10 @@ def _drain(config, problem, deadline=None):
     ids=["bfs", "dfs", "dfs-over-shapes", "mlfs-uniform", "mlfs-weighted"],
 )
 def test_every_consumer_of_a_shared_grammar_sees_a_fresh_search(
-    family, kind, dfs_over_shapes, weighted, constrained
+    family, kind, dfs_over_shapes, weighted, constrained, cached_parts, monkeypatch
 ):
+    if cached_parts is not None:
+        monkeypatch.setattr(iterators, "_CACHED_PARTS", cached_parts)
     problem = FAMILIES[family][3]
     fresh = _drain(
         _config(_grammar(family, weighted), family, kind, dfs_over_shapes, constrained, BUDGET),
@@ -100,6 +106,9 @@ def test_every_consumer_of_a_shared_grammar_sees_a_fresh_search(
         config = _config(shared, family, kind, dfs_over_shapes, constrained, budget)
         assert _drain(config, problem) == fresh[:budget]
     assert has_recording(shared)
+    # The recorded search runs without a problem: it builds no vectors.
+    recordings = iterators._SHELVES[shared._structure].recordings.values()
+    assert all(recording.search.code is None for recording in recordings)
     # A search without a budget never replays, and neither does one without
     # a problem.
     unbounded = make_iterator(
@@ -257,6 +266,8 @@ def test_synth_frees_its_iterator_without_the_cycle_collector(kind, replayed, mo
         (iterator,) = built
         assert result.flag == SynthFlag.optimal_program
         assert iterator() is None
+        # Nothing the run made is left in a reference cycle.
+        assert gc.collect() == 0
     finally:
         gc.enable()
 
@@ -280,6 +291,7 @@ def test_probe_frees_its_iterators_without_the_cycle_collector(monkeypatch):
         run = probe_with_stats(grammar, "Int", problem, ProbeConfig(max_depth=4))
         assert run.program is not None
         assert built and all(iterator() is None for iterator in built)
+        assert gc.collect() == 0
     finally:
         gc.enable()
 
