@@ -39,8 +39,13 @@ what it builds on its part, a bounded number of parts at a time, so
 programs share their unchanged subtrees, and the caches die with the
 tree's walk.  bfs and dfs walk the tuples in lexicographic order over the
 holes' ascending domains and test each prefix where some constraint sites
-complete, so a failing prefix skips every tuple that extends it.  mlfs
-walks them best-first, and its builder also returns the program's
+complete, so a failing prefix skips every tuple that extends it; an
+``ordered`` site that the least and greatest texts of its compared
+subtrees settle is not tested, and one they make a violation wherever it
+matches is tested at its last pattern hole, so a tree where no tuple
+passes is rejected early.  mlfs walks them best-first, after the same
+lexicographic walk, building nothing, has found a passing tuple; its
+builder also returns the program's
 log-probability, the queue priority when the tree is re-enqueued, so no
 emitted program is walked again to price it.  Every walk yields what the
 builder returns, ``(program, log-probability, vector)``, the
@@ -518,15 +523,24 @@ def _assignments_depth_first(state, code=None) -> Iterator[tuple[RuleNode, None,
     """
     domains = [state.domain(path) for path in state.hole_paths()]
     build, _ = _choice_builder(state.root, [(rules, None) for rules in domains], code)
-    ranges = [range(len(rules)) for rules in domains]
+    return _walk(_segments(state, domains), 0, (), build)
+
+
+def _segments(state: SolverState, rules: list[Sequence[int]]) -> list:
+    """The lexicographic walk's segments over the tuples that put hole
+    ``i`` at a rule of ``rules[i]``: the ranges of the positions up to each
+    position where a group of :meth:`~synthkit.solver.SolverState.choice_tests`
+    completes, with that group's test, then the remaining positions' ranges
+    with ``None``."""
+    ranges = [range(len(rule_list)) for rule_list in rules]
     segments = []
     start = 0
-    for last, test in state.choice_tests(domains):
+    for last, test in state.choice_tests(rules):
         segments.append((ranges[start : last + 1], test))
         start = last + 1
     if start < len(ranges):
         segments.append((ranges[start:], None))
-    return _walk(segments, 0, (), build)
+    return segments
 
 
 def _walk(segments: list, k: int, prefix: tuple, build) -> Iterator:
@@ -552,8 +566,11 @@ def _assignments_best_first(
     Assignments are tuples of per-hole choice indices (rules sorted by the
     mlfs heuristic); each tuple is reached once by incrementing positions in
     non-decreasing order, and a heap orders them by summed log-probability.
-    A popped tuple is first checked against the state's constraint sites
-    by :meth:`~synthkit.solver.SolverState.choice_test`, which reads the
+    Under constraints the walk first asks the lexicographic walk of bfs and
+    dfs (:func:`_segments`, :func:`_walk`), building nothing, for one
+    passing tuple, and a tree without one yields nothing before its heap
+    starts.  A popped tuple is first checked against the state's constraint
+    sites by :meth:`~synthkit.solver.SolverState.choice_test`, which reads the
     chosen rules in place: a tuple whose program breaks a constraint is
     skipped before anything is built.  Every other program is built from
     its choice tuple by :func:`_choice_builder` and yielded with its
@@ -573,8 +590,11 @@ def _assignments_best_first(
             order = orders[domain] = (rules, [logs[r - 1] for r in rules])
         slots.append(order)
     values = [slot[1] for slot in slots]
+    rules = [slot[0] for slot in slots]
+    passes = state.choice_test(rules)
+    if passes is not None and next(_walk(_segments(state, rules), 0, (), tuple), None) is None:
+        return
     build, _ = _choice_builder(state.root, slots, code)
-    passes = state.choice_test([slot[0] for slot in slots])
 
     start = (0,) * len(slots)
     heap = [(-sum(v[0] for v in values), start, 0)]

@@ -43,7 +43,11 @@ others as open.  After one propagation a search walks a uniform tree's
 assignments as choice tuples over the same numbering, and
 :meth:`~SolverState.choice_tests` (grouped by the last hole a site
 reads, to test prefixes) or :meth:`~SolverState.choice_test` (all at
-once) hands the open sites to the same tuple test.  So no
+once) hands the open sites to the same tuple test.  Both first check an
+open ``ordered`` site against the least and greatest texts its compared
+subtrees can read (:func:`_text_bounds`): the site is dropped when no
+completion breaks it, and tested on its pattern holes alone when every
+match breaks it.  That check changes no domain.  So no
 search builds a program that breaks a constraint, or calls
 :func:`~synthkit.constraints.check_program`, the ground truth.
 """
@@ -238,7 +242,11 @@ class _Site:
     and ``template`` is a :meth:`str.format` string with one ``{}`` per
     hole, in which a fixed rule node is written literally: formatted with
     the holes' rules, it is exactly :func:`~synthkit.nodes.serialize_node`
-    of the decided subtree.  ``repeats`` pairs each later occurrence of a
+    of the decided subtree.  ``tails`` holds, per entry of ``bound``, the
+    character the template puts right after each hole's slot: ``{`` before
+    its children, ``,`` before a sibling, ``}`` closing its parent, or
+    ``""`` at the end of the text; :func:`_text_bounds` reads them.
+    ``repeats`` pairs each later occurrence of a
     repeated variable with its first, and ``compared`` lists the first
     occurrence of each variable an ``ordered`` constraint compares, in its
     order (``None`` for ``forbidden``), all as indices into ``bound``.
@@ -247,6 +255,7 @@ class _Site:
 
     pattern: tuple[tuple[int, frozenset[int]], ...]
     bound: tuple[tuple[tuple[int, ...], str], ...]
+    tails: tuple[tuple[str, ...], ...]
     repeats: tuple[tuple[int, int], ...]
     compared: tuple[int, ...] | None
     last: int
@@ -265,6 +274,11 @@ class _Site:
             if texts[first] != texts[later]:
                 return False
         return self.compared is None or misordered([texts[i] for i in self.compared])
+
+
+# A site every choice tuple violates: its empty pattern always matches and
+# it reads no text, so its test fails on the empty prefix.
+_VIOLATED = _Site((), (), (), (), None, -1)
 
 
 def _post_site(
@@ -308,13 +322,15 @@ def _post_site(
     if isinstance(constraint, Ordered):
         decided.update(constraint.variables)
     bound = []
+    tails = []
     # The index into ``bound`` and the shape of each variable's first occurrence.
     first: dict[str, tuple[int, tuple]] = {}
     repeats = []
     for name, at, sub in occurrences:
         if name in decided:
             holes: list[int] = []
-            template = _template(sub, at, number, holes)
+            after: list[str] = []
+            template = _template(sub, at, number, holes, after)
             if name not in first:
                 first[name] = len(bound), _shape(sub)
             elif first[name][1] == _shape(sub):
@@ -322,11 +338,15 @@ def _post_site(
             else:
                 return None
             bound.append((tuple(holes), template))
+            tails.append(tuple(after))
     compared = None
     if isinstance(constraint, Ordered):
         compared = tuple(first[name][0] for name in constraint.variables)
     read = [hole for hole, _ in pattern] + [hole for holes, _ in bound for hole in holes]
-    return _Site(tuple(pattern), tuple(bound), tuple(repeats), compared, max(read, default=-1))
+    return _Site(
+        tuple(pattern), tuple(bound), tuple(tails), tuple(repeats), compared,
+        max(read, default=-1),
+    )
 
 
 def _shape(node: Node) -> tuple:
@@ -334,21 +354,50 @@ def _shape(node: Node) -> tuple:
     return tuple(_shape(child) for child in node.children)
 
 
-def _template(node: Node, path: Path, number: dict[Path, int], holes: list[int]) -> str:
+def _template(
+    node: Node, path: Path, number: dict[Path, int], holes: list[int], tails: list[str],
+    tail: str = "",
+) -> str:
     """The serialization template of a uniform subtree, appending the
-    numbers of its uniform holes in preorder: one ``{}`` per hole, a rule
-    node's index written literally, and braces doubled."""
+    numbers of its uniform holes in preorder and the character that
+    follows each one's slot: one ``{}`` per hole, a rule node's index
+    written literally, and braces doubled.  ``tail`` is the character
+    after the subtree's own text."""
     if isinstance(node, UniformHole):
         holes.append(number[path])
+        tails.append("{" if node.children else tail)
         head = "{}"
     else:
         head = str(node.rule)
     if not node.children:
         return head
+    last = len(node.children) - 1
     children = ",".join(
-        _template(child, path + (i,), number, holes) for i, child in enumerate(node.children)
+        _template(child, path + (i,), number, holes, tails, "}" if i == last else ",")
+        for i, child in enumerate(node.children)
     )
     return f"{head}{{{{{children}}}}}"
+
+
+def _text_bounds(
+    holes: Sequence[int], template: str, tails: Sequence[str], domains: Sequence[Sequence[int]]
+) -> tuple[str, str]:
+    """The least and greatest texts a bound subtree can read over ``domains``.
+
+    The subtree's shape is fixed, so two of its texts first differ in some
+    slot, after equal text before it.  Then the slot's rule followed by
+    the character after the slot, ``str(rule) + tail``, orders the two
+    texts as the whole texts compare, also when one index is a prefix of
+    the other: ``"12{" < "1{"`` but ``"1," < "12,"``.  So the least text
+    takes each hole's rule of least key and the greatest text each one's
+    rule of greatest key.
+    """
+    least, greatest = [], []
+    for hole, tail in zip(holes, tails):
+        keyed = sorted(domains[hole], key=lambda rule: f"{rule}{tail}")
+        least.append(keyed[0])
+        greatest.append(keyed[-1])
+    return template.format(*least), template.format(*greatest)
 
 
 def _positions(node: Node, path: Path) -> Iterator[tuple[Path, Node]]:
@@ -567,30 +616,80 @@ class SolverState:
 
     # -- complete assignments --------------------------------------------------
 
-    def choice_tests(self, rules: Sequence[Sequence[int]]) -> list[tuple[int, TupleTest]]:
-        """Tests of choice tuples against the sites :meth:`propagate` left
-        open, one per tuple position where some open site completes,
-        ascending by position.
+    def _tested_sites(self) -> list[_Site]:
+        """The sites a choice tuple must answer for: the open ones, each
+        as a tuple test should read it.
 
-        A tuple decides hole ``i`` to ``rules[i][choices[i]]``.  The open
-        sites are grouped by the last position they read, and ``(k, test)``
+        An ``ordered`` site is first checked against the least and
+        greatest text each compared subtree can read over the propagated
+        domains (:func:`_text_bounds`).  When every compared text's
+        greatest is at most the next one's least, no completion breaks the
+        site and it is left out.  When some text's least exceeds the next
+        one's greatest and no variable repeats, every match is a violation:
+        the site reads its pattern holes alone, as a ``forbidden`` site
+        would, and completes at the last of them.  Any other site is kept
+        as it is.  When such sites with one pattern hole each accept every
+        rule of that hole between them, no tuple passes, and the one site
+        left is :data:`_VIOLATED`.  No domain changes, and only
+        :attr:`_open` is read, so before the first propagation there is
+        nothing to test.
+        """
+        domains = self._domains
+        tested = []
+        # The rules each hole may not take, by the sites that read it alone.
+        excluded: dict[int, set[int]] = {}
+        for index in sorted(self._open):
+            site = self._sites[index]
+            if site.compared is not None:
+                texts = [
+                    _text_bounds(*site.bound[k], site.tails[k], domains) for k in site.compared
+                ]
+                pairs = list(zip(texts, texts[1:]))
+                if all(greatest <= least for (_, greatest), (least, _) in pairs):
+                    continue
+                if not site.repeats and any(
+                    least > greatest for (least, _), (_, greatest) in pairs
+                ):
+                    pattern = site.pattern
+                    last = max((hole for hole, _ in pattern), default=-1)
+                    site = _Site(pattern, (), (), (), None, last)
+                    if len(pattern) == 1:
+                        [(hole, accepted)] = pattern
+                        rules = excluded.setdefault(hole, set())
+                        rules.update(accepted)
+                        if rules.issuperset(domains[hole]):
+                            return [_VIOLATED]
+            tested.append(site)
+        return tested
+
+    def choice_tests(self, rules: Sequence[Sequence[int]]) -> list[tuple[int, TupleTest]]:
+        """Tests of choice tuples against the sites left to test
+        (:meth:`_tested_sites`), one per tuple position where some of them
+        complete, ascending by position.
+
+        A tuple decides hole ``i`` to ``rules[i][choices[i]]``.  The sites
+        are grouped by the last position they read, and ``(k, test)``
         decides every site of the group at ``k`` from the tuple's first
         ``k + 1`` positions, so a prefix that fails rules out every tuple
-        extending it.  No completion breaks a settled site, and no site was
-        posted where no assignment matches, so after propagation a tuple
-        passes every test exactly when its program satisfies
+        extending it.  A site that every match violates reads only its
+        pattern holes, so its group sits at the last of them; a tree no
+        tuple passes has one group, at position -1, whose test fails on the
+        empty prefix.  No completion breaks a settled site or one left out
+        by its text bounds, and no site was posted where no assignment
+        matches, so after propagation a tuple passes every test exactly
+        when its program satisfies
         :func:`~synthkit.constraints.check_program`.  Before the first
         propagation no site is open.
         """
         groups: dict[int, list[_Site]] = {}
-        for index in sorted(self._open):
-            site = self._sites[index]
+        for site in self._tested_sites():
             groups.setdefault(site.last, []).append(site)
         return [(last, _tuple_test(groups[last], rules)) for last in sorted(groups)]
 
     def choice_test(self, rules: Sequence[Sequence[int]]) -> TupleTest | None:
-        """One test of complete choice tuples against every open site; ``None`` if none."""
-        sites = [self._sites[index] for index in sorted(self._open)]
+        """One test of complete choice tuples against every site left to
+        test (:meth:`_tested_sites`); ``None`` if none."""
+        sites = self._tested_sites()
         return _tuple_test(sites, rules) if sites else None
 
 

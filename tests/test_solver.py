@@ -32,6 +32,7 @@ from synthkit.solver import (
     _positions,
     _post_site,
     _Site,
+    _text_bounds,
     _tuple_test,
     split_first_hole,
     survey,
@@ -785,6 +786,50 @@ def _holes_read(site):
     return [hole for hole, _ in site.pattern] + [hole for holes, _ in site.bound for hole in holes]
 
 
+# Rules 1 and 10 share a shape, so ``1{`` sorts after ``10{`` though 1 < 10
+# and "1" < "10"; rules 5 to 9 are a symbol the start never reaches.
+WIDE_TEXT = (
+    "Int = Int + Int\nInt = 1 | 2 | x\n"
+    "B = true | false | not ( B ) | and ( B , B ) | or ( B , B )\nInt = Int * Int"
+)
+
+
+def _placement_by_bounds(state, site, domains, texts):
+    """Where the walk must test an open site, from the least and greatest
+    serialized completion of each subtree it compares: ``("bounded",
+    None)`` when no completion breaks it, ``("pattern", k)`` with its last
+    pattern hole ``k`` when every match breaks it and no variable repeats,
+    else ``("kept", last)`` with the last hole it reads.  ``texts`` caches
+    each subtree's texts by its holes and their domains."""
+    if site.compared is not None:
+        paths = state.hole_paths()
+        ranges = []
+        for k in site.compared:
+            holes, _ = site.bound[k]
+            key = holes, tuple(domains[hole] for hole in holes)
+            if key not in texts:
+                # Every tree a search queues is holes only, so the bound
+                # subtree's root is its first hole.
+                path = paths[holes[0]]
+                node = _subtree(state.root, path)
+                texts[key] = [
+                    serialize_node(
+                        reference_materialize(
+                            state, {paths[hole]: rule for hole, rule in zip(holes, rules)},
+                            node, path,
+                        )
+                    )
+                    for rules in itertools.product(*key[1])
+                ]
+            ranges.append((min(texts[key]), max(texts[key])))
+        pairs = list(zip(ranges, ranges[1:]))
+        if all(a[1] <= b[0] for a, b in pairs):
+            return "bounded", None
+        if not site.repeats and any(a[0] > b[1] for a, b in pairs):
+            return "pattern", max((hole for hole, _ in site.pattern), default=-1)
+    return "kept", max(_holes_read(site))
+
+
 @pytest.mark.parametrize("kind", ["bfs", "dfs"])
 def test_the_choice_tuple_walk_tests_each_prefix_where_its_sites_complete(
     g0, kind, monkeypatch
@@ -800,7 +845,8 @@ def test_the_choice_tuple_walk_tests_each_prefix_where_its_sites_complete(
     choice_builder = iterators._choice_builder
     choice_tests = SolverState.choice_tests
     calls, builds, latest = [], [], {}
-    seen = {"trees": 0, "early": 0, "skipped": 0, "settled": 0}
+    seen = {"trees": 0, "early": 0, "skipped": 0, "settled": 0, "bounded": 0, "pattern": 0,
+            "kept": 0, "empty": 0}
 
     def recording_choice_tests(state, rules):
         groups = choice_tests(state, rules)
@@ -847,18 +893,30 @@ def test_the_choice_tuple_walk_tests_each_prefix_where_its_sites_complete(
             if check_program(state.constraints, program)
         ]
         assert [serialize_node(p) for p, _, _ in programs] == truth
-        # A group sits at the last position its sites read, and only the
-        # sites propagation left open are tested.
+        # Only the sites propagation left open are tested.  An open site
+        # that no completion breaks by the least and greatest texts of the
+        # subtrees it compares is not tested at all; one whose every match
+        # those texts make a violation is tested at its last pattern hole;
+        # any other at the last position it reads.  When such sites, each
+        # reading one pattern hole, accept every rule of that hole between
+        # them, no tuple passes: one group tests the empty prefix.
         domains = [state.domain(path) for path in state.hole_paths()]
         assert all(site.last == max(_holes_read(site), default=-1) for site in state._sites)
-        completions = {
-            max(_holes_read(site))
-            for site in state._sites
-            if _open_after_propagation(domains, site)
-        }
-        seen["settled"] += sum(
-            not _open_after_propagation(domains, site) for site in state._sites
-        )
+        completions, texts, excluded = set(), {}, {}
+        for site in state._sites:
+            if not _open_after_propagation(domains, site):
+                seen["settled"] += 1
+                continue
+            case, at = _placement_by_bounds(state, site, domains, texts)
+            seen[case] += 1
+            if at is not None:
+                completions.add(at)
+            if case == "pattern" and len(site.pattern) == 1:
+                [(hole, accepted)] = site.pattern
+                excluded.setdefault(hole, set()).update(accepted)
+        if any(rules.issuperset(domains[hole]) for hole, rules in excluded.items()):
+            completions = {-1}
+            seen["empty"] += 1
         assert [last for last, _ in latest["groups"]] == sorted(completions)
         # Replay the prefix skip over every tuple of the propagated domains.
         ranges = [range(len(state.domain(path))) for path in state.hole_paths()]
@@ -886,6 +944,24 @@ def test_the_choice_tuple_walk_tests_each_prefix_where_its_sites_complete(
     for texts in MINI_STRINGS_CONSTRAINT_SETS:
         constraints = tuple(parse_constraint(text) for text in texts)
         cases.append((strings, "S", 3, 6, constraints))
+    # The enum-constrained benchmark's constraint sets.
+    cases += [(g0, "Int", 4, 7, tuple(constraints)) for constraints in ENUM_CONSTRAINED_SETS]
+    # Three compared texts, and a repeated variable.
+    constraints = tuple(
+        parse_constraint(text)
+        for text in (
+            "(ordered (rule 9 (var a) (var b) (var c)) (a b c))",
+            "(ordered (rule 8 (var a) (rule 8 (var a) (var b))) (a b))",
+        )
+    )
+    cases.append((strings, "S", 3, 6, constraints))
+    # Texts whose order a slot's next character decides.  With the
+    # forbidden pattern every right operand is decided to x, so a compared
+    # text's greatest can equal the next one's least.
+    wide = parse_grammar(WIDE_TEXT)
+    ordered = parse_constraint("(ordered (rule 1 (var a) (var b)) (a b))")
+    right_x = parse_constraint("(forbidden (domain (1 10) (var a) (domain (2 3))))")
+    cases += [(wide, "Int", 3, 7, (ordered,)), (wide, "Int", 3, 7, (ordered, right_x))]
     monkeypatch.setattr(SolverState, "choice_tests", recording_choice_tests)
     monkeypatch.setattr(iterators, "_choice_builder", counting_builder)
     monkeypatch.setattr(iterators, "_assignments_depth_first", checked_walk)
@@ -900,6 +976,81 @@ def test_the_choice_tuple_walk_tests_each_prefix_where_its_sites_complete(
     assert seen["trees"] > 150
     assert seen["early"] > 60 and seen["skipped"] > 30
     assert seen["settled"] > 100
+    assert seen["bounded"] > 0 and seen["pattern"] > 0 and seen["kept"] > 0
+    assert seen["empty"] > 0
+
+
+@pytest.mark.parametrize("kind", ["bfs", "dfs", "mlfs"])
+def test_the_empty_enum_constrained_trees_are_rejected_before_any_build(g0, kind, monkeypatch):
+    # Under the enum-constrained benchmark's two commutativity constraints,
+    # 4 of the 9 uniform trees of arith, depth <= 4, size <= 7, hold no
+    # satisfying program: a product is compared with a leaf that its text
+    # always exceeds.  The text bounds make every match there a violation,
+    # so no walk builds a program of such a tree; bfs and dfs reject it on
+    # the rules of hole 0, and mlfs drops it before its heap starts.  Every
+    # tree must still yield exactly the reference's programs.
+    grammar = g0.with_probabilities([0.3, 0.1, 0.25, 0.2, 0.15])
+    walk_name = "_assignments_best_first" if kind == "mlfs" else "_assignments_depth_first"
+    walk = getattr(iterators, walk_name)
+    choice_tests = SolverState.choice_tests
+    choice_builder = iterators._choice_builder
+    trees = []
+
+    def counting_choice_tests(state, rules):
+        tree = trees[-1]
+
+        def counted(test):
+            def passes(choices):
+                tree["tests"] += 1
+                return test(choices)
+
+            return passes
+
+        return [(last, counted(test)) for last, test in choice_tests(state, rules)]
+
+    def counting_builder(node, slots, code, i=0):
+        build, end = choice_builder(node, slots, code, i)
+        if i:
+            return build, end
+        tree = trees[-1]
+
+        def counted(choices):
+            tree["builds"] += 1
+            return build(choices)
+
+        return counted, end
+
+    def recorded_walk(state, *args):
+        tree = {"state": state, "tests": 0, "builds": 0}
+        trees.append(tree)
+        tree["programs"] = list(walk(state, *args))
+        return iter(tree["programs"])
+
+    monkeypatch.setattr(SolverState, "choice_tests", counting_choice_tests)
+    monkeypatch.setattr(iterators, "_choice_builder", counting_builder)
+    monkeypatch.setattr(iterators, walk_name, recorded_walk)
+    config = IteratorConfig(
+        kind, grammar, "Int", max_depth=4, max_size=7, constraints=tuple(ENUM_CONSTRAINED_SETS[0])
+    )
+    assert not has_recording(grammar)
+    assert sum(1 for _ in make_iterator(config)) == 675
+    assert len(trees) == 9
+    for tree in trees:
+        state = tree["state"]
+        if kind == "mlfs":
+            expected = reference_assignments_best_first(state, grammar)
+        else:
+            expected = reference_assignments_depth_first(state)
+        assert [(serialize_node(p), v) for p, v, _ in tree["programs"]] == [
+            (serialize_node(p), v) for p, v, _ in expected
+        ]
+        assert tree["builds"] == len(tree["programs"])
+    empty = [tree for tree in trees if not tree["programs"]]
+    assert len(empty) == 4
+    if kind != "mlfs":
+        for tree in empty:
+            state = tree["state"]
+            assert 0 < tree["tests"] <= len(state.domain(state.hole_paths()[0]))
 
 
 def _random_probabilities(grammar, rng):
@@ -991,6 +1142,86 @@ def _subtree(tree, path):
     for index in path:
         tree = tree.children[index]
     return tree
+
+
+def test_text_bounds_are_the_least_and_greatest_serialized_completions(g0):
+    # For each bound subtree of every site of random uniform trees, some
+    # with fixed rule nodes and some with narrowed holes, the least and
+    # greatest texts the walks' tests read must be the least and greatest
+    # serialize_node over every completion of the subtree's holes.
+    # mini-strings' rules 10 to 13 have two digits, and the wide grammar
+    # puts 1 and 10 in one shape, where "10{" sorts before "1{".
+    strings = parse_grammar((SUITES_DIR / "mini-strings" / "default.herbg").read_text())
+    cases = [
+        (g0, "Int", PROPAGATION_FORMS),
+        (strings, "S", [
+            parse_constraint(text)
+            for text in (
+                "(ordered (rule 8 (var a) (var b)) (a b))",
+                "(ordered (rule 9 (var a) (var b) (var c)) (a b c))",
+                "(ordered (rule 8 (var a) (rule 8 (var a) (var b))) (a b))",
+                "(ordered (domain (10 13) (var a) (var b)) (b a))",
+            )
+        ]),
+        (parse_grammar(WIDE_TEXT), "Int", [
+            parse_constraint("(ordered (domain (1 10) (var a) (var b)) (a b))"),
+            parse_constraint("(ordered (rule 10 (var a) (var b)) (b a))"),
+        ]),
+    ]
+    rng = random.Random(29)
+    tails, checked, literal, prefixed = set(), 0, 0, 0
+    for grammar, start, constraints in cases:
+        for _ in range(80):
+            tree = random_partial_tree(grammar, start, rng, 3)
+            while not is_uniform(tree):
+                tree = rng.choice(decompose(grammar, tree, max_depth=4, max_size=9))
+            state = SolverState(grammar, tree, constraints)
+            paths = state.hole_paths()
+            for path in paths:
+                domain = state.domain(path)
+                if len(domain) > 1 and rng.random() < 0.3:
+                    state.remove(path, rng.choice(domain))
+            domains = [state.domain(path) for path in paths]
+            number = {path: i for i, path in enumerate(paths)}
+            for constraint in constraints:
+                for at, node in _positions(tree, ()):
+                    site = _post_site(constraint, node, at, number)
+                    if site is None:
+                        continue
+                    occurrences = list(_variable_occurrences(constraint.pattern, at))
+                    names = [name for name, _ in occurrences]
+                    compared = constraint.variables if isinstance(constraint, Ordered) else ()
+                    bound = [
+                        path
+                        for name, path in occurrences
+                        if names.count(name) > 1 or name in compared
+                    ]
+                    for path, (holes, template), after in zip(bound, site.bound, site.tails):
+                        assert len(after) == len(holes)
+                        subtree = _subtree(tree, path)
+                        texts = [
+                            serialize_node(
+                                reference_materialize(
+                                    state, {paths[hole]: rule for hole, rule in zip(holes, rules)},
+                                    subtree, path,
+                                )
+                            )
+                            for rules in itertools.product(*(domains[hole] for hole in holes))
+                        ]
+                        assert _text_bounds(holes, template, after, domains) == (
+                            min(texts), max(texts)
+                        )
+                        checked += 1
+                        tails.update(after)
+                        literal += any(c.isdigit() for c in template)
+                        prefixed += any(
+                            a != b and str(b).startswith(str(a))
+                            for hole in holes
+                            for a in domains[hole]
+                            for b in domains[hole]
+                        )
+    assert tails == {"{", ",", "}", ""}
+    assert checked > 500 and literal > 0 and prefixed > 0
 
 
 def test_site_templates_read_the_serialized_materialized_subtrees(g0, monkeypatch):
