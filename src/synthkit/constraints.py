@@ -155,6 +155,21 @@ def check_program(constraints: Iterable[Constraint], node: Node) -> bool:
     return True
 
 
+def check_root(constraints: Sequence[Constraint], node: Node) -> bool:
+    """Does every constraint hold at the matches rooted at ``node``?
+
+    A program whose proper subtrees all pass :func:`check_program` passes
+    it exactly when it passes this check, since every other match site lies
+    in some child.  So a bottom-up bank, which checked each child when it
+    banked it, checks a candidate's new root alone.
+    """
+    for constraint in constraints:
+        bindings = match_pattern(constraint.pattern, node)
+        if bindings is not None and violated_by(constraint, bindings):
+            return False
+    return True
+
+
 # -- s-expression reader ------------------------------------------------------
 
 

@@ -10,9 +10,10 @@ within ``max_depth`` and ``max_size`` and derives each piece's survey from
 the tree's, so no queued tree is walked again: a piece is uniform exactly
 when it has no holes left, and bfs keys it by its carried depth.
 Dequeuing a uniform tree emits its next complete program and re-enqueues
-the tree until its programs are exhausted.  Every queue value, fresh or
-re-enqueued, comes from the iterator's ``_priority`` method, and the
-discipline differs per iterator:
+the tree until its programs are exhausted; the re-enqueue waits for the
+next dequeue, which does both with one :func:`heapq.heappushpop`.  Every
+queue value, fresh or re-enqueued, comes from the iterator's ``_priority``
+method, and the discipline differs per iterator:
 
 * ``bfs``   -- fresh trees are keyed by (depth, insertion counter): FIFO
   within a depth layer; a re-enqueued uniform tree keeps its position, so
@@ -34,9 +35,10 @@ tree once into a builder from a tuple (:func:`_choice_builder`).  Holes
 are numbered once, in that preorder: the solver state's domains and
 constraint tests, the walks and the builder all index the tuple the same
 way, so the subtree at hole ``i`` with
-``n`` nodes owns ``choices[i:i+n]``; every subtree below the root memoizes
-what it builds on its part, a bounded number of parts at a time, so
-programs share their unchanged subtrees, and the caches die with the
+``n`` nodes owns ``choices[i:i+n]``; every subtree below the root reuses
+what it built on its part before -- a leaf from a table indexed by its
+one choice, a larger subtree from a bounded cache of parts -- so programs
+share their unchanged subtrees, and the tables and caches die with the
 tree's walk.  bfs and dfs walk the tuples in lexicographic order over the
 holes' ascending domains and test each prefix where some constraint sites
 complete, so a failing prefix skips every tuple that extends it; an
@@ -111,13 +113,14 @@ from enum import Enum
 from typing import Callable, Iterator, Sequence, Union
 from weakref import WeakKeyDictionary
 
-from .constraints import ConcreteRule, Constraint, Pattern, PatternVar, check_program
+from .constraints import ConcreteRule, Constraint, Pattern, PatternVar, check_root
 from .errors import ConfigError, SynthkitError
 from .grammar import Grammar, set_uniform_probabilities
 from .interpreter import EVAL_ERROR, RuleCode, _fold, output_key, solved_counter
 # Unused here, but kept as names the benchmark tracer patches on this module.
+from .constraints import check_program  # noqa: F401
 from .interpreter import evaluate, run_examples, to_expression  # noqa: F401
-from .nodes import Hole, Node, RuleNode, depth
+from .nodes import Hole, Node, RuleNode, _trusted_rule_node, depth
 from .solver import SolverState, Surveyed, split_first_hole, survey
 from .specification import Problem
 
@@ -409,10 +412,22 @@ class TopDownIterator(_ProgramIterator):
     def _run(self, pause: bool = False) -> Iterator[RuleNode | None]:
         """The search.  With ``pause`` a passed deadline yields ``None``
         instead of ending it, and the search resumes under whatever
-        deadline is set when it is next advanced."""
+        deadline is set when it is next advanced.
+
+        A uniform entry that emits and has programs left is held, with its
+        queue key, rather than pushed; the next dequeue sends it back with
+        one :func:`heapq.heappushpop`.  Keys ``(priority, tie)`` are unique,
+        so that returns exactly what a push then a pop would: dfs still
+        alternates between sibling trees of equal priority, and a bfs entry,
+        whose key nothing else can undercut, comes straight back with no
+        sift.  The held entry lives in this frame, so a paused search
+        resumes with it.
+        """
         emitted = 0
         budget = self.config.max_enumerations
-        while self._heap:
+        heap = self._heap
+        held = None
+        while heap or held is not None:
             if budget is not None and emitted >= budget:
                 return
             deadline = self.deadline
@@ -421,7 +436,11 @@ class TopDownIterator(_ProgramIterator):
                     return
                 yield None
                 continue
-            priority, _, entry = heapq.heappop(self._heap)
+            if held is None:
+                priority, _, entry = heapq.heappop(heap)
+            else:
+                priority, _, entry = heapq.heappushpop(heap, held)
+                held = None
             if not entry.is_uniform:
                 # One hole per dequeue, so a tree never fans out by more
                 # than its class count; the split drops out-of-bound pieces
@@ -435,7 +454,7 @@ class TopDownIterator(_ProgramIterator):
             program, vector = entry.peeked, entry.vector
             self._advance(entry)
             if entry.peeked is not None:
-                self._push(entry, priority, True)
+                held = (self._priority(entry, priority, True), next(self._tie), entry)
             emitted += 1
             self.last_vector = vector
             yield program
@@ -625,15 +644,39 @@ def _choice_builder(
     log-probabilities, or ``None`` in their place: then nothing is summed
     and the log-probability is ``None``.  The subtree at hole ``i`` owns
     the part ``choices[i:i+n]`` of the tuple, where ``n`` is its node
-    count, and memoizes what it builds on that part, so a program reuses
-    the subtrees, log-probabilities and vectors of an earlier one wherever
-    their choices agree.  A full cache (``_CACHED_PARTS``) starts over, so
+    count, and reuses what it built on that part before, so a program
+    shares the subtrees, log-probabilities and vectors of an earlier one
+    wherever their choices agree.  A leaf hole's part is its one choice
+    index, so the leaf is a table indexed by that choice and filled as the
+    walk first reaches each entry: every leaf node is built once per walk,
+    and all the tree's programs share it.  A hole with children memoizes
+    its parts in a cache that starts over when full (``_CACHED_PARTS``), so
     memory is bounded per hole; a run of tuples sharing a part still hits.
-    The root, at position 0, is built afresh: every tuple is built at most
-    once, so its cache would never hit and would keep every program alive.
-    The caches live as long as the returned function.
+    The root, at position 0, is built afresh unless it is a leaf: every
+    tuple is built at most once, so its cache would never hit and would
+    keep every program alive.  Nodes come from
+    :func:`~synthkit.nodes._trusted_rule_node`, since the rules are the
+    grammar's and the children a tuple.  The tables and caches live as long
+    as the returned function.
     """
     rules, values = slots[i]
+    if not node.children:
+        table: list = [None] * len(rules)
+
+        def leaf(choices: tuple) -> tuple:
+            j = choices[i]
+            hit = table[j]
+            if hit is None:
+                rule = rules[j]
+                hit = table[j] = (
+                    _trusted_rule_node(rule),
+                    None if values is None else values[j],
+                    None if code is None else code[rule],
+                )
+            return hit
+
+        return leaf, i + 1
+
     children = []
     end = i + 1
     for child in node.children:
@@ -644,8 +687,6 @@ def _choice_builder(
         j = choices[i]
         rule = rules[j]
         total = None if values is None else values[j]
-        if not children:
-            return RuleNode(rule), total, None if code is None else code[rule]
         kids = []
         vectors = []
         for child in children:
@@ -655,7 +696,7 @@ def _choice_builder(
                 total += value
             vectors.append(vector)
         vector = None if code is None else code[rule](*vectors)
-        return RuleNode(rule, tuple(kids)), total, vector
+        return _trusted_rule_node(rule, tuple(kids)), total, vector
 
     if i == 0:
         return build, end
@@ -801,7 +842,9 @@ class BottomUpIterator(_ProgramIterator):
     the rule's compiled vector function to the children's banked vectors, so
     no program is evaluated from scratch.  ``depth`` comes from the
     children's.  :attr:`last_vector` is the vector of the program emitted
-    last.
+    last.  Under constraints a candidate is checked at its root alone
+    (:func:`~synthkit.constraints.check_root`): its children passed when
+    they were banked.
 
     With ``observational_equivalence`` a new program whose outputs duplicate
     a banked program of the same nonterminal (compared tag-strictly, see
@@ -870,8 +913,8 @@ class BottomUpIterator(_ProgramIterator):
                             key = output_key(vector)
                             if key in seen:
                                 continue
-                    program = RuleNode(rule, kids)
-                    if constraints and not check_program(constraints, program):
+                    program = _trusted_rule_node(rule, kids)
+                    if constraints and not check_root(constraints, program):
                         continue
                     if prune:
                         seen.add(key)

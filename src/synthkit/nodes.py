@@ -9,6 +9,16 @@ one shape, so the children already exist).
 The canonical text form of a complete program is the rule index of the root
 followed, for non-leaves, by the child serializations in braces, e.g.
 ``4{3,4{1,3}}``.  No whitespace, ASCII digits only.
+
+Public ``RuleNode(...)`` checks its arguments.  The searches build their
+programs through :func:`_trusted_rule_node` instead, which skips the checks
+because its callers take the rule from the grammar and pass the children as
+a tuple already.  It sets the two fields with ``object.__setattr__``, as the
+frozen dataclass's own ``__init__`` does, so the node keeps CPython's inline
+attribute values; writing ``node.__dict__`` instead would materialize a real
+dict and make every later read of ``.rule`` or ``.children`` slower.  Its
+nodes are ordinary ``RuleNode`` values: equal, hashed, frozen and pickled
+like ones built publicly.
 """
 
 from __future__ import annotations
@@ -32,6 +42,19 @@ class RuleNode:
         object.__setattr__(self, "children", tuple(self.children))
         if self.rule < 1:
             raise ValueError(f"rule indices are 1-based, got {self.rule}")
+
+
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _trusted_rule_node(rule: int, children: tuple[Node, ...] = ()) -> RuleNode:
+    """A :class:`RuleNode` built without ``__post_init__``'s checks, for a
+    rule taken from the grammar and children that are already a tuple."""
+    node = _new(RuleNode)
+    _set(node, "rule", rule)
+    _set(node, "children", children)
+    return node
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,13 @@ from synthkit import (
     check_program,
     match_pattern,
     parse_constraint,
+    parse_grammar,
     parse_node,
 )
+from synthkit.constraints import check_root
+
+from conftest import ARITH_TEXT
+from oracles import enumerate_programs
 
 PLUS_AA = ConcreteRule(4, (PatternVar("a"), PatternVar("a")))
 PLUS_AB = ConcreteRule(4, (PatternVar("a"), PatternVar("b")))
@@ -68,6 +73,28 @@ def test_check_program_ordered():
 
 def test_check_program_no_constraints():
     assert check_program([], parse_node("4{3,1}")) is True
+
+
+@pytest.mark.parametrize(
+    "texts",
+    [
+        ("(ordered (rule 4 (var a) (var b)) (a b))",),
+        ("(forbidden (rule 4 (rule 1) (var x)))", "(forbidden (rule 5 (var a) (var a)))"),
+        ("(forbidden (domain (4 5) (var a) (rule 4 (var a) (var b))))",),
+        ("(ordered (rule 5 (var a) (rule 4 (var b) (var c))) (a b c))", "(forbidden (rule 4))"),
+    ],
+)
+def test_the_root_check_agrees_with_check_program_once_the_children_pass(texts):
+    constraints = tuple(parse_constraint(text) for text in texts)
+    candidates = [
+        p
+        for p in enumerate_programs(parse_grammar(ARITH_TEXT), "Int", 3)
+        if all(check_program(constraints, child) for child in p.children)
+    ]
+    verdicts = [check_program(constraints, p) for p in candidates]
+    assert [check_root(constraints, p) for p in candidates] == verdicts
+    # Both verdicts occur, so the agreement is not vacuous.
+    assert True in verdicts and False in verdicts
 
 
 def test_ordered_variables_must_occur():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import time
@@ -231,6 +232,55 @@ def test_constraints_filter_exactly(g0):
 def test_max_enumerations_truncates(g0):
     config = IteratorConfig("bfs", g0, "Int", max_depth=3, max_enumerations=5)
     assert len(emit_all(config)) == 5
+
+
+# The sha256 of each order's serialized programs, one per line.  These were
+# computed before the search queue held back the entry that emitted last
+# (pushing it back with one heappushpop at the next dequeue), so they pin
+# that every order stayed exactly as it was.
+ARITH_DEPTH_3_ORDERS = {
+    ("bfs", False, 0): (885, "55655507e279014214c79cfac7b1fc94fc0c10e67f0b4cd1952c3c6d64e1aa84"),
+    ("bfs", False, 1): (498, "15cc34a802527344612d00ea18ba006082820174422ff5bb93ed3154c322f9f6"),
+    ("dfs", False, 0): (885, "d94e85a956845f9f56613ef86ee2a0ed5b1c3ff1f3ea860b0bee7e4dd11e31ec"),
+    ("dfs", False, 1): (498, "7e1b0f895c4e01aa70043d71a5e5f4ec2aed1b1d3780105af321e32d60d3e2d7"),
+    ("dfs", True, 0): (885, "55655507e279014214c79cfac7b1fc94fc0c10e67f0b4cd1952c3c6d64e1aa84"),
+    ("dfs", True, 1): (498, "15cc34a802527344612d00ea18ba006082820174422ff5bb93ed3154c322f9f6"),
+    ("mlfs", False, 0): (885, "fe9c7e8f362d93abcd7a4861662f363d4300af5237255d7bfc9702c3771debe6"),
+    ("mlfs", False, 1): (498, "9711f5b11719b756db6b48069f5bfc95c48e0175729802f2d84a62b9d1c4308a"),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, over, constrained",
+    sorted(ARITH_DEPTH_3_ORDERS),
+    ids=lambda value: str(value),
+)
+def test_top_down_orders_on_arith_depth_3_are_pinned(g0, kind, over, constrained):
+    grammar = g0.with_probabilities([0.3, 0.1, 0.25, 0.2, 0.15])
+    constraints = (
+        (parse_constraint("(ordered (rule 4 (var a) (var b)) (a b))"),) if constrained else ()
+    )
+    config = IteratorConfig(
+        kind, grammar, "Int", max_depth=3, constraints=constraints, dfs_over_shapes=over
+    )
+    programs = emit_all(config)
+    count, digest = ARITH_DEPTH_3_ORDERS[kind, over, constrained]
+    assert len(programs) == count
+    assert hashlib.sha256("\n".join(programs).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("kind", ["bfs", "dfs", "mlfs"])
+def test_programs_of_one_uniform_tree_share_their_leaf_nodes(g0_uniform, kind):
+    # At depth 2 every binary program comes from the one uniform tree
+    # {+,*}{{1,2,x},{1,2,x}}, whose leaf holes build each rule's node once.
+    config = IteratorConfig(kind, g0_uniform, "Int", max_depth=2)
+    binary = [p for p in make_iterator(config) if p.children]
+    assert len(binary) == 18
+    for position in (0, 1):
+        for rule in (1, 2, 3):
+            leaves = [p.children[position] for p in binary if p.children[position].rule == rule]
+            assert len(leaves) == 6
+            assert all(leaf is leaves[0] for leaf in leaves)
 
 
 # -- bottom-up specifics ---------------------------------------------------------

@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -5,12 +8,14 @@ from hypothesis import strategies as st
 from synthkit import (
     Hole,
     IncompleteTreeError,
+    IteratorConfig,
     NodeParseError,
     RuleNode,
     UniformHole,
     depth,
     is_complete,
     is_uniform,
+    make_iterator,
     node_count,
     parse_node,
     serialize_node,
@@ -131,6 +136,49 @@ def test_holes_reject_empty_domain():
 def test_rule_indices_one_based():
     with pytest.raises(ValueError):
         RuleNode(0)
+    with pytest.raises(ValueError):
+        RuleNode(-1)
+
+
+def test_public_construction_still_wraps_children_in_a_tuple():
+    node = RuleNode(4, [RuleNode(1), RuleNode(3)])
+    assert node.children == (RuleNode(1), RuleNode(3))
+    assert type(node.children) is tuple
+
+
+def rebuilt_publicly(node):
+    return RuleNode(node.rule, tuple(rebuilt_publicly(child) for child in node.children))
+
+
+@pytest.mark.parametrize(
+    "kind, bounds",
+    [
+        ("bfs", {"max_depth": 3}),
+        ("dfs", {"max_depth": 3}),
+        ("mlfs", {"max_depth": 3}),
+        ("bottom_up", {"max_size": 5}),
+    ],
+)
+def test_searched_nodes_behave_like_public_ones(g0, kind, bounds):
+    # The builder of the top-down searches and the bottom-up bank build
+    # their nodes without RuleNode's checks; nothing else may tell.
+    programs = list(make_iterator(IteratorConfig(kind, g0, "Int", **bounds)))
+    assert programs
+    for program in programs:
+        public = rebuilt_publicly(program)
+        assert type(program) is RuleNode
+        assert program == public and public == program
+        assert hash(program) == hash(public)
+        assert serialize_node(program) == serialize_node(public)
+        restored = pickle.loads(pickle.dumps(program))
+        assert restored == program
+        assert serialize_node(restored) == serialize_node(program)
+    program = programs[-1]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        program.rule = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        program.children = ()
+    assert set(programs) == {rebuilt_publicly(p) for p in programs}
 
 
 def test_structural_equality_is_exact():
