@@ -69,7 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="probe",
         choices=_CLI_KINDS + ["probe"],
     )
-    bench.add_argument("--cycles", type=int, default=3, help="probe cycles")
+    bench.add_argument(
+        "--cycles", type=int, default=3, metavar="N", help="at most N probe cycles"
+    )
     _add_bound_flags(bench)
     bench.add_argument("--timeout", type=float, default=10.0, help="seconds per problem")
     bench.add_argument("--parallelism", type=int, default=1)

@@ -11,12 +11,23 @@ those with fitness above zero -- are boosted for the next cycle:
 where ``Fit(r)`` is the best fitness among promising programs using rule
 ``r`` (0 for unused rules), renormalized within each nonterminal.  The
 exponent form is the single extension point of this module.
+
+Short of the deadline, a cycle's outcome depends only on the grammar, the
+problem and the config, and the grammar's state is its rule structure plus
+its log-probabilities.  So when reweighting returns log-probabilities that
+a cycle of the search already had, every later cycle would repeat a
+searched one, and the search stops there.  That happens at a fixed point,
+where reweighting leaves the grammar as it is (as reweighting an empty
+promising set usually does), and where rounding makes the grammar swing
+between two values a last bit apart.  The grammar is not reweighted after
+the last cycle.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from operator import eq
 from typing import Iterable, Optional
 
 from .constraints import Constraint
@@ -54,7 +65,15 @@ class ProbeConfig:
 
 @dataclass
 class ProbeRun:
-    """Full outcome of a probe search, for harnesses that track budgets."""
+    """Full outcome of a probe search, for harnesses that track budgets.
+
+    ``cycles_completed`` counts the cycles run and ``enumerated`` the
+    programs they enumerated.  Without a solution, ``cycles_completed``
+    below ``probe_cycles`` means either that the deadline cut a cycle short
+    (``timed_out``) or, when ``timed_out`` is false, that the search stopped
+    at a fixed point: reweighting after the last cycle gave back a grammar
+    already searched, so the cycles left would have repeated searched ones.
+    """
 
     program: Node | None
     cycles_completed: int
@@ -104,6 +123,10 @@ def _collect_promising(
                 vector = iterator.last_vector
                 if not allow_evaluation_errors and EVAL_ERROR in vector:
                     iterator.code.raise_first_error(program)
+                # values_equal implies ==, so a vector no position of which
+                # passes == has fitness 0; most vectors are decided here, in C.
+                if not any(map(eq, vector, expected)):
+                    continue
                 # Counted through values_equal rather than solved_counter: the
                 # benchmark's smoke test patches values_equal here to check that
                 # a wrongly accepted program fails a run.
@@ -186,20 +209,27 @@ def probe_with_stats(
     config: ProbeConfig | None = None,
     timeout_seconds: float | None = None,
 ) -> ProbeRun:
-    """Run probe cycles, reporting the budget spent alongside the result.
+    """Run at most ``probe_cycles`` probe cycles, reporting the budget spent
+    alongside the result.
 
     A cycle the deadline cut short is not counted as completed, and the
-    grammar is not reweighted on its partial promising set.  An error that
-    ends a cycle carries the programs enumerated over all cycles so far as
-    its ``enumerated`` attribute.  A negative timeout raises ConfigError.
+    grammar is not reweighted on its partial promising set.  After an
+    unsolved cycle whose reweighting gives back the log-probabilities of
+    this or an earlier cycle, the search returns without a program and
+    without ``timed_out``: every later cycle would repeat a searched one.
+    An error that ends a cycle carries the programs enumerated over all
+    cycles so far as its ``enumerated`` attribute.  A negative timeout
+    raises ConfigError.
     """
     check_timeout(timeout_seconds)
     _require_examples(problem)
     config = config or ProbeConfig()
     deadline = None if timeout_seconds is None else time.monotonic() + timeout_seconds
     current = grammar if grammar.has_probabilities else set_uniform_probabilities(grammar)
+    searched = set()
     enumerated = 0
     for cycle in range(config.probe_cycles):
+        searched.add(current.log_probabilities)
         iterator_config = IteratorConfig(
             "mlfs",
             current,
@@ -221,7 +251,13 @@ def probe_with_stats(
             return ProbeRun(winner.program, cycle + 1, enumerated)
         if deadline is not None and time.monotonic() >= deadline:
             return ProbeRun(None, cycle, enumerated, timed_out=True)
-        current = modify_grammar_probe(promising, current)
+        if cycle + 1 == config.probe_cycles:
+            break
+        reweighted = modify_grammar_probe(promising, current)
+        if reweighted.log_probabilities in searched:
+            # Every later cycle would repeat a searched one exactly.
+            return ProbeRun(None, cycle + 1, enumerated)
+        current = reweighted
     return ProbeRun(None, config.probe_cycles, enumerated)
 
 
@@ -232,5 +268,6 @@ def probe(
     config: ProbeConfig | None = None,
     timeout_seconds: float | None = None,
 ) -> Optional[Node]:
-    """The probe loop: enumerate, reweight, repeat; ``None`` if no solution."""
+    """The probe loop: enumerate, reweight, repeat until solved, out of
+    cycles or at a fixed point; ``None`` if no solution."""
     return probe_with_stats(grammar, start_symbol, problem, config, timeout_seconds).program

@@ -9,9 +9,18 @@ from itertools import product
 
 from synthkit.constraints import ConcreteRule, Forbidden, PatternVar, check_program
 from synthkit.errors import EvaluationError, InterpreterError, UnboundVariableError
-from synthkit.interpreter import EVAL_ERROR, Apply, Literal, Variable, to_expression
+from synthkit.grammar import set_uniform_probabilities
+from synthkit.interpreter import (
+    EVAL_ERROR,
+    Apply,
+    Literal,
+    Variable,
+    output_key,
+    to_expression,
+    values_equal,
+)
 from synthkit import iterators
-from synthkit.iterators import derivation_heuristic
+from synthkit.iterators import IteratorConfig, SynthFlag, derivation_heuristic, make_iterator
 from synthkit.nodes import (
     Hole,
     RuleNode,
@@ -21,6 +30,7 @@ from synthkit.nodes import (
     node_count,
     serialize_node,
 )
+from synthkit.probe import ProbeRun, PromisingProgram, modify_grammar_probe
 from synthkit.solver import Surveyed
 
 
@@ -495,3 +505,60 @@ def has_recording(grammar):
     replay, so that a search with its key would not run the search code."""
     shelf = iterators._SHELVES.get(grammar._structure)
     return bool(shelf and shelf.recordings)
+
+
+def promising_by_the_full_loop(config, problem):
+    """Score one enumeration as probe did when it counted every program's
+    fitness through ``values_equal`` and every positive-fitness program's
+    size: stop at the first program solving every example; otherwise keep,
+    per output vector, the highest fitness, then the fewest nodes, then the
+    earliest.  Returns the promising set, the flag, the programs enumerated,
+    the programs that replaced a held one by being smaller and the ties that
+    kept the held one."""
+    expected = [example.output for example in problem.examples]
+    by_vector = {}
+    enumerated = smaller = kept = 0
+    iterator = make_iterator(config, problem=problem)
+    for program in iterator:
+        enumerated += 1
+        vector = iterator.last_vector
+        fit = sum(map(values_equal, vector, expected)) / len(expected)
+        if fit == 1.0:
+            return {PromisingProgram(program, 1.0)}, SynthFlag.optimal_program, enumerated, 0, 0
+        if fit <= 0.0:
+            continue
+        size = node_count(program)
+        key = output_key(vector)
+        held = by_vector.get(key)
+        if held is None or (fit, -size) > (held[0], -held[1]):
+            smaller += held is not None
+            by_vector[key] = (fit, size, program)
+        else:
+            kept += 1
+    promising = {PromisingProgram(prog, fit) for fit, _, prog in by_vector.values()}
+    flag = SynthFlag.suboptimal_program if promising else SynthFlag.no_program
+    return promising, flag, enumerated, smaller, kept
+
+
+def probe_every_cycle(grammar, start_symbol, problem, config):
+    """The probe loop without a deadline, as it ran before it stopped at a
+    fixed point: every cycle runs unless one solves the problem, and the
+    grammar is reweighted after each unsolved cycle, the last one too."""
+    current = grammar if grammar.has_probabilities else set_uniform_probabilities(grammar)
+    enumerated = 0
+    for cycle in range(config.probe_cycles):
+        iterator_config = IteratorConfig(
+            "mlfs",
+            current,
+            start_symbol,
+            max_depth=config.max_depth,
+            max_enumerations=config.max_enumerations,
+            constraints=config.constraints,
+        )
+        promising, flag, count, _, _ = promising_by_the_full_loop(iterator_config, problem)
+        enumerated += count
+        if flag == SynthFlag.optimal_program:
+            (winner,) = promising
+            return ProbeRun(winner.program, cycle + 1, enumerated)
+        current = modify_grammar_probe(promising, current)
+    return ProbeRun(None, config.probe_cycles, enumerated)

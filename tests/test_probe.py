@@ -1,10 +1,12 @@
 import importlib
+import operator
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from synthkit import (
+    EVAL_ERROR,
     ConfigError,
     IOExample,
     IteratorConfig,
@@ -14,6 +16,7 @@ from synthkit import (
     SynthFlag,
     fitness,
     get_promising_programs_with_fitness,
+    make_iterator,
     modify_grammar_probe,
     parse_constraint,
     parse_grammar,
@@ -24,8 +27,12 @@ from synthkit import (
     serialize_node,
     set_uniform_probabilities,
 )
+from synthkit.bench import get_all_problem_grammar_pairs
+from synthkit.probe import ProbeRun, _collect_promising
 
-from oracles import has_recording
+from conftest import SUITES_DIR
+
+from oracles import has_recording, probe_every_cycle, promising_by_the_full_loop
 
 
 def test_fitness_of_solution(g0, arith_problem):
@@ -294,36 +301,37 @@ def test_promising_programs_keep_bool_and_int_vectors_apart():
     assert flag == SynthFlag.suboptimal_program
     programs = {serialize_node(entry.program) for entry in promising}
     assert {"2", "3{1,2}"} <= programs
-
-
-def _promising_by_the_full_loop(config, problem):
-    """Representatives as chosen when every positive-fitness program's size
-    was counted: per output vector the highest fitness, then the fewest
-    nodes, then the earliest.  Also counts the programs that replaced a held
-    one by being smaller, and the ties that kept the held one."""
-    from synthkit.interpreter import output_key, values_equal
-    from synthkit.iterators import make_iterator
-    from synthkit.nodes import node_count
-
-    expected = [example.output for example in problem.examples]
-    by_vector = {}
-    smaller = kept = 0
+    # True == 1 and False == 0 let a vector past the == filter; values_equal
+    # must still decide its fitness.  1 gives (1, 1): == holds at the first
+    # position and fitness is 0.
     iterator = make_iterator(config, problem=problem)
-    for program in iterator:
-        vector = iterator.last_vector
-        fit = sum(map(values_equal, vector, expected)) / len(expected)
-        assert fit < 1.0
-        if fit <= 0.0:
-            continue
-        size = node_count(program)
-        key = output_key(vector)
-        held = by_vector.get(key)
-        if held is None or (fit, -size) > (held[0], -held[1]):
-            smaller += held is not None
-            by_vector[key] = (fit, size, program)
-        else:
-            kept += 1
-    return {PromisingProgram(prog, fit) for fit, _, prog in by_vector.values()}, smaller, kept
+    vectors = [iterator.last_vector for _ in iterator]
+    assert (1, 1) in vectors and (True, False) in vectors
+    expected, expected_flag, _, _, _ = promising_by_the_full_loop(config, problem)
+    assert flag == expected_flag
+    assert _texts(promising) == _texts(expected)
+
+
+def _texts(promising):
+    return {(serialize_node(entry.program), entry.fitness) for entry in promising}
+
+
+def test_promising_programs_match_the_full_loop_on_vectors_with_errors(strings_grammar):
+    # substring fails on "a" for most index pairs, so many vectors hold
+    # EVAL_ERROR, some of them next to a position that solves its example.
+    problem = Problem("short", (IOExample({"x": "a"}, "a!"), IOExample({"x": "hello"}, "el")))
+    expected_outputs = [example.output for example in problem.examples]
+    grammar = set_uniform_probabilities(strings_grammar)
+    for kind, max_depth in (("mlfs", 3), ("dfs", 3), ("mlfs", 4)):
+        config = IteratorConfig(kind, grammar, "S", max_depth=max_depth, max_enumerations=3000)
+        iterator = make_iterator(config, problem=problem)
+        with_errors = [v for v in (iterator.last_vector for _ in iterator) if EVAL_ERROR in v]
+        assert with_errors
+        assert any(any(map(operator.eq, v, expected_outputs)) for v in with_errors)
+        expected, expected_flag, enumerated, _, _ = promising_by_the_full_loop(config, problem)
+        promising, flag, count = _collect_promising(config, problem)
+        assert (flag, count) == (expected_flag, enumerated)
+        assert _texts(promising) == _texts(expected)
 
 
 def test_promising_representatives_match_the_full_size_loop(strings_grammar):
@@ -345,12 +353,122 @@ def test_promising_representatives_match_the_full_size_loop(strings_grammar):
                 config = IteratorConfig(
                     kind, grammar, "S", max_depth=max_depth, max_enumerations=budget
                 )
-                expected, replaced, ties = _promising_by_the_full_loop(config, problem)
+                expected, expected_flag, _, replaced, ties = promising_by_the_full_loop(
+                    config, problem
+                )
                 smaller += replaced
                 kept += ties
                 promising, flag = get_promising_programs_with_fitness(config, problem)
-                assert flag == (SynthFlag.suboptimal_program if expected else SynthFlag.no_program)
-                assert {(serialize_node(p.program), p.fitness) for p in promising} == {
-                    (serialize_node(p.program), p.fitness) for p in expected
-                }
+                assert flag == expected_flag != SynthFlag.optimal_program
+                assert _texts(promising) == _texts(expected)
     assert smaller and kept
+
+
+# A problem no arith program of depth 2 comes near: its first cycle finds no
+# promising program, so reweighting leaves the grammar as it is.
+_UNREACHABLE = Problem("unreachable", (IOExample({"x": 0}, 100), IOExample({"x": 1}, 100)))
+# Every cycle finds programs solving one example, never both, and boosts
+# their rules: the grammar changes every cycle.
+_CONTRADICTION = Problem("contradiction", (IOExample({"x": 0}, 1), IOExample({"x": 0}, 2)))
+# 2 * x * x: not within the first cycle's 50 programs, found in the second.
+_LATER = Problem("twice_square", tuple(IOExample({"x": x}, 2 * x * x) for x in (0, 1, 2, 3)))
+# Each cycle's promising programs use all five rules, with fitness 0.2 at
+# best, so reweighting keeps the probabilities uniform; but renormalizing
+# moves them a last bit up and then back, and the third cycle would search
+# the first cycle's grammar again.
+_SWING = Problem(
+    "swing",
+    tuple(IOExample({"x": x}, y) for x, y in ((9, 891), (-1, 1), (5, 175), (6, 288), (8, 640))),
+)
+
+
+def _probe_module():
+    # The package exports the function ``probe``; the module is in sys.modules.
+    return importlib.import_module("synthkit.probe")
+
+
+def test_probe_stops_at_a_fixed_point(g0_uniform, monkeypatch):
+    probe_module = _probe_module()
+    made = []
+    make = probe_module.make_iterator
+    monkeypatch.setattr(
+        probe_module, "make_iterator", lambda *a, **k: made.append(a) or make(*a, **k)
+    )
+    config = ProbeConfig(probe_cycles=3, max_depth=2, max_enumerations=50)
+    one_cycle = IteratorConfig("mlfs", g0_uniform, "Int", max_depth=2, max_enumerations=50)
+    _, flag, count, _, _ = promising_by_the_full_loop(one_cycle, _UNREACHABLE)
+    assert flag == SynthFlag.no_program and count == 21
+    for timeout in (None, 60.0):
+        made.clear()
+        run = probe_with_stats(g0_uniform, "Int", _UNREACHABLE, config, timeout_seconds=timeout)
+        assert run == ProbeRun(None, 1, count, timed_out=False)
+        # The second cycle makes no iterator.
+        assert len(made) == 1
+    assert probe_every_cycle(g0_uniform, "Int", _UNREACHABLE, config) == ProbeRun(None, 3, 3 * count)
+
+
+@pytest.mark.parametrize(
+    "problem, max_depth, budget, cycles_completed",
+    [
+        (_UNREACHABLE, 2, 50, 1),
+        (_CONTRADICTION, 4, 50, 4),
+        (_LATER, 4, 50, 2),
+        (_SWING, 4, 300, 2),
+    ],
+    ids=["nothing_promising", "suboptimal", "solved_later", "rounding_swing"],
+)
+def test_probe_returns_what_running_every_cycle_returns(
+    g0_uniform, problem, max_depth, budget, cycles_completed
+):
+    config = ProbeConfig(probe_cycles=4, max_depth=max_depth, max_enumerations=budget)
+    oracle = probe_every_cycle(g0_uniform, "Int", problem, config)
+    run = probe_with_stats(g0_uniform, "Int", problem, config)
+    assert run.program == oracle.program and run.timed_out is oracle.timed_out is False
+    assert run.cycles_completed == cycles_completed
+    if problem is _UNREACHABLE:
+        # Four cycles over one grammar.
+        assert run.enumerated * 4 == oracle.enumerated
+    elif problem is _SWING:
+        # Two grammars, each searched twice.
+        assert run.enumerated * 2 == oracle.enumerated
+    else:
+        # The grammar changes every cycle, so nothing is skipped.
+        assert run == oracle
+    if problem is _LATER:
+        assert run_examples(g0_uniform, run.program, problem) == (4, 4)
+
+
+@pytest.mark.parametrize("suite, stops", [("arith", 0), ("mini-strings", 1)])
+def test_probe_matches_running_every_cycle_on_a_suite(suite, stops):
+    # Only a run that reaches a fixed point may differ from the oracle, and
+    # then only in the cycles it ran and the programs it enumerated.
+    stopped = 0
+    for problem_file, grammar in get_all_problem_grammar_pairs(SUITES_DIR / suite):
+        config = ProbeConfig(
+            probe_cycles=3, max_depth=4, max_enumerations=300,
+            constraints=problem_file.constraints,
+        )
+        args = (grammar, problem_file.start_symbol, problem_file.problem, config)
+        run, oracle = probe_with_stats(*args), probe_every_cycle(*args)
+        assert run.program == oracle.program and run.timed_out is oracle.timed_out is False
+        if run.program is None and run.cycles_completed < config.probe_cycles:
+            stopped += 1
+            assert run.enumerated < oracle.enumerated
+        else:
+            assert run == oracle
+    assert stopped == stops
+
+
+def test_probe_does_not_reweight_after_its_last_cycle(g0_uniform, monkeypatch):
+    probe_module = _probe_module()
+    reweighted = []
+    modify = probe_module.modify_grammar_probe
+    monkeypatch.setattr(
+        probe_module, "modify_grammar_probe", lambda *a: reweighted.append(a) or modify(*a)
+    )
+    for cycles in (1, 2, 3, 5):
+        reweighted.clear()
+        config = ProbeConfig(probe_cycles=cycles, max_depth=3, max_enumerations=50)
+        run = probe_with_stats(g0_uniform, "Int", _CONTRADICTION, config)
+        assert (run.program, run.cycles_completed) == (None, cycles)
+        assert len(reweighted) == cycles - 1
