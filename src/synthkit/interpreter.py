@@ -2,8 +2,9 @@
 
 Enumeration is purely syntactic; this module is the other half of the
 split.  Each operator is defined once, in ``_OPERATORS``, by its total
-function of one example's argument values and the argument types it
-expects; the parser and both evaluators below derive from that table.
+function of one example's argument values, the argument types it expects
+and the type of its result; the parser, both evaluators and
+:meth:`RuleCode.may_hold_bool` derive from that table.
 Each rule's flat token template is parsed once, whatever grammar holds
 the rule, into an expression whose :class:`ChildRef` slots stand for the
 children of the AST node applying that rule.  Then:
@@ -311,24 +312,26 @@ def _if(cond, then, otherwise):
     return then if cond else otherwise
 
 
-# The object language: each operator's per-example function and the type
-# of each argument (None for any value).  Symbols are infix, names are
-# called with parenthesized arguments.
+# The object language: each operator's per-example function, the type of
+# each argument (None for any value) and the type of its result, which is
+# EVAL_ERROR where it is not that type (None: the operator passes one of
+# its arguments through).  Symbols are infix, names are called with
+# parenthesized arguments.
 _OPERATORS = {
-    "==": (_equals, (int, int)),
-    "<=": (_at_most, (int, int)),
-    "+": (_plus, (int, int)),
-    "-": (_minus, (int, int)),
-    "*": (_times, (int, int)),
-    "concat": (_concat, (str, str)),
-    "substring": (_substring, (str, int, int)),
-    "replace": (_replace, (str, str, str)),
-    "length": (_length, (str,)),
-    "if": (_if, (bool, None, None)),
+    "==": (_equals, (int, int), bool),
+    "<=": (_at_most, (int, int), bool),
+    "+": (_plus, (int, int), int),
+    "-": (_minus, (int, int), int),
+    "*": (_times, (int, int), int),
+    "concat": (_concat, (str, str), str),
+    "substring": (_substring, (str, int, int), str),
+    "replace": (_replace, (str, str, str), str),
+    "length": (_length, (str,), int),
+    "if": (_if, (bool, None, None), None),
 }
 
 # Function names and their arities; the symbols are the infix operators.
-_FUNCTIONS = {name: len(types) for name, (_, types) in _OPERATORS.items() if name.isidentifier()}
+_FUNCTIONS = {name: len(types) for name, (_, types, _) in _OPERATORS.items() if name.isidentifier()}
 _BINARY_OPS = tuple(name for name in _OPERATORS if name not in _FUNCTIONS)
 
 _TYPE_NAMES = {int: "an integer", str: "a string", bool: "a boolean condition"}
@@ -411,6 +414,9 @@ def output_key(vector: tuple) -> tuple:
 
     Python's ``True == 1`` would otherwise merge a boolean vector with an
     integer one, so booleans are wrapped in a tuple when a vector has any.
+    A vector without booleans is its own key, so a caller that knows a
+    vector holds none, as :meth:`RuleCode.may_hold_bool` tells per rule,
+    can key it by itself without the scan.
     """
     if bool in map(type, vector):
         return tuple([(v,) if type(v) is bool else v for v in vector])
@@ -426,7 +432,7 @@ _LIFTS = {
     2: lambda op: lambda a, b: tuple(map(op, a, b)),
     3: lambda op: lambda a, b, c: tuple(map(op, a, b, c)),
 }
-_VECTOR_OPS = {name: _LIFTS[len(types)](op) for name, (op, types) in _OPERATORS.items()}
+_VECTOR_OPS = {name: _LIFTS[len(types)](op) for name, (op, types, _) in _OPERATORS.items()}
 
 
 def _compile(expr: Expression, inputs: tuple) -> Union[tuple, Callable]:
@@ -468,7 +474,9 @@ class RuleCode(dict):
     Maps a rule index to its code, built on first use: for a rule with
     children, a function from their output vectors to the rule's; for a leaf
     rule, its output vector.  A search builds one and scores every program
-    through it.
+    through it.  :meth:`may_hold_bool` tells from the same templates which
+    rules' vectors can hold a boolean, so that only those need
+    :func:`output_key`.
     """
 
     def __init__(self, grammar: Grammar, problem: Problem):
@@ -481,6 +489,21 @@ class RuleCode(dict):
         code = _compile_rule(_template(self.grammar, rule), self.inputs)
         self[rule] = code
         return code
+
+    def may_hold_bool(self, rule: int) -> bool:
+        """Whether a vector of the rule can hold a boolean.
+
+        A leaf rule's constant vector is inspected.  A rule whose template
+        applies an operator with an integer or string result at its root
+        never holds one: every position is that type or ``EVAL_ERROR``.
+        Any other rule, whose root passes a value through (``if``, or a
+        chain rule whose root is a child slot), may.
+        """
+        code = self[rule]
+        if not callable(code):
+            return bool in map(type, code)
+        template = _template(self.grammar, rule)
+        return not (isinstance(template, Apply) and _OPERATORS[template.op][2] in (int, str))
 
     def vector(self, program: Node, allow_errors: bool = True) -> tuple:
         """The program's output vector; see :func:`output_vector`."""

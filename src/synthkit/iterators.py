@@ -835,20 +835,26 @@ class BottomUpIterator(_ProgramIterator):
     """Size-indexed bank enumeration: combine small programs into larger ones.
 
     Programs are emitted in increasing node count, rule-index order within a
-    size.  The bank holds, per nonterminal and size, a ``(program, vector,
-    depth)`` entry for every kept program that is shallow enough to be a
-    child within ``max_depth``.  ``vector`` is the program's output vector on
-    the problem's examples (``None`` without a problem): one application of
-    the rule's compiled vector function to the children's banked vectors, so
-    no program is evaluated from scratch.  ``depth`` comes from the
-    children's.  :attr:`last_vector` is the vector of the program emitted
-    last.  Under constraints a candidate is checked at its root alone
-    (:func:`~synthkit.constraints.check_root`): its children passed when
-    they were banked.
+    size.  The bank holds, per nonterminal and size, every kept program that
+    is shallow enough to be a child within ``max_depth``, in three parallel
+    columns: the programs, their vectors and their depths.  A vector is the
+    program's output vector on the problem's examples (``None`` without a
+    problem): one application of the rule's compiled vector function to the
+    children's banked vectors, so no program is evaluated from scratch.  A
+    depth comes from the children's.  A rule's candidates for one split of
+    the size among its children are a ``zip`` of the three columns'
+    products, so each step hands over the children, their vectors and their
+    depths at once.  :attr:`last_vector` is the vector of the program
+    emitted last.  Under constraints a candidate is checked at its root
+    alone (:func:`~synthkit.constraints.check_root`): its children passed
+    when they were banked.
 
     With ``observational_equivalence`` a new program whose outputs duplicate
     a banked program of the same nonterminal (compared tag-strictly, see
-    :func:`~synthkit.interpreter.output_key`) is dropped.  The optional
+    :func:`~synthkit.interpreter.output_key`) is dropped.  A rule whose
+    vectors never hold a boolean (:meth:`~synthkit.interpreter.RuleCode.may_hold_bool`)
+    keys each vector by itself, which is the key ``output_key`` would give;
+    only the other rules' vectors go through ``output_key``.  The optional
     ``deadline`` is checked on every candidate, so a bank that prunes nearly
     everything still stops in time.
     """
@@ -878,39 +884,55 @@ class BottomUpIterator(_ProgramIterator):
         prune = config.observational_equivalence
         max_depth = config.max_depth
         budget = config.max_enumerations
+        start = config.start_symbol
         code = self.code
-        bank: dict[str, dict[int, list[tuple]]] = {symbol: {} for symbol in grammar.nonterminals}
+        # Per nonterminal and size, the kept programs with their vectors and
+        # depths, as three parallel columns.
+        bank: dict[str, dict[int, tuple[list, list, list]]] = {
+            symbol: {} for symbol in grammar.nonterminals
+        }
         seen_outputs: dict[str, set] = {symbol: set() for symbol in grammar.nonterminals}
+        rules = [(rule, grammar.lhs(rule), grammar.childtypes(rule)) for rule in grammar.indices]
+        missing = ((), (), ())
         emitted = 0
         for size in range(1, config.max_size + 1):
-            for rule in grammar.indices:
-                lhs = grammar.lhs(rule)
-                childtypes = grammar.childtypes(rule)
+            for rule, lhs, childtypes in rules:
                 if childtypes:
                     if size < len(childtypes) + 1:
                         continue
-                    combos = (
-                        zip(*combo)
-                        for sizes in _compositions(size - 1, len(childtypes))
-                        for combo in itertools.product(
-                            *(bank[t].get(s, ()) for t, s in zip(childtypes, sizes))
+                    # One zip of three products per composition of the
+                    # children's sizes: each step is a children tuple, their
+                    # vectors and their depths.
+                    candidates = itertools.chain.from_iterable(
+                        zip(
+                            itertools.product(*programs),
+                            itertools.product(*vectors),
+                            itertools.product(*depths),
+                        )
+                        for programs, vectors, depths in (
+                            zip(*[bank[t].get(s, missing) for t, s in zip(childtypes, sizes)])
+                            for sizes in _compositions(size - 1, len(childtypes))
                         )
                     )
                 elif size == 1:
                     # No children, no vectors, and depth 1 + max((0,)).
-                    combos = (((), (), (0,)),)
+                    candidates = (((), (), (0,)),)
                 else:
                     continue
                 apply = None if code is None else code[rule]
+                # A rule whose vectors never hold a boolean keys each vector
+                # by itself, which is what output_key would return.
+                keyed = prune and code.may_hold_bool(rule)
                 seen = seen_outputs[lhs]
-                for kids, vectors, depths in combos:
+                kept, kept_vectors, kept_depths = bank[lhs].setdefault(size, ([], [], []))
+                for kids, vectors, depths in candidates:
                     if deadline is not None and time.monotonic() >= deadline:
                         return
                     vector = None
                     if apply is not None:
                         vector = apply(*vectors) if kids else apply
                         if prune:
-                            key = output_key(vector)
+                            key = output_key(vector) if keyed else vector
                             if key in seen:
                                 continue
                     program = _trusted_rule_node(rule, kids)
@@ -920,8 +942,10 @@ class BottomUpIterator(_ProgramIterator):
                         seen.add(key)
                     program_depth = 1 + max(depths)
                     if max_depth is None or program_depth < max_depth:
-                        bank[lhs].setdefault(size, []).append((program, vector, program_depth))
-                    if lhs == config.start_symbol:
+                        kept.append(program)
+                        kept_vectors.append(vector)
+                        kept_depths.append(program_depth)
+                    if lhs == start:
                         if budget is not None and emitted >= budget:
                             return
                         emitted += 1

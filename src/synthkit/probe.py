@@ -18,7 +18,7 @@ its log-probabilities.  So when reweighting returns log-probabilities that
 a cycle of the search already had, every later cycle would repeat a
 searched one, and the search stops there.  That happens at a fixed point,
 where reweighting leaves the grammar as it is (as reweighting an empty
-promising set usually does), and where rounding makes the grammar swing
+promising set always does), and where rounding makes the grammar swing
 between two values a last bit apart.  The grammar is not reweighted after
 the last cycle.
 """
@@ -180,8 +180,10 @@ def modify_grammar_probe(
 ) -> Grammar:
     """Reweight rule probabilities toward high-fitness programs.
 
-    Unused rules keep their probability before renormalization, so an empty
-    promising set returns an equivalent grammar.
+    Unused rules keep their probability before renormalization.  When no
+    rule has a positive best fitness, as for an empty promising set, no
+    weight changes and ``grammar`` itself is returned: renormalizing would
+    only move some probabilities by a last bit.
     """
     if not grammar.has_probabilities:
         raise ConfigError("probe reweighting needs a grammar with probabilities")
@@ -190,6 +192,8 @@ def modify_grammar_probe(
         for rule in _rules_used(entry.program):
             if entry.fitness > best_fit[rule]:
                 best_fit[rule] = entry.fitness
+    if not any(best_fit.values()):
+        return grammar
     unnormalized = [
         grammar.probability(i) ** (1.0 - best_fit[i]) for i in grammar.indices
     ]

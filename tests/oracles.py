@@ -14,6 +14,7 @@ from synthkit.interpreter import (
     EVAL_ERROR,
     Apply,
     Literal,
+    RuleCode,
     Variable,
     output_key,
     to_expression,
@@ -562,3 +563,49 @@ def probe_every_cycle(grammar, start_symbol, problem, config):
             return ProbeRun(winner.program, cycle + 1, enumerated)
         current = modify_grammar_probe(promising, current)
     return ProbeRun(None, config.probe_cycles, enumerated)
+
+
+def reference_bottom_up(config, problem=None):
+    """The bottom-up bank with one list of ``(program, vector, depth)``
+    triples per nonterminal and size, keying every vector with
+    ``output_key`` and checking every candidate with ``check_program``.
+    Yields each emitted program with its vector (``None`` without a
+    problem)."""
+    grammar = config.grammar
+    code = None if problem is None else RuleCode(grammar, problem)
+    prune = config.observational_equivalence
+    bank = {symbol: {} for symbol in grammar.nonterminals}
+    seen = {symbol: set() for symbol in grammar.nonterminals}
+    emitted = 0
+    for size in range(1, config.max_size + 1):
+        for rule in grammar.indices:
+            lhs, childtypes = grammar.lhs(rule), grammar.childtypes(rule)
+            if not childtypes:
+                combos = [((), (), (0,))] if size == 1 else []
+            else:
+                combos = [
+                    zip(*combo)
+                    for sizes in product(range(1, size), repeat=len(childtypes))
+                    if sum(sizes) == size - 1
+                    for combo in product(*(bank[t].get(s, ()) for t, s in zip(childtypes, sizes)))
+                ]
+            for kids, vectors, depths in combos:
+                vector = key = None
+                if code is not None:
+                    vector = code[rule](*vectors) if kids else code[rule]
+                    key = output_key(vector)
+                    if prune and key in seen[lhs]:
+                        continue
+                program = RuleNode(rule, kids)
+                if not check_program(config.constraints, program):
+                    continue
+                if prune:
+                    seen[lhs].add(key)
+                program_depth = 1 + max(depths)
+                if config.max_depth is None or program_depth < config.max_depth:
+                    bank[lhs].setdefault(size, []).append((program, vector, program_depth))
+                if lhs == config.start_symbol:
+                    if config.max_enumerations is not None and emitted >= config.max_enumerations:
+                        return
+                    emitted += 1
+                    yield program, vector

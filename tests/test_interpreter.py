@@ -1,8 +1,11 @@
 import itertools
 import random
 import re
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synthkit import (
     EVAL_ERROR,
@@ -20,19 +23,23 @@ from synthkit import (
     execute_on_input,
     make_iterator,
     output_vector,
+    parse_constraint,
     parse_grammar,
     parse_node,
     run_examples,
+    serialize_node,
     synth,
     to_expression,
 )
-from synthkit.interpreter import _VECTOR_OPS, Apply, Literal, Variable
+from synthkit.interpreter import _OPERATORS, _VECTOR_OPS, Apply, Literal, RuleCode, Variable
+from synthkit.specification import _INT_MAX, _INT_MIN
 
 from conftest import SUITES_DIR
 from oracles import (
     REFERENCE_ARITIES,
     random_complete_tree,
     reference_apply,
+    reference_bottom_up,
     reference_eval_arith,
     reference_output_vector,
 )
@@ -146,6 +153,33 @@ def test_operator_matches_the_reference_on_a_value_grid(op, arity):
                 assert value is EVAL_ERROR, (op, args)
             else:
                 assert ("value", type(value), value) == expected, (op, args)
+
+
+_INTS = st.one_of(st.integers(-2, 8), st.integers(_INT_MIN, _INT_MAX))
+_STRS = st.text("ab-. ", max_size=6)
+_VALUES = {int: _INTS, str: _STRS, bool: st.booleans()}
+_ANY_VALUE = st.one_of(_INTS, st.booleans(), _STRS, st.just(EVAL_ERROR))
+
+
+@pytest.mark.parametrize("op", list(_OPERATORS))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_each_operator_result_has_its_declared_type(op, data):
+    # The result type column is what lets the bank key a vector by itself:
+    # a result is EVAL_ERROR, of the declared type, or, for a pass-through
+    # operator, one of its arguments.
+    function, types, result = _OPERATORS[op]
+    args = [
+        data.draw(_ANY_VALUE if kind is None else st.one_of(_VALUES[kind], _ANY_VALUE))
+        for kind in types
+    ]
+    value = function(*args)
+    if value is EVAL_ERROR:
+        return
+    if result is None:
+        assert any(value is arg for arg in args), (op, args, value)
+    else:
+        assert type(value) is result, (op, args, value)
 
 
 def test_string_literals_render_escaped():
@@ -281,6 +315,102 @@ def test_bottom_up_bank_vectors_agree_with_oracle(name, max_size, pruning):
         assert_same_vector(bank.last_vector, reference_output_vector(grammar, program, problem))
         emitted += 1
     assert emitted > 20
+
+
+# Grammars in which a program outputs booleans where an earlier program of
+# its nonterminal outputs the integers Python calls equal to them: the
+# inputs, the booleans expected, and the program that gives them.
+BOOL_CASES = {
+    # 1 == x gives (True, False) and x gives (1, 0).
+    "eq": ("E = 1 | x\nE = E == E", (1, 0), (True, False), "3{1,2}"),
+    # An input variable bound to a boolean.
+    "bool-input": ("E = 1 | x", (True,), (True,), "2"),
+    # An if rule passing a boolean branch through.
+    "if": ("E = 1\nE = if ( B , B , E )\nB = x == 0", (0,), (True,), "2{3,3,1}"),
+    # A chain rule, whose template is its child's slot.
+    "chain": ("E = 1\nE = B\nB = x == 1", (1,), (True,), "2{3}"),
+}
+
+
+def _bank_case(name):
+    if name in GRAMMAR_CASES:
+        return _case(name)
+    text, inputs, outputs, _ = BOOL_CASES[name]
+    examples = tuple(IOExample({"x": x}, y) for x, y in zip(inputs, outputs))
+    return parse_grammar(text), "E", Problem(name, examples)
+
+
+# No constraints, and the enum-constrained benchmark's two sets on arith.
+CONSTRAINT_SETS = {
+    "plain": (),
+    "ordered": (
+        "(ordered (rule 4 (var a) (var b)) (a b))",
+        "(ordered (rule 5 (var a) (var b)) (a b))",
+    ),
+    "forbidden": ("(forbidden (rule 4 (var a) (var a)))",),
+}
+
+BANK_CASES = [
+    ("arith", "plain", 7, None),
+    ("arith", "ordered", 7, 4),
+    ("arith", "forbidden", 7, 4),
+    ("mini-strings", "plain", 5, 3),
+    ("mixed", "plain", 4, None),
+    *((name, "plain", 5, None) for name in BOOL_CASES),
+]
+
+
+@pytest.mark.parametrize("pruning", [False, True])
+@pytest.mark.parametrize(
+    "name,constraints,max_size,max_depth", BANK_CASES, ids=[f"{c[0]}-{c[1]}" for c in BANK_CASES]
+)
+def test_bank_emits_the_reference_sequence(name, constraints, max_size, max_depth, pruning):
+    # The bank's columns and raw keys emit exactly what one list of triples
+    # with every vector keyed by output_key emits, and a budget cuts a prefix.
+    grammar, start, problem = _bank_case(name)
+    config = IteratorConfig(
+        "bottom_up", grammar, start, max_size=max_size, max_depth=max_depth,
+        constraints=tuple(parse_constraint(text) for text in CONSTRAINT_SETS[constraints]),
+        observational_equivalence=pruning,
+    )
+    expected = [(serialize_node(p), repr(v)) for p, v in reference_bottom_up(config, problem)]
+    assert len(expected) >= 2
+    for budget in (None, 0, 1, len(expected) // 3):
+        bank = BottomUpIterator(replace(config, max_enumerations=budget), problem=problem)
+        got = []
+        for program in bank:
+            vector = bank.last_vector
+            got.append((serialize_node(program), repr(vector)))
+            # A rule said never to hold a boolean holds none.
+            assert bank.code.may_hold_bool(program.rule) or bool not in map(type, vector)
+        assert got == expected[:budget]
+    if not pruning:
+        plain = [serialize_node(p) for p in BottomUpIterator(config)]
+        assert plain == [p for p, _ in expected]
+        assert [serialize_node(p) for p, _ in reference_bottom_up(config)] == plain
+
+
+@pytest.mark.parametrize("name", list(BOOL_CASES))
+def test_observational_equivalence_keys_booleans_apart_from_integers(name):
+    grammar, start, problem = _bank_case(name)
+    _, _, outputs, solution = BOOL_CASES[name]
+    config = IteratorConfig("bottom_up", grammar, start, max_size=5, observational_equivalence=True)
+    bank = BottomUpIterator(config, problem=problem)
+    vectors = {serialize_node(program): repr(bank.last_vector) for program in bank}
+    assert vectors[solution] == repr(outputs)
+    assert bank.code.may_hold_bool(parse_node(solution).rule)
+    result = synth(problem, config)
+    assert result.flag == "optimal_program"
+    assert serialize_node(result.program) == solution
+
+
+def test_rules_that_may_hold_a_boolean():
+    # In the mixed grammar x is bound to True on one example, y to nothing:
+    # the leaves x, true and false, the comparisons and if may hold one;
+    # y, the constant 2 * 3 and the rules rooted at + or - never do.
+    grammar, _, problem = _case("mixed")
+    code = RuleCode(grammar, problem)
+    assert {rule for rule in grammar.indices if code.may_hold_bool(rule)} == {3, 5, 6, 9, 10, 11}
 
 
 TOP_DOWN_DEPTHS = {"arith": 4, "mini-strings": 4, "mixed": 3}

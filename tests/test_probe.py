@@ -94,9 +94,9 @@ def test_modify_grammar_probe_update_arithmetic(g0_uniform):
 
 
 def test_modify_grammar_probe_empty_set_is_identity(g0_uniform):
-    updated = modify_grammar_probe(set(), g0_uniform)
-    for i in g0_uniform.indices:
-        assert abs(updated.probability(i) - g0_uniform.probability(i)) < 1e-12
+    assert modify_grammar_probe(set(), g0_uniform) is g0_uniform
+    zero = {PromisingProgram(parse_node("4{3,1}"), 0.0)}
+    assert modify_grammar_probe(zero, g0_uniform) is g0_uniform
 
 
 def test_modify_grammar_probe_full_fitness_maximizes_boost(g0_uniform):
@@ -405,6 +405,19 @@ def test_probe_stops_at_a_fixed_point(g0_uniform, monkeypatch):
         # The second cycle makes no iterator.
         assert len(made) == 1
     assert probe_every_cycle(g0_uniform, "Int", _UNREACHABLE, config) == ProbeRun(None, 3, 3 * count)
+
+
+def test_probe_from_weighted_rules_stops_after_a_first_cycle_that_finds_nothing(g0):
+    # Renormalizing these weights moves some of them by a last bit, so
+    # reweighting must hand back the grammar itself, or the search would go
+    # on to a second grammar that differs only by rounding.
+    grammar = g0.with_probabilities([0.05, 0.05, 0.15, 0.35, 0.4])
+    probabilities = [grammar.probability(i) for i in grammar.indices]
+    renormalized = grammar.with_probabilities([p / sum(probabilities) for p in probabilities])
+    assert renormalized.log_probabilities != grammar.log_probabilities
+    assert modify_grammar_probe(set(), grammar) is grammar
+    config = ProbeConfig(probe_cycles=3, max_depth=2, max_enumerations=50)
+    assert probe_with_stats(grammar, "Int", _UNREACHABLE, config) == ProbeRun(None, 1, 21)
 
 
 @pytest.mark.parametrize(
