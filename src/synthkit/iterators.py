@@ -30,8 +30,9 @@ hole, and a split replaces a hole with a uniform hole over full-domain
 holes.  So a uniform tree's nodes are exactly its holes, in the preorder of
 :meth:`~synthkit.solver.SolverState.hole_paths`, its shape is fixed, and
 consecutive programs of one tree differ only in a few holes.  Every kind
-walks a uniform tree's programs as per-hole choice tuples and compiles the
-tree once into a builder from a tuple (:func:`_choice_builder`).  Holes
+walks a uniform tree's programs as per-hole choice tuples and, unless bfs
+or dfs takes the tree as one product (below), compiles the tree once into
+a builder from a tuple (:func:`_choice_builder`).  Holes
 are numbered once, in that preorder: the solver state's domains and
 constraint tests, the walks and the builder all index the tuple the same
 way, so the subtree at hole ``i`` with
@@ -40,9 +41,18 @@ what it built on its part before -- a leaf from a table indexed by its
 one choice, a larger subtree from a bounded cache of parts -- so programs
 share their unchanged subtrees, and the tables and caches die with the
 tree's walk.  bfs and dfs walk the tuples in lexicographic order over the
-holes' ascending domains and test each prefix where some constraint sites
-complete, so a failing prefix skips every tuple that extends it; an
-``ordered`` site that the least and greatest texts of its compared
+holes' ascending domains.  A tree with no constraint site open whose
+child subtrees each have at most ``_CACHED_PARTS`` programs is walked as
+one :func:`itertools.product` over its children's listed programs, which
+yields the same sequence without building from tuples
+(:func:`_product_programs`).  The lists are built only when the walk is
+advanced past its first program, which is built alone: a queued tree
+that has not emitted holds that one program, and one that has holds at
+most ``_CACHED_PARTS`` programs (and vectors) per child of its root,
+however many trees are queued; dfs, which alternates between sibling
+trees, may hold several such walks at once.  Otherwise the walk tests
+each prefix where some constraint sites complete, so a failing prefix
+skips every tuple that extends it; an ``ordered`` site that the least and greatest texts of its compared
 subtrees settle is not tested, and one they make a violation wherever it
 matches is tested at its last pattern hole, so a tree where no tuple
 passes is rejected early.  mlfs walks them best-first, after the same
@@ -105,6 +115,7 @@ from __future__ import annotations
 import copy
 import heapq
 import itertools
+import math
 import threading
 import time
 from collections import OrderedDict
@@ -120,7 +131,7 @@ from .interpreter import EVAL_ERROR, RuleCode, _fold, output_key, solved_counter
 # Unused here, but kept as names the benchmark tracer patches on this module.
 from .constraints import check_program  # noqa: F401
 from .interpreter import evaluate, run_examples, to_expression  # noqa: F401
-from .nodes import Hole, Node, RuleNode, _trusted_rule_node, depth
+from .nodes import Hole, Node, RuleNode, _trusted_rule_node, depth, node_count
 from .solver import SolverState, Surveyed, split_first_hole, survey
 from .specification import Problem
 
@@ -528,21 +539,129 @@ def _assignments_depth_first(state, code=None) -> Iterator[tuple[RuleNode, None,
     Every node of a uniform tree is a hole, and its programs are the choice
     tuples over the holes' propagated domains in lexicographic order: holes
     in the preorder of :meth:`~synthkit.solver.SolverState.hole_paths`, each
-    domain ascending, the last hole varying fastest.  Each passing tuple is
-    built by :func:`_choice_builder` and yielded as it comes: the program,
-    ``None`` for its log-probability, and its output vector through
-    ``code`` (``None`` without code).
+    domain ascending, the last hole varying fastest.  Each passing tuple's
+    program is yielded as it comes: the program, ``None`` for its
+    log-probability, and its output vector through ``code`` (``None``
+    without code).
 
     Propagation is not run again: it settled every site but the open ones,
     which :meth:`~synthkit.solver.SolverState.choice_tests` groups by the
     last position each reads.  :func:`itertools.product` runs over the
     positions up to the next such position, where the prefix is tested, so
     a prefix that breaks a constraint skips every tuple that extends it.
-    Without constraints the walk is one product.
+
+    With no site open the walk is one product.  When every child subtree
+    of the root has at most ``_CACHED_PARTS`` programs, the tree's programs
+    are that product taken over whole subtrees (:func:`_product_programs`):
+    the first program is built alone, and once the walk is advanced past
+    it each child's programs and vectors are listed, in their own
+    lexicographic order, and the root's rules run over their product in C.
+    That emits the same sequence as the tuple walk without building a
+    single program from a tuple.  Otherwise every tuple is built by
+    :func:`_choice_builder`, which also serves mlfs.
     """
     domains = [state.domain(path) for path in state.hole_paths()]
+    segments = _segments(state, domains)
+    if len(segments) == 1 and segments[0][1] is None:
+        programs = _product_programs(state.root, domains, code)
+        if programs is not None:
+            return programs
     build, _ = _choice_builder(state.root, [(rules, None) for rules in domains], code)
-    return _walk(_segments(state, domains), 0, (), build)
+    return _walk(segments, 0, (), build)
+
+
+def _product_programs(root, domains, code) -> Iterator[tuple] | None:
+    """The uniform tree's programs as :func:`_assignments_depth_first`
+    yields them, with no site open, or ``None`` when some child subtree of
+    the root has more than ``_CACHED_PARTS`` programs.
+
+    A subtree's program count is the product of its holes' domain sizes.
+    Holes are numbered in preorder and the last varies fastest, so the
+    lexicographic tuple order runs the root's rule slowest, then each
+    child's part in turn, each part in that child's own lexicographic
+    order.  The children's programs and vectors are listed the same way
+    down to the leaves, and every program of the tree shares them.
+    """
+    children = list(_children_at(root, 0))
+    bound = _CACHED_PARTS
+    for child, i in children:
+        if math.prod(map(len, domains[i : i + node_count(child)])) > bound:
+            return None
+    return itertools.chain.from_iterable(_product_runs(children, domains, code))
+
+
+def _product_runs(children, domains, code) -> Iterator[Iterator[tuple]]:
+    """The tree's first program alone, built from each hole's least rule,
+    then the rest, whose children's lists are built only when the walk is
+    advanced past the first.  A search peeks every uniform tree as it
+    queues it, so a queued tree that has not emitted holds one program.
+    Both runs take each leaf node from one table, keyed by rule."""
+    leaves = {}
+    yield _root_product(children, [rules[:1] for rules in domains], code, leaves, 0)
+    yield _root_product(children, domains, code, leaves, 1)
+
+
+def _root_product(children, domains, code, leaves: dict, skip: int) -> Iterator[tuple]:
+    """The tree's programs over ``domains`` less the first ``skip``."""
+    parts = [_subtree_columns(child, domains, code, leaves, i) for child, i in children]
+    programs, vectors = _product_columns(domains[0], parts, code, leaves, skip)
+    return zip(programs, itertools.repeat(None), vectors)
+
+
+def _children_at(node, i: int) -> Iterator[tuple[Node, int]]:
+    """Each child of the node at hole ``i``, with the hole it is at."""
+    i += 1
+    for child in node.children:
+        yield child, i
+        i += node_count(child)
+
+
+def _subtree_columns(node, domains, code, leaves: dict, i: int) -> tuple[list, list | None]:
+    """The programs of the subtree at hole ``i`` in lexicographic order,
+    and their vectors through ``code`` (``None`` without code)."""
+    parts = [
+        _subtree_columns(child, domains, code, leaves, j) for child, j in _children_at(node, i)
+    ]
+    programs, vectors = _product_columns(domains[i], parts, code, leaves, 0)
+    return list(programs), None if code is None else list(vectors)
+
+
+def _product_columns(
+    rules, parts: list, code, leaves: dict, skip: int
+) -> tuple[Iterator, Iterator]:
+    """The programs and vectors of a node over ``rules`` whose children's
+    programs and vectors are ``parts``, less the first ``skip``: the rules
+    slowest, then the children's product.  Each program is one trusted
+    node over a tuple of listed children, and its vector one application
+    of its rule's code to theirs; without code the vectors are ``None``.
+    A leaf is ``leaves[rule]``, built the first time it is asked for."""
+    if not parts:
+        rules = rules[skip:]
+        for rule in rules:
+            if rule not in leaves:
+                leaves[rule] = _trusted_rule_node(rule)
+        programs = [leaves[rule] for rule in rules]
+        return programs, itertools.repeat(None) if code is None else [code[rule] for rule in rules]
+    programs = [part[0] for part in parts]
+    nodes = itertools.chain.from_iterable(
+        map(_trusted_rule_node, itertools.repeat(rule), tuples)
+        for rule, tuples in _rule_runs(rules, programs, skip)
+    )
+    if code is None:
+        return nodes, itertools.repeat(None)
+    vectors = [part[1] for part in parts]
+    return nodes, itertools.chain.from_iterable(
+        itertools.starmap(code[rule], tuples) for rule, tuples in _rule_runs(rules, vectors, skip)
+    )
+
+
+def _rule_runs(rules, columns: list, skip: int) -> Iterator[tuple[int, Iterator[tuple]]]:
+    """Each rule with the product of ``columns``, the first rule's less
+    its first ``skip`` tuples."""
+    for rule in rules:
+        tuples = itertools.product(*columns)
+        yield rule, itertools.islice(tuples, skip, None) if skip else tuples
+        skip = 0
 
 
 def _segments(state: SolverState, rules: list[Sequence[int]]) -> list:
@@ -629,6 +748,8 @@ def _assignments_best_first(
                 heapq.heappush(heap, (neg_total - delta, bumped, m))
 
 
+# The most parts a builder caches per hole, and the most programs a child
+# subtree may have for bfs and dfs to list its programs (_product_programs).
 _CACHED_PARTS = 1024
 
 

@@ -407,6 +407,24 @@ def reference_assignments_depth_first(state, code=None):
     return fill(0)
 
 
+def reference_lexicographic_walk(state, code=None):
+    """A uniform tree's programs in lexicographic order, built tuple by tuple.
+
+    Every choice tuple over the propagated domains, in
+    :func:`itertools.product` order, is tested whole by the state's
+    ``choice_test`` and built by the memoizing
+    ``iterators._choice_builder``, which builds every subtree from its part
+    of the tuple.  Each program comes as ``(program, None, vector)``.
+    Patch it in as ``iterators._assignments_depth_first``.
+    """
+    domains = [state.domain(path) for path in state.hole_paths()]
+    build, _ = iterators._choice_builder(state.root, [(rules, None) for rules in domains], code)
+    passes = state.choice_test(domains)
+    for choices in product(*(range(len(rules)) for rules in domains)):
+        if passes is None or passes(choices):
+            yield build(choices)
+
+
 def reference_assignments_best_first(state, grammar, code=None, orders=None):
     """A uniform tree's programs best-first, each with its log-probability.
 

@@ -31,8 +31,13 @@ from synthkit import (
     synth,
 )
 
+from synthkit import iterators
+from synthkit.bench import load_grammar_file, load_problem_file
+from synthkit.interpreter import RuleCode
+from synthkit.solver import SolverState
+
 from conftest import SUITES_DIR
-from oracles import enumerate_programs
+from oracles import enumerate_programs, reference_lexicographic_walk
 
 LN5 = math.log(0.2)
 
@@ -281,6 +286,189 @@ def test_programs_of_one_uniform_tree_share_their_leaf_nodes(g0_uniform, kind):
             leaves = [p.children[position] for p in binary if p.children[position].rule == rule]
             assert len(leaves) == 6
             assert all(leaf is leaves[0] for leaf in leaves)
+
+
+# -- bfs and dfs over unconstrained trees ---------------------------------------
+
+# Each suite's grammar, start symbol, bounds and a problem: arith has binary
+# rules only; mini-strings adds a unary (length), a binary (concat) and two
+# ternary ones (replace, substring).
+PRODUCT_SUITES = {
+    "arith": ("Int", 4, 7, "linear"),
+    "mini-strings": ("S", 3, 6, "09_last_char"),
+}
+
+
+def _suite_search(suite, kind, over, with_problem, budget=None):
+    """One fresh search over a newly parsed grammar, so no recording is
+    replayed, and the problem it scores on, if any."""
+    start, max_depth, max_size, problem_name = PRODUCT_SUITES[suite]
+    grammar = load_grammar_file(SUITES_DIR / suite / "default.herbg")
+    problem = None
+    if with_problem:
+        problem = load_problem_file(SUITES_DIR / suite / f"{problem_name}.problem.json").problem
+    config = IteratorConfig(
+        kind, grammar, start, max_depth=max_depth, max_size=max_size,
+        max_enumerations=budget, dfs_over_shapes=over,
+    )
+    return make_iterator(config, problem=problem)
+
+
+def _drained(search):
+    return [(serialize_node(program), search.last_vector) for program in search]
+
+
+def _walk_paths(monkeypatch):
+    """Count the trees that bfs and dfs take as a product over their
+    children's programs and the ones they build tuple by tuple."""
+    paths = {"product": 0, "built": 0}
+    product_programs = iterators._product_programs
+    choice_builder = iterators._choice_builder
+
+    def counted_product(root, domains, code):
+        programs = product_programs(root, domains, code)
+        paths["product"] += programs is not None
+        return programs
+
+    def counted_builder(node, slots, code, i=0):
+        paths["built"] += i == 0
+        return choice_builder(node, slots, code, i)
+
+    monkeypatch.setattr(iterators, "_product_programs", counted_product)
+    monkeypatch.setattr(iterators, "_choice_builder", counted_builder)
+    return paths
+
+
+@pytest.mark.parametrize("cached_parts", [None, 2], ids=["bounded", "mostly-built"])
+@pytest.mark.parametrize("with_problem", [False, True], ids=["plain", "problem"])
+@pytest.mark.parametrize("kind, over", [("bfs", False), ("dfs", False), ("dfs", True)])
+@pytest.mark.parametrize("suite", sorted(PRODUCT_SUITES))
+def test_unconstrained_trees_yield_the_lexicographic_walks_programs(
+    suite, kind, over, with_problem, cached_parts, monkeypatch
+):
+    # Per uniform tree, and over the whole search with and without a
+    # budget, bfs and dfs must yield the programs and vectors of the tuple
+    # walk that builds every tuple with the memoizing builder.  With the
+    # default bound every tree here is a product over its children's
+    # programs; with a bound of 2 only the tree that is one leaf hole is,
+    # and every other is built tuple by tuple.
+    if cached_parts is not None:
+        monkeypatch.setattr(iterators, "_CACHED_PARTS", cached_parts)
+    walk = iterators._assignments_depth_first
+    trees = []
+
+    def kept(state, code=None):
+        programs = list(walk(state, code))
+        trees.append((state, code, programs))
+        return iter(programs)
+
+    with monkeypatch.context() as patch:
+        paths = _walk_paths(patch)
+        patch.setattr(iterators, "_assignments_depth_first", kept)
+        fresh = _drained(_suite_search(suite, kind, over, with_problem))
+    for state, code, programs in trees:
+        assert [(serialize_node(p), lp, v) for p, lp, v in programs] == [
+            (serialize_node(p), lp, v) for p, lp, v in reference_lexicographic_walk(state, code)
+        ]
+    assert len(trees) >= 9 and sum(len(programs) for *_, programs in trees) == len(fresh) > 3000
+    if cached_parts is None:
+        assert paths == {"product": len(trees), "built": 0}
+    else:
+        assert paths == {"product": 1, "built": len(trees) - 1}
+    with monkeypatch.context() as patch:
+        patch.setattr(iterators, "_assignments_depth_first", reference_lexicographic_walk)
+        assert _drained(_suite_search(suite, kind, over, with_problem)) == fresh
+    assert all(vector is None for _, vector in fresh) != with_problem
+    for budget in (0, 1, 7, 500):
+        assert _drained(_suite_search(suite, kind, over, with_problem, budget)) == fresh[:budget]
+
+
+# Uniform trees whose largest child subtree has 18 programs: (+|*) over
+# (+|*) over two leaves, and a leaf; and 49: substring over concat over two
+# leaves, a leaf and length over a leaf.
+BOUND_TREES = {
+    "arith": (
+        18,
+        UniformHole({4, 5}, (
+            UniformHole({4, 5}, (UniformHole({1, 2, 3}), UniformHole({1, 2, 3}))),
+            UniformHole({1, 2, 3}),
+        )),
+    ),
+    "mini-strings": (
+        49,
+        UniformHole({10}, (
+            UniformHole({8}, (UniformHole(set(range(1, 8))), UniformHole(set(range(1, 8))))),
+            UniformHole({11, 12}),
+            UniformHole({13}, (UniformHole(set(range(1, 8))),)),
+        )),
+    ),
+}
+
+
+@pytest.mark.parametrize("with_problem", [False, True], ids=["plain", "problem"])
+@pytest.mark.parametrize("suite", sorted(BOUND_TREES))
+def test_a_tree_is_a_product_up_to_the_bound_and_built_by_tuples_past_it(
+    suite, with_problem, monkeypatch
+):
+    # A tree whose largest child subtree has exactly _CACHED_PARTS programs
+    # is a product over its children's programs; one program more and it is
+    # built tuple by tuple.  Both yield the tuple walk's sequence.
+    largest, tree = BOUND_TREES[suite]
+    _, _, _, problem_name = PRODUCT_SUITES[suite]
+    grammar = load_grammar_file(SUITES_DIR / suite / "default.herbg")
+    code = None
+    if with_problem:
+        problem = load_problem_file(SUITES_DIR / suite / f"{problem_name}.problem.json").problem
+        code = RuleCode(grammar, problem)
+    state = SolverState(grammar, tree, ())
+    assert state.propagate()
+    expected = [
+        (serialize_node(p), lp, v) for p, lp, v in reference_lexicographic_walk(state, code)
+    ]
+    assert len(expected) == math.prod(len(state.domain(path)) for path in state.hole_paths())
+    for bound, path in ((largest, "product"), (largest - 1, "built")):
+        monkeypatch.setattr(iterators, "_CACHED_PARTS", bound)
+        with monkeypatch.context() as patch:
+            paths = _walk_paths(patch)
+            programs = list(iterators._assignments_depth_first(state, code))
+        assert paths == {"product": path == "product", "built": path == "built"}
+        assert [(serialize_node(p), lp, v) for p, lp, v in programs] == expected
+
+
+@pytest.mark.parametrize("with_problem", [False, True], ids=["plain", "problem"])
+def test_a_product_tree_lists_its_children_only_once_advanced_past_its_first_program(
+    g0, with_problem, monkeypatch
+):
+    # A search peeks every uniform tree as it queues it, so the peek must
+    # build the first program alone; the children's lists come with the
+    # second program, and they reuse the first program's leaf nodes.
+    _, tree = BOUND_TREES["arith"]
+    code = RuleCode(g0, Problem([IOExample({"x": 2}, 5)])) if with_problem else None
+    state = SolverState(g0, tree, ())
+    assert state.propagate()
+    expected = list(reference_lexicographic_walk(state, code))
+    built = []
+    trusted = iterators._trusted_rule_node
+
+    def counted(rule, children=()):
+        built.append(rule)
+        return trusted(rule, children)
+
+    monkeypatch.setattr(iterators, "_trusted_rule_node", counted)
+    programs = iterators._assignments_depth_first(state, code)
+    assert built == []
+    first = next(programs)
+    assert (serialize_node(first[0]), first[2]) == (serialize_node(expected[0][0]), expected[0][2])
+    # (+ (+ 1 1) 1): its root, its (+ 1 1) and one node for all three 1s.
+    assert serialize_node(first[0]) == "4{4{1,1},1}" and built == [1, 4, 4]
+    rest = list(programs)
+    # Then the leaves 2 and x, the (+|*) child's 18 programs and the root of
+    # each of the tree's other 107 programs.
+    assert len(expected) == 108 and built[3:5] == [2, 3] and len(built) == 3 + 2 + 18 + 107
+    assert [(serialize_node(p), v) for p, _, v in [first, *rest]] == [
+        (serialize_node(p), v) for p, _, v in expected
+    ]
+    assert rest[0][0].children[0].children[0] is first[0].children[1]
 
 
 # -- bottom-up specifics ---------------------------------------------------------

@@ -830,6 +830,26 @@ def _placement_by_bounds(state, site, domains, texts):
     return "kept", max(_holes_read(site))
 
 
+def _count_constructions(monkeypatch, built):
+    """Record every node the iterators construct, in order, into ``built``."""
+    trusted = iterators._trusted_rule_node
+
+    def counted(rule, children=()):
+        node = trusted(rule, children)
+        built.append(node)
+        return node
+
+    monkeypatch.setattr(iterators, "_trusted_rule_node", counted)
+
+
+def _roots_built(state, built):
+    """The identities of the constructed nodes that are whole programs of
+    the state's uniform tree, in construction order: every node of such a
+    tree is a hole, so exactly its programs have its node count."""
+    size = node_count(state.root)
+    return [id(node) for node in built if node_count(node) == size]
+
+
 @pytest.mark.parametrize("kind", ["bfs", "dfs"])
 def test_the_choice_tuple_walk_tests_each_prefix_where_its_sites_complete(
     g0, kind, monkeypatch
@@ -839,14 +859,16 @@ def test_the_choice_tuple_walk_tests_each_prefix_where_its_sites_complete(
     # complete tree.  Each group of sites must be tested on prefixes that
     # end at the position where it completes, once for each prefix whose
     # earlier groups pass, so a failing prefix skips every tuple extending
-    # it; and only the programs the walk yields are built.
+    # it; and only the programs the walk yields are built: each yielded
+    # program's root is constructed exactly once, whether the tree is
+    # walked by tuples or, with no site open, as a product over its
+    # children's programs.
     strings = parse_grammar((SUITES_DIR / "mini-strings" / "default.herbg").read_text())
     walk = iterators._assignments_depth_first
-    choice_builder = iterators._choice_builder
     choice_tests = SolverState.choice_tests
-    calls, builds, latest = [], [], {}
+    calls, built, latest = [], [], {}
     seen = {"trees": 0, "early": 0, "skipped": 0, "settled": 0, "bounded": 0, "pattern": 0,
-            "kept": 0, "empty": 0}
+            "kept": 0, "empty": 0, "untested": 0}
 
     def recording_choice_tests(state, rules):
         groups = choice_tests(state, rules)
@@ -862,21 +884,10 @@ def test_the_choice_tuple_walk_tests_each_prefix_where_its_sites_complete(
         latest["groups"] = groups
         return [(last, recorded(last, test)) for last, test in groups]
 
-    def counting_builder(node, slots, code, i=0):
-        build, end = choice_builder(node, slots, code, i)
-        if i:
-            return build, end
-
-        def counted(choices):
-            builds.append(choices)
-            return build(choices)
-
-        return counted, end
-
     def checked_walk(state, code=None):
-        del calls[:], builds[:]
+        del calls[:], built[:]
         programs = list(walk(state, code))
-        assert len(builds) == len(programs)
+        assert _roots_built(state, built) == [id(p) for p, _, _ in programs]
         expected = list(reference_assignments_depth_first(state, code))
         assert [(serialize_node(p), v) for p, v, _ in programs] == [
             (serialize_node(p), v) for p, v, _ in expected
@@ -934,6 +945,7 @@ def test_the_choice_tuple_walk_tests_each_prefix_where_its_sites_complete(
                 seen["skipped"] += len(survivors) < len(prefixes)
         assert all(len(choices) == last + 1 for last, choices, _ in calls)
         seen["trees"] += 1
+        seen["untested"] += not latest["groups"]
         return iter(programs)
 
     cases = []
@@ -963,7 +975,7 @@ def test_the_choice_tuple_walk_tests_each_prefix_where_its_sites_complete(
     right_x = parse_constraint("(forbidden (domain (1 10) (var a) (domain (2 3))))")
     cases += [(wide, "Int", 3, 7, (ordered,)), (wide, "Int", 3, 7, (ordered, right_x))]
     monkeypatch.setattr(SolverState, "choice_tests", recording_choice_tests)
-    monkeypatch.setattr(iterators, "_choice_builder", counting_builder)
+    _count_constructions(monkeypatch, built)
     monkeypatch.setattr(iterators, "_assignments_depth_first", checked_walk)
     for grammar, start, max_depth, max_size, constraints in cases:
         config = IteratorConfig(
@@ -978,6 +990,8 @@ def test_the_choice_tuple_walk_tests_each_prefix_where_its_sites_complete(
     assert seen["settled"] > 100
     assert seen["bounded"] > 0 and seen["pattern"] > 0 and seen["kept"] > 0
     assert seen["empty"] > 0
+    # Trees with no site left open take the product path.
+    assert seen["untested"] > 50
 
 
 @pytest.mark.parametrize("kind", ["bfs", "dfs", "mlfs"])
@@ -993,8 +1007,7 @@ def test_the_empty_enum_constrained_trees_are_rejected_before_any_build(g0, kind
     walk_name = "_assignments_best_first" if kind == "mlfs" else "_assignments_depth_first"
     walk = getattr(iterators, walk_name)
     choice_tests = SolverState.choice_tests
-    choice_builder = iterators._choice_builder
-    trees = []
+    trees, built = [], []
 
     def counting_choice_tests(state, rules):
         tree = trees[-1]
@@ -1008,26 +1021,16 @@ def test_the_empty_enum_constrained_trees_are_rejected_before_any_build(g0, kind
 
         return [(last, counted(test)) for last, test in choice_tests(state, rules)]
 
-    def counting_builder(node, slots, code, i=0):
-        build, end = choice_builder(node, slots, code, i)
-        if i:
-            return build, end
-        tree = trees[-1]
-
-        def counted(choices):
-            tree["builds"] += 1
-            return build(choices)
-
-        return counted, end
-
     def recorded_walk(state, *args):
-        tree = {"state": state, "tests": 0, "builds": 0}
+        tree = {"state": state, "tests": 0}
         trees.append(tree)
+        del built[:]
         tree["programs"] = list(walk(state, *args))
+        tree["roots"] = _roots_built(state, built)
         return iter(tree["programs"])
 
     monkeypatch.setattr(SolverState, "choice_tests", counting_choice_tests)
-    monkeypatch.setattr(iterators, "_choice_builder", counting_builder)
+    _count_constructions(monkeypatch, built)
     monkeypatch.setattr(iterators, walk_name, recorded_walk)
     config = IteratorConfig(
         kind, grammar, "Int", max_depth=4, max_size=7, constraints=tuple(ENUM_CONSTRAINED_SETS[0])
@@ -1044,7 +1047,7 @@ def test_the_empty_enum_constrained_trees_are_rejected_before_any_build(g0, kind
         assert [(serialize_node(p), v) for p, v, _ in tree["programs"]] == [
             (serialize_node(p), v) for p, v, _ in expected
         ]
-        assert tree["builds"] == len(tree["programs"])
+        assert tree["roots"] == [id(p) for p, _, _ in tree["programs"]]
     empty = [tree for tree in trees if not tree["programs"]]
     assert len(empty) == 4
     if kind != "mlfs":
