@@ -23,7 +23,9 @@ method, and the discipline differs per iterator:
   over-shapes variant, which drains each uniform tree contiguously.
 * ``mlfs``  -- most likely first: a tree's priority is the negated best
   log-probability it can still reach, and uniform trees enumerate their
-  programs best-first, so emitted probabilities never increase.
+  programs best-first by a key that rounding can set a few ulps off the
+  emitted log-probability, so emitted probabilities never increase by more
+  than that rounding.
 
 Every queued tree is made of holes only: the root is the start symbol's
 hole, and a split replaces a hole with a uniform hole over full-domain
@@ -59,8 +61,14 @@ passes is rejected early.  mlfs walks them best-first, after the same
 lexicographic walk, building nothing, has found a passing tuple; its
 builder also returns the program's
 log-probability, the queue priority when the tree is re-enqueued, so no
-emitted program is walked again to price it.  Every walk yields what the
-builder returns, ``(program, log-probability, vector)``, the
+emitted program is walked again to price it.  Once the heap of a tree
+with no site open, no vectors to compute, finite log-probabilities and at
+most ``_RANKED_MAX`` programs has emitted ``1/_RANK_AFTER`` of them, the
+rest is ranked: one sort of every tuple's heap key, computed as the heap
+computes it, gives the rest of the heap's own order, and each program is
+one node over its children's listed programs (:func:`_ranked_after`).
+Every walk yields what the builder returns, ``(program, log-probability,
+vector)``, the
 log-probability ``None`` for bfs and dfs, so one step peeks every kind's
 next program.
 
@@ -116,8 +124,10 @@ import copy
 import heapq
 import itertools
 import math
+import operator
 import threading
 import time
+from array import array
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
@@ -509,10 +519,14 @@ class MLFSIterator(TopDownIterator):
     """Most-likely-first search over a probabilistic grammar.
 
     Uniform entries are keyed by the exact log-probability of the next
-    program they will emit (their remaining maximum), which keeps the
-    emitted probability sequence non-increasing.  The log-probability comes
-    with the program from the uniform tree's enumeration; partial entries
-    keep :func:`priority_function`'s bound.
+    program they will emit, and partial entries by
+    :func:`priority_function`'s bound, so no program comes after a less
+    likely program of another tree.  Within a tree the order follows
+    the heap key of :func:`_assignments_best_first`, which is accumulated
+    from per-hole steps and can differ from the emitted log-probability,
+    summed in preorder, by a few ulps: consecutive programs of one tree may
+    rise by that much (up to 7.1e-15 has been measured).  The log-probability
+    comes with the program from the uniform tree's enumeration.
     """
 
     kind = "mlfs"
@@ -520,8 +534,10 @@ class MLFSIterator(TopDownIterator):
     def __init__(
         self, config: IteratorConfig, problem: Problem | None = None, deadline: float | None = None
     ):
-        # Each hole domain's heuristic order and its log-probabilities.
-        self._orders: dict[tuple[int, ...], tuple[list[int], list[float]]] = {}
+        # Each hole domain's heuristic order, its log-probabilities and
+        # their steps (_steps).
+        self._orders: dict[tuple[int, ...], tuple[list[int], list[float], list[float]]]
+        self._orders = {}
         super().__init__(config, problem, deadline)
 
     def _priority(self, entry, parent_value, is_requeued):
@@ -566,7 +582,7 @@ def _assignments_depth_first(state, code=None) -> Iterator[tuple[RuleNode, None,
         programs = _product_programs(state.root, domains, code)
         if programs is not None:
             return programs
-    build, _ = _choice_builder(state.root, [(rules, None) for rules in domains], code)
+    build, _ = _choice_builder(state.root, [(rules, None) for rules in domains], code, {})
     return _walk(segments, 0, (), build)
 
 
@@ -699,24 +715,49 @@ def _walk(segments: list, k: int, prefix: tuple, build) -> Iterator:
 def _assignments_best_first(
     state, grammar, code, orders
 ) -> Iterator[tuple[RuleNode, float, tuple | None]]:
-    """Enumerate a uniform tree's programs by non-increasing probability.
+    """Enumerate a uniform tree's programs best-first.
 
     Assignments are tuples of per-hole choice indices (rules sorted by the
     mlfs heuristic); each tuple is reached once by incrementing positions in
-    non-decreasing order, and a heap orders them by summed log-probability.
-    Under constraints the walk first asks the lexicographic walk of bfs and
-    dfs (:func:`_segments`, :func:`_walk`), building nothing, for one
-    passing tuple, and a tree without one yields nothing before its heap
-    starts.  A popped tuple is first checked against the state's constraint
-    sites by :meth:`~synthkit.solver.SolverState.choice_test`, which reads the
+    non-decreasing order, and a heap orders them by a key accumulated along
+    that path: the negated sum of every hole's best log-probability, less
+    one per-position step (:func:`_steps`) per increment.  A tuple's key is
+    never below its frontier parent's, whose tuple is lexicographically
+    smaller, so the heap pops in (key, tuple) order.  The key can differ
+    by a few ulps from the emitted log-probability, which is summed in
+    preorder, so two programs of one tree whose keys tie or nearly tie may
+    come out with log-probabilities that rise by that much.  Under
+    constraints the walk first asks the lexicographic walk of bfs and dfs
+    (:func:`_segments`, :func:`_walk`), building nothing, for one passing
+    tuple, and a tree without one yields nothing before its heap starts.  A
+    popped tuple is first checked against the state's constraint sites by
+    :meth:`~synthkit.solver.SolverState.choice_test`, which reads the
     chosen rules in place: a tuple whose program breaks a constraint is
     skipped before anything is built.  Every other program is built from
     its choice tuple by :func:`_choice_builder` and yielded with its
     log-probability, summed in :func:`max_rulenode_log_probability`'s order
     so the two agree exactly, and its output vector through ``code``
     (``None`` without code).  ``orders`` maps a hole domain to its rules in
-    heuristic order and their log-probabilities; missing domains are added,
-    so a table kept across uniform trees sorts each distinct domain once.
+    heuristic order, their log-probabilities and their steps; missing
+    domains are added, so a table kept across uniform trees sorts each
+    distinct domain once.
+
+    Once the heap has emitted ``1/_RANK_AFTER`` of the tree's programs (at
+    least one), the walk may rank the rest instead (:func:`_ranked_after`):
+    it computes the heap's key of every tuple with the same float steps,
+    sorts the tuples by key once, skips the ones the heap emitted and
+    builds each other program from its children's listed programs.  That
+    holds only where each condition does:
+
+    * no site is open (``passes`` is ``None``): then every pop emits, so
+      the heap's emitted count is the count to skip, and no ranked tuple
+      needs a test;
+    * no code: a search with vectors would list its children's vectors too,
+      and measured slower, since probe and ``synth`` stop most trees early;
+    * every log-probability is finite: a rule of probability zero makes a
+      step ``-inf - -inf``, NaN, which no sort orders as the heap does;
+    * at most ``_RANKED_MAX`` programs, which bounds what a ranked tree
+      holds: its rank order, two bytes a tuple, and its children's lists.
     """
     logs = grammar.log_probabilities
     slots = []
@@ -725,27 +766,143 @@ def _assignments_best_first(
         order = orders.get(domain)
         if order is None:
             rules = derivation_heuristic("mlfs", grammar, domain)
-            order = orders[domain] = (rules, [logs[r - 1] for r in rules])
+            values = [logs[r - 1] for r in rules]
+            order = orders[domain] = (rules, values, _steps(values))
         slots.append(order)
-    values = [slot[1] for slot in slots]
     rules = [slot[0] for slot in slots]
+    values = [slot[1] for slot in slots]
+    steps = [slot[2] for slot in slots]
     passes = state.choice_test(rules)
     if passes is not None and next(_walk(_segments(state, rules), 0, (), tuple), None) is None:
-        return
-    build, _ = _choice_builder(state.root, slots, code)
+        return iter(())
+    leaves: dict = {}
+    build, _ = _choice_builder(state.root, list(zip(rules, values)), code, leaves)
+    start = -sum(v[0] for v in values)
+    popped = _popped(start, steps, passes, build)
+    if passes is None and code is None:
+        return _ranked_after(popped, state.root, rules, values, start, steps, leaves)
+    return popped
 
-    start = (0,) * len(slots)
-    heap = [(-sum(v[0] for v in values), start, 0)]
+
+def _steps(values: list[float]) -> list[float]:
+    """The steps ``values[j + 1] - values[j]`` that a key subtracts when a
+    hole moves from choice ``j`` to ``j + 1``.  The heap and the ranked
+    keys both take them from here, so the two compute the same floats."""
+    return [b - a for a, b in zip(values, values[1:])]
+
+
+def _popped(start: float, steps: list, passes, build) -> Iterator[tuple]:
+    """The programs of the passing tuples in the heap's (key, tuple) order."""
+    heap = [(start, (0,) * len(steps), 0)]
     while heap:
-        neg_total, indices, frontier = heapq.heappop(heap)
+        key, indices, frontier = heapq.heappop(heap)
         if passes is None or passes(indices):
             yield build(indices)
-        for m in range(frontier, len(slots)):
+        for m in range(frontier, len(steps)):
             j = indices[m]
-            if j + 1 < len(values[m]):
+            if j < len(steps[m]):
                 bumped = indices[:m] + (j + 1,) + indices[m + 1 :]
-                delta = values[m][j + 1] - values[m][j]
-                heapq.heappush(heap, (neg_total - delta, bumped, m))
+                heapq.heappush(heap, (key - steps[m][j], bumped, m))
+
+
+# Once the heap of an unconstrained mlfs tree without vectors has emitted
+# 1/_RANK_AFTER of its programs (at least one), the rest is ranked, for
+# trees of at most _RANKED_MAX programs.  Measured on enum-plain and
+# pbe-topdown: ranking right after the first program, or at 1/16, ranks
+# trees that a budgeted replay never drains and costs pbe-topdown time and
+# memory; a cap of 1,024 misses arith's trees of up to 3,888 programs, and
+# one of 16,384 raised enum-plain's peak memory by 4% to 8%.
+_RANK_AFTER = 8
+_RANKED_MAX = 4096
+
+
+def _ranked_after(popped, root, rules, values, start, steps, leaves) -> Iterator[tuple]:
+    """The heap's programs, or, once it has emitted ``1/_RANK_AFTER`` of a
+    tree of at most ``_RANKED_MAX`` programs whose log-probabilities are
+    all finite, the rest from :func:`_ranked_programs`.
+
+    The switch is decided when the walk is advanced past its first
+    program, so a tree the search only peeks pays nothing for it.
+    """
+    yield next(popped)
+    count = math.prod(map(len, rules))
+    skip = max(1, count // _RANK_AFTER)
+    finite = all(map(math.isfinite, itertools.chain(*values)))
+    if not skip < count <= _RANKED_MAX or not finite:
+        yield from popped
+        return
+    yield from itertools.islice(popped, skip - 1)
+    popped.close()
+    yield from _ranked_programs(root, rules, values, _rank_order(start, steps, skip), leaves)
+
+
+def _rank_order(start: float, steps: list, skip: int) -> array:
+    """The lexicographic indices of a tree's choice tuples in the heap's
+    (key, tuple) order, less the first ``skip``.
+
+    Each tuple's key is computed as the heap computes it, from ``start``
+    subtracting the steps of hole 0's increments, then hole 1's, and so
+    on, so it is the same float.  A stable sort by key then orders ties by
+    tuple, as the heap does.  The heap pops each tuple after its frontier
+    parent, whose key is no larger and whose tuple is smaller, so its first
+    ``skip`` pops are the first ``skip`` tuples of this order.
+    """
+    keys = [start]
+    for position in steps:
+        keys = [
+            key for k in keys for key in itertools.accumulate(position, operator.sub, initial=k)
+        ]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return array("H", order[skip:])
+
+
+def _ranked_programs(root, rules, values, order, leaves: dict) -> Iterator[tuple]:
+    """The programs of the tuples at the lexicographic indices ``order``,
+    each with its log-probability and no vector.
+
+    Each child of the root lists its programs and their log-probabilities
+    once, in its own lexicographic order (:func:`_subtree_columns`,
+    :func:`_subtree_totals`), taking its leaves from ``leaves``; an index
+    is the root's choice slowest, then each child's in turn, so the pick of
+    each is one division and one remainder, mapped over ``order`` in C.  A
+    program is one trusted node over the children it picks, built only
+    when the walk is advanced to it, and its log-probability is summed root
+    first, then each child's, as the builder sums it.
+    """
+    columns = [
+        (_subtree_columns(child, rules, None, leaves, i)[0], _subtree_totals(child, values, i))
+        for child, i in _children_at(root, 0)
+    ]
+    stride = math.prod(len(programs) for programs, _ in columns)
+    totals = map(values[0].__getitem__, _picks(order, stride, len(rules[0])))
+    if not columns:
+        programs, _ = _product_columns(rules[0], [], None, leaves, 0)
+        return zip(map(programs.__getitem__, order), totals, itertools.repeat(None))
+    roots = map(rules[0].__getitem__, _picks(order, stride, len(rules[0])))
+    kids = []
+    for programs, child_totals in columns:
+        stride //= len(programs)
+        kids.append(map(programs.__getitem__, _picks(order, stride, len(programs))))
+        picked = map(child_totals.__getitem__, _picks(order, stride, len(programs)))
+        totals = map(operator.add, totals, picked)
+    return zip(map(_trusted_rule_node, roots, zip(*kids)), totals, itertools.repeat(None))
+
+
+def _picks(order, stride: int, size: int) -> Iterator[int]:
+    """The digit of stride ``stride`` and base ``size`` of each index."""
+    shifted = map(operator.floordiv, order, itertools.repeat(stride))
+    return map(operator.mod, shifted, itertools.repeat(size))
+
+
+def _subtree_totals(node, values, i: int) -> list[float]:
+    """The log-probabilities of the subtree at hole ``i``'s programs, in
+    its lexicographic order, each summed as the builder sums it: the
+    node's own, then each child's in turn."""
+    totals = values[i]
+    for child, j in _children_at(node, i):
+        part = _subtree_totals(child, values, j)
+        totals = [total + value for total in totals for value in part]
+    return totals
 
 
 # The most parts a builder caches per hole, and the most programs a child
@@ -754,7 +911,7 @@ _CACHED_PARTS = 1024
 
 
 def _choice_builder(
-    node: Node, slots: list, code, i: int = 0
+    node: Node, slots: list, code, leaves: dict, i: int = 0
 ) -> tuple[Callable[[tuple], tuple], int]:
     """A function from a choice tuple to the subtree's program, its
     log-probability and its output vector, and the position just past the
@@ -769,8 +926,9 @@ def _choice_builder(
     shares the subtrees, log-probabilities and vectors of an earlier one
     wherever their choices agree.  A leaf hole's part is its one choice
     index, so the leaf is a table indexed by that choice and filled as the
-    walk first reaches each entry: every leaf node is built once per walk,
-    and all the tree's programs share it.  A hole with children memoizes
+    walk first reaches each entry, its node from ``leaves``, the walk's one
+    table keyed by rule: every leaf node is built once per walk, and all
+    the tree's programs share it.  A hole with children memoizes
     its parts in a cache that starts over when full (``_CACHED_PARTS``), so
     memory is bounded per hole; a run of tuples sharing a part still hits.
     The root, at position 0, is built afresh unless it is a leaf: every
@@ -789,8 +947,11 @@ def _choice_builder(
             hit = table[j]
             if hit is None:
                 rule = rules[j]
+                leaf_node = leaves.get(rule)
+                if leaf_node is None:
+                    leaf_node = leaves[rule] = _trusted_rule_node(rule)
                 hit = table[j] = (
-                    _trusted_rule_node(rule),
+                    leaf_node,
                     None if values is None else values[j],
                     None if code is None else code[rule],
                 )
@@ -801,7 +962,7 @@ def _choice_builder(
     children = []
     end = i + 1
     for child in node.children:
-        child_build, end = _choice_builder(child, slots, code, end)
+        child_build, end = _choice_builder(child, slots, code, leaves, end)
         children.append(child_build)
 
     def build(choices: tuple) -> tuple:

@@ -418,7 +418,9 @@ def reference_lexicographic_walk(state, code=None):
     Patch it in as ``iterators._assignments_depth_first``.
     """
     domains = [state.domain(path) for path in state.hole_paths()]
-    build, _ = iterators._choice_builder(state.root, [(rules, None) for rules in domains], code)
+    build, _ = iterators._choice_builder(
+        state.root, [(rules, None) for rules in domains], code, {}
+    )
     passes = state.choice_test(domains)
     for choices in product(*(range(len(rules)) for rules in domains)):
         if passes is None or passes(choices):

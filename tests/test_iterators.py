@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import random
 import time
 
 import pytest
@@ -28,6 +29,7 @@ from synthkit import (
     priority_function,
     probe_with_stats,
     serialize_node,
+    set_uniform_probabilities,
     synth,
 )
 
@@ -37,7 +39,11 @@ from synthkit.interpreter import RuleCode
 from synthkit.solver import SolverState
 
 from conftest import SUITES_DIR
-from oracles import enumerate_programs, reference_lexicographic_walk
+from oracles import (
+    enumerate_programs,
+    reference_assignments_best_first,
+    reference_lexicographic_walk,
+)
 
 LN5 = math.log(0.2)
 
@@ -330,9 +336,9 @@ def _walk_paths(monkeypatch):
         paths["product"] += programs is not None
         return programs
 
-    def counted_builder(node, slots, code, i=0):
+    def counted_builder(node, slots, code, leaves, i=0):
         paths["built"] += i == 0
-        return choice_builder(node, slots, code, i)
+        return choice_builder(node, slots, code, leaves, i)
 
     monkeypatch.setattr(iterators, "_product_programs", counted_product)
     monkeypatch.setattr(iterators, "_choice_builder", counted_builder)
@@ -469,6 +475,212 @@ def test_a_product_tree_lists_its_children_only_once_advanced_past_its_first_pro
         (serialize_node(p), v) for p, _, v in expected
     ]
     assert rest[0][0].children[0].children[0] is first[0].children[1]
+
+
+# -- mlfs ranking the rest of an unconstrained tree -----------------------------
+
+# Each suite's start symbol and enum-plain's bounds for it: arith's trees
+# reach 3,888 programs, and mini-strings has unary and ternary roots.
+RANK_SUITES = {"arith": ("Int", 4, 9), "mini-strings": ("S", 3, 6)}
+# The rules whose probability the "zeros" weights set to 0: *, which every
+# arith tree with a binary hole may take; in mini-strings replace, the root
+# of a shape class of its own, and both integer literals, so the literal
+# holes of substring have two.
+ZERO_RULES = {"arith": (5,), "mini-strings": (9, 11, 12)}
+
+
+def _weighted(suite, weights):
+    """The suite's grammar with uniform probabilities, seeded random ones,
+    or seeded random ones under which one rule has probability 0."""
+    grammar = load_grammar_file(SUITES_DIR / suite / "default.herbg")
+    if weights == "uniform":
+        return set_uniform_probabilities(grammar)
+    rng = random.Random(len(suite))
+    raw = [rng.uniform(0.5, 1.5) for _ in grammar.indices]
+    if weights == "zeros":
+        for rule in ZERO_RULES[suite]:
+            raw[rule - 1] = 0.0
+    totals = {lhs: sum(raw[i - 1] for i in ids) for lhs, ids in grammar.bytype.items()}
+    return grammar.with_probabilities(
+        [raw[i - 1] / totals[grammar.lhs(i)] for i in grammar.indices]
+    )
+
+
+def _ranked_walks(monkeypatch):
+    """Count the mlfs walks that rank their rest."""
+    paths = {"ranked": 0}
+    rank_order = iterators._rank_order
+
+    def counted(*args):
+        paths["ranked"] += 1
+        return rank_order(*args)
+
+    monkeypatch.setattr(iterators, "_rank_order", counted)
+    return paths
+
+
+def _ranks(state, grammar):
+    """Whether a drained mlfs walk of the tree ranks its rest: no site is
+    open, every log-probability of its domains is finite, and it has more
+    programs than the heap emits first and at most _RANKED_MAX."""
+    domains = [state.domain(path) for path in state.hole_paths()]
+    count = math.prod(map(len, domains))
+    skip = max(1, count // iterators._RANK_AFTER)
+    finite = all(math.isfinite(grammar.log_probability(r)) for rules in domains for r in rules)
+    return state.choice_test(domains) is None and finite and skip < count <= iterators._RANKED_MAX
+
+
+def _best_first_items(programs):
+    """Walk items comparable bit for bit: text, log-probability as hex,
+    vector."""
+    return [(serialize_node(p), lp.hex(), v) for p, lp, v in programs]
+
+
+def _mlfs_search(grammar, start, max_depth, max_size, budget=None, problem=None):
+    config = IteratorConfig(
+        "mlfs", grammar, start, max_depth=max_depth, max_size=max_size, max_enumerations=budget
+    )
+    return make_iterator(config, problem=problem)
+
+
+@pytest.mark.parametrize("switch", ["eighth", "first"])
+@pytest.mark.parametrize("weights", ["uniform", "seeded", "zeros"])
+@pytest.mark.parametrize("suite", sorted(RANK_SUITES))
+def test_unconstrained_mlfs_trees_yield_the_heaps_programs(suite, weights, switch, monkeypatch):
+    # Per uniform tree, and over the whole search with and without a
+    # budget, mlfs must yield the heap walk's programs with bit-equal
+    # log-probabilities, whether a tree ranks its rest after an eighth of
+    # its programs or, with the fraction patched, right after its first.
+    # Exactly the trees with no open site, finite log-probabilities and at
+    # most _RANKED_MAX programs rank; under the "zeros" weights some do not.
+    if switch == "first":
+        monkeypatch.setattr(iterators, "_RANK_AFTER", 1 << 20)
+    start, max_depth, max_size = RANK_SUITES[suite]
+    grammar = _weighted(suite, weights)
+    walk = iterators._assignments_best_first
+    trees = []
+
+    def kept(state, grammar, code, orders):
+        programs = list(walk(state, grammar, code, orders))
+        trees.append((state, programs))
+        return iter(programs)
+
+    with monkeypatch.context() as patch:
+        paths = _ranked_walks(patch)
+        patch.setattr(iterators, "_assignments_best_first", kept)
+        fresh = [serialize_node(p) for p in _mlfs_search(grammar, start, max_depth, max_size)]
+    for state, programs in trees:
+        assert _best_first_items(programs) == _best_first_items(
+            reference_assignments_best_first(state, grammar)
+        )
+    ranking = sum(_ranks(state, grammar) for state, _ in trees)
+    if weights == "zeros":
+        # In arith only the one-leaf tree lacks *; mini-strings ranks more.
+        assert paths["ranked"] == ranking >= 1 and len(trees) - ranking >= 5
+    else:
+        assert paths["ranked"] == ranking >= 10
+    with monkeypatch.context() as patch:
+        patch.setattr(iterators, "_assignments_best_first", reference_assignments_best_first)
+        search = _mlfs_search(grammar, start, max_depth, max_size)
+        assert [serialize_node(p) for p in search] == fresh
+    assert len(fresh) > 14000
+    for budget in (0, 1, 7, 500):
+        search = _mlfs_search(grammar, start, max_depth, max_size, budget)
+        assert [serialize_node(p) for p in search] == fresh[:budget]
+
+
+def _cap_tree(last_leaf):
+    """An arith uniform tree of 2**12 times ``len(last_leaf)`` programs: six
+    (+|*) holes over six (1|2) leaves and ``last_leaf``."""
+    op, leaf = {4, 5}, {1, 2}
+
+    def pair(left, right):
+        return UniformHole(op, (left, right))
+
+    def leaves(domain=leaf):
+        return pair(UniformHole(leaf), UniformHole(domain))
+
+    return pair(pair(leaves(), leaves()), pair(leaves(), UniformHole(last_leaf)))
+
+
+@pytest.mark.parametrize("last_leaf, ranked", [({3}, True), ({2, 3}, False)], ids=["cap", "over"])
+def test_a_tree_ranks_up_to_the_cap_and_pops_past_it(last_leaf, ranked, monkeypatch):
+    # A tree of exactly _RANKED_MAX programs ranks its rest; one of twice
+    # that many is popped to its end.  Both yield the heap walk's programs.
+    grammar = _weighted("arith", "seeded")
+    state = SolverState(grammar, _cap_tree(last_leaf), ())
+    assert state.propagate()
+    count = math.prod(len(state.domain(path)) for path in state.hole_paths())
+    assert count == iterators._RANKED_MAX * len(last_leaf)
+    paths = _ranked_walks(monkeypatch)
+    programs = list(iterators._assignments_best_first(state, grammar, None, {}))
+    assert paths["ranked"] == ranked
+    assert _best_first_items(programs) == _best_first_items(
+        reference_assignments_best_first(state, grammar)
+    )
+
+
+def test_mlfs_ranks_no_tree_with_vectors_or_an_open_site(monkeypatch):
+    # A search with a problem pops every tree to its end, vectors and all;
+    # under an ordered constraint only the trees that propagation left
+    # with no open site rank.
+    grammar = _weighted("arith", "seeded")
+    problem = load_problem_file(SUITES_DIR / "arith" / "linear.problem.json").problem
+    paths = _ranked_walks(monkeypatch)
+    search = _mlfs_search(grammar, "Int", 4, 7, problem=problem)
+    fresh = [(serialize_node(p), search.last_vector) for p in search]
+    assert paths["ranked"] == 0
+    with monkeypatch.context() as patch:
+        patch.setattr(iterators, "_assignments_best_first", reference_assignments_best_first)
+        search = _mlfs_search(grammar, "Int", 4, 7, problem=problem)
+        assert [(serialize_node(p), search.last_vector) for p in search] == fresh
+    walk = iterators._assignments_best_first
+    trees = []
+
+    def kept(state, grammar, code, orders):
+        ranked = paths["ranked"]
+        programs = list(walk(state, grammar, code, orders))
+        trees.append((state, paths["ranked"] > ranked, programs))
+        return iter(programs)
+
+    monkeypatch.setattr(iterators, "_assignments_best_first", kept)
+    ordered = parse_constraint("(ordered (rule 4 (var a) (var b)) (a b))")
+    config = IteratorConfig("mlfs", grammar, "Int", max_depth=4, max_size=7, constraints=(ordered,))
+    assert sum(1 for _ in make_iterator(config)) > 1000
+    for state, ranked, programs in trees:
+        assert ranked == _ranks(state, grammar)
+        assert _best_first_items(programs) == _best_first_items(
+            reference_assignments_best_first(state, grammar)
+        )
+    assert 0 < sum(ranked for _, ranked, _ in trees) < len(trees)
+
+
+def test_a_ranked_tree_cut_off_by_a_budget_builds_no_root_it_does_not_emit(monkeypatch):
+    # The heap emits the first 13 of the tree's 108 programs; the ranked
+    # rest lists each child's programs once, and builds a root only when
+    # the walk is advanced to it.
+    _, tree = BOUND_TREES["arith"]
+    grammar = _weighted("arith", "seeded")
+    state = SolverState(grammar, tree, ())
+    assert state.propagate()
+    expected = _best_first_items(reference_assignments_best_first(state, grammar))
+    assert len(expected) == 108
+    paths = _ranked_walks(monkeypatch)
+    built = []
+    trusted = iterators._trusted_rule_node
+
+    def counted(rule, children=()):
+        node = trusted(rule, children)
+        built.append(node)
+        return node
+
+    monkeypatch.setattr(iterators, "_trusted_rule_node", counted)
+    programs = iterators._assignments_best_first(state, grammar, None, {})
+    taken = list(itertools.islice(programs, 20))
+    assert paths["ranked"] == 1
+    assert _best_first_items(taken) == expected[:20]
+    size = node_count(state.root)
+    assert [id(node) for node in built if node_count(node) == size] == [id(p) for p, _, _ in taken]
 
 
 # -- bottom-up specifics ---------------------------------------------------------

@@ -1322,14 +1322,25 @@ def test_constrained_mlfs_checks_choices_before_it_builds(g0, monkeypatch):
     # the same walk without constraints filtered by check_program: the
     # same programs in the same order, with the same log-probabilities.
     # It must never call check_program, and it must build a program only
-    # to emit it.
+    # to emit it: the roots each tree's walk makes, whether its heap builds
+    # them or its ranked rest does, are the programs it yields.
     grammar = g0.with_probabilities([0.3, 0.1, 0.25, 0.2, 0.15])
     best_first = iterators._assignments_best_first
-    choice_builder = iterators._choice_builder
-    yielded, builds = [], []
+    yielded, built, walks = [], [], []
 
     def recording(state, grammar, code, orders):
-        for item in best_first(state, grammar, code, orders):
+        made, items = [], []
+        walks.append((state, made, items))
+        programs = best_first(state, grammar, code, orders)
+        while True:
+            # A search advances one walk at a time, so whatever is built
+            # while this walk is advanced is this tree's.
+            start = len(built)
+            item = next(programs, None)
+            made.extend(built[start:])
+            if item is None:
+                return
+            items.append(item)
             yielded.append(item)
             yield item
 
@@ -1338,17 +1349,6 @@ def test_constrained_mlfs_checks_choices_before_it_builds(g0, monkeypatch):
             if check_program(state.constraints, item[0]):
                 yielded.append(item)
                 yield item
-
-    def counting_builder(node, slots, code, i=0):
-        build, end = choice_builder(node, slots, code, i)
-        if i:
-            return build, end
-
-        def counted(choices):
-            builds.append(choices)
-            return build(choices)
-
-        return counted, end
 
     def refuse(constraints, program):
         raise AssertionError("mlfs called check_program")
@@ -1365,10 +1365,12 @@ def test_constrained_mlfs_checks_choices_before_it_builds(g0, monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(iterators, "check_program", refuse)
             patch.setattr(iterators, "_assignments_best_first", recording)
-            patch.setattr(iterators, "_choice_builder", counting_builder)
-            del yielded[:], builds[:]
+            _count_constructions(patch, built)
+            del yielded[:], built[:], walks[:]
             emitted = list(make_iterator(config))
-            assert len(builds) == len(emitted)
+            for state, made, items in walks:
+                assert _roots_built(state, made) == [id(p) for p, _, _ in items]
+            assert sum(len(items) for _, _, items in walks) == len(emitted)
             checked = list(yielded)
         with monkeypatch.context() as patch:
             patch.setattr(iterators, "_assignments_best_first", filtered)
