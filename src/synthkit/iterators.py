@@ -43,30 +43,37 @@ what it built on its part before -- a leaf from a table indexed by its
 one choice, a larger subtree from a bounded cache of parts -- so programs
 share their unchanged subtrees, and the tables and caches die with the
 tree's walk.  bfs and dfs walk the tuples in lexicographic order over the
-holes' ascending domains.  A tree with no constraint site open whose
-child subtrees each have at most ``_CACHED_PARTS`` programs is walked as
-one :func:`itertools.product` over its children's listed programs, which
-yields the same sequence without building from tuples
-(:func:`_product_programs`).  The lists are built only when the walk is
-advanced past its first program, which is built alone: a queued tree
-that has not emitted holds that one program, and one that has holds at
-most ``_CACHED_PARTS`` programs (and vectors) per child of its root,
-however many trees are queued; dfs, which alternates between sibling
-trees, may hold several such walks at once.  Otherwise the walk tests
-each prefix where some constraint sites complete, so a failing prefix
-skips every tuple that extends it; an ``ordered`` site that the least and greatest texts of its compared
-subtrees settle is not tested, and one they make a violation wherever it
-matches is tested at its last pattern hole, so a tree where no tuple
-passes is rejected early.  mlfs walks them best-first, after the same
-lexicographic walk, building nothing, has found a passing tuple; its
-builder also returns the program's
-log-probability, the queue priority when the tree is re-enqueued, so no
-emitted program is walked again to price it.  Once the heap of a tree
-with no site open, no vectors to compute, finite log-probabilities and at
-most ``_RANKED_MAX`` programs has emitted ``1/_RANK_AFTER`` of them, the
-rest is ranked: one sort of every tuple's heap key, computed as the heap
-computes it, gives the rest of the heap's own order, and each program is
-one node over its children's listed programs (:func:`_ranked_after`).
+holes' ascending domains.  A tree whose constraint sites left to test are
+all local (:class:`~synthkit.solver._Site`: each reads only its node's
+rule and whole children of it), and whose child subtrees each have at
+most ``_CACHED_PARTS`` programs, is walked as one
+:func:`itertools.product` over its children's listed programs, filtered
+by the sites decided in C on the children's texts, which yields the same
+sequence without building from tuples (:func:`_product_programs`).  The
+lists are built only when the walk is advanced past its first passing
+program, which is built alone: a queued tree that has not emitted holds
+that one program, and one that has holds at most ``_CACHED_PARTS``
+programs (and vectors and texts) per child of its root, however many
+trees are queued; dfs, which alternates between sibling trees, may hold
+several such walks at once.  Otherwise the walk tests each prefix where
+some constraint sites complete, so a failing prefix skips every tuple
+that extends it; an ``ordered`` site that the least and greatest texts of
+its compared subtrees settle is not tested, and one they make a violation
+wherever it matches is tested at its last pattern hole, so a tree where
+no tuple passes is rejected early.  mlfs walks them best-first, after the
+same lexicographic walk, building nothing, has found a passing tuple,
+testing each popped tuple against the sites up to its first program; past
+it, a tree that bfs and dfs would take as one product decides its local
+sites from the same children's texts instead (:func:`_facts_test`).  Its
+builder also returns the program's log-probability, the queue priority
+when the tree is re-enqueued, so no emitted program is walked again to
+price it.  Once the heap of a tree with no site to test or only local
+ones so decided, no vectors to compute, finite log-probabilities and at
+most ``_RANKED_MAX`` programs has popped ``1/_RANK_AFTER`` of its tuples,
+the rest is ranked: one sort of every tuple's heap key, computed as the
+heap computes it, gives the rest of the heap's own order, kept by one flag
+per tuple from the children's texts, and each program is one node over
+its children's listed programs (:func:`_ranked_after`).
 Every walk yields what the builder returns, ``(program, log-probability,
 vector)``, the
 log-probability ``None`` for bfs and dfs, so one step peeks every kind's
@@ -141,8 +148,8 @@ from .interpreter import EVAL_ERROR, RuleCode, _fold, output_key, solved_counter
 # Unused here, but kept as names the benchmark tracer patches on this module.
 from .constraints import check_program  # noqa: F401
 from .interpreter import evaluate, run_examples, to_expression  # noqa: F401
-from .nodes import Hole, Node, RuleNode, _trusted_rule_node, depth, node_count
-from .solver import SolverState, Surveyed, split_first_hole, survey
+from .nodes import Hole, Node, RuleNode, _trusted_rule_node, depth, node_count, text_format
+from .solver import SolverState, Surveyed, _product_mask, split_first_hole, survey
 from .specification import Problem
 
 Priority = Union[int, float, tuple]
@@ -561,35 +568,56 @@ def _assignments_depth_first(state, code=None) -> Iterator[tuple[RuleNode, None,
     without code).
 
     Propagation is not run again: it settled every site but the open ones,
-    which :meth:`~synthkit.solver.SolverState.choice_tests` groups by the
-    last position each reads.  :func:`itertools.product` runs over the
+    which :meth:`~synthkit.solver.SolverState._tested_sites` lists once per
+    tree.  When every child subtree of the root has at most
+    ``_CACHED_PARTS`` programs and every listed site is local (its pattern
+    reads only the hole at its own node, and it compares or repeats whole
+    children of that node), the tree's programs are the product of its
+    children's programs (:func:`_product_programs`): the first passing
+    program is built alone, and once the walk is advanced past it each
+    child's programs and vectors are listed, in their own lexicographic
+    order, and the root's rules run over their product in C, each rule's
+    run filtered by the sites decided on the children's texts
+    (:func:`_passes`).  That emits the same sequence as the tuple walk
+    without building a single program from a tuple.  Any other tree,
+    one with a site that reads deeper than its node's children or a child
+    of more than ``_CACHED_PARTS`` programs, is walked by tuples:
+    :meth:`~synthkit.solver.SolverState.choice_tests` groups the sites by
+    the last position each reads, :func:`itertools.product` runs over the
     positions up to the next such position, where the prefix is tested, so
-    a prefix that breaks a constraint skips every tuple that extends it.
-
-    With no site open the walk is one product.  When every child subtree
-    of the root has at most ``_CACHED_PARTS`` programs, the tree's programs
-    are that product taken over whole subtrees (:func:`_product_programs`):
-    the first program is built alone, and once the walk is advanced past
-    it each child's programs and vectors are listed, in their own
-    lexicographic order, and the root's rules run over their product in C.
-    That emits the same sequence as the tuple walk without building a
-    single program from a tuple.  Otherwise every tuple is built by
-    :func:`_choice_builder`, which also serves mlfs.
+    a prefix that breaks a constraint skips every tuple that extends it,
+    and every passing tuple is built by :func:`_choice_builder`, which
+    also serves mlfs.
     """
     domains = [state.domain(path) for path in state.hole_paths()]
-    segments = _segments(state, domains)
-    if len(segments) == 1 and segments[0][1] is None:
-        programs = _product_programs(state.root, domains, code)
+    sites = state._tested_sites()
+    segments = _segments(state, domains, sites)
+    local = _local_sites(sites)
+    if local is not None:
+        programs = _product_programs(state.root, domains, code, local, segments)
         if programs is not None:
             return programs
     build, _ = _choice_builder(state.root, [(rules, None) for rules in domains], code, {})
     return _walk(segments, 0, (), build)
 
 
-def _product_programs(root, domains, code) -> Iterator[tuple] | None:
+def _local_sites(sites) -> dict[int, list] | None:
+    """The sites by the hole they are posted at, or ``None`` when some
+    site is not local (:class:`~synthkit.solver._Site`)."""
+    local: dict[int, list] = {}
+    for site in sites:
+        if site.children is None:
+            return None
+        local.setdefault(site.at, []).append(site)
+    return local
+
+
+def _product_programs(root, domains, code, local, segments) -> Iterator[tuple] | None:
     """The uniform tree's programs as :func:`_assignments_depth_first`
-    yields them, with no site open, or ``None`` when some child subtree of
-    the root has more than ``_CACHED_PARTS`` programs.
+    yields them, under the local sites ``local`` (by hole), or ``None``
+    when some child subtree of the root has more than ``_CACHED_PARTS``
+    programs.  ``segments`` are the tree's tuple walk's, which finds the
+    first passing tuple when a site is listed.
 
     A subtree's program count is the product of its holes' domain sizes.
     Holes are numbered in preorder and the last varies fastest, so the
@@ -598,29 +626,56 @@ def _product_programs(root, domains, code) -> Iterator[tuple] | None:
     order.  The children's programs and vectors are listed the same way
     down to the leaves, and every program of the tree shares them.
     """
+    children = _listed_children(root, domains)
+    if children is None:
+        return None
+    return itertools.chain.from_iterable(_product_runs(children, domains, code, local, segments))
+
+
+def _listed_children(root, domains) -> list | None:
+    """The root's children with their first holes' numbers, or ``None``
+    when some child subtree has more than ``_CACHED_PARTS`` programs: the
+    most a walk lists per child."""
     children = list(_children_at(root, 0))
-    bound = _CACHED_PARTS
     for child, i in children:
-        if math.prod(map(len, domains[i : i + node_count(child)])) > bound:
+        if math.prod(map(len, domains[i : i + node_count(child)])) > _CACHED_PARTS:
             return None
-    return itertools.chain.from_iterable(_product_runs(children, domains, code))
+    return children
 
 
-def _product_runs(children, domains, code) -> Iterator[Iterator[tuple]]:
-    """The tree's first program alone, built from each hole's least rule,
-    then the rest, whose children's lists are built only when the walk is
-    advanced past the first.  A search peeks every uniform tree as it
-    queues it, so a queued tree that has not emitted holds one program.
-    Both runs take each leaf node from one table, keyed by rule."""
-    leaves = {}
-    yield _root_product(children, [rules[:1] for rules in domains], code, leaves, 0)
-    yield _root_product(children, domains, code, leaves, 1)
+def _product_runs(children, domains, code, local, segments) -> Iterator[Iterator[tuple]]:
+    """The tree's first passing program alone, then the rest, whose
+    children's lists are built only when the walk is advanced past the
+    first.  A search peeks every uniform tree as it queues it, so a queued
+    tree that has not emitted holds one program.  With no site the first
+    tuple takes each hole's least rule; otherwise the tuple walk finds it,
+    building nothing, and a tree without one yields nothing.  The rest
+    starts at the first program's root rule, since no tuple of an earlier
+    root rule passes.  Both runs take each leaf node from one table, keyed
+    by rule."""
+    first = next(_walk(segments, 0, (), tuple), None) if local else (0,) * len(domains)
+    if first is None:
+        return
+    leaves: dict = {}
+    picked = [rules[j : j + 1] for rules, j in zip(domains, first)]
+    yield _root_product(children, picked, code, leaves, 0, None)
+    rest = [domains[0][first[0] :], *domains[1:]]
+    yield _root_product(children, rest, code, leaves, 1, local)
 
 
-def _root_product(children, domains, code, leaves: dict, skip: int) -> Iterator[tuple]:
-    """The tree's programs over ``domains`` less the first ``skip``."""
+def _root_product(children, domains, code, leaves: dict, skip: int, local) -> Iterator[tuple]:
+    """The tree's programs over ``domains`` that pass the local sites
+    ``local``, less the first ``skip``."""
     parts = [_subtree_columns(child, domains, code, leaves, i) for child, i in children]
-    programs, vectors = _product_columns(domains[0], parts, code, leaves, skip)
+    passes = None
+    if local:
+        facts = [_subtree_facts(child, domains, i, local) for child, i in children]
+        sites = local.get(0, ())
+
+        def passes(rule):
+            return _passes(rule, sites, facts)
+
+    programs, vectors = _product_columns(domains[0], parts, code, leaves, skip, passes)
     return zip(programs, itertools.repeat(None), vectors)
 
 
@@ -642,15 +697,76 @@ def _subtree_columns(node, domains, code, leaves: dict, i: int) -> tuple[list, l
     return list(programs), None if code is None else list(vectors)
 
 
+def _subtree_facts(node, domains, i: int, local: dict) -> tuple[list[str], list | None]:
+    """What the local sites read of the subtree at hole ``i``: the text of
+    each of its programs, in the lexicographic order of
+    :func:`_subtree_columns`, and whether each passes the sites posted
+    inside the subtree, ``None`` when none is.
+
+    A text is the program's :func:`~synthkit.nodes.serialize_node`, built
+    once from its children's texts, so no site formats a subtree per
+    tuple.  No local site is posted at a leaf."""
+    rules = domains[i]
+    facts = [_subtree_facts(child, domains, j, local) for child, j in _children_at(node, i)]
+    if not facts:
+        return [str(rule) for rule in rules], None
+    columns = [texts for texts, _ in facts]
+    texts = [
+        text
+        for rule in rules
+        for text in map(text_format(rule).format, map(",".join, itertools.product(*columns)))
+    ]
+    sites = local.get(i, ())
+    if not sites and all(flags is None for _, flags in facts):
+        return texts, None
+    return texts, _node_flags(rules, sites, facts)
+
+
+def _node_flags(rules, sites, facts) -> list[bool]:
+    """Whether each program of a node over ``rules`` passes, in
+    lexicographic order: each rule's run of :func:`_passes`."""
+    count = math.prod(len(texts) for texts, _ in facts)
+    runs = (_passes(rule, sites, facts) for rule in rules)
+    return list(
+        itertools.chain.from_iterable(
+            itertools.repeat(True, count) if run is None else run for run in runs
+        )
+    )
+
+
+def _passes(rule: int, sites, facts) -> Iterator[bool] | None:
+    """Whether each tuple of the children's product passes, for a node at
+    ``rule`` whose local sites are ``sites`` and whose children's texts and
+    flags are ``facts`` (:func:`_subtree_facts`): no site there that
+    accepts the rule is broken (:func:`~synthkit.solver._product_mask`),
+    and every child passes the sites inside it.  ``None`` when nothing
+    needs deciding."""
+    masks = [
+        _product_mask(site, [texts for texts, _ in facts])
+        for site in sites
+        if rule in site.pattern[0][1]
+    ]
+    if any(flags is not None for _, flags in facts):
+        columns = [
+            (True,) * len(texts) if flags is None else flags for texts, flags in facts
+        ]
+        masks.append(map(all, itertools.product(*columns)))
+    if not masks:
+        return None
+    return masks[0] if len(masks) == 1 else map(all, zip(*masks))
+
+
 def _product_columns(
-    rules, parts: list, code, leaves: dict, skip: int
+    rules, parts: list, code, leaves: dict, skip: int, passes=None
 ) -> tuple[Iterator, Iterator]:
     """The programs and vectors of a node over ``rules`` whose children's
     programs and vectors are ``parts``, less the first ``skip``: the rules
-    slowest, then the children's product.  Each program is one trusted
-    node over a tuple of listed children, and its vector one application
-    of its rule's code to theirs; without code the vectors are ``None``.
-    A leaf is ``leaves[rule]``, built the first time it is asked for."""
+    slowest, then the children's product, each rule's run filtered by
+    ``passes(rule)`` (:func:`_passes`) when ``passes`` is given.  Each
+    program is one trusted node over a tuple of listed children, and its
+    vector one application of its rule's code to theirs; without code the
+    vectors are ``None``.  A leaf is ``leaves[rule]``, built the first time
+    it is asked for."""
     if not parts:
         rules = rules[skip:]
         for rule in rules:
@@ -661,35 +777,40 @@ def _product_columns(
     programs = [part[0] for part in parts]
     nodes = itertools.chain.from_iterable(
         map(_trusted_rule_node, itertools.repeat(rule), tuples)
-        for rule, tuples in _rule_runs(rules, programs, skip)
+        for rule, tuples in _rule_runs(rules, programs, skip, passes)
     )
     if code is None:
         return nodes, itertools.repeat(None)
     vectors = [part[1] for part in parts]
     return nodes, itertools.chain.from_iterable(
-        itertools.starmap(code[rule], tuples) for rule, tuples in _rule_runs(rules, vectors, skip)
+        itertools.starmap(code[rule], tuples)
+        for rule, tuples in _rule_runs(rules, vectors, skip, passes)
     )
 
 
-def _rule_runs(rules, columns: list, skip: int) -> Iterator[tuple[int, Iterator[tuple]]]:
-    """Each rule with the product of ``columns``, the first rule's less
-    its first ``skip`` tuples."""
+def _rule_runs(rules, columns: list, skip: int, passes) -> Iterator[tuple[int, Iterator[tuple]]]:
+    """Each rule with the product of ``columns`` that ``passes(rule)``
+    keeps, the first rule's less its first ``skip`` kept tuples."""
     for rule in rules:
         tuples = itertools.product(*columns)
+        if passes is not None:
+            flags = passes(rule)
+            if flags is not None:
+                tuples = itertools.compress(tuples, flags)
         yield rule, itertools.islice(tuples, skip, None) if skip else tuples
         skip = 0
 
 
-def _segments(state: SolverState, rules: list[Sequence[int]]) -> list:
+def _segments(state: SolverState, rules: list[Sequence[int]], sites) -> list:
     """The lexicographic walk's segments over the tuples that put hole
     ``i`` at a rule of ``rules[i]``: the ranges of the positions up to each
     position where a group of :meth:`~synthkit.solver.SolverState.choice_tests`
-    completes, with that group's test, then the remaining positions' ranges
-    with ``None``."""
+    over ``sites`` completes, with that group's test, then the remaining
+    positions' ranges with ``None``."""
     ranges = [range(len(rule_list)) for rule_list in rules]
     segments = []
     start = 0
-    for last, test in state.choice_tests(rules):
+    for last, test in state.choice_tests(rules, sites):
         segments.append((ranges[start : last + 1], test))
         start = last + 1
     if start < len(ranges):
@@ -726,38 +847,49 @@ def _assignments_best_first(
     smaller, so the heap pops in (key, tuple) order.  The key can differ
     by a few ulps from the emitted log-probability, which is summed in
     preorder, so two programs of one tree whose keys tie or nearly tie may
-    come out with log-probabilities that rise by that much.  Under
-    constraints the walk first asks the lexicographic walk of bfs and dfs
-    (:func:`_segments`, :func:`_walk`), building nothing, for one passing
-    tuple, and a tree without one yields nothing before its heap starts.  A
-    popped tuple is first checked against the state's constraint sites by
-    :meth:`~synthkit.solver.SolverState.choice_test`, which reads the
-    chosen rules in place: a tuple whose program breaks a constraint is
-    skipped before anything is built.  Every other program is built from
-    its choice tuple by :func:`_choice_builder` and yielded with its
-    log-probability, summed in :func:`max_rulenode_log_probability`'s order
-    so the two agree exactly, and its output vector through ``code``
-    (``None`` without code).  ``orders`` maps a hole domain to its rules in
-    heuristic order, their log-probabilities and their steps; missing
-    domains are added, so a table kept across uniform trees sorts each
-    distinct domain once.
+    come out with log-probabilities that rise by that much.  Every program
+    is built from its choice tuple by :func:`_choice_builder` and yielded
+    with its log-probability, summed in
+    :func:`max_rulenode_log_probability`'s order so the two agree exactly,
+    and its output vector through ``code`` (``None`` without code).
+    ``orders`` maps a hole domain to its rules in heuristic order, their
+    log-probabilities and their steps; missing domains are added, so a
+    table kept across uniform trees sorts each distinct domain once.
 
-    Once the heap has emitted ``1/_RANK_AFTER`` of the tree's programs (at
-    least one), the walk may rank the rest instead (:func:`_ranked_after`):
-    it computes the heap's key of every tuple with the same float steps,
-    sorts the tuples by key once, skips the ones the heap emitted and
-    builds each other program from its children's listed programs.  That
-    holds only where each condition does:
+    Under constraints a popped tuple is decided before anything is built,
+    against the sites left to test, listed once per tree
+    (:meth:`~synthkit.solver.SolverState._tested_sites`).  The walk first
+    asks the lexicographic walk of bfs and dfs (:func:`_segments`,
+    :func:`_walk`), building nothing, for one passing tuple, and a tree
+    without one yields nothing before its heap starts; up to its first
+    program the heap tests each popped tuple with
+    :meth:`~synthkit.solver.SolverState.choice_test` over the same sites,
+    which reads the tuple's rules in place, so a tree the search only
+    peeks lists nothing.  Past it (:func:`_ranked_after`), a tree whose
+    sites are all local and each of whose root's children has at most
+    ``_CACHED_PARTS`` programs, as bfs and dfs need for their product,
+    lists each child's texts and flags once (:func:`_subtree_facts`), and
+    every later tuple is decided from those (:func:`_facts_test`), or, in
+    a tree that ranks, from the flag of each tuple computed from them at
+    once; any other tree keeps the tuple test.
 
-    * no site is open (``passes`` is ``None``): then every pop emits, so
-      the heap's emitted count is the count to skip, and no ranked tuple
-      needs a test;
+    Once the heap has popped ``1/_RANK_AFTER`` of the tree's tuples, and at
+    least up to its first program, the walk may rank the rest instead
+    (:func:`_ranked_after`): it computes the heap's key of every tuple with
+    the same float steps, sorts the tuples by key once, skips the ones the
+    heap popped, keeps those whose flag is set, and builds each other
+    program from its children's listed programs.  That holds only where
+    each condition does:
+
+    * no site is left to test, or the children's facts decide them all,
+      so every ranked tuple is decided by its flag;
     * no code: a search with vectors would list its children's vectors too,
       and measured slower, since probe and ``synth`` stop most trees early;
     * every log-probability is finite: a rule of probability zero makes a
       step ``-inf - -inf``, NaN, which no sort orders as the heap does;
     * at most ``_RANKED_MAX`` programs, which bounds what a ranked tree
-      holds: its rank order, two bytes a tuple, and its children's lists.
+      holds: its rank order, two bytes a tuple, its flags under sites, a
+      byte a tuple, and its children's lists.
     """
     logs = grammar.log_probabilities
     slots = []
@@ -772,16 +904,48 @@ def _assignments_best_first(
     rules = [slot[0] for slot in slots]
     values = [slot[1] for slot in slots]
     steps = [slot[2] for slot in slots]
-    passes = state.choice_test(rules)
-    if passes is not None and next(_walk(_segments(state, rules), 0, (), tuple), None) is None:
-        return iter(())
+    sites = state._tested_sites()
+    passes = None
+    if sites:
+        passes = state.choice_test(rules, sites)
+        if next(_walk(_segments(state, rules, sites), 0, (), tuple), None) is None:
+            return iter(())
     leaves: dict = {}
     build, _ = _choice_builder(state.root, list(zip(rules, values)), code, leaves)
-    start = -sum(v[0] for v in values)
-    popped = _popped(start, steps, passes, build)
-    if passes is None and code is None:
-        return _ranked_after(popped, state.root, rules, values, start, steps, leaves)
-    return popped
+    heap = [(-sum(v[0] for v in values), (0,) * len(steps), 0)]
+    if passes is None and code is not None:
+        return _pops(heap, steps, None, build)
+    local = _local_sites(sites)
+    return itertools.chain.from_iterable(
+        _ranked_after(heap, passes, local, state.root, rules, values, steps, build, leaves, code)
+    )
+
+
+def _facts_test(children, rules, sites, facts) -> Callable[[tuple], bool]:
+    """A test of choice tuples against a tree's local sites, decided from
+    the facts of the root's ``children`` (:func:`_subtree_facts`): a tuple
+    passes when each child's program passes the sites inside it and no
+    site in ``sites``, those at the root, that accepts the tuple's root
+    rule is broken on the children's texts.  A child's program sits at its
+    holes' choices read in their mixed radix, the lexicographic order the
+    facts list."""
+    parts = []
+    for (child, i), (texts, flags) in zip(children, facts):
+        sizes = list(map(len, rules[i : i + node_count(child)]))
+        strides = [math.prod(sizes[k + 1 :]) for k in range(len(sizes))]
+        parts.append((i, i + len(sizes), strides, texts, flags))
+    at = [[site for site in sites if rule in site.pattern[0][1]] for rule in rules[0]]
+
+    def passes(indices):
+        read = []
+        for start, stop, strides, texts, flags in parts:
+            pick = sum(map(operator.mul, indices[start:stop], strides))
+            if flags is not None and not flags[pick]:
+                return False
+            read.append(texts[pick])
+        return not any(site.violated([read[k] for k in site.children]) for site in at[indices[0]])
+
+    return passes
 
 
 def _steps(values: list[float]) -> list[float]:
@@ -791,22 +955,24 @@ def _steps(values: list[float]) -> list[float]:
     return [b - a for a, b in zip(values, values[1:])]
 
 
-def _popped(start: float, steps: list, passes, build) -> Iterator[tuple]:
-    """The programs of the passing tuples in the heap's (key, tuple) order."""
-    heap = [(start, (0,) * len(steps), 0)]
+def _pops(heap: list, steps: list, passes, build) -> Iterator[tuple | None]:
+    """Per tuple in the heap's (key, tuple) order, its program when it
+    passes, else ``None``.  A popped tuple's successors are pushed before
+    it is yielded, so ``heap``, the caller's, holds the rest of the walk
+    whenever the walk is suspended, and a new walk over it under another
+    test goes on where this one stopped."""
     while heap:
         key, indices, frontier = heapq.heappop(heap)
-        if passes is None or passes(indices):
-            yield build(indices)
         for m in range(frontier, len(steps)):
             j = indices[m]
             if j < len(steps[m]):
                 bumped = indices[:m] + (j + 1,) + indices[m + 1 :]
                 heapq.heappush(heap, (key - steps[m][j], bumped, m))
+        yield build(indices) if passes is None or passes(indices) else None
 
 
-# Once the heap of an unconstrained mlfs tree without vectors has emitted
-# 1/_RANK_AFTER of its programs (at least one), the rest is ranked, for
+# Once the heap of an mlfs tree without vectors has popped 1/_RANK_AFTER
+# of its tuples (and at least its first program), the rest is ranked, for
 # trees of at most _RANKED_MAX programs.  Measured on enum-plain and
 # pbe-topdown: ranking right after the first program, or at 1/16, ranks
 # trees that a budgeted replay never drains and costs pbe-topdown time and
@@ -816,24 +982,68 @@ _RANK_AFTER = 8
 _RANKED_MAX = 4096
 
 
-def _ranked_after(popped, root, rules, values, start, steps, leaves) -> Iterator[tuple]:
-    """The heap's programs, or, once it has emitted ``1/_RANK_AFTER`` of a
-    tree of at most ``_RANKED_MAX`` programs whose log-probabilities are
-    all finite, the rest from :func:`_ranked_programs`.
+def _ranked_after(
+    heap, passes, local, root, rules, values, steps, build, leaves, code
+) -> Iterator[Iterator]:
+    """The runs of a tree's programs, to be chained: the first program the
+    heap walk over ``heap`` yields (:func:`_pops`), then the rest.
 
-    The switch is decided when the walk is advanced past its first
-    program, so a tree the search only peeks pays nothing for it.
+    Each run is made when the one before it is exhausted, so all that
+    follows is decided when the walk is advanced past its first program,
+    and a tree the search only peeks pays nothing for it.  Then a tree
+    with sites, each of them local (``local``, by hole) and each child of
+    its root of at most ``_CACHED_PARTS`` programs, lists its children's
+    facts (:func:`_subtree_facts`), and the heap decides every later
+    tuple from them (:func:`_facts_test`) instead of by the tuple test
+    ``passes``; a tree with any other site keeps ``passes``.  The rest is
+    the heap's, or, once the heap has popped ``1/_RANK_AFTER`` of the
+    tuples of a tree without ``code``, of at most ``_RANKED_MAX``
+    programs, whose log-probabilities are all finite and whose sites, if
+    any, the facts decide, its programs up to there and the rest from
+    :func:`_ranked_programs`.  Such a tree computes the flag of each of
+    its tuples from the facts at once (:func:`_node_flags`), which its
+    heap reads at a tuple's lexicographic index and which keeps the rank
+    order; the ranking cap bounds them, a byte a tuple.
     """
-    yield next(popped)
+    start = heap[0][0]
+    pops = _pops(heap, steps, passes, build)
+    popped = 0
+    for program in pops:
+        popped += 1
+        if program is not None:
+            yield (program,)
+            break
     count = math.prod(map(len, rules))
-    skip = max(1, count // _RANK_AFTER)
+    skip = max(popped, count // _RANK_AFTER)
     finite = all(map(math.isfinite, itertools.chain(*values)))
-    if not skip < count <= _RANKED_MAX or not finite:
-        yield from popped
+    ranks = code is None and skip < count <= _RANKED_MAX and finite
+    flags = None
+    if passes is not None:
+        children = None if local is None else _listed_children(root, rules)
+        if children is None:
+            yield filter(None, pops)
+            return
+        facts = [_subtree_facts(child, rules, i, local) for child, i in children]
+        if ranks:
+            flags = bytes(_node_flags(rules[0], local.get(0, ()), facts))
+            strides = [math.prod(map(len, rules[h + 1 :])) for h in range(len(rules))]
+
+            def test(indices):
+                return flags[sum(map(operator.mul, indices, strides))]
+
+        else:
+            test = _facts_test(children, rules, local.get(0, ()), facts)
+        pops.close()
+        pops = _pops(heap, steps, test, build)
+    if not ranks:
+        yield filter(None, pops)
         return
-    yield from itertools.islice(popped, skip - 1)
-    popped.close()
-    yield from _ranked_programs(root, rules, values, _rank_order(start, steps, skip), leaves)
+    yield filter(None, itertools.islice(pops, skip - popped))
+    pops.close()
+    order = _rank_order(start, steps, skip)
+    if flags is not None:
+        order = array("H", itertools.compress(order, map(flags.__getitem__, order)))
+    yield _ranked_programs(root, rules, values, order, leaves)
 
 
 def _rank_order(start: float, steps: list, skip: int) -> array:

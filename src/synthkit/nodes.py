@@ -140,7 +140,14 @@ def serialize_node(node: Node) -> str:
         raise IncompleteTreeError("cannot serialize a tree that still contains holes")
     if not node.children:
         return str(node.rule)
-    return f"{node.rule}{{{','.join(serialize_node(c) for c in node.children)}}}"
+    return text_format(node.rule).format(",".join(serialize_node(c) for c in node.children))
+
+
+def text_format(rule: int) -> str:
+    """The :meth:`str.format` string of a node at ``rule`` with children:
+    formatted with its children's texts joined by commas, it gives the
+    node's :func:`serialize_node` text, such as ``"4{1,2}"``."""
+    return f"{rule}{{{{{{}}}}}}"
 
 
 def parse_node(text: str) -> RuleNode:

@@ -28,9 +28,12 @@ node accepts; for each subtree bound to a variable that a violation needs
 decided, its holes in preorder and a text template with one slot per hole;
 and the last hole the site reads.  Formatting a template with its holes'
 rules gives exactly the subtree's serialized text, so no check builds a
-tree.  One function reads a compiled site, :func:`_tuple_test`: it decides
-sites on a choice tuple, which gives hole ``i`` the rule ``choices[i]``
-indexes in that hole's rule sequence.
+tree.  :func:`_tuple_test` reads a compiled site on a choice tuple, which
+gives hole ``i`` the rule ``choices[i]`` indexes in that hole's rule
+sequence.  A *local* site, whose pattern reads only its own node's hole
+and binds only whole children of it, can also be decided on the texts of
+its node's children's programs: :func:`_product_mask` decides it over the
+product of those texts, in C where it compares two.
 Propagation is event-driven: a call re-checks only the sites reading a
 hole that lost a rule since the previous call, and decides each with the
 tuple test over the current domains, every decided hole at its only rule.
@@ -54,6 +57,9 @@ search builds a program that breaks a constraint, or calls
 
 from __future__ import annotations
 
+import itertools
+import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -251,6 +257,13 @@ class _Site:
     occurrence of each variable an ``ordered`` constraint compares, in its
     order (``None`` for ``forbidden``), all as indices into ``bound``.
     ``last`` is the highest hole number the site reads, -1 for none.
+    ``at`` is the number of the hole the site is posted at, -1 at a rule
+    node.  ``children`` marks a *local* site: one whose pattern reads only
+    the hole ``at``, which has children, and each of whose ``bound``
+    entries is one whole child subtree of that hole.  It then holds, per
+    entry of ``bound``, the position of that child among the node's
+    children (:func:`_product_mask` reads them); it is ``None`` for any
+    other site.
     """
 
     pattern: tuple[tuple[int, frozenset[int]], ...]
@@ -259,6 +272,8 @@ class _Site:
     repeats: tuple[tuple[int, int], ...]
     compared: tuple[int, ...] | None
     last: int
+    at: int = -1
+    children: tuple[int, ...] | None = None
 
     def violated(self, texts: Sequence[str]) -> bool:
         """Does a match whose bound subtrees read ``texts``, in the order of
@@ -317,6 +332,8 @@ def _post_site(
 
     if not walk(constraint.pattern, node, path):
         return None
+    at = number.get(path, -1)
+    local = bool(node.children) and [hole for hole, _ in pattern] == [at]
     names = [name for name, _, _ in occurrences]
     decided = {name for name in names if names.count(name) > 1}
     if isinstance(constraint, Ordered):
@@ -326,11 +343,15 @@ def _post_site(
     # The index into ``bound`` and the shape of each variable's first occurrence.
     first: dict[str, tuple[int, tuple]] = {}
     repeats = []
-    for name, at, sub in occurrences:
+    children = []
+    for name, where, sub in occurrences:
         if name in decided:
             holes: list[int] = []
             after: list[str] = []
-            template = _template(sub, at, number, holes, after)
+            template = _template(sub, where, number, holes, after)
+            local = local and len(where) == len(path) + 1
+            if local:
+                children.append(where[-1])
             if name not in first:
                 first[name] = len(bound), _shape(sub)
             elif first[name][1] == _shape(sub):
@@ -345,7 +366,7 @@ def _post_site(
     read = [hole for hole, _ in pattern] + [hole for holes, _ in bound for hole in holes]
     return _Site(
         tuple(pattern), tuple(bound), tuple(tails), tuple(repeats), compared,
-        max(read, default=-1),
+        max(read, default=-1), at, tuple(children) if local else None,
     )
 
 
@@ -627,8 +648,9 @@ class SolverState:
         site and it is left out.  When some text's least exceeds the next
         one's greatest and no variable repeats, every match is a violation:
         the site reads its pattern holes alone, as a ``forbidden`` site
-        would, and completes at the last of them.  Any other site is kept
-        as it is.  When such sites with one pattern hole each accept every
+        would, and completes at the last of them; it keeps its node, and
+        stays local if it was, as a site that reads no text.  Any other
+        site is kept as it is.  When such sites with one pattern hole each accept every
         rule of that hole between them, no tuple passes, and the one site
         left is :data:`_VIOLATED`.  No domain changes, and only
         :attr:`_open` is read, so before the first propagation there is
@@ -652,7 +674,8 @@ class SolverState:
                 ):
                     pattern = site.pattern
                     last = max((hole for hole, _ in pattern), default=-1)
-                    site = _Site(pattern, (), (), (), None, last)
+                    children = None if site.children is None else ()
+                    site = _Site(pattern, (), (), (), None, last, site.at, children)
                     if len(pattern) == 1:
                         [(hole, accepted)] = pattern
                         rules = excluded.setdefault(hole, set())
@@ -662,10 +685,13 @@ class SolverState:
             tested.append(site)
         return tested
 
-    def choice_tests(self, rules: Sequence[Sequence[int]]) -> list[tuple[int, TupleTest]]:
+    def choice_tests(
+        self, rules: Sequence[Sequence[int]], sites: Sequence[_Site] | None = None
+    ) -> list[tuple[int, TupleTest]]:
         """Tests of choice tuples against the sites left to test
-        (:meth:`_tested_sites`), one per tuple position where some of them
-        complete, ascending by position.
+        (:meth:`_tested_sites`, or ``sites`` when a caller already has
+        them), one per tuple position where some of them complete,
+        ascending by position.
 
         A tuple decides hole ``i`` to ``rules[i][choices[i]]``.  The sites
         are grouped by the last position they read, and ``(k, test)``
@@ -682,14 +708,17 @@ class SolverState:
         propagation no site is open.
         """
         groups: dict[int, list[_Site]] = {}
-        for site in self._tested_sites():
+        for site in self._tested_sites() if sites is None else sites:
             groups.setdefault(site.last, []).append(site)
         return [(last, _tuple_test(groups[last], rules)) for last in sorted(groups)]
 
-    def choice_test(self, rules: Sequence[Sequence[int]]) -> TupleTest | None:
+    def choice_test(
+        self, rules: Sequence[Sequence[int]], sites: Sequence[_Site] | None = None
+    ) -> TupleTest | None:
         """One test of complete choice tuples against every site left to
-        test (:meth:`_tested_sites`); ``None`` if none."""
-        sites = self._tested_sites()
+        test (:meth:`_tested_sites`, or ``sites``); ``None`` if none."""
+        if sites is None:
+            sites = self._tested_sites()
         return _tuple_test(sites, rules) if sites else None
 
 
@@ -716,3 +745,34 @@ def _tuple_test(sites: Sequence[_Site], rules: Sequence[Sequence[int]]) -> Tuple
         return True
 
     return passes
+
+
+def _product_mask(site: _Site, columns: Sequence[Sequence[str]]) -> Iterator[bool]:
+    """Whether each tuple of ``itertools.product(*columns)`` passes a
+    local site, in the product's order: the other reader of a site, for
+    the walks that take a node's programs as one product over its
+    children's.
+
+    ``columns[k]`` holds the texts of the programs of the node's ``k``-th
+    child, so a tuple holds one text per child, and the site reads the
+    ones at its :attr:`_Site.children`.  A site that reads no text breaks
+    every tuple.  An ``ordered`` site that compares two variables, none
+    repeated, and a ``forbidden`` one whose one variable repeats once
+    compare two texts with :func:`operator.le` and :func:`operator.ne` in
+    C; any other site, such as an ``ordered`` one that lists a variable
+    twice, asks :meth:`_Site.violated` per tuple.
+    """
+    picks = site.children
+    if not picks:
+        return itertools.repeat(False, math.prod(map(len, columns)))
+    tuples = itertools.product(*columns)
+    if site.compared is None and len(picks) == 2:
+        compare = operator.ne
+    elif site.compared is not None and len(site.compared) == 2 and not site.repeats:
+        compare = operator.le
+        picks = tuple(picks[k] for k in site.compared)
+    else:
+        return (not site.violated([texts[k] for k in site.children]) for texts in tuples)
+    if picks != (0, 1) or len(columns) != 2:
+        tuples = map(operator.itemgetter(*picks), tuples)
+    return itertools.starmap(compare, tuples)

@@ -32,30 +32,48 @@ from synthkit.nodes import (
     serialize_node,
 )
 from synthkit.probe import ProbeRun, PromisingProgram, modify_grammar_probe
-from synthkit.solver import Surveyed
+from synthkit.solver import SolverState, Surveyed
 
 
-def enumerate_programs(grammar, symbol, max_depth, _cache=None):
-    """All complete trees deriving ``symbol`` with depth <= max_depth."""
+def enumerate_programs(grammar, symbol, max_depth, _cache=None, max_size=None):
+    """All complete trees deriving ``symbol`` with depth <= max_depth and,
+    given ``max_size``, at most that many nodes."""
     if _cache is None:
         _cache = {}
-    key = (symbol, max_depth)
+    key = (symbol, max_depth, max_size)
     if key in _cache:
         return _cache[key]
     out = []
-    if max_depth >= 1:
+    if max_depth >= 1 and (max_size is None or max_size >= 1):
         for index in grammar.rules_for(symbol):
             childtypes = grammar.childtypes(index)
             if not childtypes:
                 out.append(RuleNode(index))
-            elif max_depth >= 2:
+            elif max_depth >= 2 and max_size is None:
                 pools = [
                     enumerate_programs(grammar, t, max_depth - 1, _cache)
                     for t in childtypes
                 ]
                 out.extend(RuleNode(index, combo) for combo in product(*pools))
+            elif max_depth >= 2:
+                combos = _children_within(grammar, childtypes, max_depth - 1, max_size - 1, _cache)
+                out.extend(RuleNode(index, combo) for combo in combos)
     _cache[key] = out
     return out
+
+
+def _children_within(grammar, childtypes, max_depth, budget, cache):
+    """Every tuple of children of the given types, each of depth at most
+    ``max_depth``, with at most ``budget`` nodes between them."""
+    if not childtypes:
+        yield ()
+        return
+    rest_types = childtypes[1:]
+    firsts = enumerate_programs(grammar, childtypes[0], max_depth, cache, budget - len(rest_types))
+    for first in firsts:
+        left = budget - node_count(first)
+        for rest in _children_within(grammar, rest_types, max_depth, left, cache):
+            yield (first,) + rest
 
 
 def reference_eval_arith(node, x):
@@ -425,6 +443,19 @@ def reference_lexicographic_walk(state, code=None):
     for choices in product(*(range(len(rules)) for rules in domains)):
         if passes is None or passes(choices):
             yield build(choices)
+
+
+def unconstrained_copy(state):
+    """A state over the same tree with the state's current domains and no
+    constraints."""
+
+    def narrow(node, path):
+        children = tuple(narrow(child, path + (i,)) for i, child in enumerate(node.children))
+        if isinstance(node, RuleNode):
+            return RuleNode(node.rule, children)
+        return UniformHole(frozenset(state.domain(path)), children)
+
+    return SolverState(state.grammar, narrow(state.root, ()), ())
 
 
 def reference_assignments_best_first(state, grammar, code=None, orders=None):

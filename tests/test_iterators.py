@@ -43,6 +43,7 @@ from oracles import (
     enumerate_programs,
     reference_assignments_best_first,
     reference_lexicographic_walk,
+    unconstrained_copy,
 )
 
 LN5 = math.log(0.2)
@@ -331,8 +332,8 @@ def _walk_paths(monkeypatch):
     product_programs = iterators._product_programs
     choice_builder = iterators._choice_builder
 
-    def counted_product(root, domains, code):
-        programs = product_programs(root, domains, code)
+    def counted_product(root, domains, code, *rest):
+        programs = product_programs(root, domains, code, *rest)
         paths["product"] += programs is not None
         return programs
 
@@ -520,14 +521,35 @@ def _ranked_walks(monkeypatch):
 
 
 def _ranks(state, grammar):
-    """Whether a drained mlfs walk of the tree ranks its rest: no site is
-    open, every log-probability of its domains is finite, and it has more
-    programs than the heap emits first and at most _RANKED_MAX."""
+    """Whether a drained mlfs walk of the tree ranks its rest: every site
+    left to test is local, and then each child of the root has at most
+    _CACHED_PARTS programs, every log-probability of its domains is
+    finite, and the tree has at most _RANKED_MAX tuples, more than the
+    heap pops first: 1/_RANK_AFTER of them, and at least up to its first
+    passing one."""
     domains = [state.domain(path) for path in state.hole_paths()]
     count = math.prod(map(len, domains))
-    skip = max(1, count // iterators._RANK_AFTER)
     finite = all(math.isfinite(grammar.log_probability(r)) for rules in domains for r in rules)
-    return state.choice_test(domains) is None and finite and skip < count <= iterators._RANKED_MAX
+    sites = state._tested_sites()
+    if any(site.children is None for site in sites):
+        return False
+    if sites and any(
+        math.prod(map(len, domains[i : i + node_count(child)])) > iterators._CACHED_PARTS
+        for child, i in iterators._children_at(state.root, 0)
+    ):
+        return False
+    popped = 1
+    if sites:
+        passing = {
+            serialize_node(p) for p, _, _ in reference_assignments_best_first(state, grammar)
+        }
+        heap = reference_assignments_best_first(unconstrained_copy(state), grammar)
+        firsts = [k for k, (p, _, _) in enumerate(heap) if serialize_node(p) in passing]
+        if not firsts:
+            return False
+        popped = firsts[0] + 1
+    skip = max(popped, count // iterators._RANK_AFTER)
+    return finite and skip < count <= iterators._RANKED_MAX
 
 
 def _best_first_items(programs):
@@ -620,10 +642,13 @@ def test_a_tree_ranks_up_to_the_cap_and_pops_past_it(last_leaf, ranked, monkeypa
     )
 
 
-def test_mlfs_ranks_no_tree_with_vectors_or_an_open_site(monkeypatch):
-    # A search with a problem pops every tree to its end, vectors and all;
-    # under an ordered constraint only the trees that propagation left
-    # with no open site rank.
+def test_mlfs_ranks_no_tree_with_vectors_or_a_site_that_is_not_local(monkeypatch):
+    # A search with a problem pops every tree to its end, vectors and all.
+    # Under an ordered constraint, whose sites are local, a tree with sites
+    # left to test ranks too, its rank order kept by the flags its local
+    # sites give each tuple; under a nested forbidden pattern, whose sites
+    # read deeper than a node's children, only the trees that propagation
+    # left with no site to test rank.
     grammar = _weighted("arith", "seeded")
     problem = load_problem_file(SUITES_DIR / "arith" / "linear.problem.json").problem
     paths = _ranked_walks(monkeypatch)
@@ -644,15 +669,26 @@ def test_mlfs_ranks_no_tree_with_vectors_or_an_open_site(monkeypatch):
         return iter(programs)
 
     monkeypatch.setattr(iterators, "_assignments_best_first", kept)
-    ordered = parse_constraint("(ordered (rule 4 (var a) (var b)) (a b))")
-    config = IteratorConfig("mlfs", grammar, "Int", max_depth=4, max_size=7, constraints=(ordered,))
-    assert sum(1 for _ in make_iterator(config)) > 1000
-    for state, ranked, programs in trees:
-        assert ranked == _ranks(state, grammar)
-        assert _best_first_items(programs) == _best_first_items(
-            reference_assignments_best_first(state, grammar)
+    for text, local in (
+        ("(ordered (rule 4 (var a) (var b)) (a b))", True),
+        ("(forbidden (rule 5 (var a) (rule 4 (var a) (var b))))", False),
+    ):
+        del trees[:]
+        constraints = (parse_constraint(text),)
+        config = IteratorConfig(
+            "mlfs", grammar, "Int", max_depth=4, max_size=7, constraints=constraints
         )
-    assert 0 < sum(ranked for _, ranked, _ in trees) < len(trees)
+        assert sum(1 for _ in make_iterator(config)) > 1000
+        for state, ranked, programs in trees:
+            assert ranked == _ranks(state, grammar)
+            assert _best_first_items(programs) == _best_first_items(
+                reference_assignments_best_first(state, grammar)
+            )
+        # Here every tree ranks under the ordered constraint, and none with
+        # a site to test under the nested one.
+        tested = [ranked for state, ranked, _ in trees if state._tested_sites()]
+        assert tested and all(tested) == any(tested) == local
+        assert (sum(ranked for _, ranked, _ in trees) == len(trees)) == local
 
 
 def test_a_ranked_tree_cut_off_by_a_budget_builds_no_root_it_does_not_emit(monkeypatch):
@@ -926,12 +962,14 @@ def test_bottom_up_timeout_holds_when_pruning_drops_nearly_everything():
     # No program of the grammar reaches these outputs, and observational
     # equivalence drops most candidates, so emissions are rare; the bank
     # must check the deadline on every candidate, not between emissions.
+    # The search must outlast the timeout: up to size 10 it ends in about
+    # 0.9 s on 2 shared CPUs (Python 3.11), up to size 11 in about 2.4 s.
     grammar = parse_grammar((SUITES_DIR / "mini-strings" / "default.herbg").read_text())
     problem = Problem(
         "unreachable", (IOExample({"x": "hello"}, 1000), IOExample({"x": "sun"}, 999))
     )
     config = IteratorConfig(
-        "bottom_up", grammar, "I", max_size=10, observational_equivalence=True
+        "bottom_up", grammar, "I", max_size=11, observational_equivalence=True
     )
     started = time.monotonic()
     result = synth(problem, config, timeout_seconds=1.0)

@@ -50,6 +50,7 @@ from oracles import (
     reference_propagate,
     reference_split_first_hole,
     reference_survey,
+    unconstrained_copy,
 )
 
 FORBID_PLUS_AA = parse_constraint("(forbidden (rule 4 (var a) (var a)))")
@@ -737,14 +738,14 @@ def test_a_constraint_watching_part_of_a_tree_keeps_the_reference_sequence(
     partly_read = 0
     choice_tests = SolverState.choice_tests
 
-    def recording_choice_tests(state, rules):
+    def recording_choice_tests(state, rules, sites=None):
         nonlocal partly_read
         read = set()
         for site in map(state._sites.__getitem__, state._open):
             read.update(hole for hole, _ in site.pattern)
             read.update(hole for holes, _ in site.bound for hole in holes)
         partly_read += 0 < len(read) < len(rules)
-        return choice_tests(state, rules)
+        return choice_tests(state, rules, sites)
 
     monkeypatch.setattr(SolverState, "choice_tests", recording_choice_tests)
     assert not has_recording(g0)
@@ -861,17 +862,24 @@ def test_the_choice_tuple_walk_tests_each_prefix_where_its_sites_complete(
     # earlier groups pass, so a failing prefix skips every tuple extending
     # it; and only the programs the walk yields are built: each yielded
     # program's root is constructed exactly once, whether the tree is
-    # walked by tuples or, with no site open, as a product over its
-    # children's programs.
+    # walked by tuples or as a product over its children's programs.  A
+    # tree whose sites are all local is such a product; its tuple walk
+    # runs only to the first passing tuple, the program it emits first.
     strings = parse_grammar((SUITES_DIR / "mini-strings" / "default.herbg").read_text())
     walk = iterators._assignments_depth_first
+    product_programs = iterators._product_programs
     choice_tests = SolverState.choice_tests
     calls, built, latest = [], [], {}
     seen = {"trees": 0, "early": 0, "skipped": 0, "settled": 0, "bounded": 0, "pattern": 0,
-            "kept": 0, "empty": 0, "untested": 0}
+            "kept": 0, "empty": 0, "untested": 0, "local": 0, "tuples": 0}
 
-    def recording_choice_tests(state, rules):
-        groups = choice_tests(state, rules)
+    def recording_product_programs(*args):
+        programs = product_programs(*args)
+        latest["product"] = programs is not None
+        return programs
+
+    def recording_choice_tests(state, rules, sites=None):
+        groups = choice_tests(state, rules, sites)
 
         def recorded(last, test):
             def passes(choices):
@@ -886,6 +894,7 @@ def test_the_choice_tuple_walk_tests_each_prefix_where_its_sites_complete(
 
     def checked_walk(state, code=None):
         del calls[:], built[:]
+        latest["product"] = False
         programs = list(walk(state, code))
         assert _roots_built(state, built) == [id(p) for p, _, _ in programs]
         expected = list(reference_assignments_depth_first(state, code))
@@ -930,6 +939,12 @@ def test_the_choice_tuple_walk_tests_each_prefix_where_its_sites_complete(
             seen["empty"] += 1
         assert [last for last, _ in latest["groups"]] == sorted(completions)
         # Replay the prefix skip over every tuple of the propagated domains.
+        # A product stops its walk at the first passing tuple, so each
+        # group has tested a leading part of its prefixes, and the last test
+        # passed the last group's.
+        product = latest["product"] and programs
+        if product and latest["groups"]:
+            assert calls[-1][0] == latest["groups"][-1][0] and calls[-1][2]
         ranges = [range(len(state.domain(path))) for path in state.hole_paths()]
         survivors = [()]
         for last, test in latest["groups"]:
@@ -938,7 +953,8 @@ def test_the_choice_tuple_walk_tests_each_prefix_where_its_sites_complete(
                 for prefix in survivors
                 for part in itertools.product(*ranges[len(prefix) : last + 1])
             ]
-            assert [choices for at, choices, _ in calls if at == last] == prefixes
+            tested = [choices for at, choices, _ in calls if at == last]
+            assert tested == (prefixes[: len(tested)] if product else prefixes)
             survivors = [prefix for prefix in prefixes if test(prefix)]
             if last < len(ranges) - 1:
                 seen["early"] += 1
@@ -946,6 +962,8 @@ def test_the_choice_tuple_walk_tests_each_prefix_where_its_sites_complete(
         assert all(len(choices) == last + 1 for last, choices, _ in calls)
         seen["trees"] += 1
         seen["untested"] += not latest["groups"]
+        if latest["groups"]:
+            seen["local" if latest["product"] else "tuples"] += 1
         return iter(programs)
 
     cases = []
@@ -975,6 +993,7 @@ def test_the_choice_tuple_walk_tests_each_prefix_where_its_sites_complete(
     right_x = parse_constraint("(forbidden (domain (1 10) (var a) (domain (2 3))))")
     cases += [(wide, "Int", 3, 7, (ordered,)), (wide, "Int", 3, 7, (ordered, right_x))]
     monkeypatch.setattr(SolverState, "choice_tests", recording_choice_tests)
+    monkeypatch.setattr(iterators, "_product_programs", recording_product_programs)
     _count_constructions(monkeypatch, built)
     monkeypatch.setattr(iterators, "_assignments_depth_first", checked_walk)
     for grammar, start, max_depth, max_size, constraints in cases:
@@ -990,8 +1009,10 @@ def test_the_choice_tuple_walk_tests_each_prefix_where_its_sites_complete(
     assert seen["settled"] > 100
     assert seen["bounded"] > 0 and seen["pattern"] > 0 and seen["kept"] > 0
     assert seen["empty"] > 0
-    # Trees with no site left open take the product path.
+    # Trees with no site left open take the product path, and so do many
+    # with sites left to test; the rest are walked by tuples.
     assert seen["untested"] > 50
+    assert seen["local"] > 30 and seen["tuples"] > 40
 
 
 @pytest.mark.parametrize("kind", ["bfs", "dfs", "mlfs"])
@@ -1009,7 +1030,7 @@ def test_the_empty_enum_constrained_trees_are_rejected_before_any_build(g0, kind
     choice_tests = SolverState.choice_tests
     trees, built = [], []
 
-    def counting_choice_tests(state, rules):
+    def counting_choice_tests(state, rules, sites=None):
         tree = trees[-1]
 
         def counted(test):
@@ -1019,7 +1040,7 @@ def test_the_empty_enum_constrained_trees_are_rejected_before_any_build(g0, kind
 
             return passes
 
-        return [(last, counted(test)) for last, test in choice_tests(state, rules)]
+        return [(last, counted(test)) for last, test in choice_tests(state, rules, sites)]
 
     def recorded_walk(state, *args):
         tree = {"state": state, "tests": 0}
@@ -1303,19 +1324,6 @@ def test_site_templates_read_the_serialized_materialized_subtrees(g0, monkeypatc
     assert checked > 1000 and literal > 0
 
 
-def _unconstrained_copy(state):
-    """A state over the same tree with the state's current domains and no
-    constraints."""
-
-    def narrow(node, path):
-        children = tuple(narrow(child, path + (i,)) for i, child in enumerate(node.children))
-        if isinstance(node, RuleNode):
-            return RuleNode(node.rule, children)
-        return UniformHole(frozenset(state.domain(path)), children)
-
-    return SolverState(state.grammar, narrow(state.root, ()), ())
-
-
 def test_constrained_mlfs_checks_choices_before_it_builds(g0, monkeypatch):
     # mlfs decides each popped choice tuple against the state's sites
     # before it builds the program.  Per uniform tree it must yield exactly
@@ -1345,7 +1353,7 @@ def test_constrained_mlfs_checks_choices_before_it_builds(g0, monkeypatch):
             yield item
 
     def filtered(state, grammar, code, orders):
-        for item in best_first(_unconstrained_copy(state), grammar, code, orders):
+        for item in best_first(unconstrained_copy(state), grammar, code, orders):
             if check_program(state.constraints, item[0]):
                 yielded.append(item)
                 yield item
