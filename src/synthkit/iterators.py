@@ -11,9 +11,12 @@ the tree's, so no queued tree is walked again: a piece is uniform exactly
 when it has no holes left, and bfs keys it by its carried depth.
 Dequeuing a uniform tree emits its next complete program and re-enqueues
 the tree until its programs are exhausted; the re-enqueue waits for the
-next dequeue, which does both with one :func:`heapq.heappushpop`.  Every
-queue value, fresh or re-enqueued, comes from the iterator's ``_priority``
-method, and the discipline differs per iterator:
+next dequeue, which does both with one :func:`heapq.heappushpop`.  A bfs
+or dfs search with no problem, budget or deadline skips that round trip
+for a tree whose re-enqueue key is strictly below the head of the queue,
+and emits the rest of its programs at once (:meth:`TopDownIterator._run`).
+Every queue value, fresh or re-enqueued, comes from the iterator's
+``_priority`` method, and the discipline differs per iterator:
 
 * ``bfs``   -- fresh trees are keyed by (depth, insertion counter): FIFO
   within a depth layer; a re-enqueued uniform tree keeps its position, so
@@ -382,6 +385,9 @@ class TopDownIterator(_ProgramIterator):
     """
 
     kind = "bfs"
+    # Whether a uniform tree's re-enqueue key never rises while it emits,
+    # so that one ahead of the queue may emit the rest at once (:meth:`_run`).
+    _drains = True
 
     def __init__(
         self, config: IteratorConfig, problem: Problem | None = None, deadline: float | None = None
@@ -450,11 +456,26 @@ class TopDownIterator(_ProgramIterator):
         whose key nothing else can undercut, comes straight back with no
         sift.  The held entry lives in this frame, so a paused search
         resumes with it.
+
+        A bfs or dfs search with nothing to do per program -- no problem,
+        so no vector, and no budget -- drains instead: a uniform entry
+        dequeued while no deadline is set, whose re-enqueue key is strictly
+        below the head of the queue, emits all its programs at once.  Its
+        key never rises while it emits (bfs and dfs keep it, dfs over
+        shapes lowers it by one per program) and nothing is pushed
+        meanwhile, so every round trip would have handed it straight back;
+        a tie loses to the older entry, so dfs still alternates between
+        sibling trees of equal priority.  mlfs keys each program by its own
+        log-probability, so it never drains.
         """
         emitted = 0
         budget = self.config.max_enumerations
         heap = self._heap
         held = None
+        # Decided once, since testing it per dequeue slows mlfs; only the
+        # deadline, which a recording's consumers reset between programs,
+        # is read per dequeue.
+        drains = self._drains and self.code is None and budget is None
         while heap or held is not None:
             if budget is not None and emitted >= budget:
                 return
@@ -480,6 +501,12 @@ class TopDownIterator(_ProgramIterator):
                     self._push_piece(piece, priority)
                 continue
             program, vector = entry.peeked, entry.vector
+            if drains and deadline is None:
+                key = self._priority(entry, priority, True)
+                if not heap or key < heap[0][0]:
+                    yield program
+                    yield from map(operator.itemgetter(0), entry.programs)
+                    continue
             self._advance(entry)
             if entry.peeked is not None:
                 held = (self._priority(entry, priority, True), next(self._tie), entry)
@@ -537,6 +564,7 @@ class MLFSIterator(TopDownIterator):
     """
 
     kind = "mlfs"
+    _drains = False
 
     def __init__(
         self, config: IteratorConfig, problem: Problem | None = None, deadline: float | None = None

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import time
+import types
 
 import pytest
 
@@ -717,6 +718,124 @@ def test_a_ranked_tree_cut_off_by_a_budget_builds_no_root_it_does_not_emit(monke
     assert _best_first_items(taken) == expected[:20]
     size = node_count(state.root)
     assert [id(node) for node in built if node_count(node) == size] == [id(p) for p, _, _ in taken]
+
+
+# -- bfs and dfs draining a uniform tree ahead of the queue ---------------------
+
+# Each case's suite, start symbol, bounds and constraints: enum-plain's
+# bounds on both suites, and enum-constrained's on arith under each of its
+# two constraint sets.
+DRAIN_CASES = {
+    "arith": ("arith", "Int", 4, 9, ()),
+    "mini-strings": ("mini-strings", "S", 3, 6, ()),
+    "ordered": (
+        "arith", "Int", 4, 7,
+        ("(ordered (rule 4 (var a) (var b)) (a b))", "(ordered (rule 5 (var a) (var b)) (a b))"),
+    ),
+    "forbidden": ("arith", "Int", 4, 7, ("(forbidden (rule 4 (var a) (var a)))",)),
+}
+DRAIN_KINDS = pytest.mark.parametrize(
+    "kind, over", [("bfs", False), ("dfs", False), ("dfs", True)],
+    ids=["bfs", "dfs", "dfs-over-shapes"],
+)
+
+
+def _drain_search(case, kind, over=False, budget=None, deadline=None):
+    """A search without a problem; mlfs runs under seeded probabilities."""
+    suite, start, max_depth, max_size, texts = DRAIN_CASES[case]
+    if kind == "mlfs":
+        grammar = _weighted(suite, "seeded")
+    else:
+        grammar = load_grammar_file(SUITES_DIR / suite / "default.herbg")
+    config = IteratorConfig(
+        kind, grammar, start, max_depth=max_depth, max_size=max_size,
+        constraints=tuple(parse_constraint(text) for text in texts),
+        max_enumerations=budget, dfs_over_shapes=over,
+    )
+    return make_iterator(config, deadline=deadline)
+
+
+def _advanced(monkeypatch):
+    """Record the entry of every ``_advance`` call, in order."""
+    entries = []
+    advance = iterators.TopDownIterator._advance
+
+    def recorded(search, entry):
+        entries.append(entry)
+        advance(search, entry)
+
+    monkeypatch.setattr(iterators.TopDownIterator, "_advance", recorded)
+    return entries
+
+
+def _far():
+    """A deadline no search here reaches, which keeps the per-program path."""
+    return time.monotonic() + 3600
+
+
+@DRAIN_KINDS
+@pytest.mark.parametrize("case", sorted(DRAIN_CASES))
+def test_a_tree_ahead_of_the_queue_drains_and_changes_nothing(case, kind, over, monkeypatch):
+    # With no problem, deadline or budget, a uniform tree is advanced once,
+    # to peek it as it is queued, and emits the rest at once.  Only dfs
+    # siblings of equal priority still take turns program by program, until
+    # one is exhausted.  Under a deadline every program is advanced to, and
+    # the sequence is the same.
+    entries = _advanced(monkeypatch)
+    drained = [serialize_node(p) for p in _drain_search(case, kind, over)]
+    advances, trees = len(entries), len(set(map(id, entries)))
+    entries.clear()
+    kept = [serialize_node(p) for p in _drain_search(case, kind, over, deadline=_far())]
+    assert drained == kept and len(kept) > 600
+    assert len(set(map(id, entries))) == trees
+    assert len(entries) == trees + len(kept)
+    if kind == "dfs" and not over:
+        assert trees < advances < trees + len(kept) // 100
+    else:
+        assert advances == trees
+
+
+@pytest.mark.parametrize("case", sorted(DRAIN_CASES))
+def test_mlfs_advances_once_per_program(case, monkeypatch):
+    # mlfs keys every program by its own log-probability, so it never drains.
+    entries = _advanced(monkeypatch)
+    programs = [serialize_node(p) for p in _drain_search(case, "mlfs")]
+    assert len(entries) == len(set(map(id, entries))) + len(programs)
+
+
+def test_a_deadline_inside_a_large_bfs_tree_stops_at_the_same_program(monkeypatch):
+    # A clock that ticks once per reading passes the deadline at the 3,500th
+    # dequeue, inside the 3,888 programs of the tree bfs emits from the
+    # 1,534th program on.  A deadline keeps the per-program path, so the
+    # search stops at the 3,474th program, where it stopped when every
+    # emission took a round trip through the queue.
+    full = [serialize_node(p) for p in _drain_search("arith", "bfs")]
+    entries = _advanced(monkeypatch)
+    ticks = itertools.count()
+    monkeypatch.setattr(iterators, "time", types.SimpleNamespace(monotonic=lambda: next(ticks)))
+    stopped = [serialize_node(p) for p in _drain_search("arith", "bfs", deadline=3500)]
+    assert len(stopped) == 3474 and stopped == full[:3474]
+    # The tree that emitted last still had programs to emit.
+    assert entries[-1].peeked is not None
+
+
+@DRAIN_KINDS
+def test_a_budget_inside_a_tree_or_at_its_end_emits_the_prefix(kind, over, monkeypatch):
+    # Under a far deadline each emission advances its own tree last, which
+    # names the tree of every program; a budget ends halfway through the
+    # longest run of one tree's programs, or where that run ends.
+    full = [serialize_node(p) for p in _drain_search("arith", kind, over)]
+    entries = _advanced(monkeypatch)
+    trees = []
+    for _ in _drain_search("arith", kind, over, deadline=_far()):
+        trees.append(id(entries[-1]))
+    runs = [len(list(run)) for _, run in itertools.groupby(trees)]
+    longest = runs.index(max(runs))
+    end = sum(runs[: longest + 1])
+    assert len(trees) == len(full) and runs[longest] > 1000 and end < len(full)
+    for budget in (end - runs[longest] // 2, end):
+        search = _drain_search("arith", kind, over, budget=budget)
+        assert [serialize_node(p) for p in search] == full[:budget]
 
 
 # -- bottom-up specifics ---------------------------------------------------------
