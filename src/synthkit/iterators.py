@@ -34,53 +34,66 @@ Every queued tree is made of holes only: the root is the start symbol's
 hole, and a split replaces a hole with a uniform hole over full-domain
 holes.  So a uniform tree's nodes are exactly its holes, in the preorder of
 :meth:`~synthkit.solver.SolverState.hole_paths`, its shape is fixed, and
-consecutive programs of one tree differ only in a few holes.  Every kind
-walks a uniform tree's programs as per-hole choice tuples and, unless bfs
-or dfs takes the tree as one product (below), compiles the tree once into
-a builder from a tuple (:func:`_choice_builder`).  Holes
-are numbered once, in that preorder: the solver state's domains and
-constraint tests, the walks and the builder all index the tuple the same
-way, so the subtree at hole ``i`` with
-``n`` nodes owns ``choices[i:i+n]``; every subtree below the root reuses
-what it built on its part before -- a leaf from a table indexed by its
-one choice, a larger subtree from a bounded cache of parts -- so programs
-share their unchanged subtrees, and the tables and caches die with the
-tree's walk.  bfs and dfs walk the tuples in lexicographic order over the
-holes' ascending domains.  A tree whose constraint sites left to test are
-all local (:class:`~synthkit.solver._Site`: each reads only its node's
-rule and whole children of it), and whose child subtrees each have at
-most ``_CACHED_PARTS`` programs, is walked as one
-:func:`itertools.product` over its children's listed programs, filtered
-by the sites decided in C on the children's texts, which yields the same
-sequence without building from tuples (:func:`_product_programs`).  The
-lists are built only when the walk is advanced past its first passing
-program, which is built alone: a queued tree that has not emitted holds
-that one program, and one that has holds at most ``_CACHED_PARTS``
-programs (and vectors and texts) per child of its root, however many
-trees are queued; dfs, which alternates between sibling trees, may hold
-several such walks at once.  Otherwise the walk tests each prefix where
-some constraint sites complete, so a failing prefix skips every tuple
-that extends it; an ``ordered`` site that the least and greatest texts of
-its compared subtrees settle is not tested, and one they make a violation
-wherever it matches is tested at its last pattern hole, so a tree where
-no tuple passes is rejected early.  mlfs walks them best-first, after the
-same lexicographic walk, building nothing, has found a passing tuple,
-testing each popped tuple against the sites up to its first program; past
-it, a tree that bfs and dfs would take as one product decides its local
-sites from the same children's texts instead (:func:`_facts_test`).  Its
-builder also returns the program's log-probability, the queue priority
-when the tree is re-enqueued, so no emitted program is walked again to
-price it.  Once the heap of a tree with no site to test or only local
-ones so decided, no vectors to compute, finite log-probabilities and at
-most ``_RANKED_MAX`` programs has popped ``1/_RANK_AFTER`` of its tuples,
-the rest is ranked: one sort of every tuple's heap key, computed as the
-heap computes it, gives the rest of the heap's own order, kept by one flag
-per tuple from the children's texts, and each program is one node over
-its children's listed programs (:func:`_ranked_after`).
-Every walk yields what the builder returns, ``(program, log-probability,
-vector)``, the
-log-probability ``None`` for bfs and dfs, so one step peeks every kind's
-next program.
+consecutive programs of one tree differ only in a few holes.  Holes are
+numbered once, in that preorder: the solver state's domains and constraint
+tests, the walks and the builder all index a choice tuple the same way, so
+the subtree at hole ``i`` with ``n`` nodes owns ``choices[i:i+n]``, and the
+lexicographic order of the tuples runs the root's rule slowest, then each
+child's part in turn, each in that child's own lexicographic order.
+
+A walk builds a uniform tree's programs in one of two ways.  The tuple
+builder (:func:`_choice_builder`), compiled once per tree, builds the
+program of one tuple; every subtree below the root reuses what it built on
+its part before -- a leaf from a table indexed by its one choice, a larger
+subtree from a bounded cache keyed by its part -- so programs share their
+unchanged subtrees.  A listing (:func:`_listing`) gives all the programs
+of one subtree in its lexicographic order, in one recursive walk that
+builds only the columns its caller asks for: programs, vectors,
+log-probabilities, texts, and the flags of the constraint sites decided on
+those texts.  Each walk keeps one record of its root's children
+(:func:`_children`): each child's first hole, program count and stride,
+which pick the child's program of any lexicographic index of the tree.
+The listings, tables and caches die with the tree's walk.
+
+bfs and dfs walk the tuples in lexicographic order over the holes'
+ascending domains.  A tree whose constraint sites left to test are all
+local (:class:`~synthkit.solver._Site`: each reads only its node's rule
+and whole children of it), and whose root's children each have at most
+``_CACHED_PARTS`` programs, is one :func:`itertools.product` over its
+children's listed programs, filtered by the sites decided in C on the
+children's texts, which yields the same sequence without building from
+tuples (:func:`_product_programs`).  Its first passing program is built
+alone by the builder, and the children are listed only when the walk is
+advanced past it: a queued tree that has not emitted holds that one
+program, and one that has holds at most ``_CACHED_PARTS`` programs (and
+vectors and texts) per child of its root, however many trees are queued;
+dfs, which alternates between sibling trees, may hold several such walks
+at once.  Otherwise the walk tests each prefix where some constraint sites
+complete, so a failing prefix skips every tuple that extends it, and builds
+each passing tuple; an ``ordered`` site that the least and greatest texts
+of its compared subtrees settle is not tested, and one they make a
+violation wherever it matches is tested at its last pattern hole, so a tree
+where no tuple passes is rejected early.
+
+mlfs walks the tuples best-first with a heap, once the same lexicographic
+walk, building nothing, has found a passing tuple, and builds each popped
+tuple that passes; its builder also returns the program's
+log-probability, the queue priority when the tree is re-enqueued, so no
+emitted program is walked again to price it.  Up to its first program the
+heap tests each popped tuple against the sites; past it, a tree that bfs
+and dfs would take as one product lists its root's children once and
+decides every later tuple from their texts and flags, read at the tuple's
+lexicographic index through the record (:func:`_facts_test`).  Once the
+heap of a tree with no site to test or only local ones so decided, no
+vectors to compute, finite log-probabilities and at most ``_RANKED_MAX``
+programs has popped ``1/_RANK_AFTER`` of its tuples, the rest is ranked:
+one sort of every tuple's heap key, computed as the heap computes it,
+gives the rest of the heap's own order, and each program is one node over
+the children's listed programs that the record picks for its index
+(:func:`_ranked_after`); the one listing of each child then also gives
+its programs and log-probabilities.  Every walk yields what the builder
+returns, ``(program, log-probability, vector)``, the log-probability
+``None`` for bfs and dfs, so one step peeks every kind's next program.
 
 The bottom-up iterator grows a bank of programs per nonterminal indexed by
 node count, combining smaller programs into larger ones, optionally pruning
@@ -131,6 +144,7 @@ starts without recordings.
 from __future__ import annotations
 
 import copy
+import functools
 import heapq
 import itertools
 import math
@@ -141,7 +155,7 @@ from array import array
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Sequence, Union
 from weakref import WeakKeyDictionary
 
 from .constraints import ConcreteRule, Constraint, Pattern, PatternVar, check_root
@@ -597,19 +611,13 @@ def _assignments_depth_first(state, code=None) -> Iterator[tuple[RuleNode, None,
 
     Propagation is not run again: it settled every site but the open ones,
     which :meth:`~synthkit.solver.SolverState._tested_sites` lists once per
-    tree.  When every child subtree of the root has at most
-    ``_CACHED_PARTS`` programs and every listed site is local (its pattern
-    reads only the hole at its own node, and it compares or repeats whole
-    children of that node), the tree's programs are the product of its
-    children's programs (:func:`_product_programs`): the first passing
-    program is built alone, and once the walk is advanced past it each
-    child's programs and vectors are listed, in their own lexicographic
-    order, and the root's rules run over their product in C, each rule's
-    run filtered by the sites decided on the children's texts
-    (:func:`_passes`).  That emits the same sequence as the tuple walk
-    without building a single program from a tuple.  Any other tree,
-    one with a site that reads deeper than its node's children or a child
-    of more than ``_CACHED_PARTS`` programs, is walked by tuples:
+    tree.  When every listed site is local (its pattern reads only the hole
+    at its own node, and it compares or repeats whole children of that
+    node) and each child of the root has at most ``_CACHED_PARTS``
+    programs by the tree's record of them (:func:`_children`), the tree's
+    programs are the product of its children's listed programs
+    (:func:`_product_programs`), which emits the same sequence without
+    building a program from a tuple.  Any other tree is walked by tuples:
     :meth:`~synthkit.solver.SolverState.choice_tests` groups the sites by
     the last position each reads, :func:`itertools.product` runs over the
     positions up to the next such position, where the prefix is tested, so
@@ -620,18 +628,23 @@ def _assignments_depth_first(state, code=None) -> Iterator[tuple[RuleNode, None,
     domains = [state.domain(path) for path in state.hole_paths()]
     sites = state._tested_sites()
     segments = _segments(state, domains, sites)
-    local = _local_sites(sites)
+    record = _children(state.root, 0, domains)
+    local = _local_sites(sites, record)
     if local is not None:
-        programs = _product_programs(state.root, domains, code, local, segments)
-        if programs is not None:
-            return programs
+        runs = _product_programs(state.root, record, domains, code, local, segments)
+        return itertools.chain.from_iterable(runs)
     build, _ = _choice_builder(state.root, [(rules, None) for rules in domains], code, {})
     return _walk(segments, 0, (), build)
 
 
-def _local_sites(sites) -> dict[int, list] | None:
-    """The sites by the hole they are posted at, or ``None`` when some
-    site is not local (:class:`~synthkit.solver._Site`)."""
+def _local_sites(sites, record) -> dict[int, list] | None:
+    """The sites by the hole they are posted at, or ``None`` when a walk
+    may not list the root's children (``record``, :func:`_children`) to
+    decide them: some site is not local (:class:`~synthkit.solver._Site`),
+    or some child has more than ``_CACHED_PARTS`` programs, the most a walk
+    lists per child."""
+    if any(count > _CACHED_PARTS for _, _, count, _ in record):
+        return None
     local: dict[int, list] = {}
     for site in sites:
         if site.children is None:
@@ -640,147 +653,131 @@ def _local_sites(sites) -> dict[int, list] | None:
     return local
 
 
-def _product_programs(root, domains, code, local, segments) -> Iterator[tuple] | None:
-    """The uniform tree's programs as :func:`_assignments_depth_first`
-    yields them, under the local sites ``local`` (by hole), or ``None``
-    when some child subtree of the root has more than ``_CACHED_PARTS``
-    programs.  ``segments`` are the tree's tuple walk's, which finds the
-    first passing tuple when a site is listed.
+def _children(node, i: int, domains) -> list[list]:
+    """The record of the children of the node at hole ``i``: per child,
+    in order, ``[child, first hole, program count, stride]``.
 
-    A subtree's program count is the product of its holes' domain sizes.
-    Holes are numbered in preorder and the last varies fastest, so the
-    lexicographic tuple order runs the root's rule slowest, then each
-    child's part in turn, each part in that child's own lexicographic
-    order.  The children's programs and vectors are listed the same way
-    down to the leaves, and every program of the tree shares them.
-    """
-    children = _listed_children(root, domains)
-    if children is None:
-        return None
-    return itertools.chain.from_iterable(_product_runs(children, domains, code, local, segments))
-
-
-def _listed_children(root, domains) -> list | None:
-    """The root's children with their first holes' numbers, or ``None``
-    when some child subtree has more than ``_CACHED_PARTS`` programs: the
-    most a walk lists per child."""
-    children = list(_children_at(root, 0))
-    for child, i in children:
-        if math.prod(map(len, domains[i : i + node_count(child)])) > _CACHED_PARTS:
-            return None
-    return children
+    A child's program count is the product of its holes' domain sizes, and
+    its stride the product of the counts of the children after it.  Holes
+    are numbered in preorder and the last varies fastest, so a tuple's
+    lexicographic index over the node's holes runs the node's own choice
+    slowest, then each child's part in turn, each in that child's own
+    lexicographic order: the child's program of index ``x`` is its
+    ``x // stride % count``-th, and the node's choice is ``x`` divided by
+    the product of all the counts."""
+    record = []
+    first = i + 1
+    for child in node.children:
+        end = first + node_count(child)
+        record.append([child, first, math.prod(map(len, domains[first:end])), 1])
+        first = end
+    stride = 1
+    for entry in reversed(record):
+        entry[3] = stride
+        stride *= entry[2]
+    return record
 
 
-def _product_runs(children, domains, code, local, segments) -> Iterator[Iterator[tuple]]:
-    """The tree's first passing program alone, then the rest, whose
-    children's lists are built only when the walk is advanced past the
-    first.  A search peeks every uniform tree as it queues it, so a queued
-    tree that has not emitted holds one program.  With no site the first
-    tuple takes each hole's least rule; otherwise the tuple walk finds it,
-    building nothing, and a tree without one yields nothing.  The rest
-    starts at the first program's root rule, since no tuple of an earlier
-    root rule passes.  Both runs take each leaf node from one table, keyed
-    by rule."""
+class _Listed(NamedTuple):
+    """A subtree's programs as :func:`_listing` gives them, each column in
+    the subtree's lexicographic order, and ``None`` where not asked for."""
+
+    programs: list | None
+    vectors: list | None
+    # Log-probabilities, summed as the builder sums them.
+    totals: list | None
+    # Each program's serialize_node text.
+    texts: list | None
+    # Whether each program passes the local sites inside the subtree;
+    # also None when no site is posted there.
+    flags: list | None
+
+
+def _listing(node, i: int, rules, values, code, leaves: dict | None, local) -> _Listed:
+    """The programs of the subtree at hole ``i`` over the per-hole
+    ``rules``, in its lexicographic order, with the columns asked for: the
+    programs given ``leaves``, the walk's table of leaf nodes by rule, with
+    their vectors through ``code``; their log-probabilities given the
+    per-hole ``values``; and given the local sites ``local`` (by hole),
+    their texts and flags.
+
+    Each column is built once from the children's, in one walk over the
+    subtree: a program is one trusted node over a tuple of listed children
+    and its vector one application of its rule's code to theirs
+    (:func:`_product_columns`), a log-probability the node's own plus each
+    child's in turn, a text the node's text format over its children's
+    texts, and a flag says that no site at the node that accepts its rule
+    is broken on its children's texts and that each child passes
+    (:func:`_passes`).  No local site is posted at a leaf."""
+    record = _children(node, i, rules)
+    parts = [_listing(child, j, rules, values, code, leaves, local) for child, j, _, _ in record]
+    programs = vectors = totals = texts = flags = None
+    if leaves is not None:
+        programs, vectors = _product_columns(rules[i], parts, code, leaves, 0)
+        programs, vectors = list(programs), None if code is None else list(vectors)
+    if values is not None:
+        totals = values[i]
+        for part in parts:
+            totals = [total + value for total in totals for value in part.totals]
+    if local and not parts:
+        texts = list(map(str, rules[i]))
+    elif local:
+        columns = itertools.product(*[part.texts for part in parts])
+        joined = list(map(",".join, columns))
+        texts = [text for rule in rules[i] for text in map(text_format(rule).format, joined)]
+        sites = local.get(i, ())
+        if sites or any(part.flags is not None for part in parts):
+            runs = map(functools.partial(_passes, sites, parts), rules[i])
+            flags = list(itertools.chain.from_iterable(runs))
+    return _Listed(programs, vectors, totals, texts, flags)
+
+
+def _product_programs(root, record, domains, code, local, segments) -> Iterator[Iterator]:
+    """The runs of the uniform tree's programs as
+    :func:`_assignments_depth_first` yields them, to be chained, under the
+    local sites ``local`` (by hole), where ``record`` is the root's
+    (:func:`_children`) and ``segments`` are the tree's tuple walk's.
+
+    The first passing program comes alone, built from its tuple by
+    :func:`_choice_builder`: a search peeks every uniform tree as it
+    queues it, so a queued tree that has not emitted holds one program.
+    With no site the first tuple takes each hole's least rule; otherwise
+    the tuple walk finds it, building nothing, and a tree without one
+    yields nothing.  Once the walk is advanced past it, each child of the
+    root is listed (:func:`_listing`), its programs with their vectors and,
+    under sites, texts and flags, and the root's rules run over the product
+    of the children's programs in C, each rule's run filtered by the sites
+    decided on the children's texts (:func:`_passes`).  The rest starts
+    at the first program's root rule, since no tuple of an earlier root
+    rule passes, and skips that program.  The first program and the rest
+    take each leaf node from one table, keyed by rule."""
     first = next(_walk(segments, 0, (), tuple), None) if local else (0,) * len(domains)
     if first is None:
         return
     leaves: dict = {}
-    picked = [rules[j : j + 1] for rules, j in zip(domains, first)]
-    yield _root_product(children, picked, code, leaves, 0, None)
-    rest = [domains[0][first[0] :], *domains[1:]]
-    yield _root_product(children, rest, code, leaves, 1, local)
+    build, _ = _choice_builder(root, [(rules, None) for rules in domains], code, leaves)
+    yield (build(first),)
+    parts = [_listing(child, i, domains, None, code, leaves, local) for child, i, _, _ in record]
+    passes = functools.partial(_passes, local.get(0, ()), parts) if local else None
+    programs, vectors = _product_columns(domains[0][first[0] :], parts, code, leaves, 1, passes)
+    yield zip(programs, itertools.repeat(None), vectors)
 
 
-def _root_product(children, domains, code, leaves: dict, skip: int, local) -> Iterator[tuple]:
-    """The tree's programs over ``domains`` that pass the local sites
-    ``local``, less the first ``skip``."""
-    parts = [_subtree_columns(child, domains, code, leaves, i) for child, i in children]
-    passes = None
-    if local:
-        facts = [_subtree_facts(child, domains, i, local) for child, i in children]
-        sites = local.get(0, ())
-
-        def passes(rule):
-            return _passes(rule, sites, facts)
-
-    programs, vectors = _product_columns(domains[0], parts, code, leaves, skip, passes)
-    return zip(programs, itertools.repeat(None), vectors)
-
-
-def _children_at(node, i: int) -> Iterator[tuple[Node, int]]:
-    """Each child of the node at hole ``i``, with the hole it is at."""
-    i += 1
-    for child in node.children:
-        yield child, i
-        i += node_count(child)
-
-
-def _subtree_columns(node, domains, code, leaves: dict, i: int) -> tuple[list, list | None]:
-    """The programs of the subtree at hole ``i`` in lexicographic order,
-    and their vectors through ``code`` (``None`` without code)."""
-    parts = [
-        _subtree_columns(child, domains, code, leaves, j) for child, j in _children_at(node, i)
-    ]
-    programs, vectors = _product_columns(domains[i], parts, code, leaves, 0)
-    return list(programs), None if code is None else list(vectors)
-
-
-def _subtree_facts(node, domains, i: int, local: dict) -> tuple[list[str], list | None]:
-    """What the local sites read of the subtree at hole ``i``: the text of
-    each of its programs, in the lexicographic order of
-    :func:`_subtree_columns`, and whether each passes the sites posted
-    inside the subtree, ``None`` when none is.
-
-    A text is the program's :func:`~synthkit.nodes.serialize_node`, built
-    once from its children's texts, so no site formats a subtree per
-    tuple.  No local site is posted at a leaf."""
-    rules = domains[i]
-    facts = [_subtree_facts(child, domains, j, local) for child, j in _children_at(node, i)]
-    if not facts:
-        return [str(rule) for rule in rules], None
-    columns = [texts for texts, _ in facts]
-    texts = [
-        text
-        for rule in rules
-        for text in map(text_format(rule).format, map(",".join, itertools.product(*columns)))
-    ]
-    sites = local.get(i, ())
-    if not sites and all(flags is None for _, flags in facts):
-        return texts, None
-    return texts, _node_flags(rules, sites, facts)
-
-
-def _node_flags(rules, sites, facts) -> list[bool]:
-    """Whether each program of a node over ``rules`` passes, in
-    lexicographic order: each rule's run of :func:`_passes`."""
-    count = math.prod(len(texts) for texts, _ in facts)
-    runs = (_passes(rule, sites, facts) for rule in rules)
-    return list(
-        itertools.chain.from_iterable(
-            itertools.repeat(True, count) if run is None else run for run in runs
-        )
-    )
-
-
-def _passes(rule: int, sites, facts) -> Iterator[bool] | None:
+def _passes(sites, parts: list, rule: int) -> Iterator[bool]:
     """Whether each tuple of the children's product passes, for a node at
-    ``rule`` whose local sites are ``sites`` and whose children's texts and
-    flags are ``facts`` (:func:`_subtree_facts`): no site there that
-    accepts the rule is broken (:func:`~synthkit.solver._product_mask`),
-    and every child passes the sites inside it.  ``None`` when nothing
-    needs deciding."""
-    masks = [
-        _product_mask(site, [texts for texts, _ in facts])
-        for site in sites
-        if rule in site.pattern[0][1]
-    ]
-    if any(flags is not None for _, flags in facts):
+    ``rule`` whose local sites are ``sites`` and whose children's listings
+    are ``parts``: no site there that accepts the rule is broken
+    (:func:`~synthkit.solver._product_mask`), and every child passes the
+    sites inside it."""
+    texts = [part.texts for part in parts]
+    masks = [_product_mask(site, texts) for site in sites if rule in site.pattern[0][1]]
+    if any(part.flags is not None for part in parts):
         columns = [
-            (True,) * len(texts) if flags is None else flags for texts, flags in facts
+            (True,) * len(part.texts) if part.flags is None else part.flags for part in parts
         ]
         masks.append(map(all, itertools.product(*columns)))
     if not masks:
-        return None
+        return itertools.repeat(True, math.prod(map(len, texts)))
     return masks[0] if len(masks) == 1 else map(all, zip(*masks))
 
 
@@ -788,7 +785,7 @@ def _product_columns(
     rules, parts: list, code, leaves: dict, skip: int, passes=None
 ) -> tuple[Iterator, Iterator]:
     """The programs and vectors of a node over ``rules`` whose children's
-    programs and vectors are ``parts``, less the first ``skip``: the rules
+    listings are ``parts`` (:func:`_listing`), less the first ``skip``: the rules
     slowest, then the children's product, each rule's run filtered by
     ``passes(rule)`` (:func:`_passes`) when ``passes`` is given.  Each
     program is one trusted node over a tuple of listed children, and its
@@ -802,14 +799,14 @@ def _product_columns(
                 leaves[rule] = _trusted_rule_node(rule)
         programs = [leaves[rule] for rule in rules]
         return programs, itertools.repeat(None) if code is None else [code[rule] for rule in rules]
-    programs = [part[0] for part in parts]
+    programs = [part.programs for part in parts]
     nodes = itertools.chain.from_iterable(
         map(_trusted_rule_node, itertools.repeat(rule), tuples)
         for rule, tuples in _rule_runs(rules, programs, skip, passes)
     )
     if code is None:
         return nodes, itertools.repeat(None)
-    vectors = [part[1] for part in parts]
+    vectors = [part.vectors for part in parts]
     return nodes, itertools.chain.from_iterable(
         itertools.starmap(code[rule], tuples)
         for rule, tuples in _rule_runs(rules, vectors, skip, passes)
@@ -822,9 +819,7 @@ def _rule_runs(rules, columns: list, skip: int, passes) -> Iterator[tuple[int, I
     for rule in rules:
         tuples = itertools.product(*columns)
         if passes is not None:
-            flags = passes(rule)
-            if flags is not None:
-                tuples = itertools.compress(tuples, flags)
+            tuples = itertools.compress(tuples, passes(rule))
         yield rule, itertools.islice(tuples, skip, None) if skip else tuples
         skip = 0
 
@@ -860,7 +855,6 @@ def _walk(segments: list, k: int, prefix: tuple, build) -> Iterator:
             else:
                 yield build(choices)
 
-
 def _assignments_best_first(
     state, grammar, code, orders
 ) -> Iterator[tuple[RuleNode, float, tuple | None]]:
@@ -893,31 +887,27 @@ def _assignments_best_first(
     program the heap tests each popped tuple with
     :meth:`~synthkit.solver.SolverState.choice_test` over the same sites,
     which reads the tuple's rules in place, so a tree the search only
-    peeks lists nothing.  Past it (:func:`_ranked_after`), a tree whose
-    sites are all local and each of whose root's children has at most
-    ``_CACHED_PARTS`` programs, as bfs and dfs need for their product,
-    lists each child's texts and flags once (:func:`_subtree_facts`), and
-    every later tuple is decided from those (:func:`_facts_test`), or, in
-    a tree that ranks, from the flag of each tuple computed from them at
-    once; any other tree keeps the tuple test.
+    peeks lists nothing.  Past it (:func:`_ranked_after`), a tree that bfs
+    and dfs would take as one product lists each child of its root once
+    (:func:`_listing`), and every later tuple is decided from the
+    children's texts and flags (:func:`_facts_test`); any other tree keeps
+    the tuple test.
 
     Once the heap has popped ``1/_RANK_AFTER`` of the tree's tuples, and at
     least up to its first program, the walk may rank the rest instead
     (:func:`_ranked_after`): it computes the heap's key of every tuple with
     the same float steps, sorts the tuples by key once, skips the ones the
-    heap popped, keeps those whose flag is set, and builds each other
-    program from its children's listed programs.  That holds only where
-    each condition does:
+    heap popped, keeps those that pass, and builds each other program from
+    its children's listed programs.  That holds only where each condition
+    does:
 
-    * no site is left to test, or the children's facts decide them all,
-      so every ranked tuple is decided by its flag;
+    * no site is left to test, or the children's listings decide them all;
     * no code: a search with vectors would list its children's vectors too,
       and measured slower, since probe and ``synth`` stop most trees early;
     * every log-probability is finite: a rule of probability zero makes a
       step ``-inf - -inf``, NaN, which no sort orders as the heap does;
     * at most ``_RANKED_MAX`` programs, which bounds what a ranked tree
-      holds: its rank order, two bytes a tuple, its flags under sites, a
-      byte a tuple, and its children's lists.
+      holds: its rank order, two bytes a tuple, and its children's lists.
     """
     logs = grammar.log_probabilities
     slots = []
@@ -943,35 +933,35 @@ def _assignments_best_first(
     heap = [(-sum(v[0] for v in values), (0,) * len(steps), 0)]
     if passes is None and code is not None:
         return _pops(heap, steps, None, build)
-    local = _local_sites(sites)
     return itertools.chain.from_iterable(
-        _ranked_after(heap, passes, local, state.root, rules, values, steps, build, leaves, code)
+        _ranked_after(heap, passes, sites, state.root, rules, values, steps, build, leaves, code)
     )
 
 
-def _facts_test(children, rules, sites, facts) -> Callable[[tuple], bool]:
-    """A test of choice tuples against a tree's local sites, decided from
-    the facts of the root's ``children`` (:func:`_subtree_facts`): a tuple
-    passes when each child's program passes the sites inside it and no
-    site in ``sites``, those at the root, that accepts the tuple's root
-    rule is broken on the children's texts.  A child's program sits at its
-    holes' choices read in their mixed radix, the lexicographic order the
-    facts list."""
-    parts = []
-    for (child, i), (texts, flags) in zip(children, facts):
-        sizes = list(map(len, rules[i : i + node_count(child)]))
-        strides = [math.prod(sizes[k + 1 :]) for k in range(len(sizes))]
-        parts.append((i, i + len(sizes), strides, texts, flags))
+def _facts_test(record, parts: list, rules, sites, whole: bool) -> Callable[[int], bool]:
+    """A test of a tree's tuples, by lexicographic index, against its local
+    sites, decided from the listings ``parts`` of the root's children
+    (``record``, :func:`_children`): a tuple passes when each child's
+    program passes the sites inside it and no site in ``sites``, those at
+    the root, that accepts the tuple's root rule is broken on the
+    children's texts.  With ``whole``, for a tree that ranks and so tests
+    most of its tuples, every tuple is decided at once in C, a byte each
+    (:func:`_passes`); otherwise each is decided when asked."""
+    if whole:
+        runs = map(functools.partial(_passes, sites, parts), rules[0])
+        return bytes(itertools.chain.from_iterable(runs)).__getitem__
+    below = math.prod(count for _, _, count, _ in record)
     at = [[site for site in sites if rule in site.pattern[0][1]] for rule in rules[0]]
+    reads = [(entry[3], entry[2], part.texts, part.flags) for entry, part in zip(record, parts)]
 
-    def passes(indices):
+    def passes(x: int) -> bool:
         read = []
-        for start, stop, strides, texts, flags in parts:
-            pick = sum(map(operator.mul, indices[start:stop], strides))
+        for stride, count, texts, flags in reads:
+            pick = x // stride % count
             if flags is not None and not flags[pick]:
                 return False
             read.append(texts[pick])
-        return not any(site.violated([read[k] for k in site.children]) for site in at[indices[0]])
+        return not any(site.violated([read[k] for k in site.children]) for site in at[x // below])
 
     return passes
 
@@ -1011,7 +1001,7 @@ _RANKED_MAX = 4096
 
 
 def _ranked_after(
-    heap, passes, local, root, rules, values, steps, build, leaves, code
+    heap, passes, sites, root, rules, values, steps, build, leaves, code
 ) -> Iterator[Iterator]:
     """The runs of a tree's programs, to be chained: the first program the
     heap walk over ``heap`` yields (:func:`_pops`), then the rest.
@@ -1019,19 +1009,18 @@ def _ranked_after(
     Each run is made when the one before it is exhausted, so all that
     follows is decided when the walk is advanced past its first program,
     and a tree the search only peeks pays nothing for it.  Then a tree
-    with sites, each of them local (``local``, by hole) and each child of
-    its root of at most ``_CACHED_PARTS`` programs, lists its children's
-    facts (:func:`_subtree_facts`), and the heap decides every later
-    tuple from them (:func:`_facts_test`) instead of by the tuple test
+    whose ``sites`` are all local and each child of whose root has at most
+    ``_CACHED_PARTS`` programs (:func:`_local_sites`) lists its children
+    (:func:`_listing`), and the heap decides every later tuple from their
+    texts and flags (:func:`_facts_test`) instead of by the tuple test
     ``passes``; a tree with any other site keeps ``passes``.  The rest is
     the heap's, or, once the heap has popped ``1/_RANK_AFTER`` of the
     tuples of a tree without ``code``, of at most ``_RANKED_MAX``
     programs, whose log-probabilities are all finite and whose sites, if
-    any, the facts decide, its programs up to there and the rest from
-    :func:`_ranked_programs`.  Such a tree computes the flag of each of
-    its tuples from the facts at once (:func:`_node_flags`), which its
-    heap reads at a tuple's lexicographic index and which keeps the rank
-    order; the ranking cap bounds them, a byte a tuple.
+    any, the listings decide, its programs up to there and the rest from
+    :func:`_ranked_programs`, kept by the same test.  A tree that ranks
+    lists its children's programs and log-probabilities in that same one
+    walk, or, with no site, when its rest is ranked.
     """
     start = heap[0][0]
     pops = _pops(heap, steps, passes, build)
@@ -1045,33 +1034,30 @@ def _ranked_after(
     skip = max(popped, count // _RANK_AFTER)
     finite = all(map(math.isfinite, itertools.chain(*values)))
     ranks = code is None and skip < count <= _RANKED_MAX and finite
-    flags = None
+    record = _children(root, 0, rules)
+    parts = test = None
     if passes is not None:
-        children = None if local is None else _listed_children(root, rules)
-        if children is None:
+        local = _local_sites(sites, record)
+        if local is None:
             yield filter(None, pops)
             return
-        facts = [_subtree_facts(child, rules, i, local) for child, i in children]
-        if ranks:
-            flags = bytes(_node_flags(rules[0], local.get(0, ()), facts))
-            strides = [math.prod(map(len, rules[h + 1 :])) for h in range(len(rules))]
-
-            def test(indices):
-                return flags[sum(map(operator.mul, indices, strides))]
-
-        else:
-            test = _facts_test(children, rules, local.get(0, ()), facts)
+        sums, table = (values, leaves) if ranks else (None, None)
+        parts = [_listing(child, i, rules, sums, None, table, local) for child, i, _, _ in record]
+        test = _facts_test(record, parts, rules, local.get(0, ()), ranks)
+        strides = [math.prod(map(len, rules[h + 1 :])) for h in range(len(rules))]
         pops.close()
-        pops = _pops(heap, steps, test, build)
+        pops = _pops(heap, steps, lambda t: test(sum(map(operator.mul, t, strides))), build)
     if not ranks:
         yield filter(None, pops)
         return
     yield filter(None, itertools.islice(pops, skip - popped))
     pops.close()
     order = _rank_order(start, steps, skip)
-    if flags is not None:
-        order = array("H", itertools.compress(order, map(flags.__getitem__, order)))
-    yield _ranked_programs(root, rules, values, order, leaves)
+    if test is not None:
+        order = array("H", itertools.compress(order, map(test, order)))
+    if parts is None:
+        parts = [_listing(child, i, rules, values, None, leaves, None) for child, i, _, _ in record]
+    yield _ranked_programs(record, parts, rules, values, order)
 
 
 def _rank_order(start: float, steps: list, skip: int) -> array:
@@ -1094,57 +1080,35 @@ def _rank_order(start: float, steps: list, skip: int) -> array:
     return array("H", order[skip:])
 
 
-def _ranked_programs(root, rules, values, order, leaves: dict) -> Iterator[tuple]:
+def _ranked_programs(record, parts: list, rules, values, order) -> Iterator[tuple]:
     """The programs of the tuples at the lexicographic indices ``order``,
     each with its log-probability and no vector.
 
-    Each child of the root lists its programs and their log-probabilities
-    once, in its own lexicographic order (:func:`_subtree_columns`,
-    :func:`_subtree_totals`), taking its leaves from ``leaves``; an index
-    is the root's choice slowest, then each child's in turn, so the pick of
-    each is one division and one remainder, mapped over ``order`` in C.  A
-    program is one trusted node over the children it picks, built only
-    when the walk is advanced to it, and its log-probability is summed root
-    first, then each child's, as the builder sums it.
+    ``parts`` are the listings of the root's children (``record``), with
+    their programs and log-probabilities.  The root's choice at an index is
+    the index divided by the product of the children's counts, and each
+    child's pick one division by its stride and one remainder by its
+    count, mapped over ``order`` in C.  A program is one trusted node over
+    the children it picks, built only when the walk is advanced to it, and
+    its log-probability is summed root first, then each child's, as the
+    builder sums it.
     """
-    columns = [
-        (_subtree_columns(child, rules, None, leaves, i)[0], _subtree_totals(child, values, i))
-        for child, i in _children_at(root, 0)
-    ]
-    stride = math.prod(len(programs) for programs, _ in columns)
-    totals = map(values[0].__getitem__, _picks(order, stride, len(rules[0])))
-    if not columns:
-        programs, _ = _product_columns(rules[0], [], None, leaves, 0)
-        return zip(map(programs.__getitem__, order), totals, itertools.repeat(None))
-    roots = map(rules[0].__getitem__, _picks(order, stride, len(rules[0])))
+    below = math.prod(count for _, _, count, _ in record)
+    roots = list(map(operator.floordiv, order, itertools.repeat(below)))
+    totals = map(values[0].__getitem__, roots)
     kids = []
-    for programs, child_totals in columns:
-        stride //= len(programs)
-        kids.append(map(programs.__getitem__, _picks(order, stride, len(programs))))
-        picked = map(child_totals.__getitem__, _picks(order, stride, len(programs)))
-        totals = map(operator.add, totals, picked)
-    return zip(map(_trusted_rule_node, roots, zip(*kids)), totals, itertools.repeat(None))
-
-
-def _picks(order, stride: int, size: int) -> Iterator[int]:
-    """The digit of stride ``stride`` and base ``size`` of each index."""
-    shifted = map(operator.floordiv, order, itertools.repeat(stride))
-    return map(operator.mod, shifted, itertools.repeat(size))
-
-
-def _subtree_totals(node, values, i: int) -> list[float]:
-    """The log-probabilities of the subtree at hole ``i``'s programs, in
-    its lexicographic order, each summed as the builder sums it: the
-    node's own, then each child's in turn."""
-    totals = values[i]
-    for child, j in _children_at(node, i):
-        part = _subtree_totals(child, values, j)
-        totals = [total + value for total in totals for value in part]
-    return totals
+    for (_, _, count, stride), part in zip(record, parts):
+        shifted = map(operator.floordiv, order, itertools.repeat(stride))
+        picks = list(map(operator.mod, shifted, itertools.repeat(count)))
+        kids.append(map(part.programs.__getitem__, picks))
+        totals = map(operator.add, totals, map(part.totals.__getitem__, picks))
+    children = zip(*kids) if kids else itertools.repeat(())
+    nodes = map(_trusted_rule_node, map(rules[0].__getitem__, roots), children)
+    return zip(nodes, totals, itertools.repeat(None))
 
 
 # The most parts a builder caches per hole, and the most programs a child
-# subtree may have for bfs and dfs to list its programs (_product_programs).
+# subtree may have for a walk to list its programs (_listing).
 _CACHED_PARTS = 1024
 
 
@@ -1169,6 +1133,11 @@ def _choice_builder(
     the tree's programs share it.  A hole with children memoizes
     its parts in a cache that starts over when full (``_CACHED_PARTS``), so
     memory is bounded per hole; a run of tuples sharing a part still hits.
+    The cache is keyed by the tuple slice itself, for both the tested
+    lexicographic walk and the mlfs heap: keying it by an integer pick
+    of the part instead, as per-child columns or as one lexicographic
+    index per tuple, measured slower on ``enum-plain``, ``enum-constrained``
+    and ``pbe-topdown``.
     The root, at position 0, is built afresh unless it is a leaf: every
     tuple is built at most once, so its cache would never hit and would
     keep every program alive.  Nodes come from

@@ -430,19 +430,20 @@ def reference_lexicographic_walk(state, code=None):
 
     Every choice tuple over the propagated domains, in
     :func:`itertools.product` order, is tested whole by the state's
-    ``choice_test`` and built by the memoizing
-    ``iterators._choice_builder``, which builds every subtree from its part
-    of the tuple.  Each program comes as ``(program, None, vector)``.
-    Patch it in as ``iterators._assignments_depth_first``.
+    ``choice_test``, and each passing tuple is materialized whole with
+    :func:`reference_materialize`, its vector from a whole-tree fold,
+    ``code.vector(program)`` (``None`` without code).  Each program comes
+    as ``(program, None, vector)``.  Patch it in as
+    ``iterators._assignments_depth_first``.
     """
-    domains = [state.domain(path) for path in state.hole_paths()]
-    build, _ = iterators._choice_builder(
-        state.root, [(rules, None) for rules in domains], code, {}
-    )
+    holes = state.hole_paths()
+    domains = [state.domain(path) for path in holes]
     passes = state.choice_test(domains)
     for choices in product(*(range(len(rules)) for rules in domains)):
         if passes is None or passes(choices):
-            yield build(choices)
+            overrides = {path: rules[j] for path, rules, j in zip(holes, domains, choices)}
+            program = reference_materialize(state, overrides)
+            yield program, None, None if code is None else code.vector(program)
 
 
 def unconstrained_copy(state):

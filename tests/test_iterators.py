@@ -328,22 +328,23 @@ def _drained(search):
 
 def _walk_paths(monkeypatch):
     """Count the trees that bfs and dfs take as a product over their
-    children's programs and the ones they build tuple by tuple."""
+    children's programs and the ones they build tuple by tuple: the tuple
+    walks that build what they pass (a product's walk only finds its first
+    passing tuple)."""
     paths = {"product": 0, "built": 0}
     product_programs = iterators._product_programs
-    choice_builder = iterators._choice_builder
+    walk = iterators._walk
 
-    def counted_product(root, domains, code, *rest):
-        programs = product_programs(root, domains, code, *rest)
-        paths["product"] += programs is not None
-        return programs
+    def counted_product(*args):
+        paths["product"] += 1
+        return product_programs(*args)
 
-    def counted_builder(node, slots, code, leaves, i=0):
-        paths["built"] += i == 0
-        return choice_builder(node, slots, code, leaves, i)
+    def counted_walk(segments, k, prefix, build):
+        paths["built"] += k == 0 and build is not tuple
+        return walk(segments, k, prefix, build)
 
     monkeypatch.setattr(iterators, "_product_programs", counted_product)
-    monkeypatch.setattr(iterators, "_choice_builder", counted_builder)
+    monkeypatch.setattr(iterators, "_walk", counted_walk)
     return paths
 
 
@@ -536,7 +537,7 @@ def _ranks(state, grammar):
         return False
     if sites and any(
         math.prod(map(len, domains[i : i + node_count(child)])) > iterators._CACHED_PARTS
-        for child, i in iterators._children_at(state.root, 0)
+        for child, i, _, _ in iterators._children(state.root, 0, domains)
     ):
         return False
     popped = 1

@@ -213,7 +213,7 @@ def _expected_path(state):
     domains = [state.domain(path) for path in state.hole_paths()]
     small = all(
         math.prod(map(len, domains[i : i + node_count(child)])) <= iterators._CACHED_PARTS
-        for child, i in iterators._children_at(state.root, 0)
+        for child, i, _, _ in iterators._children(state.root, 0, domains)
     )
     return "local" if small else "tested"
 
@@ -240,12 +240,12 @@ def test_each_tree_takes_the_walk_its_sites_allow_and_keeps_the_reference_sequen
     taken = {"local": 0}
     trees = []
 
-    def counted(original):
+    def counted(original, local_at):
         def wrapper(*args):
-            result = original(*args)
-            if result is not None and (kind == "mlfs" or args[3]):
+            # A product under no site, or a listing of no text, is the plain walk.
+            if args[local_at]:
                 taken["local"] += 1
-            return result
+            return original(*args)
 
         return wrapper
 
@@ -258,9 +258,9 @@ def test_each_tree_takes_the_walk_its_sites_allow_and_keeps_the_reference_sequen
 
     monkeypatch.setattr(iterators, walk_name, kept)
     if kind == "mlfs":
-        monkeypatch.setattr(iterators, "_listed_children", counted(iterators._listed_children))
+        monkeypatch.setattr(iterators, "_listing", counted(iterators._listing, 6))
     else:
-        monkeypatch.setattr(iterators, "_product_programs", counted(iterators._product_programs))
+        monkeypatch.setattr(iterators, "_product_programs", counted(iterators._product_programs, 4))
     emitted = [serialize_node(p) for p in make_iterator(config)]
     paths = {"plain": 0, "local": 0, "tested": 0}
     for state, local, programs in trees:
@@ -325,13 +325,13 @@ def test_an_mlfs_tree_lists_its_childrens_facts_only_when_advanced_past_its_firs
     assert state._tested_sites() and all(s.children for s in state._tested_sites())
     code = RuleCode(grammar, Problem([IOExample({"x": 2}, 5)])) if with_code else None
     listed = []
-    facts = iterators._subtree_facts
+    listing = iterators._listing
 
     def counted(*args):
         listed.append(args)
-        return facts(*args)
+        return listing(*args)
 
-    monkeypatch.setattr(iterators, "_subtree_facts", counted)
+    monkeypatch.setattr(iterators, "_listing", counted)
     walk = iterators._assignments_best_first(state, grammar, code, {})
     first = next(walk)
     assert not listed
@@ -342,6 +342,83 @@ def test_an_mlfs_tree_lists_its_childrens_facts_only_when_advanced_past_its_firs
         (serialize_node(p), lp.hex(), v) for p, lp, v in expected
     ]
     assert len(programs) > 100
+
+
+# enum-constrained's ordered set on arith, and mini-strings' ordered concat.
+LISTED_CASES = {
+    "enum-constrained": ("arith", "Int", 4, 7, (
+        "(ordered (rule 4 (var a) (var b)) (a b))",
+        "(ordered (rule 5 (var a) (var b)) (a b))",
+    )),
+    "mini-strings": ("mini-strings", "S", 3, 6, ("(ordered (rule 8 (var a) (var b)) (a b))",)),
+}
+
+
+@pytest.mark.parametrize("kind", ["bfs", "dfs", "mlfs"])
+@pytest.mark.parametrize("case", sorted(LISTED_CASES))
+def test_each_root_child_is_listed_by_one_walk_per_tree(case, kind, monkeypatch):
+    # A walk lists each child of its root at most once, with every column
+    # it reads in that one recursive walk: a constrained bfs or dfs product
+    # its children's programs, texts and flags, and an mlfs tree that
+    # ranks its rest under sites their texts, flags, programs and
+    # log-probabilities.  Every tree still yields the reference's programs.
+    suite, start, max_depth, max_size, texts = LISTED_CASES[case]
+    grammar = _grammar(suite, seeded=True)
+    constraints = tuple(parse_constraint(text) for text in texts)
+    config = IteratorConfig(
+        kind, grammar, start, max_depth=max_depth, max_size=max_size, constraints=constraints
+    )
+    walk_name = "_assignments_best_first" if kind == "mlfs" else "_assignments_depth_first"
+    walk = getattr(iterators, walk_name)
+    listing, rank_order = iterators._listing, iterators._rank_order
+    calls, depth, ranked = [], [0], [0]
+    trees = []
+
+    def counted(node, i, *args):
+        # Only the outermost call of a recursive walk lists a root child.
+        if not depth[0]:
+            calls.append(i)
+        depth[0] += 1
+        try:
+            return listing(node, i, *args)
+        finally:
+            depth[0] -= 1
+
+    def counted_rank_order(*args):
+        ranked[0] += 1
+        return rank_order(*args)
+
+    def kept(state, *args):
+        del calls[:]
+        ranks = ranked[0]
+        programs = list(walk(state, *args))
+        trees.append((state, list(calls), ranked[0] > ranks, programs))
+        return iter(programs)
+
+    monkeypatch.setattr(iterators, "_listing", counted)
+    monkeypatch.setattr(iterators, "_rank_order", counted_rank_order)
+    monkeypatch.setattr(iterators, walk_name, kept)
+    assert sum(1 for _ in make_iterator(config)) > 300
+    listed = {"sites": 0, "ranked": 0}
+    for state, calls_made, ranks, programs in trees:
+        domains = [state.domain(path) for path in state.hole_paths()]
+        children = [i for _, i, _, _ in iterators._children(state.root, 0, domains)]
+        assert calls_made in ([], children)
+        if calls_made and state._tested_sites():
+            listed["sites"] += 1
+            listed["ranked"] += ranks
+        if kind == "mlfs":
+            expected = reference_assignments_best_first(state, grammar)
+            assert [(serialize_node(p), lp.hex()) for p, lp, _ in programs] == [
+                (serialize_node(p), lp.hex()) for p, lp, _ in expected
+            ]
+        else:
+            expected = reference_lexicographic_walk(state)
+            assert [serialize_node(p) for p, _, _ in programs] == [
+                serialize_node(p) for p, _, _ in expected
+            ]
+    assert listed["sites"] >= 3
+    assert (listed["ranked"] >= 3) == (kind == "mlfs")
 
 
 def _random_local_constraint(rng, grammar):
