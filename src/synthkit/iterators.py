@@ -165,7 +165,7 @@ from .interpreter import EVAL_ERROR, RuleCode, _fold, output_key, solved_counter
 # Unused here, but kept as names the benchmark tracer patches on this module.
 from .constraints import check_program  # noqa: F401
 from .interpreter import evaluate, run_examples, to_expression  # noqa: F401
-from .nodes import Hole, Node, RuleNode, _trusted_rule_node, depth, node_count, text_format
+from .nodes import Hole, Node, RuleNode, _new_node, depth, node_count, text_format
 from .solver import SolverState, Surveyed, _product_mask, split_first_hole, survey
 from .specification import Problem
 
@@ -702,7 +702,7 @@ def _listing(node, i: int, rules, values, code, leaves: dict | None, local) -> _
     their texts and flags.
 
     Each column is built once from the children's, in one walk over the
-    subtree: a program is one trusted node over a tuple of listed children
+    subtree: a program is one node over a tuple of listed children
     and its vector one application of its rule's code to theirs
     (:func:`_product_columns`), a log-probability the node's own plus each
     child's in turn, a text the node's text format over its children's
@@ -788,7 +788,8 @@ def _product_columns(
     listings are ``parts`` (:func:`_listing`), less the first ``skip``: the rules
     slowest, then the children's product, each rule's run filtered by
     ``passes(rule)`` (:func:`_passes`) when ``passes`` is given.  Each
-    program is one trusted node over a tuple of listed children, and its
+    program is one node built in C by :data:`~synthkit.nodes._new_node`
+    over its rule and a tuple of listed children, and its
     vector one application of its rule's code to theirs; without code the
     vectors are ``None``.  A leaf is ``leaves[rule]``, built the first time
     it is asked for."""
@@ -796,12 +797,14 @@ def _product_columns(
         rules = rules[skip:]
         for rule in rules:
             if rule not in leaves:
-                leaves[rule] = _trusted_rule_node(rule)
+                leaves[rule] = _new_node((rule, ()))
         programs = [leaves[rule] for rule in rules]
         return programs, itertools.repeat(None) if code is None else [code[rule] for rule in rules]
     programs = [part.programs for part in parts]
+    if code is not None and passes is not None:
+        passes = _shared_masks(passes)
     nodes = itertools.chain.from_iterable(
-        map(_trusted_rule_node, itertools.repeat(rule), tuples)
+        map(_new_node, zip(itertools.repeat(rule), tuples))
         for rule, tuples in _rule_runs(rules, programs, skip, passes)
     )
     if code is None:
@@ -811,6 +814,21 @@ def _product_columns(
         itertools.starmap(code[rule], tuples)
         for rule, tuples in _rule_runs(rules, vectors, skip, passes)
     )
+
+
+def _shared_masks(passes):
+    """``passes`` for two runs over the same rules: each rule's mask is
+    decided once, by the run that asks first, and the other run reads it
+    through a tee."""
+    held = {}
+
+    def shared(rule: int) -> Iterator[bool]:
+        mask = held.pop(rule, None)
+        if mask is None:
+            mask, held[rule] = itertools.tee(passes(rule))
+        return mask
+
+    return shared
 
 
 def _rule_runs(rules, columns: list, skip: int, passes) -> Iterator[tuple[int, Iterator[tuple]]]:
@@ -1088,7 +1106,7 @@ def _ranked_programs(record, parts: list, rules, values, order) -> Iterator[tupl
     their programs and log-probabilities.  The root's choice at an index is
     the index divided by the product of the children's counts, and each
     child's pick one division by its stride and one remainder by its
-    count, mapped over ``order`` in C.  A program is one trusted node over
+    count, mapped over ``order`` in C.  A program is one node over
     the children it picks, built only when the walk is advanced to it, and
     its log-probability is summed root first, then each child's, as the
     builder sums it.
@@ -1103,7 +1121,7 @@ def _ranked_programs(record, parts: list, rules, values, order) -> Iterator[tupl
         kids.append(map(part.programs.__getitem__, picks))
         totals = map(operator.add, totals, map(part.totals.__getitem__, picks))
     children = zip(*kids) if kids else itertools.repeat(())
-    nodes = map(_trusted_rule_node, map(rules[0].__getitem__, roots), children)
+    nodes = map(_new_node, zip(map(rules[0].__getitem__, roots), children))
     return zip(nodes, totals, itertools.repeat(None))
 
 
@@ -1140,10 +1158,12 @@ def _choice_builder(
     and ``pbe-topdown``.
     The root, at position 0, is built afresh unless it is a leaf: every
     tuple is built at most once, so its cache would never hit and would
-    keep every program alive.  Nodes come from
-    :func:`~synthkit.nodes._trusted_rule_node`, since the rules are the
-    grammar's and the children a tuple.  The tables and caches live as long
-    as the returned function.
+    keep every program alive.  Every node, leaf or not, is built from its
+    ``(rule, children)`` pair by :data:`~synthkit.nodes._new_node`, the one
+    constructor every search uses: ``tuple.__new__`` bound to ``RuleNode``,
+    which runs no checks, since the rules are the grammar's and the
+    children a tuple.  A node is therefore a tuple and equals its plain
+    pair.  The tables and caches live as long as the returned function.
     """
     rules, values = slots[i]
     if not node.children:
@@ -1156,7 +1176,7 @@ def _choice_builder(
                 rule = rules[j]
                 leaf_node = leaves.get(rule)
                 if leaf_node is None:
-                    leaf_node = leaves[rule] = _trusted_rule_node(rule)
+                    leaf_node = leaves[rule] = _new_node((rule, ()))
                 hit = table[j] = (
                     leaf_node,
                     None if values is None else values[j],
@@ -1185,7 +1205,7 @@ def _choice_builder(
                 total += value
             vectors.append(vector)
         vector = None if code is None else code[rule](*vectors)
-        return _trusted_rule_node(rule, tuple(kids)), total, vector
+        return _new_node((rule, tuple(kids))), total, vector
 
     if i == 0:
         return build, end
@@ -1424,7 +1444,7 @@ class BottomUpIterator(_ProgramIterator):
                             key = output_key(vector) if keyed else vector
                             if key in seen:
                                 continue
-                    program = _trusted_rule_node(rule, kids)
+                    program = _new_node((rule, kids))
                     if constraints and not check_root(constraints, program):
                         continue
                     if prune:

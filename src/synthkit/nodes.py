@@ -10,51 +10,63 @@ The canonical text form of a complete program is the rule index of the root
 followed, for non-leaves, by the child serializations in braces, e.g.
 ``4{3,4{1,3}}``.  No whitespace, ASCII digits only.
 
-Public ``RuleNode(...)`` checks its arguments.  The searches build their
-programs through :func:`_trusted_rule_node` instead, which skips the checks
-because its callers take the rule from the grammar and pass the children as
-a tuple already.  It sets the two fields with ``object.__setattr__``, as the
-frozen dataclass's own ``__init__`` does, so the node keeps CPython's inline
-attribute values; writing ``node.__dict__`` instead would materialize a real
-dict and make every later read of ``.rule`` or ``.children`` slower.  Its
-nodes are ordinary ``RuleNode`` values: equal, hashed, frozen and pickled
-like ones built publicly.
+A :class:`RuleNode` is a named tuple ``(rule, children)`` with no instance
+dict, so reading ``.rule`` or ``.children`` is a C field read.  Public
+``RuleNode(rule, children=())`` turns the children into a tuple and checks
+the rule in :meth:`RuleNode.__post_init__`.  The searches build their
+programs through :data:`_new_node` instead: ``tuple.__new__`` bound to
+``RuleNode``, called on one ``(rule, children)`` pair.  It runs no Python
+code, so ``map(_new_node, zip(rules, children))`` builds a run of programs
+entirely in C; it skips the checks because its callers take the rule from
+the grammar and pass the children as a tuple already.  Its nodes are
+ordinary ``RuleNode`` values: equal, hashed, frozen and pickled like ones
+built publicly, and the hash is ``hash((rule, children))``.
+
+Being a tuple is the one thing a ``RuleNode`` shows that a plain record
+would not: it equals the pair ``(rule, children)``, has ``len`` 2, unpacks
+into its two fields and sorts like a tuple.  It never equals a
+:class:`Hole` or :class:`UniformHole`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Union
+import functools
+from collections import namedtuple
+from dataclasses import FrozenInstanceError, dataclass
+from typing import Iterable, Iterator, Union
 
 from .errors import IncompleteTreeError, NodeParseError
 
 Node = Union["RuleNode", "UniformHole", "Hole"]
 
 
-@dataclass(frozen=True)
-class RuleNode:
+class RuleNode(namedtuple("RuleNode", "rule children")):
     """AST node fixed to one grammar rule, with one subtree per child slot."""
 
+    __slots__ = ()
+
     rule: int
-    children: tuple[Node, ...] = ()
+    children: tuple[Node, ...]
+
+    def __new__(cls, rule: int, children: Iterable[Node] = ()) -> RuleNode:
+        node = tuple.__new__(cls, (rule, tuple(children)))
+        node.__post_init__()
+        return node
 
     def __post_init__(self):
-        object.__setattr__(self, "children", tuple(self.children))
         if self.rule < 1:
             raise ValueError(f"rule indices are 1-based, got {self.rule}")
 
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
-_new = object.__new__
-_set = object.__setattr__
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-def _trusted_rule_node(rule: int, children: tuple[Node, ...] = ()) -> RuleNode:
-    """A :class:`RuleNode` built without ``__post_init__``'s checks, for a
-    rule taken from the grammar and children that are already a tuple."""
-    node = _new(RuleNode)
-    _set(node, "rule", rule)
-    _set(node, "children", children)
-    return node
+# A RuleNode from one (rule, children) pair, without __post_init__'s checks:
+# for a rule taken from the grammar and children that are already a tuple.
+_new_node = functools.partial(tuple.__new__, RuleNode)
 
 
 @dataclass(frozen=True)

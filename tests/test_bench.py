@@ -608,3 +608,26 @@ def test_mlfs_gets_uniform_probabilities_when_grammar_is_unweighted():
     by_name = {r.name: r for r in report.problems}
     assert by_name["linear"].solved is True
     assert by_name["linear"].error is None
+
+
+def test_bench_pairs_compares_a_checkout_with_itself():
+    # Both sides are this checkout, so every run must be correct and each
+    # end-to-end metric gets a row with both medians, a ratio, the parent's
+    # spread (none over one pair) and a count.
+    root = Path(__file__).resolve().parent.parent
+    result = subprocess.run(
+        [
+            sys.executable, str(root / "scripts" / "bench_pairs.py"), str(root), str(root),
+            "--workload", "enum-constrained", "--seeds", "1", "--seconds", "1", "--smoke",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    rows = {line.split()[0]: line.split()[1:] for line in result.stdout.splitlines()}
+    assert rows["all"] == ["runs", "correct:", "True"]
+    parent, change, ratio, spread, improved = rows["programs_per_s"]
+    assert float(parent) > 0 and float(change) > 0 and float(ratio) > 0
+    assert float(spread) == 0
+    assert improved in ("0/1", "1/1")
+    assert {"setup_s", "suite_s", "solved_frac", "peak_rss_mb"} <= rows.keys()

@@ -457,13 +457,13 @@ def test_a_product_tree_lists_its_children_only_once_advanced_past_its_first_pro
     assert state.propagate()
     expected = list(reference_lexicographic_walk(state, code))
     built = []
-    trusted = iterators._trusted_rule_node
+    new_node = iterators._new_node
 
-    def counted(rule, children=()):
-        built.append(rule)
-        return trusted(rule, children)
+    def counted(pair):
+        built.append(pair[0])
+        return new_node(pair)
 
-    monkeypatch.setattr(iterators, "_trusted_rule_node", counted)
+    monkeypatch.setattr(iterators, "_new_node", counted)
     programs = iterators._assignments_depth_first(state, code)
     assert built == []
     first = next(programs)
@@ -705,14 +705,14 @@ def test_a_ranked_tree_cut_off_by_a_budget_builds_no_root_it_does_not_emit(monke
     assert len(expected) == 108
     paths = _ranked_walks(monkeypatch)
     built = []
-    trusted = iterators._trusted_rule_node
+    new_node = iterators._new_node
 
-    def counted(rule, children=()):
-        node = trusted(rule, children)
+    def counted(pair):
+        node = new_node(pair)
         built.append(node)
         return node
 
-    monkeypatch.setattr(iterators, "_trusted_rule_node", counted)
+    monkeypatch.setattr(iterators, "_new_node", counted)
     programs = iterators._assignments_best_first(state, grammar, None, {})
     taken = list(itertools.islice(programs, 20))
     assert paths["ranked"] == 1

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import pickle
 
@@ -166,19 +167,42 @@ def test_searched_nodes_behave_like_public_ones(g0, kind, bounds):
     assert programs
     for program in programs:
         public = rebuilt_publicly(program)
-        assert type(program) is RuleNode
+        for node in (program, public):
+            assert type(node) is RuleNode
+            assert hash(node) == hash((node.rule, node.children))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                restored = pickle.loads(pickle.dumps(node, protocol))
+                assert type(restored) is RuleNode and restored == node
+                assert serialize_node(restored) == serialize_node(node)
+            copied = copy.deepcopy(node)
+            assert type(copied) is RuleNode and copied == node
         assert program == public and public == program
         assert hash(program) == hash(public)
+        assert repr(program) == repr(public)
         assert serialize_node(program) == serialize_node(public)
-        restored = pickle.loads(pickle.dumps(program))
-        assert restored == program
-        assert serialize_node(restored) == serialize_node(program)
-    program = programs[-1]
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        program.rule = 1
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        program.children = ()
+        holes = (
+            UniformHole(frozenset({program.rule}), program.children),
+            Hole(frozenset({program.rule})),
+        )
+        for hole in holes:
+            assert program != hole and hole != program
+    for node in (programs[-1], rebuilt_publicly(programs[-1])):
+        for field in ("rule", "children"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, field, node.rule)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(node, field)
+    with pytest.raises(ValueError):
+        RuleNode(0)
     assert set(programs) == {rebuilt_publicly(p) for p in programs}
+
+
+def test_a_rule_node_is_its_rule_and_children_pair():
+    node = RuleNode(4, (RuleNode(1), RuleNode(3)))
+    assert node == (4, ((1, ()), (3, ()))) and len(node) == 2
+    rule, children = node
+    assert (rule, children) == (node.rule, node.children)
+    assert sorted([node, RuleNode(2), RuleNode(4)]) == [RuleNode(2), RuleNode(4), node]
 
 
 def test_structural_equality_is_exact():

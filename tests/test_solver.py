@@ -23,7 +23,8 @@ from synthkit import (
     parse_node,
     serialize_node,
 )
-from synthkit import iterators
+from synthkit import IOExample, Problem, iterators
+from synthkit.interpreter import RuleCode
 from synthkit.iterators import MLFSIterator
 from synthkit.constraints import Ordered, PatternVar
 from synthkit.nodes import subtrees
@@ -833,14 +834,14 @@ def _placement_by_bounds(state, site, domains, texts):
 
 def _count_constructions(monkeypatch, built):
     """Record every node the iterators construct, in order, into ``built``."""
-    trusted = iterators._trusted_rule_node
+    new_node = iterators._new_node
 
-    def counted(rule, children=()):
-        node = trusted(rule, children)
+    def counted(pair):
+        node = new_node(pair)
         built.append(node)
         return node
 
-    monkeypatch.setattr(iterators, "_trusted_rule_node", counted)
+    monkeypatch.setattr(iterators, "_new_node", counted)
 
 
 def _roots_built(state, built):
@@ -1074,6 +1075,34 @@ def test_the_empty_enum_constrained_trees_are_rejected_before_any_build(g0, kind
         for tree in empty:
             state = tree["state"]
             assert 0 < tree["tests"] <= len(state.domain(state.hole_paths()[0]))
+
+
+@pytest.mark.parametrize("with_problem", [False, True], ids=["plain", "problem"])
+def test_a_product_tree_decides_each_rules_site_masks_once(g0, with_problem, monkeypatch):
+    # A bfs product tree with a problem runs its programs and their vectors
+    # over the same filtered product, so each root rule's site masks must be
+    # built once for both columns, as they are without a problem.
+    product_mask = iterators._product_mask
+    calls = []
+
+    def counted(site, texts):
+        calls.append(site)
+        return product_mask(site, texts)
+
+    monkeypatch.setattr(iterators, "_product_mask", counted)
+    config = IteratorConfig(
+        "bfs", g0, "Int", max_depth=4, max_size=7, constraints=tuple(ENUM_CONSTRAINED_SETS[0])
+    )
+    problem = Problem([IOExample({"x": 2}, 5)]) if with_problem else None
+    search = make_iterator(config, problem)
+    programs, vectors = [], []
+    for program in search:
+        programs.append(program)
+        vectors.append(search.last_vector)
+    assert len(programs) == 675 and len(calls) == 12
+    if with_problem:
+        code = RuleCode(g0, problem)
+        assert vectors == [code.vector(program) for program in programs]
 
 
 def _random_probabilities(grammar, rng):
