@@ -13,7 +13,8 @@ both sides alike.  Per metric it prints the parent's and the
 change's median, their ratio (change over parent), the spread of the
 parent's runs (the distance between their quartiles) and how many pairs
 the change improved, in the direction ``BENCHMARK.json`` gives for the metric
-(``?`` where it names none).  The exit status is 0 only when every run
+(``?`` where it names none), looked up without the ``<workload>.`` prefix
+that ``--workload all`` gives each name.  The exit status is 0 only when every run
 exited 0 and reported ``"correct": true``.
 """
 
@@ -49,12 +50,24 @@ def run_once(root: Path, args, seed: int) -> dict:
 
 
 def directions(root: Path) -> dict:
-    """``better`` ("higher" or "lower") per metric name in ``BENCHMARK.json``."""
+    """``better`` ("higher" or "lower") per metric name in ``BENCHMARK.json``,
+    and the workload names it declares under ``"workloads"``."""
     declared = json.loads((root / "BENCHMARK.json").read_text())
     return {
         entry["name"]: entry["better"]
         for entry in declared.get("end_to_end", []) + declared.get("per_layer", [])
-    }
+    }, [workload["name"] for workload in declared.get("workloads", [])]
+
+
+def direction(name: str, better: dict, workloads: list):
+    """The direction of the metric ``name`` as a run reports it: ``run.py
+    --workload all`` prefixes each name with ``<workload>.``, which the
+    lookup strips.  ``None`` where ``BENCHMARK.json`` names none."""
+    for workload in workloads:
+        if name.startswith(workload + "."):
+            name = name[len(workload) + 1 :]
+            break
+    return better.get(name)
 
 
 def main(argv=None) -> int:
@@ -74,7 +87,7 @@ def main(argv=None) -> int:
             runs[side].append(run_once(sides[side], args, seed))
         print(f"pair {pair + 1}/{len(args.seeds)} (seed {seed}) done", file=sys.stderr)
 
-    better = directions(sides["change"])
+    better, workloads = directions(sides["change"])
     names = [name for name in runs["parent"][0]["metrics"] if name in runs["change"][0]["metrics"]]
     print(f"{'metric':40s} {'parent':>12s} {'change':>12s} {'ratio':>8s} {'spread':>12s} improved")
     for name in names:
@@ -90,7 +103,7 @@ def main(argv=None) -> int:
         if len(values["parent"]) > 1:
             quartiles = statistics.quantiles(values["parent"], n=4)
             spread = quartiles[2] - quartiles[0]
-        sign = {"higher": 1, "lower": -1}.get(better.get(name))
+        sign = {"higher": 1, "lower": -1}.get(direction(name, better, workloads))
         if sign is None:
             improved = "?"
         else:

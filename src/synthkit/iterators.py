@@ -83,17 +83,23 @@ emitted program is walked again to price it.  Up to its first program the
 heap tests each popped tuple against the sites; past it, a tree that bfs
 and dfs would take as one product lists its root's children once and
 decides every later tuple from their texts and flags, read at the tuple's
-lexicographic index through the record (:func:`_facts_test`).  Once the
-heap of a tree with no site to test or only local ones so decided, no
-vectors to compute, finite log-probabilities and at most ``_RANKED_MAX``
-programs has popped ``1/_RANK_AFTER`` of its tuples, the rest is ranked:
-one sort of every tuple's heap key, computed as the heap computes it,
-gives the rest of the heap's own order, and each program is one node over
-the children's listed programs that the record picks for its index
-(:func:`_ranked_after`); the one listing of each child then also gives
-its programs and log-probabilities.  Every walk yields what the builder
-returns, ``(program, log-probability, vector)``, the log-probability
-``None`` for bfs and dfs, so one step peeks every kind's next program.
+lexicographic index through the record (:func:`_facts_test`).  A tree with
+no site to test or only local ones so decided, no vectors to compute,
+finite log-probabilities and at most ``_RANKED_MAX`` programs ranks the
+rest of its heap: one sort of every tuple's heap key, computed as the heap
+computes it, gives the rest of the heap's own order
+(:func:`_ranked_after`).  In a search that runs to exhaustion -- no
+problem, budget or deadline, and not a recording's paused search -- it
+ranks right after its first program; every other search, recordings and
+budgeted searches included, first lets the heap pop ``1/_RANK_AFTER`` of
+its tuples, since it may stop inside the tree.  Each ranked program is one
+node over the root's rule and one tuple of a listed product of the root's
+children's programs, and its log-probability one read of the tree's
+totals, listed once in lexicographic order (:func:`_ranked_programs`); the
+one listing of each child gives its programs and log-probabilities.  Every
+walk yields what the builder returns, ``(program, log-probability,
+vector)``, the log-probability ``None`` for bfs and dfs, so one step peeks
+every kind's next program.
 
 The bottom-up iterator grows a bank of programs per nonterminal indexed by
 node count, combining smaller programs into larger ones, optionally pruning
@@ -402,6 +408,9 @@ class TopDownIterator(_ProgramIterator):
     # Whether a uniform tree's re-enqueue key never rises while it emits,
     # so that one ahead of the queue may emit the rest at once (:meth:`_run`).
     _drains = True
+    # Whether the search runs to exhaustion with nothing to do per program:
+    # no problem, budget or deadline, and not paused (:meth:`_run`).
+    _drained = False
 
     def __init__(
         self, config: IteratorConfig, problem: Problem | None = None, deadline: float | None = None
@@ -480,7 +489,10 @@ class TopDownIterator(_ProgramIterator):
         meanwhile, so every round trip would have handed it straight back;
         a tie loses to the older entry, so dfs still alternates between
         sibling trees of equal priority.  mlfs keys each program by its own
-        log-probability, so it never drains.
+        log-probability, so it never drains; but a search that also sets no
+        deadline and does not ``pause`` runs to exhaustion, and there mlfs
+        ranks each uniform tree right after its first program
+        (:func:`_ranked_after`).
         """
         emitted = 0
         budget = self.config.max_enumerations
@@ -489,7 +501,9 @@ class TopDownIterator(_ProgramIterator):
         # Decided once, since testing it per dequeue slows mlfs; only the
         # deadline, which a recording's consumers reset between programs,
         # is read per dequeue.
-        drains = self._drains and self.code is None and budget is None
+        plain = self.code is None and budget is None
+        drains = self._drains and plain
+        self._drained = plain and not pause and self.deadline is None
         while heap or held is not None:
             if budget is not None and emitted >= budget:
                 return
@@ -595,7 +609,9 @@ class MLFSIterator(TopDownIterator):
         return super()._priority(entry, parent_value, is_requeued)
 
     def _uniform_programs(self, state: SolverState) -> Iterator[tuple]:
-        return _assignments_best_first(state, self.grammar, self.code, self._orders)
+        return _assignments_best_first(
+            state, self.grammar, self.code, self._orders, self._drained
+        )
 
 
 def _assignments_depth_first(state, code=None) -> Iterator[tuple[RuleNode, None, tuple | None]]:
@@ -716,9 +732,7 @@ def _listing(node, i: int, rules, values, code, leaves: dict | None, local) -> _
         programs, vectors = _product_columns(rules[i], parts, code, leaves, 0)
         programs, vectors = list(programs), None if code is None else list(vectors)
     if values is not None:
-        totals = values[i]
-        for part in parts:
-            totals = [total + value for total in totals for value in part.totals]
+        totals = _sums(values[i], parts)
     if local and not parts:
         texts = list(map(str, rules[i]))
     elif local:
@@ -874,7 +888,7 @@ def _walk(segments: list, k: int, prefix: tuple, build) -> Iterator:
                 yield build(choices)
 
 def _assignments_best_first(
-    state, grammar, code, orders
+    state, grammar, code, orders, drained: bool = False
 ) -> Iterator[tuple[RuleNode, float, tuple | None]]:
     """Enumerate a uniform tree's programs best-first.
 
@@ -911,13 +925,17 @@ def _assignments_best_first(
     children's texts and flags (:func:`_facts_test`); any other tree keeps
     the tuple test.
 
-    Once the heap has popped ``1/_RANK_AFTER`` of the tree's tuples, and at
-    least up to its first program, the walk may rank the rest instead
-    (:func:`_ranked_after`): it computes the heap's key of every tuple with
-    the same float steps, sorts the tuples by key once, skips the ones the
-    heap popped, keeps those that pass, and builds each other program from
-    its children's listed programs.  That holds only where each condition
-    does:
+    Once the heap has popped up to its first program, in a search that
+    runs to exhaustion (``drained``: no problem, budget or deadline, and
+    not a recording's paused search), or else ``1/_RANK_AFTER`` of the
+    tree's tuples and at least up to its first program, the walk may rank
+    the rest instead (:func:`_ranked_after`): it computes the heap's key
+    of every tuple with the same float steps, sorts the tuples by key
+    once, skips the ones the heap popped, keeps those that pass, and
+    builds each other program over a listed product of its root's
+    children's programs (:func:`_ranked_programs`).  A search that may
+    stop inside a tree keeps the eighth, so a tree it leaves early costs
+    no rank order.  Ranking holds only where each condition does:
 
     * no site is left to test, or the children's listings decide them all;
     * no code: a search with vectors would list its children's vectors too,
@@ -952,7 +970,9 @@ def _assignments_best_first(
     if passes is None and code is not None:
         return _pops(heap, steps, None, build)
     return itertools.chain.from_iterable(
-        _ranked_after(heap, passes, sites, state.root, rules, values, steps, build, leaves, code)
+        _ranked_after(
+            heap, passes, sites, state.root, rules, values, steps, build, leaves, code, drained
+        )
     )
 
 
@@ -1009,17 +1029,20 @@ def _pops(heap: list, steps: list, passes, build) -> Iterator[tuple | None]:
 
 # Once the heap of an mlfs tree without vectors has popped 1/_RANK_AFTER
 # of its tuples (and at least its first program), the rest is ranked, for
-# trees of at most _RANKED_MAX programs.  Measured on enum-plain and
-# pbe-topdown: ranking right after the first program, or at 1/16, ranks
-# trees that a budgeted replay never drains and costs pbe-topdown time and
-# memory; a cap of 1,024 misses arith's trees of up to 3,888 programs, and
-# one of 16,384 raised enum-plain's peak memory by 4% to 8%.
+# trees of at most _RANKED_MAX programs; a search that runs to exhaustion
+# ranks right after the first program instead, since it drains every tree.
+# Measured on enum-plain and pbe-topdown: ranking right after the first
+# program in every search, or at 1/16, ranks trees that a budgeted replay
+# never drains and costs pbe-topdown time and memory, so recordings and
+# budgeted searches keep the eighth; a cap of 1,024 misses arith's trees of
+# up to 3,888 programs, and one of 16,384 raised enum-plain's peak memory
+# by 4% to 8%.
 _RANK_AFTER = 8
 _RANKED_MAX = 4096
 
 
 def _ranked_after(
-    heap, passes, sites, root, rules, values, steps, build, leaves, code
+    heap, passes, sites, root, rules, values, steps, build, leaves, code, drained
 ) -> Iterator[Iterator]:
     """The runs of a tree's programs, to be chained: the first program the
     heap walk over ``heap`` yields (:func:`_pops`), then the rest.
@@ -1032,13 +1055,17 @@ def _ranked_after(
     (:func:`_listing`), and the heap decides every later tuple from their
     texts and flags (:func:`_facts_test`) instead of by the tuple test
     ``passes``; a tree with any other site keeps ``passes``.  The rest is
-    the heap's, or, once the heap has popped ``1/_RANK_AFTER`` of the
-    tuples of a tree without ``code``, of at most ``_RANKED_MAX``
-    programs, whose log-probabilities are all finite and whose sites, if
-    any, the listings decide, its programs up to there and the rest from
-    :func:`_ranked_programs`, kept by the same test.  A tree that ranks
-    lists its children's programs and log-probabilities in that same one
-    walk, or, with no site, when its rest is ranked.
+    the heap's, or, for a tree without ``code``, of at most
+    ``_RANKED_MAX`` programs, whose log-probabilities are all finite and
+    whose sites, if any, the listings decide, the heap's programs up to a
+    switch and the rest from :func:`_ranked_programs`, kept by the same
+    test.  The switch comes right after the first program when the search
+    runs to exhaustion (``drained``), and otherwise once the heap has
+    popped ``1/_RANK_AFTER`` of the tuples: a budgeted search or a
+    recording's paused one may never reach a tree's rest, and should not
+    pay for ranking it.  A tree that ranks lists its children's programs
+    and log-probabilities in that same one walk, or, with no site, when
+    its rest is ranked.
     """
     start = heap[0][0]
     pops = _pops(heap, steps, passes, build)
@@ -1049,7 +1076,7 @@ def _ranked_after(
             yield (program,)
             break
     count = math.prod(map(len, rules))
-    skip = max(popped, count // _RANK_AFTER)
+    skip = popped if drained else max(popped, count // _RANK_AFTER)
     finite = all(map(math.isfinite, itertools.chain(*values)))
     ranks = code is None and skip < count <= _RANKED_MAX and finite
     record = _children(root, 0, rules)
@@ -1075,7 +1102,7 @@ def _ranked_after(
         order = array("H", itertools.compress(order, map(test, order)))
     if parts is None:
         parts = [_listing(child, i, rules, values, None, leaves, None) for child, i, _, _ in record]
-    yield _ranked_programs(record, parts, rules, values, order)
+    yield _ranked_programs(parts, rules, values, order)
 
 
 def _rank_order(start: float, steps: list, skip: int) -> array:
@@ -1098,31 +1125,36 @@ def _rank_order(start: float, steps: list, skip: int) -> array:
     return array("H", order[skip:])
 
 
-def _ranked_programs(record, parts: list, rules, values, order) -> Iterator[tuple]:
+def _ranked_programs(parts: list, rules, values, order) -> Iterator[tuple]:
     """The programs of the tuples at the lexicographic indices ``order``,
     each with its log-probability and no vector.
 
-    ``parts`` are the listings of the root's children (``record``), with
-    their programs and log-probabilities.  The root's choice at an index is
-    the index divided by the product of the children's counts, and each
-    child's pick one division by its stride and one remainder by its
-    count, mapped over ``order`` in C.  A program is one node over
-    the children it picks, built only when the walk is advanced to it, and
-    its log-probability is summed root first, then each child's, as the
-    builder sums it.
+    ``parts`` are the listings of the root's children, with their programs
+    and log-probabilities.  The tree's log-probabilities are listed once in
+    its lexicographic order (:func:`_sums`), and its children's programs
+    as one listed product, so the tuple at index ``x`` is the root's rule
+    ``x // below`` over the children ``x % below``, where ``below`` is the
+    product's length, and its log-probability the total at ``x``.  A
+    program is one node over that pair, built only when the walk is
+    advanced to it.
     """
-    below = math.prod(count for _, _, count, _ in record)
-    roots = list(map(operator.floordiv, order, itertools.repeat(below)))
-    totals = map(values[0].__getitem__, roots)
-    kids = []
-    for (_, _, count, stride), part in zip(record, parts):
-        shifted = map(operator.floordiv, order, itertools.repeat(stride))
-        picks = list(map(operator.mod, shifted, itertools.repeat(count)))
-        kids.append(map(part.programs.__getitem__, picks))
-        totals = map(operator.add, totals, map(part.totals.__getitem__, picks))
-    children = zip(*kids) if kids else itertools.repeat(())
-    nodes = map(_new_node, zip(map(rules[0].__getitem__, roots), children))
-    return zip(nodes, totals, itertools.repeat(None))
+    children = list(itertools.product(*[part.programs for part in parts]))
+    totals = _sums(values[0], parts)
+    below = len(children)
+    roots = map(rules[0].__getitem__, map(operator.floordiv, order, itertools.repeat(below)))
+    kids = map(children.__getitem__, map(operator.mod, order, itertools.repeat(below)))
+    nodes = map(_new_node, zip(roots, kids))
+    return zip(nodes, map(totals.__getitem__, order), itertools.repeat(None))
+
+
+def _sums(own: list, parts: list) -> list:
+    """The log-probabilities of a node's programs in its lexicographic
+    order, from its rule's ``own`` values and its children's listed totals
+    (``parts``): the node's own value, then each child's in turn, as the
+    builder sums them."""
+    for part in parts:
+        own = [total + value for total in own for value in part.totals]
+    return own
 
 
 # The most parts a builder caches per hole, and the most programs a child

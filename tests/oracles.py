@@ -459,7 +459,7 @@ def unconstrained_copy(state):
     return SolverState(state.grammar, narrow(state.root, ()), ())
 
 
-def reference_assignments_best_first(state, grammar, code=None, orders=None):
+def reference_assignments_best_first(state, grammar, code=None, orders=None, drained=False):
     """A uniform tree's programs best-first, each with its log-probability.
 
     Walks the per-hole choice tuples by summed log-probability, materializes
@@ -468,7 +468,8 @@ def reference_assignments_best_first(state, grammar, code=None, orders=None):
     ``reference_max_rulenode_log_probability`` and its whole-tree
     ``code.vector`` (``None`` without code).  Patch it in as
     ``iterators._assignments_best_first``; ``orders`` is ignored, every
-    hole is sorted afresh.
+    hole is sorted afresh, and so is ``drained``, which changes only how
+    the walk gets to its order.
     """
     holes = state.hole_paths()
     ordered = [derivation_heuristic("mlfs", grammar, state.domain(p)) for p in holes]

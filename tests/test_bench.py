@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import subprocess
 import sys
@@ -631,3 +632,25 @@ def test_bench_pairs_compares_a_checkout_with_itself():
     assert float(spread) == 0
     assert improved in ("0/1", "1/1")
     assert {"setup_s", "suite_s", "solved_frac", "peak_rss_mb"} <= rows.keys()
+
+
+def test_bench_pairs_looks_up_directions_without_the_workload_prefix():
+    # `run.py --workload all` names each metric `<workload>.<metric>`; the
+    # direction comes from BENCHMARK.json's bare name.  No run is started.
+    root = Path(__file__).resolve().parent.parent
+    script = root / "scripts" / "bench_pairs.py"
+    spec = importlib.util.spec_from_file_location("bench_pairs", script)
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    better, workloads = bench_pairs.directions(root)
+    assert {"enum-plain", "enum-constrained", "pbe-topdown", "pbe-bottomup"} <= set(workloads)
+    for name, expected in [
+        ("programs_per_s", "higher"),
+        ("enum-plain.programs_per_s", "higher"),
+        ("pbe-topdown.suite_s", "lower"),
+        ("enum-constrained.iterators.mlfs.programs_per_s", "higher"),
+        ("pbe-bottomup.solver.split_s", "lower"),
+        ("enum-plain.no_such_metric", None),
+        ("no-such-workload.programs_per_s", None),
+    ]:
+        assert bench_pairs.direction(name, better, workloads) == expected, name

@@ -42,6 +42,7 @@ from synthkit.solver import SolverState
 from conftest import SUITES_DIR
 from oracles import (
     enumerate_programs,
+    has_recording,
     reference_assignments_best_first,
     reference_lexicographic_walk,
     unconstrained_copy,
@@ -490,6 +491,7 @@ RANK_SUITES = {"arith": ("Int", 4, 9), "mini-strings": ("S", 3, 6)}
 # of a shape class of its own, and both integer literals, so the literal
 # holes of substring have two.
 ZERO_RULES = {"arith": (5,), "mini-strings": (9, 11, 12)}
+WEIGHTS = ("uniform", "seeded", "zeros")
 
 
 def _weighted(suite, weights):
@@ -510,36 +512,46 @@ def _weighted(suite, weights):
 
 
 def _ranked_walks(monkeypatch):
-    """Count the mlfs walks that rank their rest."""
-    paths = {"ranked": 0}
+    """Count the mlfs walks that rank their rest, and record the ``skip``
+    each ranks at, in order."""
+    paths = {"ranked": 0, "skips": []}
     rank_order = iterators._rank_order
 
-    def counted(*args):
+    def counted(start, steps, skip):
         paths["ranked"] += 1
-        return rank_order(*args)
+        paths["skips"].append(skip)
+        return rank_order(start, steps, skip)
 
     monkeypatch.setattr(iterators, "_rank_order", counted)
     return paths
 
 
-def _ranks(state, grammar):
-    """Whether a drained mlfs walk of the tree ranks its rest: every site
-    left to test is local, and then each child of the root has at most
-    _CACHED_PARTS programs, every log-probability of its domains is
-    finite, and the tree has at most _RANKED_MAX tuples, more than the
-    heap pops first: 1/_RANK_AFTER of them, and at least up to its first
-    passing one."""
+def _ranks(state, grammar, drained):
+    """Whether an mlfs walk of the tree without vectors, advanced to its
+    end, ranks its rest (:func:`_rank_skip`)."""
+    return _rank_skip(state, grammar, drained) is not None
+
+
+def _rank_skip(state, grammar, drained):
+    """The tuples an mlfs walk of the tree without vectors, advanced to its
+    end, pops before it ranks its rest, or None where it does not rank.
+    It ranks when every site left to test is local, and then each child
+    of the root has at most _CACHED_PARTS programs, every log-probability
+    of its domains is finite, and the tree has at most _RANKED_MAX tuples,
+    more than the heap pops first: up to its first passing one in a search
+    that runs to exhaustion (``drained``), else 1/_RANK_AFTER of them, and
+    at least up to its first passing one."""
     domains = [state.domain(path) for path in state.hole_paths()]
     count = math.prod(map(len, domains))
     finite = all(math.isfinite(grammar.log_probability(r)) for rules in domains for r in rules)
     sites = state._tested_sites()
     if any(site.children is None for site in sites):
-        return False
+        return None
     if sites and any(
         math.prod(map(len, domains[i : i + node_count(child)])) > iterators._CACHED_PARTS
         for child, i, _, _ in iterators._children(state.root, 0, domains)
     ):
-        return False
+        return None
     popped = 1
     if sites:
         passing = {
@@ -548,10 +560,10 @@ def _ranks(state, grammar):
         heap = reference_assignments_best_first(unconstrained_copy(state), grammar)
         firsts = [k for k, (p, _, _) in enumerate(heap) if serialize_node(p) in passing]
         if not firsts:
-            return False
+            return None
         popped = firsts[0] + 1
-    skip = max(popped, count // iterators._RANK_AFTER)
-    return finite and skip < count <= iterators._RANKED_MAX
+    skip = popped if drained else max(popped, count // iterators._RANK_AFTER)
+    return skip if finite and skip < count <= iterators._RANKED_MAX else None
 
 
 def _best_first_items(programs):
@@ -568,13 +580,15 @@ def _mlfs_search(grammar, start, max_depth, max_size, budget=None, problem=None)
 
 
 @pytest.mark.parametrize("switch", ["eighth", "first"])
-@pytest.mark.parametrize("weights", ["uniform", "seeded", "zeros"])
+@pytest.mark.parametrize("weights", WEIGHTS)
 @pytest.mark.parametrize("suite", sorted(RANK_SUITES))
 def test_unconstrained_mlfs_trees_yield_the_heaps_programs(suite, weights, switch, monkeypatch):
     # Per uniform tree, and over the whole search with and without a
     # budget, mlfs must yield the heap walk's programs with bit-equal
     # log-probabilities, whether a tree ranks its rest after an eighth of
     # its programs or, with the fraction patched, right after its first.
+    # The trees are walked under a budget no search here reaches, so that
+    # the search does not run to exhaustion and keeps the eighth.
     # Exactly the trees with no open site, finite log-probabilities and at
     # most _RANKED_MAX programs rank; under the "zeros" weights some do not.
     if switch == "first":
@@ -584,20 +598,22 @@ def test_unconstrained_mlfs_trees_yield_the_heaps_programs(suite, weights, switc
     walk = iterators._assignments_best_first
     trees = []
 
-    def kept(state, grammar, code, orders):
-        programs = list(walk(state, grammar, code, orders))
-        trees.append((state, programs))
+    def kept(state, grammar, code, orders, drained):
+        programs = list(walk(state, grammar, code, orders, drained))
+        trees.append((state, drained, programs))
         return iter(programs)
 
     with monkeypatch.context() as patch:
         paths = _ranked_walks(patch)
         patch.setattr(iterators, "_assignments_best_first", kept)
-        fresh = [serialize_node(p) for p in _mlfs_search(grammar, start, max_depth, max_size)]
-    for state, programs in trees:
+        search = _mlfs_search(grammar, start, max_depth, max_size, 1 << 30)
+        fresh = [serialize_node(p) for p in search]
+    for state, drained, programs in trees:
+        assert not drained
         assert _best_first_items(programs) == _best_first_items(
             reference_assignments_best_first(state, grammar)
         )
-    ranking = sum(_ranks(state, grammar) for state, _ in trees)
+    ranking = sum(_ranks(state, grammar, drained) for state, drained, _ in trees)
     if weights == "zeros":
         # In arith only the one-leaf tree lacks *; mini-strings ranks more.
         assert paths["ranked"] == ranking >= 1 and len(trees) - ranking >= 5
@@ -611,6 +627,129 @@ def test_unconstrained_mlfs_trees_yield_the_heaps_programs(suite, weights, switc
     for budget in (0, 1, 7, 500):
         search = _mlfs_search(grammar, start, max_depth, max_size, budget)
         assert [serialize_node(p) for p in search] == fresh[:budget]
+
+
+def _walks_with_skips(monkeypatch, skips):
+    """Record every mlfs walk, advanced to its end: its state, grammar,
+    drained flag, the skips it ranked at (``skips``, :func:`_ranked_walks`)
+    and its programs."""
+    walk = iterators._assignments_best_first
+    walks = []
+
+    def kept(state, grammar, code, orders, drained):
+        before = len(skips)
+        programs = list(walk(state, grammar, code, orders, drained))
+        walks.append((state, grammar, drained, skips[before:], programs))
+        return iter(programs)
+
+    monkeypatch.setattr(iterators, "_assignments_best_first", kept)
+    return walks
+
+
+def _drain_mlfs(case, weights, **limits):
+    """An mlfs search over a DRAIN_CASES case under the given weights."""
+    suite, start, max_depth, max_size, texts = DRAIN_CASES[case]
+    config = IteratorConfig(
+        "mlfs", _weighted(suite, weights), start, max_depth=max_depth, max_size=max_size,
+        constraints=tuple(parse_constraint(text) for text in texts),
+        max_enumerations=limits.pop("budget", None),
+    )
+    return make_iterator(config, **limits)
+
+
+@pytest.mark.parametrize(
+    "case, weights",
+    [(suite, weights) for suite in ("arith", "mini-strings") for weights in WEIGHTS]
+    + [("ordered", "seeded"), ("forbidden", "seeded")],
+)
+def test_a_drained_mlfs_search_ranks_each_tree_right_after_its_first_program(
+    case, weights, monkeypatch
+):
+    # With no problem, budget or deadline the search runs to exhaustion,
+    # and every tree that can rank ranks right after its first program: its
+    # one rank order skips only the tuples popped up to there.  Each tree
+    # still yields the reference heap walk's programs, log-probabilities
+    # bit for bit, and the whole search equals the same search under a
+    # budget it exactly uses up, which ranks at the eighth.
+    skips = _ranked_walks(monkeypatch)["skips"]
+    with monkeypatch.context() as patch:
+        walks = _walks_with_skips(patch, skips)
+        fresh = [serialize_node(p) for p in _drain_mlfs(case, weights)]
+    ranked = 0
+    for state, grammar, drained, made, programs in walks:
+        assert drained
+        skip = _rank_skip(state, grammar, True)
+        assert made == ([] if skip is None else [skip])
+        ranked += skip is not None
+        if not state._tested_sites():
+            assert skip in (None, 1)
+        assert _best_first_items(programs) == _best_first_items(
+            reference_assignments_best_first(state, grammar)
+        )
+    assert ranked >= (1 if weights == "zeros" else 5) and len(fresh) > 600
+    del skips[:]
+    with monkeypatch.context() as patch:
+        walks = _walks_with_skips(patch, skips)
+        budgeted = [serialize_node(p) for p in _drain_mlfs(case, weights, budget=len(fresh))]
+    assert budgeted == fresh
+    assert not any(drained for _, _, drained, _, _ in walks)
+    for state, grammar, _, made, _ in walks:
+        skip = _rank_skip(state, grammar, False)
+        assert made == ([] if skip is None else [skip])
+
+
+def _suite_problem(suite):
+    """The suite's problem in PRODUCT_SUITES."""
+    name = PRODUCT_SUITES[suite][3]
+    return load_problem_file(SUITES_DIR / suite / f"{name}.problem.json").problem
+
+
+def _replayed(case):
+    """A search with a problem and a budget whose key was searched once
+    before, so that it replays a recording of a paused search."""
+    suite, start, max_depth, max_size, _ = DRAIN_CASES[case]
+    problem = _suite_problem(suite)
+    grammar = _weighted(suite, "seeded")
+
+    def search():
+        config = IteratorConfig(
+            "mlfs", grammar, start, max_depth=max_depth, max_size=max_size, max_enumerations=3000
+        )
+        return make_iterator(config, problem=problem)
+
+    assert sum(1 for _ in search()) == 3000
+    assert not has_recording(grammar)
+    replay = search()
+    assert has_recording(grammar)
+    return replay
+
+
+@pytest.mark.parametrize("case", ["arith", "mini-strings"])
+@pytest.mark.parametrize("limit", ["budget", "problem", "deadline", "replay"])
+def test_an_mlfs_search_that_may_stop_early_keeps_the_eighth(case, limit, monkeypatch):
+    # A search with a budget or a deadline, and a replayed recording's
+    # paused search, may stop inside a tree, so each tree that can rank
+    # ranks only once the heap has popped an eighth of its tuples; a search
+    # with a problem computes vectors and ranks nothing.
+    skips = _ranked_walks(monkeypatch)["skips"]
+    walks = _walks_with_skips(monkeypatch, skips)
+    if limit == "budget":
+        search = _drain_mlfs(case, "seeded", budget=1 << 30)
+    elif limit == "deadline":
+        search = _drain_mlfs(case, "seeded", deadline=_far())
+    elif limit == "problem":
+        search = _drain_mlfs(case, "seeded", problem=_suite_problem(DRAIN_CASES[case][0]))
+    else:
+        search = _replayed(case)
+        del walks[:], skips[:]
+    assert sum(1 for _ in search) > 600
+    assert walks and not any(drained for _, _, drained, _, _ in walks)
+    ranked = 0
+    for state, grammar, _, made, _ in walks:
+        skip = None if limit == "problem" else _rank_skip(state, grammar, False)
+        assert made == ([] if skip is None else [skip])
+        ranked += skip is not None
+    assert (ranked > 0) == (limit != "problem")
 
 
 def _cap_tree(last_leaf):
@@ -664,10 +803,10 @@ def test_mlfs_ranks_no_tree_with_vectors_or_a_site_that_is_not_local(monkeypatch
     walk = iterators._assignments_best_first
     trees = []
 
-    def kept(state, grammar, code, orders):
+    def kept(state, grammar, code, orders, drained):
         ranked = paths["ranked"]
-        programs = list(walk(state, grammar, code, orders))
-        trees.append((state, paths["ranked"] > ranked, programs))
+        programs = list(walk(state, grammar, code, orders, drained))
+        trees.append((state, drained, paths["ranked"] > ranked, programs))
         return iter(programs)
 
     monkeypatch.setattr(iterators, "_assignments_best_first", kept)
@@ -681,16 +820,16 @@ def test_mlfs_ranks_no_tree_with_vectors_or_a_site_that_is_not_local(monkeypatch
             "mlfs", grammar, "Int", max_depth=4, max_size=7, constraints=constraints
         )
         assert sum(1 for _ in make_iterator(config)) > 1000
-        for state, ranked, programs in trees:
-            assert ranked == _ranks(state, grammar)
+        for state, drained, ranked, programs in trees:
+            assert ranked == _ranks(state, grammar, drained)
             assert _best_first_items(programs) == _best_first_items(
                 reference_assignments_best_first(state, grammar)
             )
         # Here every tree ranks under the ordered constraint, and none with
         # a site to test under the nested one.
-        tested = [ranked for state, ranked, _ in trees if state._tested_sites()]
+        tested = [ranked for state, _, ranked, _ in trees if state._tested_sites()]
         assert tested and all(tested) == any(tested) == local
-        assert (sum(ranked for _, ranked, _ in trees) == len(trees)) == local
+        assert (sum(ranked for _, _, ranked, _ in trees) == len(trees)) == local
 
 
 def test_a_ranked_tree_cut_off_by_a_budget_builds_no_root_it_does_not_emit(monkeypatch):

@@ -1364,10 +1364,10 @@ def test_constrained_mlfs_checks_choices_before_it_builds(g0, monkeypatch):
     best_first = iterators._assignments_best_first
     yielded, built, walks = [], [], []
 
-    def recording(state, grammar, code, orders):
+    def recording(state, grammar, code, orders, drained):
         made, items = [], []
         walks.append((state, made, items))
-        programs = best_first(state, grammar, code, orders)
+        programs = best_first(state, grammar, code, orders, drained)
         while True:
             # A search advances one walk at a time, so whatever is built
             # while this walk is advanced is this tree's.
@@ -1380,8 +1380,8 @@ def test_constrained_mlfs_checks_choices_before_it_builds(g0, monkeypatch):
             yielded.append(item)
             yield item
 
-    def filtered(state, grammar, code, orders):
-        for item in best_first(unconstrained_copy(state), grammar, code, orders):
+    def filtered(state, grammar, code, orders, drained):
+        for item in best_first(unconstrained_copy(state), grammar, code, orders, drained):
             if check_program(state.constraints, item[0]):
                 yielded.append(item)
                 yield item
