@@ -16,6 +16,12 @@ the change improved, in the direction ``BENCHMARK.json`` gives for the metric
 (``?`` where it names none), looked up without the ``<workload>.`` prefix
 that ``--workload all`` gives each name.  The exit status is 0 only when every run
 exited 0 and reported ``"correct": true``.
+
+Before the first pair each checkout's ``src`` is compiled to bytecode
+(:func:`compile_sources`), so both sides import from the same cache state:
+a copied checkout may carry stale ``.pyc`` files or none, and with
+``PYTHONDONTWRITEBYTECODE`` set no run writes them, so one side's
+``setup_s`` would include compiling every module and the other's not.
 """
 
 import argparse
@@ -47,6 +53,13 @@ def run_once(root: Path, args, seed: int) -> dict:
         result = {"correct": False, "metrics": {}}
     result["status"] = done.returncode
     return result
+
+
+def compile_sources(root: Path) -> None:
+    """Compile every module under ``root/src`` to bytecode, rewriting any
+    ``.pyc`` whose source changed; ``compileall`` writes them even where
+    ``PYTHONDONTWRITEBYTECODE`` is set."""
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=root, check=True)
 
 
 def directions(root: Path) -> dict:
@@ -81,6 +94,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs = {"parent": [], "change": []}
+    for root in sides.values():
+        compile_sources(root)
     for pair, seed in enumerate(args.seeds):
         order = ["parent", "change"] if pair % 2 == 0 else ["change", "parent"]
         for side in order:

@@ -9,14 +9,19 @@ plain holes splits its leftmost one into same-shape classes with
 within ``max_depth`` and ``max_size`` and derives each piece's survey from
 the tree's, so no queued tree is walked again: a piece is uniform exactly
 when it has no holes left, and bfs keys it by its carried depth.
-Dequeuing a uniform tree emits its next complete program and re-enqueues
-the tree until its programs are exhausted; the re-enqueue waits for the
-next dequeue, which does both with one :func:`heapq.heappushpop`.  A bfs
-or dfs search with no problem, budget or deadline skips that round trip
-for a tree whose re-enqueue key is strictly below the head of the queue,
-and emits the rest of its programs at once (:meth:`TopDownIterator._run`).
-Every queue value, fresh or re-enqueued, comes from the iterator's
-``_priority`` method, and the discipline differs per iterator:
+A queue item is a plain tuple ``(key, tie, programs, program, vector)``: a
+partial tree has no stream and its survey in the program slot, and a
+uniform tree carries its stream and the next program it will emit.
+Dequeuing a uniform tree emits that program, peeks the next with one
+``next`` on the stream and re-enqueues the tree until its programs are
+exhausted; the re-enqueue waits for the next dequeue, which does both with
+one :func:`heapq.heappushpop`.  A bfs or dfs search with no problem,
+budget or deadline skips that round trip for a tree whose re-enqueue key
+is strictly below the head of the queue, and emits the rest of its
+programs at once (:meth:`TopDownIterator._run`).  A fresh tree's key comes
+from :func:`priority_function`, except an mlfs uniform tree's, which is
+its first program's; the search keys a re-enqueued tree itself, by the
+same rules, and the discipline differs per iterator:
 
 * ``bfs``   -- fresh trees are keyed by (depth, insertion counter): FIFO
   within a depth layer; a re-enqueued uniform tree keeps its position, so
@@ -159,7 +164,7 @@ import threading
 import time
 from array import array
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator, NamedTuple, Sequence, Union
 from weakref import WeakKeyDictionary
@@ -347,25 +352,6 @@ def priority_function(
     raise ConfigError(f"unknown iterator kind {kind!r}")
 
 
-@dataclass
-class QueueEntry:
-    """One queued tree with its survey, plus the bookkeeping to resume its
-    enumeration."""
-
-    piece: Surveyed
-    programs: Iterator | None = None
-    peeked: RuleNode | None = None
-    # Output vector of ``peeked``, or None without a problem.
-    vector: tuple | None = None
-    # Log-probability of ``peeked``, carried along by mlfs.
-    log_probability: float | None = None
-    # A tree is uniform exactly when its survey lists no plain hole.
-    is_uniform: bool = field(init=False)
-
-    def __post_init__(self):
-        self.is_uniform = not self.piece.holes
-
-
 class _ProgramIterator:
     """The iteration protocol every iterator shares, over its ``_stream``.
 
@@ -401,7 +387,9 @@ class TopDownIterator(_ProgramIterator):
     dequeue) has passed.  Given a problem, :attr:`last_vector` is the output
     vector of the program yielded last, through :attr:`code`: a fresh search
     builds it with the program from its subtrees' vectors, and a search that
-    replays a recording folds the recorded program (:meth:`_replay`).
+    replays a recording folds the recorded program (:meth:`_replay`).  The
+    queue holds one plain tuple per tree (:meth:`_push_piece`), which
+    :meth:`_run` splits or emits from with no per-program method call.
     """
 
     kind = "bfs"
@@ -423,80 +411,82 @@ class TopDownIterator(_ProgramIterator):
         self.constraints = config.constraints
         self.code = None if problem is None else RuleCode(self.grammar, problem)
         self.last_vector: tuple | None = None
-        self._heap: list[tuple[Priority, int, QueueEntry]] = []
+        # Items (key, tie, programs, program, vector), as _push_piece makes them.
+        self._heap: list[tuple] = []
         self._tie = itertools.count()
         self._counter = itertools.count()
         self._push_piece(survey(self.grammar.hole(config.start_symbol)), 0)
         recording = None if problem is None else _recording_for(config)
         self._stream = self._run() if recording is None else self._replay(recording)
 
-    # -- per-kind knobs -----------------------------------------------------
-
-    def _priority(self, entry: QueueEntry, parent_value: Priority, is_requeued: bool) -> Priority:
-        """Queue priority of a fresh or re-enqueued entry, partial or uniform."""
-        return priority_function(
-            self.kind, self.grammar, entry.piece, parent_value, is_requeued,
-            counter=self._counter, dfs_over_shapes=self.config.dfs_over_shapes,
-        )
-
     def _uniform_programs(self, state: SolverState) -> Iterator[tuple]:
         return _assignments_depth_first(state, self.code)
 
-    def _advance(self, entry: QueueEntry) -> None:
-        """Peek a uniform entry's next program; ``None`` once it is exhausted."""
-        entry.peeked, entry.log_probability, entry.vector = next(
-            entry.programs, (None, None, None)
-        )
-
-    # -- queue machinery ------------------------------------------------------
-
-    def _push(self, entry: QueueEntry, parent_value: Priority, is_requeued: bool) -> None:
-        priority = self._priority(entry, parent_value, is_requeued)
-        heapq.heappush(self._heap, (priority, next(self._tie), entry))
-
     def _push_piece(self, piece: Surveyed, parent_value: Priority) -> None:
-        if piece.holes:
-            self._push(QueueEntry(piece), parent_value, False)
-            return
-        state = SolverState(self.grammar, piece.tree, self.constraints)
-        if not state.propagate():
-            return
-        entry = QueueEntry(piece, programs=self._uniform_programs(state))
-        self._advance(entry)
-        if entry.peeked is not None:
-            self._push(entry, parent_value, False)
+        """Queue a fresh piece of a tree dequeued at ``parent_value``.
+
+        A partial piece is queued with its survey; a uniform one that
+        propagation keeps is queued with its stream and the stream's first
+        program, peeked here, or dropped when it has none.  An mlfs uniform
+        tree is keyed by that program's log-probability; every other piece
+        by :func:`priority_function`.
+        """
+        programs = vector = log_probability = None
+        program = piece
+        if not piece.holes:
+            state = SolverState(self.grammar, piece.tree, self.constraints)
+            if not state.propagate():
+                return
+            programs = self._uniform_programs(state)
+            first = next(programs, None)
+            if first is None:
+                return
+            program, log_probability, vector = first
+        if log_probability is None:
+            key = priority_function(
+                self.kind, self.grammar, piece, parent_value, False,
+                counter=self._counter, dfs_over_shapes=self.config.dfs_over_shapes,
+            )
+        else:
+            key = -log_probability
+        heapq.heappush(self._heap, (key, next(self._tie), programs, program, vector))
 
     def _run(self, pause: bool = False) -> Iterator[RuleNode | None]:
         """The search.  With ``pause`` a passed deadline yields ``None``
         instead of ending it, and the search resumes under whatever
         deadline is set when it is next advanced.
 
-        A uniform entry that emits and has programs left is held, with its
-        queue key, rather than pushed; the next dequeue sends it back with
-        one :func:`heapq.heappushpop`.  Keys ``(priority, tie)`` are unique,
-        so that returns exactly what a push then a pop would: dfs still
-        alternates between sibling trees of equal priority, and a bfs entry,
+        Each dequeue splits a partial tree, or emits a uniform tree's peeked
+        program and peeks the next with one ``next`` on its stream.  The
+        loop keys the tree's re-enqueue by :func:`priority_function`'s
+        rules itself: bfs and dfs keep the key, dfs over shapes lowers it by
+        one, and mlfs takes the next program's log-probability, which the
+        stream yields with it.  The tree is held with that key rather than
+        pushed; the next dequeue sends it back with one
+        :func:`heapq.heappushpop`.  Keys ``(priority, tie)`` are unique, so
+        that returns exactly what a push then a pop would: dfs still
+        alternates between sibling trees of equal priority, and a bfs tree,
         whose key nothing else can undercut, comes straight back with no
-        sift.  The held entry lives in this frame, so a paused search
+        sift.  The held tree lives in this frame, so a paused search
         resumes with it.
 
         A bfs or dfs search with nothing to do per program -- no problem,
-        so no vector, and no budget -- drains instead: a uniform entry
+        so no vector, and no budget -- drains instead: a uniform tree
         dequeued while no deadline is set, whose re-enqueue key is strictly
         below the head of the queue, emits all its programs at once.  Its
-        key never rises while it emits (bfs and dfs keep it, dfs over
-        shapes lowers it by one per program) and nothing is pushed
-        meanwhile, so every round trip would have handed it straight back;
-        a tie loses to the older entry, so dfs still alternates between
-        sibling trees of equal priority.  mlfs keys each program by its own
-        log-probability, so it never drains; but a search that also sets no
-        deadline and does not ``pause`` runs to exhaustion, and there mlfs
-        ranks each uniform tree right after its first program
-        (:func:`_ranked_after`).
+        key never rises while it emits and nothing is pushed meanwhile, so
+        every round trip would have handed it straight back; a tie loses to
+        the older entry, so dfs still alternates between sibling trees of
+        equal priority.  mlfs keys each program by its own log-probability,
+        so it never drains; but a search that also sets no deadline and
+        does not ``pause`` runs to exhaustion, and there mlfs ranks each
+        uniform tree right after its first program (:func:`_ranked_after`).
         """
         emitted = 0
         budget = self.config.max_enumerations
         heap = self._heap
+        tie = self._tie
+        lowers = self.config.dfs_over_shapes
         held = None
         # Decided once, since testing it per dequeue slows mlfs; only the
         # deadline, which a recording's consumers reset between programs,
@@ -514,30 +504,35 @@ class TopDownIterator(_ProgramIterator):
                 yield None
                 continue
             if held is None:
-                priority, _, entry = heapq.heappop(heap)
+                priority, _, programs, program, vector = heapq.heappop(heap)
             else:
-                priority, _, entry = heapq.heappushpop(heap, held)
+                priority, _, programs, program, vector = heapq.heappushpop(heap, held)
                 held = None
-            if not entry.is_uniform:
+            if programs is None:
                 # One hole per dequeue, so a tree never fans out by more
                 # than its class count; the split drops out-of-bound pieces
                 # and hands each piece over with its survey.
                 pieces = split_first_hole(
-                    self.grammar, entry.piece, self.config.max_depth, self.config.max_size
+                    self.grammar, program, self.config.max_depth, self.config.max_size
                 )
                 for piece in pieces:
                     self._push_piece(piece, priority)
                 continue
-            program, vector = entry.peeked, entry.vector
             if drains and deadline is None:
-                key = self._priority(entry, priority, True)
-                if not heap or key < heap[0][0]:
+                if not heap or (priority - 1 if lowers else priority) < heap[0][0]:
                     yield program
-                    yield from map(operator.itemgetter(0), entry.programs)
+                    yield from map(operator.itemgetter(0), programs)
                     continue
-            self._advance(entry)
-            if entry.peeked is not None:
-                held = (self._priority(entry, priority, True), next(self._tie), entry)
+            peeked = next(programs, None)
+            if peeked is not None:
+                following, log_probability, following_vector = peeked
+                if log_probability is not None:
+                    key = -log_probability
+                elif lowers:
+                    key = priority - 1
+                else:
+                    key = priority
+                held = (key, next(tie), programs, following, following_vector)
             emitted += 1
             self.last_vector = vector
             yield program
@@ -580,15 +575,14 @@ class DFSIterator(TopDownIterator):
 class MLFSIterator(TopDownIterator):
     """Most-likely-first search over a probabilistic grammar.
 
-    Uniform entries are keyed by the exact log-probability of the next
-    program they will emit, and partial entries by
-    :func:`priority_function`'s bound, so no program comes after a less
-    likely program of another tree.  Within a tree the order follows
-    the heap key of :func:`_assignments_best_first`, which is accumulated
-    from per-hole steps and can differ from the emitted log-probability,
-    summed in preorder, by a few ulps: consecutive programs of one tree may
-    rise by that much (up to 7.1e-15 has been measured).  The log-probability
-    comes with the program from the uniform tree's enumeration.
+    A uniform tree is keyed by the exact log-probability of the next
+    program it will emit, which its stream yields with the program, and a
+    partial tree by :func:`priority_function`'s bound, so no program comes
+    after a less likely program of another tree.  Within a tree the order
+    follows the heap key of :func:`_assignments_best_first`, which is
+    accumulated from per-hole steps and can differ from the emitted
+    log-probability, summed in preorder, by a few ulps: consecutive programs
+    of one tree may rise by that much (up to 7.1e-15 has been measured).
     """
 
     kind = "mlfs"
@@ -602,11 +596,6 @@ class MLFSIterator(TopDownIterator):
         self._orders: dict[tuple[int, ...], tuple[list[int], list[float], list[float]]]
         self._orders = {}
         super().__init__(config, problem, deadline)
-
-    def _priority(self, entry, parent_value, is_requeued):
-        if entry.is_uniform:
-            return -entry.log_probability
-        return super()._priority(entry, parent_value, is_requeued)
 
     def _uniform_programs(self, state: SolverState) -> Iterator[tuple]:
         return _assignments_best_first(

@@ -561,6 +561,16 @@ def has_recording(grammar):
     return bool(shelf and shelf.recordings)
 
 
+def queued_uniform_trees(search):
+    """The uniform trees a suspended top-down search holds, as its heap
+    items ``(key, tie, programs, program, vector)``: those in its queue,
+    and the one that has just emitted, which the search holds to send back
+    at its next dequeue (``None`` when it holds none)."""
+    frame = iter(search).gi_frame
+    held = None if frame is None else frame.f_locals.get("held")
+    return [item for item in search._heap if item[2] is not None], held
+
+
 def promising_by_the_full_loop(config, problem):
     """Score one enumeration as probe did when it counted every program's
     fitness through ``values_equal`` and every positive-fitness program's

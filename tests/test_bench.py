@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -634,14 +635,40 @@ def test_bench_pairs_compares_a_checkout_with_itself():
     assert {"setup_s", "suite_s", "solved_frac", "peak_rss_mb"} <= rows.keys()
 
 
+def _bench_pairs():
+    """``scripts/bench_pairs.py`` as a module; importing it starts no run."""
+    script = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+    spec = importlib.util.spec_from_file_location("bench_pairs", script)
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    return bench_pairs
+
+
+def test_bench_pairs_compiles_each_checkout_before_it_runs(tmp_path, monkeypatch):
+    # A copy of the sources with one stale .pyc and the rest uncompiled:
+    # after compile_sources every module has a .pyc that matches its
+    # source, as an import checks it, even with PYTHONDONTWRITEBYTECODE.
+    root = Path(__file__).resolve().parent.parent
+    shutil.copytree(root / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    sources = sorted((tmp_path / "src").rglob("*.py"))
+    stale = Path(importlib.util.cache_from_source(str(sources[0])))
+    stale.parent.mkdir()
+    stale.write_bytes(importlib.util.MAGIC_NUMBER + bytes(12))
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    _bench_pairs().compile_sources(tmp_path)
+    for source in sources:
+        header = Path(importlib.util.cache_from_source(str(source))).read_bytes()[:16]
+        stat = source.stat()
+        assert header[:4] == importlib.util.MAGIC_NUMBER, source
+        assert int.from_bytes(header[8:12], "little") == int(stat.st_mtime) & 0xFFFFFFFF, source
+        assert int.from_bytes(header[12:16], "little") == stat.st_size & 0xFFFFFFFF, source
+
+
 def test_bench_pairs_looks_up_directions_without_the_workload_prefix():
     # `run.py --workload all` names each metric `<workload>.<metric>`; the
     # direction comes from BENCHMARK.json's bare name.  No run is started.
     root = Path(__file__).resolve().parent.parent
-    script = root / "scripts" / "bench_pairs.py"
-    spec = importlib.util.spec_from_file_location("bench_pairs", script)
-    bench_pairs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench_pairs)
+    bench_pairs = _bench_pairs()
     better, workloads = bench_pairs.directions(root)
     assert {"enum-plain", "enum-constrained", "pbe-topdown", "pbe-bottomup"} <= set(workloads)
     for name, expected in [

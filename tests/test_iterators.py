@@ -4,6 +4,7 @@ import math
 import random
 import time
 import types
+from typing import NamedTuple
 
 import pytest
 
@@ -43,6 +44,7 @@ from conftest import SUITES_DIR
 from oracles import (
     enumerate_programs,
     has_recording,
+    queued_uniform_trees,
     reference_assignments_best_first,
     reference_lexicographic_walk,
     unconstrained_copy,
@@ -895,17 +897,59 @@ def _drain_search(case, kind, over=False, budget=None, deadline=None):
     return make_iterator(config, deadline=deadline)
 
 
-def _advanced(monkeypatch):
-    """Record the entry of every ``_advance`` call, in order."""
-    entries = []
-    advance = iterators.TopDownIterator._advance
+class _CountedStream:
+    """A uniform tree's stream that counts its advances, the one that finds
+    it exhausted included, keeps the program it handed over last (``None``
+    once exhausted) and notes itself in ``owners`` as each program's tree."""
 
-    def recorded(search, entry):
-        entries.append(entry)
-        advance(search, entry)
+    def __init__(self, stream, owners):
+        self.stream, self.owners = stream, owners
+        self.advances, self.last = 0, None
 
-    monkeypatch.setattr(iterators.TopDownIterator, "_advance", recorded)
-    return entries
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        self.advances += 1
+        item = next(self.stream, None)
+        if item is None:
+            self.last = None
+            raise StopIteration
+        self.last = item[0]
+        self.owners[id(item[0])] = self
+        return item
+
+
+class _Emission(NamedTuple):
+    text: str
+    # Whether the search handed the program over by delegating to its
+    # tree's stream, as a drained tree emits all but its first program.
+    delegated: bool
+    # Whether the tree's stream was advanced past the program before it
+    # was emitted, as a program emitted through the queue is.
+    advanced: bool
+    tree: _CountedStream
+
+
+def _emissions(search):
+    """Run a search whose uniform trees' streams count their advances:
+    the streams, one per tree the search queued, and each emission."""
+    streams, owners = [], {}
+    uniform_programs = search._uniform_programs
+
+    def counted(state):
+        streams.append(_CountedStream(uniform_programs(state), owners))
+        return streams[-1]
+
+    search._uniform_programs = counted
+    run = iter(search)
+    emitted = []
+    for program in run:
+        tree = owners.pop(id(program))
+        delegated = run.gi_yieldfrom is not None
+        advanced = tree.last is not program
+        emitted.append(_Emission(serialize_node(program), delegated, advanced, tree))
+    return streams, emitted
 
 
 def _far():
@@ -915,20 +959,23 @@ def _far():
 
 @DRAIN_KINDS
 @pytest.mark.parametrize("case", sorted(DRAIN_CASES))
-def test_a_tree_ahead_of_the_queue_drains_and_changes_nothing(case, kind, over, monkeypatch):
+def test_a_tree_ahead_of_the_queue_drains_and_changes_nothing(case, kind, over):
     # With no problem, deadline or budget, a uniform tree is advanced once,
     # to peek it as it is queued, and emits the rest at once.  Only dfs
     # siblings of equal priority still take turns program by program, until
     # one is exhausted.  Under a deadline every program is advanced to, and
     # the sequence is the same.
-    entries = _advanced(monkeypatch)
-    drained = [serialize_node(p) for p in _drain_search(case, kind, over)]
-    advances, trees = len(entries), len(set(map(id, entries)))
-    entries.clear()
-    kept = [serialize_node(p) for p in _drain_search(case, kind, over, deadline=_far())]
+    streams, emitted = _emissions(_drain_search(case, kind, over))
+    drained = [e.text for e in emitted]
+    trees = len(streams)
+    advances = trees + sum(e.advanced for e in emitted)
+    assert any(e.delegated for e in emitted)
+    streams, emitted = _emissions(_drain_search(case, kind, over, deadline=_far()))
+    kept = [e.text for e in emitted]
     assert drained == kept and len(kept) > 600
-    assert len(set(map(id, entries))) == trees
-    assert len(entries) == trees + len(kept)
+    assert len(streams) == trees
+    assert sum(stream.advances for stream in streams) == trees + len(kept)
+    assert all(e.advanced and not e.delegated for e in emitted)
     if kind == "dfs" and not over:
         assert trees < advances < trees + len(kept) // 100
     else:
@@ -936,11 +983,11 @@ def test_a_tree_ahead_of_the_queue_drains_and_changes_nothing(case, kind, over, 
 
 
 @pytest.mark.parametrize("case", sorted(DRAIN_CASES))
-def test_mlfs_advances_once_per_program(case, monkeypatch):
+def test_mlfs_advances_once_per_program(case):
     # mlfs keys every program by its own log-probability, so it never drains.
-    entries = _advanced(monkeypatch)
-    programs = [serialize_node(p) for p in _drain_search(case, "mlfs")]
-    assert len(entries) == len(set(map(id, entries))) + len(programs)
+    streams, emitted = _emissions(_drain_search(case, "mlfs"))
+    assert sum(stream.advances for stream in streams) == len(streams) + len(emitted)
+    assert not any(e.delegated for e in emitted)
 
 
 def test_a_deadline_inside_a_large_bfs_tree_stops_at_the_same_program(monkeypatch):
@@ -950,25 +997,24 @@ def test_a_deadline_inside_a_large_bfs_tree_stops_at_the_same_program(monkeypatc
     # search stops at the 3,474th program, where it stopped when every
     # emission took a round trip through the queue.
     full = [serialize_node(p) for p in _drain_search("arith", "bfs")]
-    entries = _advanced(monkeypatch)
     ticks = itertools.count()
     monkeypatch.setattr(iterators, "time", types.SimpleNamespace(monotonic=lambda: next(ticks)))
-    stopped = [serialize_node(p) for p in _drain_search("arith", "bfs", deadline=3500)]
+    _, emitted = _emissions(_drain_search("arith", "bfs", deadline=3500))
+    stopped = [e.text for e in emitted]
     assert len(stopped) == 3474 and stopped == full[:3474]
     # The tree that emitted last still had programs to emit.
-    assert entries[-1].peeked is not None
+    assert emitted[-1].tree.last is not None
 
 
 @DRAIN_KINDS
-def test_a_budget_inside_a_tree_or_at_its_end_emits_the_prefix(kind, over, monkeypatch):
-    # Under a far deadline each emission advances its own tree last, which
-    # names the tree of every program; a budget ends halfway through the
-    # longest run of one tree's programs, or where that run ends.
+def test_a_budget_inside_a_tree_or_at_its_end_emits_the_prefix(kind, over):
+    # Under a far deadline every program goes through the queue, and its
+    # stream names its tree; a budget ends halfway through the longest run
+    # of one tree's programs, or where that run ends.
     full = [serialize_node(p) for p in _drain_search("arith", kind, over)]
-    entries = _advanced(monkeypatch)
-    trees = []
-    for _ in _drain_search("arith", kind, over, deadline=_far()):
-        trees.append(id(entries[-1]))
+    _, emitted = _emissions(_drain_search("arith", kind, over, deadline=_far()))
+    assert all(e.advanced and not e.delegated for e in emitted)
+    trees = [id(e.tree) for e in emitted]
     runs = [len(list(run)) for _, run in itertools.groupby(trees)]
     longest = runs.index(max(runs))
     end = sum(runs[: longest + 1])
@@ -976,6 +1022,45 @@ def test_a_budget_inside_a_tree_or_at_its_end_emits_the_prefix(kind, over, monke
     for budget in (end - runs[longest] // 2, end):
         search = _drain_search("arith", kind, over, budget=budget)
         assert [serialize_node(p) for p in search] == full[:budget]
+
+
+@pytest.mark.parametrize("far", [False, True], ids=["drained", "far-deadline"])
+@pytest.mark.parametrize(
+    "kind, over", [("bfs", False), ("dfs", False), ("dfs", True), ("mlfs", False)],
+    ids=["bfs", "dfs", "dfs-over-shapes", "mlfs"],
+)
+@pytest.mark.parametrize("case", ["arith", "mini-strings", "ordered"])
+def test_every_queued_uniform_tree_carries_the_key_its_rule_gives(case, kind, over, far):
+    # The loop keys a re-enqueued tree itself, without priority_function.
+    # After every emitted program each uniform tree the search holds must
+    # carry the key the public rules give: mlfs the negated best
+    # log-probability of the program it will emit next; bfs and dfs, for
+    # the tree that has just emitted, priority_function's re-enqueue value
+    # of the key it was dequeued with, and for every other tree the key it
+    # was last seen with.
+    search = _drain_search(case, kind, over, deadline=_far() if far else None)
+    grammar = search.grammar
+    last_keys = {}
+    requeued = 0
+    for _ in search:
+        queued, held = queued_uniform_trees(search)
+        for item in queued + ([] if held is None else [held]):
+            key, _, stream, peeked, _ = item
+            if kind == "mlfs":
+                assert key == -max_rulenode_log_probability(peeked, grammar)
+            elif stream in last_keys:
+                expected = last_keys[stream]
+                if item is held:
+                    requeued += 1
+                    expected = priority_function(
+                        kind, grammar, peeked, expected, True, dfs_over_shapes=over
+                    )
+                assert key == expected
+            last_keys[stream] = key
+    # Under a deadline every tree emits through the queue, so the rule for
+    # re-enqueued trees is checked on most programs.
+    if far and kind != "mlfs":
+        assert requeued > 100
 
 
 # -- bottom-up specifics ---------------------------------------------------------

@@ -25,7 +25,6 @@ from synthkit import (
 )
 from synthkit import IOExample, Problem, iterators
 from synthkit.interpreter import RuleCode
-from synthkit.iterators import MLFSIterator
 from synthkit.constraints import Ordered, PatternVar
 from synthkit.nodes import subtrees
 from synthkit.solver import (
@@ -42,6 +41,7 @@ from synthkit.solver import (
 from conftest import SUITES_DIR
 from oracles import (
     has_recording,
+    queued_uniform_trees,
     expand_completions,
     random_partial_tree,
     reference_assignments_best_first,
@@ -578,16 +578,6 @@ def test_iterators_emit_the_same_sequence_under_reference_propagation(g0, kind, 
         "mini-strings": (strings.with_probabilities(MINI_STRINGS_PROBABILITIES), "S"),
     }
     priorities = []
-    keyed = MLFSIterator._priority
-
-    def recording_priority(iterator, entry, parent_value, is_requeued):
-        value = keyed(iterator, entry, parent_value, is_requeued)
-        if entry.is_uniform:
-            expected = -max_rulenode_log_probability(entry.peeked, iterator.grammar)
-            priorities.append(value == expected)
-        return value
-
-    monkeypatch.setattr(MLFSIterator, "_priority", recording_priority)
 
     def drain(family, max_depth, max_size, constraints):
         grammar, start = grammars[family]
@@ -597,7 +587,19 @@ def test_iterators_emit_the_same_sequence_under_reference_propagation(g0, kind, 
         )
         # A replayed search would run none of the patched code.
         assert not has_recording(grammar)
-        return [serialize_node(p) for p in make_iterator(config)]
+        search = make_iterator(config)
+        programs = []
+        for program in search:
+            programs.append(serialize_node(program))
+            if kind == "mlfs":
+                # Every uniform tree the search holds is keyed by the
+                # program it will emit next.
+                queued, held = queued_uniform_trees(search)
+                priorities.extend(
+                    key == -max_rulenode_log_probability(peeked, grammar)
+                    for key, _, _, peeked, _ in queued + ([] if held is None else [held])
+                )
+        return programs
 
     reference_splits = []
 
