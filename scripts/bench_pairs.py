@@ -11,8 +11,10 @@ times with), one after the other.  The first of each pair alternates,
 parent first on even pairs, so a drift of the machine's speed weighs on
 both sides alike.  Per metric it prints the parent's and the
 change's median, their ratio (change over parent), the spread of the
-parent's runs (the distance between their quartiles) and how many pairs
-the change improved, in the direction ``BENCHMARK.json`` gives for the metric
+parent's runs (the distance between their quartiles), how many pairs
+the change improved and how many it made worse (the rest are ties, as a
+``solved_frac`` that reads the same on both sides is), in the direction
+``BENCHMARK.json`` gives for the metric
 (``?`` where it names none), looked up without the ``<workload>.`` prefix
 that ``--workload all`` gives each name.  The exit status is 0 only when every run
 exited 0 and reported ``"correct": true``.
@@ -83,6 +85,43 @@ def direction(name: str, better: dict, workloads: list):
     return better.get(name)
 
 
+def summary(runs: dict, better: dict, workloads: list) -> list:
+    """One header line and one line per metric that both sides' first runs
+    report: the medians, their ratio, the parent's spread, and how many
+    pairs the change made better and how many worse (ties are the rest)."""
+    names = [name for name in runs["parent"][0]["metrics"] if name in runs["change"][0]["metrics"]]
+    lines = [
+        f"{'metric':40s} {'parent':>12s} {'change':>12s} {'ratio':>8s} {'spread':>12s}"
+        f" {'improved':>8s} {'worse':>8s}"
+    ]
+    for name in names:
+        values = {
+            side: [run["metrics"][name]["value"] for run in runs[side] if name in run["metrics"]]
+            for side in runs
+        }
+        if len(values["parent"]) != len(values["change"]):
+            continue
+        medians = {side: statistics.median(values[side]) for side in runs}
+        ratio = medians["change"] / medians["parent"] if medians["parent"] else float("nan")
+        spread = 0.0
+        if len(values["parent"]) > 1:
+            quartiles = statistics.quantiles(values["parent"], n=4)
+            spread = quartiles[2] - quartiles[0]
+        sign = {"higher": 1, "lower": -1}.get(direction(name, better, workloads))
+        if sign is None:
+            improved = worse = "?"
+        else:
+            gains = [sign * (c - p) for p, c in zip(values["parent"], values["change"])]
+            pairs = len(gains)
+            improved = f"{sum(gain > 0 for gain in gains)}/{pairs}"
+            worse = f"{sum(gain < 0 for gain in gains)}/{pairs}"
+        lines.append(
+            f"{name:40s} {medians['parent']:12.6g} {medians['change']:12.6g} {ratio:8.4f}"
+            f" {spread:12.6g} {improved:>8s} {worse:>8s}"
+        )
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
@@ -103,31 +142,8 @@ def main(argv=None) -> int:
         print(f"pair {pair + 1}/{len(args.seeds)} (seed {seed}) done", file=sys.stderr)
 
     better, workloads = directions(sides["change"])
-    names = [name for name in runs["parent"][0]["metrics"] if name in runs["change"][0]["metrics"]]
-    print(f"{'metric':40s} {'parent':>12s} {'change':>12s} {'ratio':>8s} {'spread':>12s} improved")
-    for name in names:
-        values = {
-            side: [run["metrics"][name]["value"] for run in runs[side] if name in run["metrics"]]
-            for side in sides
-        }
-        if len(values["parent"]) != len(values["change"]):
-            continue
-        medians = {side: statistics.median(values[side]) for side in sides}
-        ratio = medians["change"] / medians["parent"] if medians["parent"] else float("nan")
-        spread = 0.0
-        if len(values["parent"]) > 1:
-            quartiles = statistics.quantiles(values["parent"], n=4)
-            spread = quartiles[2] - quartiles[0]
-        sign = {"higher": 1, "lower": -1}.get(direction(name, better, workloads))
-        if sign is None:
-            improved = "?"
-        else:
-            wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
-            improved = f"{wins}/{len(values['parent'])}"
-        print(
-            f"{name:40s} {medians['parent']:12.6g} {medians['change']:12.6g} {ratio:8.4f}"
-            f" {spread:12.6g} {improved}"
-        )
+    for line in summary(runs, better, workloads):
+        print(line)
 
     ok = all(run["status"] == 0 and run["correct"] for side in sides for run in runs[side])
     print(f"all runs correct: {ok}")

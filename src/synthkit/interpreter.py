@@ -425,12 +425,43 @@ def output_key(vector: tuple) -> tuple:
 
 # -- evaluation over output vectors -------------------------------------------
 
-# Each operator lifted to map over one vector per argument.  The lifts take
-# fixed positional parameters: a ``*vectors`` lift is measurably slower.
+
+class _Const(tuple):
+    """An output vector whose subtree reads no input, so every example holds
+    the same value.  It compares and hashes as the tuple it is; it is never
+    empty, so its first position is the shared value."""
+
+    __slots__ = ()
+
+
+_new = tuple.__new__
+
+
+def _constant(value: Value, length: int) -> tuple:
+    """``length`` copies of ``value``, marked constant unless there are none."""
+    return _new(_Const, (value,) * length) if length else ()
+
+
+# Each operator lifted to map over one vector per argument.  Every operator
+# is a pure, strict function of one example's values, so where all its
+# argument vectors are constant it is applied once, to the shared values,
+# and gives a constant vector of the same length: a constant vector costs
+# one operator call whatever the number of examples.  The lifts take fixed
+# positional parameters: a ``*vectors`` lift is measurably slower.
 _LIFTS = {
-    1: lambda op: lambda a: tuple(map(op, a)),
-    2: lambda op: lambda a, b: tuple(map(op, a, b)),
-    3: lambda op: lambda a, b, c: tuple(map(op, a, b, c)),
+    1: lambda op: lambda a: (
+        _new(_Const, (op(a[0]),) * len(a)) if type(a) is _Const else tuple(map(op, a))
+    ),
+    2: lambda op: lambda a, b: (
+        _new(_Const, (op(a[0], b[0]),) * len(a))
+        if type(a) is _Const is type(b)
+        else tuple(map(op, a, b))
+    ),
+    3: lambda op: lambda a, b, c: (
+        _new(_Const, (op(a[0], b[0], c[0]),) * len(a))
+        if type(a) is _Const is type(b) is type(c)
+        else tuple(map(op, a, b, c))
+    ),
 }
 _VECTOR_OPS = {name: _LIFTS[len(types)](op) for name, (op, types, _) in _OPERATORS.items()}
 
@@ -439,7 +470,7 @@ def _compile(expr: Expression, inputs: tuple) -> Union[tuple, Callable]:
     """An expression's vector on ``inputs`` if it reads no child slot, else
     a function from the tuple of child vectors to its vector."""
     if isinstance(expr, Literal):
-        return (expr.value,) * len(inputs)
+        return _constant(expr.value, len(inputs))
     if isinstance(expr, Variable):
         name = expr.name
         return tuple([env[name] if name in env else EVAL_ERROR for env in inputs])
@@ -456,16 +487,29 @@ def _compile(expr: Expression, inputs: tuple) -> Union[tuple, Callable]:
 
 def _compile_rule(template: Expression, inputs: tuple) -> Union[tuple, Callable]:
     """A rule's constant vector, or its function of the children's vectors."""
-    if isinstance(template, Apply) and template.args == tuple(
-        ChildRef(i) for i in range(len(template.args))
-    ):
-        # The rule is one operator over its children in order, as in
-        # ``Int + Int`` or ``concat(S, S)``: the operator's vector function.
-        return _VECTOR_OPS[template.op]
     code = _compile(template, inputs)
     if callable(code):
         return lambda *kids: code(kids)
     return code
+
+
+def _operator_code(template: Expression) -> Callable | None:
+    """The vector function of a template that is one operator over its
+    children in order, as ``Int + Int`` or ``concat(S, S)`` are, else None."""
+    if isinstance(template, Apply) and template.args == tuple(
+        ChildRef(i) for i in range(len(template.args))
+    ):
+        return _VECTOR_OPS[template.op]
+    return None
+
+
+# Per grammar structure, what its rules compile to on any problem, filled
+# as RuleCodes ask: the vector code of each rule that is one operator over
+# its children in order, and the may_hold_bool answer of each rule with
+# children.  Module state keyed weakly by the structure, as
+# iterators._SHELVES is: the lifted operators are closures, which a pickled
+# grammar could not carry.
+_STRUCTURE_CODE: "WeakKeyDictionary[object, tuple[dict, dict]]" = WeakKeyDictionary()
 
 
 class RuleCode(dict):
@@ -474,36 +518,57 @@ class RuleCode(dict):
     Maps a rule index to its code, built on first use: for a rule with
     children, a function from their output vectors to the rule's; for a leaf
     rule, its output vector.  A search builds one and scores every program
-    through it.  :meth:`may_hold_bool` tells from the same templates which
-    rules' vectors can hold a boolean, so that only those need
-    :func:`output_key`.
+    through it.  A vector whose subtree reads no input is marked constant,
+    and an operator over constant vectors is applied once, not once per
+    example.  A rule that is one operator over its children in order has the
+    same code on every problem, so its code, like each rule's
+    :meth:`may_hold_bool` answer, is compiled once per grammar structure
+    and shared by every ``RuleCode`` over it: each new one compiles only
+    its leaves and the templates that read an input.  :meth:`may_hold_bool`
+    tells from the same templates which rules' vectors can hold a boolean,
+    so that only those need :func:`output_key`.
     """
 
     def __init__(self, grammar: Grammar, problem: Problem):
-        super().__init__()
+        structure = grammar._structure
+        shared = _STRUCTURE_CODE.get(structure)
+        if shared is None:
+            shared = _STRUCTURE_CODE.setdefault(structure, ({}, {}))
+        self._operators, self._may_hold_bool = shared
+        super().__init__(self._operators)
         self.grammar = grammar
         self.problem = problem
         self.inputs = tuple(example.input for example in problem.examples)
 
     def __missing__(self, rule: int):
-        code = _compile_rule(_template(self.grammar, rule), self.inputs)
+        template = _template(self.grammar, rule)
+        code = _operator_code(template)
+        if code is None:
+            code = _compile_rule(template, self.inputs)
+        else:
+            self._operators[rule] = code
         self[rule] = code
         return code
 
     def may_hold_bool(self, rule: int) -> bool:
         """Whether a vector of the rule can hold a boolean.
 
-        A leaf rule's constant vector is inspected.  A rule whose template
+        A leaf rule's vector is inspected.  A rule whose template
         applies an operator with an integer or string result at its root
         never holds one: every position is that type or ``EVAL_ERROR``.
         Any other rule, whose root passes a value through (``if``, or a
         chain rule whose root is a child slot), may.
         """
-        code = self[rule]
-        if not callable(code):
-            return bool in map(type, code)
-        template = _template(self.grammar, rule)
-        return not (isinstance(template, Apply) and _OPERATORS[template.op][2] in (int, str))
+        held = self._may_hold_bool.get(rule)
+        if held is None:
+            code = self[rule]
+            if not callable(code):
+                return bool in map(type, code)
+            template = _template(self.grammar, rule)
+            held = self._may_hold_bool[rule] = not (
+                isinstance(template, Apply) and _OPERATORS[template.op][2] in (int, str)
+            )
+        return held
 
     def vector(self, program: Node, allow_errors: bool = True) -> tuple:
         """The program's output vector; see :func:`output_vector`."""

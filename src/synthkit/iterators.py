@@ -118,8 +118,13 @@ application of its rule's compiled function to its children's vectors: a
 fresh top-down stream computes it where the node is built and carries it
 with every subtree it shares, a replayed one folds each shared subtree
 once (see below), and each bottom-up bank entry holds its own, so a vector
-costs one rule application per node actually built.  Without a problem
-every vector is ``None`` and no rule is compiled.
+costs one rule application per node actually built.  A vector whose
+subtree reads no input is marked constant, and an application over
+constant vectors calls its operator once, not once per example.  A rule
+that is one operator over its children has the same code on every problem,
+so its code is compiled once per grammar structure and every ``RuleCode``
+over that structure shares it.  Without a problem every vector is ``None``
+and no rule is compiled.
 
 Every iterator takes an optional deadline (a :func:`time.monotonic` value):
 top-down search checks it on every dequeue, bottom-up on every candidate,

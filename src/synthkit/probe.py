@@ -37,7 +37,7 @@ from .interpreter import EVAL_ERROR, output_key, run_examples, values_equal
 # Unused here, but kept as names the benchmark tracer patches on this module.
 from .interpreter import evaluate, to_expression  # noqa: F401
 from .iterators import IteratorConfig, SynthFlag, check_bounds, check_timeout, make_iterator
-from .nodes import Node, RuleNode, node_count, subtrees
+from .nodes import Node, RuleNode, subtrees
 from .specification import Problem
 
 
@@ -111,6 +111,8 @@ def _collect_promising(
     # fitness, so sizes are counted only when a vector comes again; a held
     # size is None until then.
     by_vector: dict[tuple, tuple[float, int | None, RuleNode]] = {}
+    # Tied programs share subtrees, so each is counted once per cycle.
+    sizes: dict[int, tuple[int, RuleNode]] = {}
     enumerated = 0
     try:
         iterator = make_iterator(config, problem=problem, deadline=deadline)
@@ -140,8 +142,8 @@ def _collect_promising(
                 if held is None or fit > held[0]:
                     by_vector[key] = (fit, None, program)
                 elif fit == held[0]:
-                    held_size = held[1] or node_count(held[2])
-                    size = node_count(program)
+                    held_size = held[1] or _tie_size(held[2], sizes)
+                    size = _tie_size(program, sizes)
                     by_vector[key] = (
                         (fit, size, program) if size < held_size else (fit, held_size, held[2])
                     )
@@ -153,6 +155,23 @@ def _collect_promising(
     promising = {PromisingProgram(prog, fit) for fit, _, prog in by_vector.values()}
     flag = SynthFlag.suboptimal_program if promising else SynthFlag.no_program
     return promising, flag, enumerated
+
+
+def _tie_size(node: RuleNode, sizes: dict) -> int:
+    """The node count of ``node``, walking only subtrees not yet in ``sizes``.
+
+    ``sizes`` maps ``id(node)`` to the inner node's count and the node
+    itself, which it keeps alive so that no other node takes its id.
+    """
+    if not node.children:
+        return 1
+    held = sizes.get(id(node))
+    if held is None:
+        held = sizes[id(node)] = (
+            1 + sum([_tie_size(child, sizes) for child in node.children]),
+            node,
+        )
+    return held[0]
 
 
 def get_promising_programs_with_fitness(

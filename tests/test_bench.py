@@ -628,10 +628,10 @@ def test_bench_pairs_compares_a_checkout_with_itself():
     assert result.returncode == 0, result.stderr
     rows = {line.split()[0]: line.split()[1:] for line in result.stdout.splitlines()}
     assert rows["all"] == ["runs", "correct:", "True"]
-    parent, change, ratio, spread, improved = rows["programs_per_s"]
+    parent, change, ratio, spread, improved, worse = rows["programs_per_s"]
     assert float(parent) > 0 and float(change) > 0 and float(ratio) > 0
     assert float(spread) == 0
-    assert improved in ("0/1", "1/1")
+    assert improved in ("0/1", "1/1") and worse in ("0/1", "1/1")
     assert {"setup_s", "suite_s", "solved_frac", "peak_rss_mb"} <= rows.keys()
 
 
@@ -681,3 +681,27 @@ def test_bench_pairs_looks_up_directions_without_the_workload_prefix():
         ("no-such-workload.programs_per_s", None),
     ]:
         assert bench_pairs.direction(name, better, workloads) == expected, name
+
+
+def test_bench_pairs_summary_counts_ties_apart_from_losses():
+    # Canned results of three pairs, no run started: a metric that ties in
+    # every pair reads 0 improved and 0 worse, not as three losses.
+    def run(programs, solved, suite):
+        metrics = {"programs_per_s": programs, "solved_frac": solved, "suite_s": suite, "odd": 1}
+        return {"metrics": {name: {"value": value} for name, value in metrics.items()}}
+
+    runs = {
+        "parent": [run(100, 0.0, 5.0), run(110, 0.0, 5.0), run(90, 0.0, 4.0)],
+        "change": [run(120, 0.0, 4.0), run(105, 0.0, 5.0), run(95, 0.0, 6.0)],
+    }
+    root = Path(__file__).resolve().parent.parent
+    bench_pairs = _bench_pairs()
+    better, workloads = bench_pairs.directions(root)
+    header, *lines = bench_pairs.summary(runs, better, workloads)
+    assert header.split()[-2:] == ["improved", "worse"]
+    rows = {line.split()[0]: line.split()[1:] for line in lines}
+    assert rows["programs_per_s"][-2:] == ["2/3", "1/3"]
+    assert rows["solved_frac"][-2:] == ["0/3", "0/3"]
+    assert rows["suite_s"][-2:] == ["1/3", "1/3"]
+    assert rows["odd"][-2:] == ["?", "?"]
+    assert [float(v) for v in rows["programs_per_s"][:2]] == [100, 105]

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 import re
 from dataclasses import replace
@@ -28,10 +29,23 @@ from synthkit import (
     parse_node,
     run_examples,
     serialize_node,
+    set_uniform_probabilities,
     synth,
     to_expression,
 )
-from synthkit.interpreter import _OPERATORS, _VECTOR_OPS, Apply, Literal, RuleCode, Variable
+from synthkit.bench import get_all_problem_grammar_pairs
+from synthkit.interpreter import (
+    _LIFTS,
+    _OPERATORS,
+    _STRUCTURE_CODE,
+    _VECTOR_OPS,
+    Apply,
+    Literal,
+    RuleCode,
+    Variable,
+    _Const,
+    _constant,
+)
 from synthkit.specification import _INT_MAX, _INT_MIN
 
 from conftest import SUITES_DIR
@@ -532,3 +546,186 @@ def test_arithmetic_matches_reference_evaluator(g0):
         tree = random_complete_tree(g0, "Int", rng, rng.randint(1, 5))
         x = rng.randint(-(10**6), 10**6)
         assert execute_on_input(g0, tree, {"x": x}) == reference_eval_arith(tree, x)
+
+
+# -- constant vectors and the per-structure table -------------------------------
+
+# Argument values for every operator, of every type and ill-typed alike.
+CONSTANT_VALUES = (EVAL_ERROR, True, False, 0, 1, 2, -3, "", "ab", "a-b")
+
+
+def _counting(function):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return function(*args)
+
+    return counted, calls
+
+
+@pytest.mark.parametrize("op", sorted(_VECTOR_OPS))
+def test_an_operator_over_constant_vectors_is_applied_once(op):
+    function, types, _ = _OPERATORS[op]
+    counted, calls = _counting(function)
+    lifted = _LIFTS[len(types)](counted)
+    for length in (1, 2, 7):
+        for args in itertools.product(CONSTANT_VALUES, repeat=len(types)):
+            calls.clear()
+            vector = lifted(*[_constant(value, length) for value in args])
+            assert_same_vector(vector, (function(*args),) * length)
+            assert type(vector) is _Const
+            assert len(calls) == 1
+
+
+@pytest.mark.parametrize("op", sorted(_VECTOR_OPS))
+def test_an_operator_over_an_input_vector_is_applied_per_example(op):
+    function, types, _ = _OPERATORS[op]
+    counted, calls = _counting(function)
+    lifted = _LIFTS[len(types)](counted)
+    rng = random.Random(op)
+    for length in (1, 2, 7):
+        for mixed in range(len(types) + 1):
+            # The first `mixed` arguments are constant, the rest per example;
+            # with all of them per example the vectors are plain tuples.
+            vectors = [
+                _constant(rng.choice(CONSTANT_VALUES), length)
+                if i < mixed
+                else tuple(rng.choice(CONSTANT_VALUES) for _ in range(length))
+                for i in range(len(types))
+            ]
+            if mixed == len(types):
+                continue
+            calls.clear()
+            vector = lifted(*vectors)
+            assert_same_vector(vector, tuple(map(function, *vectors)))
+            assert type(vector) is tuple
+            assert len(calls) == length
+
+
+def _reads_input(expr):
+    if isinstance(expr, Variable):
+        return True
+    return isinstance(expr, Apply) and any(_reads_input(arg) for arg in expr.args)
+
+
+# Each bundled grammar's start symbol, a strategy for its input x and one x.
+BUNDLED = {
+    "arith": ("Int", st.integers(-20, 20), 3),
+    "mini-strings": ("S", st.text("ab-. !", max_size=6), "a-b"),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    name=st.sampled_from(sorted(BUNDLED)),
+    seed=st.integers(0, 2**32),
+    depth=st.integers(1, 5),
+    data=st.data(),
+)
+def test_vectors_match_evaluate_and_are_constant_exactly_when_no_input_is_read(
+    name, seed, depth, data
+):
+    start, inputs, _ = BUNDLED[name]
+    grammar = parse_grammar((SUITES_DIR / name / "default.herbg").read_text())
+    xs = data.draw(st.lists(inputs, min_size=1, max_size=7))
+    problem = Problem(name, tuple(IOExample({"x": x}, x) for x in xs))
+    program = random_complete_tree(grammar, start, random.Random(seed), depth)
+    expr = to_expression(grammar, program)
+    expected = []
+    for example in problem.examples:
+        try:
+            expected.append(evaluate(expr, example.input))
+        except InterpreterError:
+            expected.append(EVAL_ERROR)
+    vector = RuleCode(grammar, problem).vector(program)
+    assert_same_vector(vector, tuple(expected))
+    assert (type(vector) is _Const) is not _reads_input(expr)
+
+
+def test_no_constant_mark_sits_on_an_empty_vector():
+    for name, (start, _, _) in BUNDLED.items():
+        grammar = parse_grammar((SUITES_DIR / name / "default.herbg").read_text())
+        code = RuleCode(grammar, Problem("empty"))
+        rng = random.Random(3)
+        for _ in range(50):
+            program = random_complete_tree(grammar, start, rng, 4)
+            vector = output_vector(grammar, program, Problem("empty"))
+            assert vector == () and type(vector) is tuple
+            assert type(code.vector(program)) is tuple
+    assert _constant("!", 0) == () and type(_constant("!", 0)) is tuple
+
+
+def _operator_rules(grammar):
+    return [rule for rule in grammar.indices if grammar.childtypes(rule)]
+
+
+def test_operator_code_is_shared_per_grammar_structure():
+    # The per-task grammars of a suite share one structure, as does a
+    # reweighted copy: every RuleCode over them reads one table, and so
+    # one code object per operator rule.
+    pairs = get_all_problem_grammar_pairs(SUITES_DIR / "mini-strings")
+    (first_file, first), (second_file, second) = pairs[0], pairs[1]
+    assert first._structure is second._structure
+    reweighted = set_uniform_probabilities(first)
+    assert reweighted._structure is first._structure
+    codes = [
+        RuleCode(first, first_file.problem),
+        RuleCode(second, second_file.problem),
+        RuleCode(reweighted, second_file.problem),
+    ]
+    rules = _operator_rules(first)
+    assert rules
+    for rule in rules:
+        assert codes[0][rule] is codes[1][rule] is codes[2][rule]
+    table = _STRUCTURE_CODE[first._structure]
+    assert set(table[0]) == set(rules)
+    assert all(table[0][rule] is codes[0][rule] for rule in rules)
+    # A grammar parsed afresh has a structure, and so a table, of its own,
+    # filled by its own RuleCodes.
+    fresh = parse_grammar((SUITES_DIR / "mini-strings" / "default.herbg").read_text())
+    assert fresh._structure not in _STRUCTURE_CODE
+    code = RuleCode(fresh, first_file.problem)
+    assert _STRUCTURE_CODE[fresh._structure][0] == {}
+    for rule in rules:
+        code[rule]
+    assert _STRUCTURE_CODE[fresh._structure][0] is not table[0]
+    assert set(_STRUCTURE_CODE[fresh._structure][0]) == set(rules)
+
+
+def test_leaves_and_input_reading_rules_compile_per_problem():
+    grammar = parse_grammar("Int = 1 | x\nInt = Int + Int\nInt = Int + x")
+    problems = [
+        Problem("a", (IOExample({"x": 5}, 6),)),
+        Problem("b", (IOExample({"x": 7}, 8), IOExample({"x": 2}, 3))),
+    ]
+    first, second = (RuleCode(grammar, problem) for problem in problems)
+    assert first[1] == (1,) and second[1] == (1, 1)
+    assert first[2] == (5,) and second[2] == (7, 2)
+    assert first[3] is second[3] is _VECTOR_OPS["+"]
+    assert first[4] is not second[4]
+    assert first[4](first[1]) == (6,) and second[4](second[1]) == (8, 3)
+    assert set(_STRUCTURE_CODE[grammar._structure][0]) == {3}
+
+
+def test_may_hold_bool_is_unchanged_on_the_bundled_grammars():
+    # No rule of either bundled grammar can hold a boolean, on a problem
+    # with examples or without, asked first or again from the table.
+    for name, (_, _, x) in BUNDLED.items():
+        grammar = parse_grammar((SUITES_DIR / name / "default.herbg").read_text())
+        example = IOExample({"x": x}, 0)
+        for problem in (Problem(name, (example,)), Problem("empty")):
+            for _ in range(2):
+                code = RuleCode(grammar, problem)
+                assert not any(code.may_hold_bool(rule) for rule in grammar.indices)
+
+
+def test_a_grammar_pickles_after_a_rule_code_used_it():
+    grammar, start, problem = _case("mini-strings")
+    code = RuleCode(grammar, problem)
+    program = random_complete_tree(grammar, start, random.Random(1), 4)
+    code.vector(program)
+    assert all(code.may_hold_bool(rule) is False for rule in grammar.indices)
+    copy = pickle.loads(pickle.dumps(grammar))
+    assert [copy.rule(i) for i in copy.indices] == [grammar.rule(i) for i in grammar.indices]
+    assert RuleCode(copy, problem).vector(program) == code.vector(program)

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import operator
 
@@ -485,3 +486,50 @@ def test_probe_does_not_reweight_after_its_last_cycle(g0_uniform, monkeypatch):
         run = probe_with_stats(g0_uniform, "Int", _CONTRADICTION, config)
         assert (run.program, run.cycles_completed) == (None, cycles)
         assert len(reweighted) == cycles - 1
+
+
+# Promising sets of mini-strings problems whose last output no program
+# gives, so each enumeration keeps its ties: the sha256 prefix of the sorted
+# (program, fitness) pairs, and the set's size.
+_PROMISING_PINS = {
+    "01_append_excl": ("b9a3e74a568855e6", 3),
+    "03_identity": ("e809b69ad8abd713", 16),
+    "07_first_char": ("356d92c0b9d975c6", 7),
+    "09_last_char": ("4b5c439a2d4a6ef0", 15),
+}
+
+
+def test_promising_sets_are_pinned_and_each_tie_subtree_is_walked_once(monkeypatch):
+    module = _probe_module()
+    counted = module._tie_size
+    walked = []
+
+    def tie_size(node, sizes):
+        if node.children and id(node) not in sizes:
+            walked.append(node)
+        return counted(node, sizes)
+
+    monkeypatch.setattr(module, "_tie_size", tie_size)
+    walks = 0
+    for problem_file, grammar in get_all_problem_grammar_pairs(SUITES_DIR / "mini-strings"):
+        pin = _PROMISING_PINS.get(problem_file.problem.name)
+        if pin is None:
+            continue
+        examples = problem_file.problem.examples
+        problem = Problem(
+            problem_file.problem.name,
+            examples[:-1] + (IOExample(examples[-1].input, "never"),),
+        )
+        config = IteratorConfig(
+            "mlfs", set_uniform_probabilities(grammar), problem_file.start_symbol,
+            max_depth=4, max_enumerations=1500,
+        )
+        walked.clear()
+        promising, flag = get_promising_programs_with_fitness(config, problem)
+        pairs = sorted((serialize_node(p.program), p.fitness) for p in promising)
+        assert flag == SynthFlag.suboptimal_program
+        assert (hashlib.sha256(repr(pairs).encode()).hexdigest()[:16], len(pairs)) == pin
+        # Within the cycle no inner node is walked twice.
+        assert len({id(node) for node in walked}) == len(walked)
+        walks += len(walked)
+    assert walks
