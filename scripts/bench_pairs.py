@@ -9,15 +9,17 @@ Each seed makes one pair: the ``perfbench/run.py`` of each checkout, run
 from that checkout's root with ``--trace 0`` (the setting the benchmark
 times with), one after the other.  The first of each pair alternates,
 parent first on even pairs, so a drift of the machine's speed weighs on
-both sides alike.  Per metric it prints the parent's and the
-change's median, their ratio (change over parent), the spread of the
-parent's runs (the distance between their quartiles), how many pairs
-the change improved and how many it made worse (the rest are ties, as a
-``solved_frac`` that reads the same on both sides is), in the direction
-``BENCHMARK.json`` gives for the metric
-(``?`` where it names none), looked up without the ``<workload>.`` prefix
-that ``--workload all`` gives each name.  The exit status is 0 only when every run
-exited 0 and reported ``"correct": true``.
+both sides alike.  Per metric, over the pairs in which both runs
+reported it, it prints the parent's and the change's median, their
+ratio (change over parent), the spread of the parent's runs (the
+distance between their quartiles), how many pairs the change improved
+and how many it made worse (the rest are ties, as a ``solved_frac``
+that reads the same on both sides is), in the direction
+``BENCHMARK.json`` gives for the metric (``?`` where it names none),
+looked up without the ``<workload>.`` prefix that ``--workload all``
+gives each name; then how many pairs were skipped for how many metrics.
+The exit status is 0 only when every run exited 0 and reported
+``"correct": true``.
 
 Before the first pair each checkout's ``src`` is compiled to bytecode
 (:func:`compile_sources`), so both sides import from the same cache state:
@@ -86,38 +88,54 @@ def direction(name: str, better: dict, workloads: list):
 
 
 def summary(runs: dict, better: dict, workloads: list) -> list:
-    """One header line and one line per metric that both sides' first runs
-    report: the medians, their ratio, the parent's spread, and how many
-    pairs the change made better and how many worse (ties are the rest)."""
-    names = [name for name in runs["parent"][0]["metrics"] if name in runs["change"][0]["metrics"]]
+    """One header line and one line per metric that some pair reports on
+    both sides: the medians, their ratio, the parent's spread, and how many
+    pairs the change made better and how many worse (ties are the rest).
+
+    Runs pair by seed, the parent's ``i``-th run with the change's, and a
+    metric counts only the pairs in which both runs reported it, so a
+    failed run drops its own pair and shifts no other.  Names come from
+    every run.  A last line per number of skipped pairs says how many
+    metrics skipped that many."""
+    pairs = list(zip(runs["parent"], runs["change"]))
+    names = dict.fromkeys(name for side in runs.values() for run in side for name in run["metrics"])
     lines = [
         f"{'metric':40s} {'parent':>12s} {'change':>12s} {'ratio':>8s} {'spread':>12s}"
         f" {'improved':>8s} {'worse':>8s}"
     ]
+    skipped: dict[int, int] = {}
     for name in names:
-        values = {
-            side: [run["metrics"][name]["value"] for run in runs[side] if name in run["metrics"]]
-            for side in runs
-        }
-        if len(values["parent"]) != len(values["change"]):
+        values = [
+            (parent["metrics"][name]["value"], change["metrics"][name]["value"])
+            for parent, change in pairs
+            if name in parent["metrics"] and name in change["metrics"]
+        ]
+        if len(values) < len(pairs):
+            missing = len(pairs) - len(values)
+            skipped[missing] = skipped.get(missing, 0) + 1
+        if not values:
             continue
-        medians = {side: statistics.median(values[side]) for side in runs}
+        parents, changes = zip(*values)
+        medians = {"parent": statistics.median(parents), "change": statistics.median(changes)}
         ratio = medians["change"] / medians["parent"] if medians["parent"] else float("nan")
         spread = 0.0
-        if len(values["parent"]) > 1:
-            quartiles = statistics.quantiles(values["parent"], n=4)
+        if len(parents) > 1:
+            quartiles = statistics.quantiles(parents, n=4)
             spread = quartiles[2] - quartiles[0]
         sign = {"higher": 1, "lower": -1}.get(direction(name, better, workloads))
         if sign is None:
             improved = worse = "?"
         else:
-            gains = [sign * (c - p) for p, c in zip(values["parent"], values["change"])]
-            pairs = len(gains)
-            improved = f"{sum(gain > 0 for gain in gains)}/{pairs}"
-            worse = f"{sum(gain < 0 for gain in gains)}/{pairs}"
+            gains = [sign * (c - p) for p, c in values]
+            improved = f"{sum(gain > 0 for gain in gains)}/{len(gains)}"
+            worse = f"{sum(gain < 0 for gain in gains)}/{len(gains)}"
         lines.append(
             f"{name:40s} {medians['parent']:12.6g} {medians['change']:12.6g} {ratio:8.4f}"
             f" {spread:12.6g} {improved:>8s} {worse:>8s}"
+        )
+    for missing, count in sorted(skipped.items()):
+        lines.append(
+            f"skipped {missing}/{len(pairs)} pairs, a side reporting no value, for {count} metrics"
         )
     return lines
 

@@ -20,7 +20,6 @@ from .errors import (
     IncompleteTreeError,
     InterpreterError,
     NodeParseError,
-    SolverStateError,
     SuiteLoadError,
     SynthkitError,
     UnboundVariableError,
@@ -76,7 +75,7 @@ from .probe import (
     probe,
     probe_with_stats,
 )
-from .solver import Checkpoint, SolverState, decompose
+from .solver import SolverState, decompose
 from .specification import IOExample, Problem, Value
 
 __version__ = "0.1.0"

@@ -66,10 +66,6 @@ class ConstraintSyntaxError(SynthkitError):
     """Malformed constraint s-expression."""
 
 
-class SolverStateError(SynthkitError):
-    """Invalid use of solver checkpoints (e.g. restoring a stale one)."""
-
-
 class ConfigError(SynthkitError):
     """Invalid iterator or synthesizer configuration."""
 

@@ -11,15 +11,15 @@ plain holes in preorder, its node count and its depth; every piece gets its
 own survey from its parent's without a walk, so a search that queues
 surveyed trees walks no partial tree after building it, and a piece is
 uniform exactly when it has no holes left.  A bare tree is surveyed once.
-A :class:`SolverState` then owns the mutable hole domains of one uniform tree:
+A :class:`SolverState` then owns the hole domains of one uniform tree:
 :meth:`~SolverState.propagate` filters domains to a fixed point under the
-active constraints.  Domains are immutable ascending tuples, and every
-change logs the hole's previous domain on a trail, so a LIFO restore puts
-each changed domain back in one step.
+active constraints.  Domains are immutable ascending tuples, and they
+change only inside that one call; a search builds a fresh state for every
+uniform tree, so nothing is ever undone.
 
 A state numbers its tree's holes once, in the preorder of
-:meth:`~SolverState.hole_paths`: domains, trail, watchers and sites all
-use those numbers, and only the public methods take paths.
+:meth:`~SolverState.hole_paths`: domains, watchers and sites all use those
+numbers, and only the public methods take paths.
 A uniform tree's shape is fixed, so each constraint is posted once per tree
 as a *site* at every position where its pattern can still match.  Posting
 is the one walk of the pattern over the tree, and it compiles the site to
@@ -34,9 +34,10 @@ sequence.  A *local* site, whose pattern reads only its own node's hole
 and binds only whole children of it, can also be decided on the texts of
 its node's children's programs: :func:`_product_mask` decides it over the
 product of those texts, in C where it compares two.
-Propagation is event-driven: a call re-checks only the sites reading a
-hole that lost a rule since the previous call, and decides each with the
-tuple test over the current domains, every decided hole at its only rule.
+Propagation is event-driven: a call checks every site once, then
+re-checks only the sites reading a hole that lost a rule since, and
+decides each with the tuple test over the current domains, every decided
+hole at its only rule.
 The strength is still singleton lookahead per hole: a rule
 is dropped when fixing the hole to it makes some constraint violated in
 every completion.  Propagation only ever drops rules that no satisfying
@@ -71,7 +72,6 @@ from .constraints import (
     PatternVar,
     misordered,
 )
-from .errors import SolverStateError
 from .grammar import Grammar
 from .nodes import Hole, Node, RuleNode, UniformHole
 
@@ -216,22 +216,6 @@ def decompose(
             for split in _split(grammar, piece, len(piece.holes) - remaining, max_depth, max_size)
         ]
     return [piece.tree for piece in pieces]
-
-
-@dataclass(frozen=True, eq=False)
-class Checkpoint:
-    """Opaque marker for a solver trail position.
-
-    ``checked`` is how much of the trail propagation had already seen when
-    the checkpoint was taken (``None`` before the first propagation), so a
-    restore also brings back which holes still await propagation.
-    ``level`` is the checkpoint's place on its state's stack of live
-    checkpoints.
-    """
-
-    trail_length: int
-    checked: int | None = None
-    level: int = 0
 
 
 @dataclass(frozen=True)
@@ -431,19 +415,19 @@ def _positions(node: Node, path: Path) -> Iterator[tuple[Path, Node]]:
 
 
 class SolverState:
-    """Backtrackable hole domains for one uniform tree.
+    """The hole domains of one uniform tree, narrowed by one propagation.
 
-    The tree's shape is fixed; the only mutable state is which rules remain
-    in each uniform hole's domain, an ascending tuple that is replaced, never
-    changed in place.  That ascending order is the order in which bfs and
-    dfs try a hole's rules.  Holes whose domain shrinks to one rule count as
-    decided and materialize as rule nodes.  Inside the state a hole is its
-    number in the preorder of :meth:`hole_paths`; the public methods take
-    its path.
+    The tree's shape is fixed; the only state is which rules remain in each
+    uniform hole's domain, an ascending tuple that is replaced, never
+    changed in place, and only by :meth:`propagate`.  That ascending order
+    is the order in which bfs and dfs try a hole's rules.  Holes whose
+    domain shrinks to one rule count as decided and materialize as rule
+    nodes.  Inside the state a hole is its number in the preorder of
+    :meth:`hole_paths`; the public methods take its path.
 
     Each constraint is posted once at every position where its pattern can
-    still match; propagation re-checks only the sites that read a hole
-    which lost a rule since the previous call.
+    still match; propagation checks every site, then re-checks only the
+    sites that read a hole which lost a rule.
     """
 
     def __init__(self, grammar: Grammar, tree: Node, constraints: Iterable[Constraint] = ()):
@@ -455,19 +439,11 @@ class SolverState:
         # Each hole's number, by path: the one translation from paths.
         self._number: dict[Path, int] = {path: i for i, (path, _) in enumerate(holes)}
         self._domains: list[tuple[int, ...]] = [tuple(sorted(node.domain)) for _, node in holes]
-        # (hole, its domain before the change), one entry per change.
-        self._trail: list[tuple[int, tuple[int, ...]]] = []
-        # Checkpoints that can still be restored, oldest first; restoring
-        # one drops every checkpoint taken after it.
-        self._live: list[Checkpoint] = []
         self._sites: list[_Site] = []
         # The sites reading each hole.
         self._watchers: list[list[int]] = [[] for _ in holes]
         # Sites that propagation left open, their outcome turning on two or more holes.
         self._open: set[int] = set()
-        # Trail prefix whose changes propagation has seen; None until the
-        # first call, which checks every site.
-        self._checked: int | None = None
         for constraint in self.constraints:
             for path, node in positions:
                 site = _post_site(constraint, node, path, self._number)
@@ -477,7 +453,7 @@ class SolverState:
                         self._watchers[hole].append(len(self._sites))
                     self._sites.append(site)
 
-    # -- domains and the trail -------------------------------------------
+    # -- domains -----------------------------------------------------------
 
     def hole_paths(self) -> list[Path]:
         """The uniform holes' paths in preorder, the order that numbers them."""
@@ -486,52 +462,6 @@ class SolverState:
     def domain(self, path: Path) -> tuple[int, ...]:
         """The hole's remaining rules, ascending: the order bfs and dfs try them in."""
         return self._domains[self._number[path]]
-
-    def _set(self, hole: int, domain: tuple[int, ...]) -> None:
-        """Replace a hole's domain, logging the previous one on the trail."""
-        self._trail.append((hole, self._domains[hole]))
-        self._domains[hole] = domain
-
-    def remove(self, path: Path, rule: int) -> None:
-        hole = self._number[path]
-        domain = self._domains[hole]
-        if rule not in domain:
-            raise KeyError(rule)
-        self._set(hole, tuple(r for r in domain if r != rule))
-
-    def assign(self, path: Path, rule: int) -> None:
-        """Shrink a hole's domain to one rule, or to nothing if the rule is absent."""
-        hole = self._number[path]
-        domain = self._domains[hole]
-        if domain != (rule,):
-            self._set(hole, (rule,) if rule in domain else ())
-
-    def save_state(self) -> Checkpoint:
-        checkpoint = Checkpoint(len(self._trail), self._checked, len(self._live))
-        self._live.append(checkpoint)
-        return checkpoint
-
-    def restore_state(self, checkpoint: Checkpoint) -> None:
-        """Undo every domain change since ``checkpoint``; it stays restorable.
-
-        Checkpoints nest: restoring one makes every checkpoint taken after
-        it stale, and restoring a stale one raises SolverStateError.
-        """
-        live = self._live
-        if checkpoint.level >= len(live) or live[checkpoint.level] is not checkpoint:
-            raise SolverStateError(
-                "stale checkpoint: an earlier save_state was already restored past it"
-            )
-        del live[checkpoint.level + 1 :]
-        while len(self._trail) > checkpoint.trail_length:
-            hole, previous = self._trail.pop()
-            self._domains[hole] = previous
-            # A site settled on the narrower domain may be open again.
-            self._open.update(self._watchers[hole])
-        if checkpoint.checked is None or self._checked is None:
-            self._checked = None
-        else:
-            self._checked = min(checkpoint.checked, self._checked)
 
     # -- materialization ----------------------------------------------------
 
@@ -557,46 +487,40 @@ class SolverState:
 
         A rule is removed from a hole when fixing the hole to it yields a
         definite constraint violation, i.e. one present in every completion
-        of the remaining holes.  Only sites reading a hole that lost a
-        rule since the previous call are looked at again.  A site checked
-        here is settled, broken by no completion, or left open.
+        of the remaining holes.  Every site is checked once, and a site
+        reading a hole that lost a rule is checked again.  A site checked
+        here is settled, broken by no completion, or left open.  A second
+        call finds the fixed point the first one reached, and a state with
+        an emptied domain stays wiped out.
         """
-        domains, trail, watchers = self._domains, self._trail, self._watchers
-        if self._checked is None:
-            dirty = list(range(len(self._sites)))
-            read = 0
-        else:
-            dirty = []
-            read = self._checked
+        domains, watchers, sites = self._domains, self._watchers, self._sites
+        if not all(domains):
+            return False
+        dirty = list(range(len(sites)))
         queued = set(dirty)
-        current = None
+        # The numbers of the holes that lost rules and have woken no site yet.
+        trail: list[int] = []
         open_sites = self._open
-        while True:
-            # Every change not yet seen wakes the sites reading its hole;
-            # the site that just made it is already at its fixed point.
-            while read < len(trail):
-                hole = trail[read][0]
-                read += 1
-                if not domains[hole]:
-                    return False
-                for index in watchers[hole]:
-                    if index != current and index not in queued:
-                        queued.add(index)
-                        dirty.append(index)
-            if not dirty:
-                break
+        while dirty:
             current = dirty.pop()
             queued.discard(current)
-            is_open = self._filter_site(self._sites[current])
+            is_open = self._filter_site(sites[current], trail)
             if is_open is None:
                 return False
             (open_sites.add if is_open else open_sites.discard)(current)
-        self._checked = len(trail)
+            # Each change wakes the sites reading its hole; the site that
+            # just made it is already at its fixed point.
+            while trail:
+                for index in watchers[trail.pop()]:
+                    if index != current and index not in queued:
+                        queued.add(index)
+                        dirty.append(index)
         return True
 
-    def _filter_site(self, site: _Site) -> bool | None:
-        """Prune what one site forces: ``None`` when it is violated
-        outright, else whether it stays open.
+    def _filter_site(self, site: _Site, trail: list[int]) -> bool | None:
+        """Prune what one site forces, appending a narrowed hole's number
+        to ``trail``: ``None`` when it is violated outright, else whether
+        it stays open.
 
         A site no completion matches is settled.  A hole blocks the site
         while it is undecided and its pattern node, if any, does not accept
@@ -632,7 +556,8 @@ class SolverState:
             if passes(choices):
                 kept.append(rule)
         if len(kept) < len(domain):
-            self._set(blocking, tuple(kept))
+            domains[blocking] = tuple(kept)
+            trail.append(blocking)
         return False if kept else None
 
     # -- complete assignments --------------------------------------------------

@@ -277,17 +277,24 @@ def reference_materialize(state, overrides=None, node=None, path=()):
     a bound subtree built this way is what a solver site's text for it
     must read.
     """
-    if node is None:
-        node = state.root
+
+    def rules(at):
+        if overrides is not None and at in overrides:
+            return (overrides[at],)
+        return state.domain(at)
+
+    return _materialize(state.root if node is None else node, path, rules)
+
+
+def _materialize(node, path, rules):
+    """A uniform tree with each hole's domain read as ``rules(path)``: a
+    singleton becomes a rule node, any other domain a uniform hole."""
     children = tuple(
-        reference_materialize(state, overrides, child, path + (i,))
-        for i, child in enumerate(node.children)
+        _materialize(child, path + (i,), rules) for i, child in enumerate(node.children)
     )
     if isinstance(node, RuleNode):
         return RuleNode(node.rule, children)
-    if overrides is not None and path in overrides:
-        return RuleNode(overrides[path], children)
-    domain = state.domain(path)
+    domain = rules(path)
     if len(domain) == 1:
         return RuleNode(domain[0], children)
     return UniformHole(frozenset(domain), children)
@@ -296,26 +303,39 @@ def reference_materialize(state, overrides=None, node=None, path=()):
 def reference_propagate(state):
     """Whole-tree singleton lookahead: the propagation a SolverState must equal.
 
-    Drops a rule from a hole when fixing the hole to it makes the whole tree
-    definitely violate a constraint, rebuilding the tree for every (hole,
-    rule) pair and scanning every subtree, until nothing changes.  Returns
+    Reads the state's domains into a dict by path once, then drops a rule
+    from a hole when fixing the hole to it makes the whole tree definitely
+    violate a constraint, rebuilding the tree for every (hole, rule) pair
+    and scanning every subtree, until nothing changes.  The narrowed
+    domains are written back into the state once, at the end.  Returns
     False on a wipeout.  Call it as ``reference_propagate(state)`` or patch
     it in as ``SolverState.propagate``.
     """
-    constraints = state.constraints
+    paths = state.hole_paths()
+    domains = {path: tuple(state.domain(path)) for path in paths}
+    verdict = _whole_tree_lookahead(state.root, state.constraints, domains)
+    # The one write into the state under test, in its hole numbering.
+    state._domains[:] = [domains[path] for path in paths]
+    return verdict
+
+
+def _whole_tree_lookahead(root, constraints, domains):
+    """Narrow ``domains`` (a dict of rule tuples by path) in place by
+    whole-tree singleton lookahead; False on a wipeout."""
     if not constraints:
-        return all(state.domain(path) for path in state.hole_paths())
+        return all(domains.values())
     changed = True
     while changed:
         changed = False
-        if definitely_violated(constraints, reference_materialize(state)):
+        if definitely_violated(constraints, _materialize(root, (), domains.__getitem__)):
             return False
-        for path in state.hole_paths():
-            for rule in state.domain(path):
-                if definitely_violated(constraints, reference_materialize(state, {path: rule})):
-                    state.remove(path, rule)
+        for path in domains:
+            for rule in domains[path]:
+                fixed = {**domains, path: (rule,)}
+                if definitely_violated(constraints, _materialize(root, (), fixed.__getitem__)):
+                    domains[path] = tuple(r for r in domains[path] if r != rule)
                     changed = True
-            if not state.domain(path):
+            if not domains[path]:
                 return False
     return True
 
@@ -397,32 +417,22 @@ def reference_max_rulenode_log_probability(node, grammar):
 def reference_assignments_depth_first(state, code=None):
     """A uniform tree's programs depth-first, rebuilding the whole tree each time.
 
-    Decides the holes in preorder through the solver state, each hole's
-    rules in ascending order and the last hole varying fastest, and
-    materializes every complete assignment with ``state.current_tree()``,
-    keeping those that satisfy the state's constraints.  Each program comes
-    as ``(program, None, vector)``, as the iterators' walk yields it: no
+    Reads each hole's rules off ``state.domain`` in preorder, sorts them
+    ascending, and takes every complete assignment with the last hole
+    varying fastest.  It builds each with :func:`reference_materialize`
+    and keeps those that satisfy the state's constraints by
+    :func:`~synthkit.constraints.check_program`, so it shares no code with
+    the solver's propagation or tests.  Each program comes as
+    ``(program, None, vector)``, as the iterators' walk yields it: no
     log-probability, and the output vector from a whole-tree fold,
     ``code.vector(program)`` (``None`` without code).  Patch it in as
     ``iterators._assignments_depth_first``.
     """
     holes = state.hole_paths()
-
-    def fill(i):
-        if i == len(holes):
-            program = state.current_tree()
-            if check_program(state.constraints, program):
-                yield program, None, None if code is None else code.vector(program)
-            return
-        path = holes[i]
-        for rule in sorted(state.domain(path)):
-            checkpoint = state.save_state()
-            state.assign(path, rule)
-            if state.propagate():
-                yield from fill(i + 1)
-            state.restore_state(checkpoint)
-
-    return fill(0)
+    for rules in product(*(sorted(state.domain(path)) for path in holes)):
+        program = reference_materialize(state, dict(zip(holes, rules)))
+        if check_program(state.constraints, program):
+            yield program, None, None if code is None else code.vector(program)
 
 
 def reference_lexicographic_walk(state, code=None):

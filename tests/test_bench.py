@@ -705,3 +705,52 @@ def test_bench_pairs_summary_counts_ties_apart_from_losses():
     assert rows["suite_s"][-2:] == ["1/3", "1/3"]
     assert rows["odd"][-2:] == ["?", "?"]
     assert [float(v) for v in rows["programs_per_s"][:2]] == [100, 105]
+    assert not any(line.startswith("skipped") for line in lines)
+
+
+def _canned_run(**metrics):
+    """A run's result as ``perfbench/run.py`` prints it; no metrics is a failed run."""
+    return {"metrics": {name: {"value": value} for name, value in metrics.items()}}
+
+
+def test_bench_pairs_summary_pairs_runs_by_seed():
+    # Four seeds, the change 10 faster in every pair; the third parent run
+    # and the fourth change run failed.  Only the first two pairs have both
+    # sides, so the change wins 2 of 2 and loses none: filtering each side
+    # on its own would pair the parent's fourth run with the change's
+    # third and read one loss in three.
+    parent = [_canned_run(programs_per_s=v, suite_s=1.0) for v in (100, 120, 140, 160)]
+    change = [_canned_run(programs_per_s=v, suite_s=1.0) for v in (110, 130, 150, 170)]
+    parent[2] = change[3] = _canned_run()
+    root = Path(__file__).resolve().parent.parent
+    bench_pairs = _bench_pairs()
+    better, workloads = bench_pairs.directions(root)
+    _, *lines = bench_pairs.summary({"parent": parent, "change": change}, better, workloads)
+    rows = {line.split()[0]: line.split()[1:] for line in lines}
+    assert rows["programs_per_s"][-2:] == ["2/2", "0/2"]
+    assert [float(v) for v in rows["programs_per_s"][:2]] == [110, 120]
+    assert rows["suite_s"][-2:] == ["0/2", "0/2"]
+    assert [line for line in lines if line.startswith("skipped")] == [
+        "skipped 2/4 pairs, a side reporting no value, for 2 metrics"
+    ]
+
+
+def test_bench_pairs_summary_takes_metric_names_from_any_run():
+    # A failed first parent run reports no metrics; the names still come
+    # from the other runs, and the pair it spoils is skipped.  A metric
+    # that only one side ever reports has no pair and no row.
+    parent = [_canned_run(), _canned_run(programs_per_s=100), _canned_run(programs_per_s=90)]
+    change = [
+        _canned_run(programs_per_s=v, only_change=1.0) for v in (120, 95, 100)
+    ]
+    root = Path(__file__).resolve().parent.parent
+    bench_pairs = _bench_pairs()
+    better, workloads = bench_pairs.directions(root)
+    _, *lines = bench_pairs.summary({"parent": parent, "change": change}, better, workloads)
+    rows = {line.split()[0]: line.split()[1:] for line in lines}
+    assert rows["programs_per_s"][-2:] == ["1/2", "1/2"]
+    assert "only_change" not in rows
+    assert [line for line in lines if line.startswith("skipped")] == [
+        "skipped 1/3 pairs, a side reporting no value, for 1 metrics",
+        "skipped 3/3 pairs, a side reporting no value, for 1 metrics",
+    ]

@@ -9,7 +9,6 @@ from synthkit import (
     Hole,
     IteratorConfig,
     RuleNode,
-    SolverStateError,
     UniformHole,
     check_program,
     decompose,
@@ -139,9 +138,21 @@ def test_propagate_reaches_fixed_point(g0):
     )
     state = SolverState(g0, tree, [FORBID_PLUS_AA])
     assert state.propagate() is True
-    snapshot = {path: state.domain(path) for path in state.hole_paths()}
+    snapshot = _domains(state)
     assert state.propagate() is True
-    assert snapshot == {path: state.domain(path) for path in state.hole_paths()}
+    assert snapshot == _domains(state)
+    # A wiped-out state stays wiped out: "3" orders after both "1" and "2",
+    # so the first call empties the right hole, and a second call must see
+    # the emptied domain and leave every domain as it is.
+    tree = UniformHole(
+        frozenset({4}), (UniformHole(frozenset({3})), UniformHole(frozenset({1, 2})))
+    )
+    state = SolverState(g0, tree, [ORDER_PLUS])
+    assert state.propagate() is False
+    snapshot = _domains(state)
+    assert snapshot == {(): (4,), (0,): (3,), (1,): ()}
+    assert state.propagate() is False
+    assert snapshot == _domains(state)
 
 
 def test_a_site_is_violated_only_in_every_completion(g0):
@@ -158,9 +169,10 @@ def test_a_site_is_violated_only_in_every_completion(g0):
     state = SolverState(g0, RuleNode(4, (leaf, leaf)), [FORBID_PLUS_AA])
     assert state.propagate() is True
     assert _domains(state) == {(0,): (1, 3), (1,): (1, 3)}
-    state.assign((0,), 1)
+    # With the left hole decided, only the right one's equal rule completes a match.
+    state = SolverState(g0, RuleNode(4, (UniformHole(frozenset({1})), leaf)), [FORBID_PLUS_AA])
     assert state.propagate() is True
-    assert state.domain((1,)) == (3,)
+    assert _domains(state) == {(0,): (1,), (1,): (3,)}
 
 
 def test_choice_tuples_are_tested_only_against_the_sites_propagation_left_open(g0):
@@ -179,16 +191,12 @@ def test_choice_tuples_are_tested_only_against_the_sites_propagation_left_open(g
     assert [test(choices) for choices in [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 0, 0)]] == [
         False, True, False, True,
     ]
-    checkpoint = state.save_state()
-    state.assign((), 4)
-    state.assign((0,), 1)
-    # One undecided hole is left: propagation prunes it and settles the site.
+    # With one undecided hole, propagation prunes it and settles the site.
+    tree = UniformHole(frozenset({4}), (UniformHole(frozenset({1})), leaf))
+    state = SolverState(g0, tree, [FORBID_PLUS_AA])
     assert state.propagate() is True
     assert state.domain((1,)) == (3,)
-    assert state.choice_tests(rules()) == []
-    # Restoring the wider domains opens the site again.
-    state.restore_state(checkpoint)
-    assert [last for last, _ in state.choice_tests(rules())] == [2]
+    assert state.choice_tests(rules()) == [] and state.choice_test(rules()) is None
 
 
 def test_solver_state_rejects_plain_holes(g0):
@@ -196,77 +204,12 @@ def test_solver_state_rejects_plain_holes(g0):
         SolverState(g0, Hole(FULL_INT))
 
 
-def test_save_restore_round_trip(g0):
-    tree = UniformHole(frozenset({1, 2, 3}))
-    state = SolverState(g0, tree)
-    checkpoint = state.save_state()
-    state.remove((), 2)
-    assert state.domain(()) == (1, 3)
-    state.restore_state(checkpoint)
-    assert state.domain(()) == (1, 2, 3)
-
-
-def test_restore_after_infeasible_propagation(g0):
-    tree = UniformHole(frozenset({4}), (RuleNode(1), RuleNode(1)))
-    state = SolverState(g0, tree, [FORBID_PLUS_AA])
-    checkpoint = state.save_state()
-    assert state.propagate() is False
-    state.restore_state(checkpoint)
-    assert state.domain(()) == (4,)
-
-
-def test_nested_save_restore_lifo(g0):
-    state = SolverState(g0, UniformHole(frozenset({1, 2, 3})))
-    first = state.save_state()
-    state.remove((), 1)
-    second = state.save_state()
-    state.remove((), 2)
-    state.restore_state(second)
-    assert state.domain(()) == (2, 3)
-    state.restore_state(first)
-    assert state.domain(()) == (1, 2, 3)
-
-
-def test_stale_checkpoint_raises(g0):
-    state = SolverState(g0, UniformHole(frozenset({1, 2, 3})))
-    early = state.save_state()
-    state.remove((), 1)
-    late = state.save_state()
-    state.restore_state(early)
-    with pytest.raises(SolverStateError):
-        state.restore_state(late)
-
-
-def test_checkpoint_from_an_abandoned_branch_is_stale(g0):
-    # The trail is long enough again when ``late`` is restored, but it holds
-    # other removals than the ones ``late`` was taken after.
-    state = SolverState(g0, UniformHole(frozenset({1, 2, 3})))
-    early = state.save_state()
-    state.remove((), 1)
-    late = state.save_state()
-    state.restore_state(early)
-    state.remove((), 2)
-    state.remove((), 3)
-    with pytest.raises(SolverStateError):
-        state.restore_state(late)
-    assert state.domain(()) == (1,)
-
-
-def test_a_checkpoint_can_be_restored_again(g0):
-    state = SolverState(g0, UniformHole(frozenset({1, 2, 3})))
-    checkpoint = state.save_state()
-    state.remove((), 1)
-    state.restore_state(checkpoint)
-    state.remove((), 2)
-    state.restore_state(checkpoint)
-    assert state.domain(()) == (1, 2, 3)
-
-
 def test_assign_promotes_to_rule_node(g0):
-    tree = UniformHole(frozenset({1, 2, 3}))
-    state = SolverState(g0, tree)
-    state.assign((), 2)
-    assert state.current_tree() == RuleNode(2)
+    # A hole decided to one rule, here from the start, materializes as a rule node.
+    right = UniformHole(frozenset({1, 3}))
+    state = SolverState(g0, UniformHole(frozenset({4}), (UniformHole(frozenset({2})), right)))
+    assert state.propagate() is True
+    assert state.current_tree() == RuleNode(4, (RuleNode(2), right))
 
 
 def _uniform_trees_to_depth(grammar, bound):
@@ -443,53 +386,59 @@ def _domains(state):
     return {path: state.domain(path) for path in state.hole_paths()}
 
 
-def test_local_propagation_matches_whole_tree_lookahead(g0):
-    # Both states see the same random assign/remove/save/restore steps; the
-    # site-based propagation must agree with whole-tree singleton lookahead
-    # on every verdict and, while feasible, on every domain.  A wiped-out
-    # state is restored right away, as the iterators do, because how far a
-    # failing propagation pruned before it stopped is unspecified.
+def _narrowed(node, narrow):
+    """The uniform tree with each hole's domain replaced by ``narrow`` of
+    its ascending rule tuple, the holes visited in preorder."""
+    if isinstance(node, RuleNode):
+        return RuleNode(node.rule, tuple(_narrowed(child, narrow) for child in node.children))
+    # The hole's own domain is narrowed before its children's.
+    domain = frozenset(narrow(tuple(sorted(node.domain))))
+    return UniformHole(domain, tuple(_narrowed(child, narrow) for child in node.children))
+
+
+def test_local_propagation_matches_whole_tree_lookahead(g0, monkeypatch):
+    # On uniform trees whose holes are narrowed at random, some to one
+    # rule and some by one rule, one site-based propagation must agree
+    # with whole-tree singleton lookahead on its verdict and, while
+    # feasible, on every domain.  How far a failing propagation pruned
+    # before it stopped is unspecified.  Some propagations must check a
+    # site again after another site narrowed a hole it reads.
+    filter_site = SolverState._filter_site
+    checks = []
+
+    def counted_filter_site(state, site, trail):
+        checks.append(site)
+        return filter_site(state, site, trail)
+
+    monkeypatch.setattr(SolverState, "_filter_site", counted_filter_site)
     rng = random.Random(11)
     trees = _uniform_trees_to_depth(g0, 4)
-    verdicts = set()
-    for _ in range(150):
-        tree = rng.choice(trees)
+
+    def narrow(domain):
+        roll = rng.random()
+        if len(domain) == 1 or roll >= 0.5:
+            return domain
+        if roll < 0.3:
+            return (rng.choice(domain),)
+        dropped = rng.choice(domain)
+        return tuple(rule for rule in domain if rule != dropped)
+
+    verdicts = {True: 0, False: 0}
+    rechecked = 0
+    for _ in range(600):
+        tree = _narrowed(rng.choice(trees), narrow)
         constraints = rng.sample(PROPAGATION_FORMS, rng.randint(1, 3))
         local = SolverState(g0, tree, constraints)
         whole = SolverState(g0, tree, constraints)
-        checkpoints = []
-        for _ in range(40):
-            roll = rng.random()
-            open_holes = [p for p in local.hole_paths() if len(local.domain(p)) > 1]
-            if roll < 0.3 and open_holes:
-                path = rng.choice(open_holes)
-                rule = rng.choice(local.domain(path))
-                local.assign(path, rule)
-                whole.assign(path, rule)
-            elif roll < 0.4 and open_holes:
-                path = rng.choice(open_holes)
-                rule = rng.choice(local.domain(path))
-                local.remove(path, rule)
-                whole.remove(path, rule)
-            elif roll < 0.55:
-                checkpoints.append((local.save_state(), whole.save_state()))
-            elif roll < 0.7 and checkpoints:
-                del checkpoints[rng.randrange(len(checkpoints)) + 1 :]
-                mine, theirs = checkpoints.pop()
-                local.restore_state(mine)
-                whole.restore_state(theirs)
-            else:
-                verdict = local.propagate()
-                assert verdict == reference_propagate(whole)
-                verdicts.add(verdict)
-                if not verdict:
-                    if not checkpoints:
-                        break
-                    mine, theirs = checkpoints.pop()
-                    local.restore_state(mine)
-                    whole.restore_state(theirs)
+        del checks[:]
+        verdict = local.propagate()
+        rechecked += len(checks) > len(local._sites)
+        assert verdict == reference_propagate(whole)
+        verdicts[verdict] += 1
+        if verdict:
             assert _domains(local) == _domains(whole)
-    assert verdicts == {True, False}
+    assert verdicts[True] > 100 and verdicts[False] > 100
+    assert rechecked > 20
 
 
 def _uniform_domains(node, path=()):
@@ -498,50 +447,6 @@ def _uniform_domains(node, path=()):
     for i, child in enumerate(node.children):
         found.update(_uniform_domains(child, path + (i,)))
     return found
-
-
-def test_domain_bookkeeping_matches_a_plain_model(g0):
-    # Without constraints a state must act like a dict of frozensets with a
-    # stack of snapshot copies: assign intersects (so a rule outside the
-    # domain empties it), remove drops one rule and raises for a missing
-    # one, and a restore, also to an older or already restored checkpoint,
-    # brings back the snapshot.  propagate() fails exactly when some domain
-    # is empty.
-    rng = random.Random(5)
-    trees = [t for t in _uniform_trees_to_depth(g0, 3) if len(_uniform_domains(t)) > 1]
-    verdicts = set()
-    for _ in range(200):
-        tree = rng.choice(trees)
-        state = SolverState(g0, tree)
-        model = _uniform_domains(tree)
-        checkpoints = []
-        for _ in range(50):
-            roll = rng.random()
-            path = rng.choice(sorted(model))
-            rule = rng.randint(1, 5)
-            if roll < 0.25:
-                state.assign(path, rule)
-                model[path] &= {rule}
-            elif roll < 0.45:
-                if rule in model[path]:
-                    state.remove(path, rule)
-                    model[path] -= {rule}
-                else:
-                    with pytest.raises(KeyError):
-                        state.remove(path, rule)
-            elif roll < 0.6:
-                checkpoints.append((state.save_state(), dict(model)))
-            elif roll < 0.8 and checkpoints:
-                del checkpoints[rng.randrange(len(checkpoints)) + 1 :]
-                checkpoint, snapshot = checkpoints[-1]
-                state.restore_state(checkpoint)
-                model = dict(snapshot)
-            else:
-                verdict = state.propagate()
-                assert verdict == all(model.values())
-                verdicts.add(verdict)
-            assert _domains(state) == {p: tuple(sorted(d)) for p, d in model.items()}
-    assert verdicts == {True, False}
 
 
 ENUM_CONSTRAINED_SETS = [
@@ -697,26 +602,21 @@ def test_unconstrained_drains_make_no_trail_calls(g0, kind, monkeypatch):
     # holes' domains: the only propagation is the one each uniform tree
     # gets when it is queued.
     strings = parse_grammar((SUITES_DIR / "mini-strings" / "default.herbg").read_text())
-    counts = _counting(
-        monkeypatch, ["__init__", "save_state", "assign", "restore_state", "propagate"]
-    )
+    counts = _counting(monkeypatch, ["__init__", "propagate"])
     for grammar, start, max_depth, max_size in [(g0, "Int", 4, 9), (strings, "S", 3, 6)]:
         config = IteratorConfig(kind, grammar, start, max_depth=max_depth, max_size=max_size)
         assert not has_recording(grammar)
         assert sum(1 for _ in make_iterator(config)) > 0
     assert counts["__init__"] > 0
     assert counts["propagate"] == counts["__init__"]
-    assert counts["save_state"] == counts["assign"] == counts["restore_state"] == 0
 
 
 @pytest.mark.parametrize("kind", ["bfs", "dfs", "mlfs"])
 def test_constrained_drains_propagate_once_per_uniform_tree(g0, kind, monkeypatch):
     # Every search decides constraints with choice-tuple tests, so under
     # constraints too the only propagation is the one each uniform tree
-    # gets when it is queued, and no search touches the trail.
-    counts = _counting(
-        monkeypatch, ["__init__", "save_state", "assign", "restore_state", "propagate"]
-    )
+    # gets when it is queued.
+    counts = _counting(monkeypatch, ["__init__", "propagate"])
     for constraints in ENUM_CONSTRAINED_SETS:
         config = IteratorConfig(
             kind, g0, "Int", max_depth=4, max_size=7, constraints=tuple(constraints)
@@ -725,7 +625,6 @@ def test_constrained_drains_propagate_once_per_uniform_tree(g0, kind, monkeypatc
         assert sum(1 for _ in make_iterator(config)) > 0
     assert counts["__init__"] > 0
     assert counts["propagate"] == counts["__init__"]
-    assert counts["save_state"] == counts["assign"] == counts["restore_state"] == 0
 
 
 @pytest.mark.parametrize("kind", ["bfs", "dfs"])
@@ -859,8 +758,8 @@ def test_the_choice_tuple_walk_tests_each_prefix_where_its_sites_complete(
     g0, kind, monkeypatch
 ):
     # Per uniform tree, bfs and dfs must yield exactly the reference's
-    # programs, which decides every hole through the trail and checks each
-    # complete tree.  Each group of sites must be tested on prefixes that
+    # programs, which checks every assignment of the propagated domains as
+    # a complete tree.  Each group of sites must be tested on prefixes that
     # end at the position where it completes, once for each prefix whose
     # earlier groups pass, so a failing prefix skips every tuple extending
     # it; and only the programs the walk yields are built: each yielded
@@ -903,9 +802,9 @@ def test_the_choice_tuple_walk_tests_each_prefix_where_its_sites_complete(
         assert [(serialize_node(p), v) for p, v, _ in programs] == [
             (serialize_node(p), v) for p, v, _ in expected
         ]
-        # The reference propagates through the same site reader as the
-        # walk, so the walk must also equal what check_program keeps of
-        # every assignment of the tree's original domains, in order.
+        # The reference reads the domains propagation left, so the walk
+        # must also equal what check_program keeps of every assignment of
+        # the tree's original domains, in order.
         paths = state.hole_paths()
         original = _uniform_domains(state.root)
         truth = [
@@ -1229,12 +1128,16 @@ def test_text_bounds_are_the_least_and_greatest_serialized_completions(g0):
             tree = random_partial_tree(grammar, start, rng, 3)
             while not is_uniform(tree):
                 tree = rng.choice(decompose(grammar, tree, max_depth=4, max_size=9))
+
+            def narrow(domain):
+                if len(domain) > 1 and rng.random() < 0.3:
+                    dropped = rng.choice(domain)
+                    return tuple(rule for rule in domain if rule != dropped)
+                return domain
+
+            tree = _narrowed(tree, narrow)
             state = SolverState(grammar, tree, constraints)
             paths = state.hole_paths()
-            for path in paths:
-                domain = state.domain(path)
-                if len(domain) > 1 and rng.random() < 0.3:
-                    state.remove(path, rng.choice(domain))
             domains = [state.domain(path) for path in paths]
             number = {path: i for i, path in enumerate(paths)}
             for constraint in constraints:
@@ -1303,10 +1206,9 @@ def test_site_templates_read_the_serialized_materialized_subtrees(g0, monkeypatc
         paths = state.hole_paths()
         number = {path: i for i, path in enumerate(paths)}
         original = [state.domain(path) for path in paths]
-        for path, domain in zip(paths, original):
-            state.assign(path, rng.choice(domain))
-        # Every hole decided to its assigned rule, read from its original domain.
-        decided = [domain.index(state.domain(path)[0]) for path, domain in zip(paths, original)]
+        # Every hole decided to a rule of its original domain.
+        chosen = [rng.choice(domain) for domain in original]
+        decided = [domain.index(rule) for rule, domain in zip(chosen, original)]
         reposted = []
         for constraint in PROPAGATION_FORMS:
             for at, node in _positions(tree, ()):
@@ -1336,7 +1238,9 @@ def test_site_templates_read_the_serialized_materialized_subtrees(g0, monkeypatc
                     for rule in original[hole]
                 ]
                 for blocking, rule in blockers:
-                    overrides = None if blocking is None else {paths[blocking]: rule}
+                    overrides = dict(zip(paths, chosen))
+                    if blocking is not None:
+                        overrides[paths[blocking]] = rule
                     choices = list(decided)
                     if blocking is not None:
                         choices[blocking] = original[blocking].index(rule)
