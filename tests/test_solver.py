@@ -204,6 +204,132 @@ def test_solver_state_rejects_plain_holes(g0):
         SolverState(g0, Hole(FULL_INT))
 
 
+def _narrowed_at_random(rng):
+    """A ``narrow`` for :func:`_narrowed` that decides some holes to one rule."""
+
+    def narrow(domain):
+        return (rng.choice(domain),) if rng.random() < 0.3 else domain
+
+    return narrow
+
+
+def test_save_restore_round_trip(g0):
+    # A state saves as its current tree, and a state built from that tree
+    # under the same constraints restores it: every hole left open keeps
+    # its domain, and propagating again prunes nothing more.
+    rng = random.Random(3)
+    trees = _uniform_trees_to_depth(g0, 3)
+    restored_count = 0
+    for _ in range(300):
+        tree = _narrowed(rng.choice(trees), _narrowed_at_random(rng))
+        constraints = rng.sample(PROPAGATION_FORMS, rng.randint(1, 3))
+        state = SolverState(g0, tree, constraints)
+        if not state.propagate():
+            continue
+        saved = state.current_tree()
+        open_domains = {path: d for path, d in _domains(state).items() if len(d) > 1}
+        restored = SolverState(g0, saved, constraints)
+        assert _domains(restored) == open_domains
+        assert restored.propagate() is True
+        assert _domains(restored) == open_domains
+        assert restored.current_tree() == saved
+        restored_count += 1
+    assert restored_count > 100
+
+
+def test_restore_after_infeasible_propagation(g0):
+    # A wipeout narrows only its own state: the tree it started from is as
+    # it was, so a state built from that tree again starts from its domains.
+    tree = UniformHole(frozenset({4}), (RuleNode(1), RuleNode(1)))
+    state = SolverState(g0, tree, [FORBID_PLUS_AA])
+    assert state.propagate() is False
+    assert state.root == UniformHole(frozenset({4}), (RuleNode(1), RuleNode(1)))
+    assert SolverState(g0, tree, [FORBID_PLUS_AA]).domain(()) == (4,)
+    restored = SolverState(g0, tree)
+    assert restored.propagate() is True
+    assert restored.domain(()) == (4,)
+
+
+def test_nested_save_restore_lifo(g0):
+    # States nest: each is built from the one before's current tree under
+    # one more constraint.  An inner state narrows only its own domains, so
+    # going back out, every outer state, and a state rebuilt from its saved
+    # tree, still has the domains it had.
+    three = frozenset({1, 2, 3})
+    tree = UniformHole(frozenset({4}), (UniformHole(three), UniformHole(three)))
+    constraints = [
+        FORBID_PLUS_AA,
+        parse_constraint("(forbidden (rule 4 (rule 1) (var x)))"),
+        parse_constraint("(forbidden (rule 4 (rule 2) (var x)))"),
+    ]
+    expected = [
+        {(): (4,), (0,): (1, 2, 3), (1,): (1, 2, 3)},
+        {(0,): (2, 3), (1,): (1, 2, 3)},
+        {(0,): (3,), (1,): (1, 2)},
+    ]
+    states, saved = [], [tree]
+    for level in range(len(constraints)):
+        state = SolverState(g0, saved[-1], constraints[: level + 1])
+        assert state.propagate() is True
+        assert _domains(state) == expected[level]
+        states.append(state)
+        saved.append(state.current_tree())
+    assert saved[-1] == RuleNode(4, (RuleNode(3), UniformHole(frozenset({1, 2}))))
+    for level in reversed(range(len(constraints))):
+        assert _domains(states[level]) == expected[level]
+        assert states[level].current_tree() == saved[level + 1]
+        restored = SolverState(g0, saved[level + 1], constraints[: level + 1])
+        assert restored.propagate() is True
+        assert restored.current_tree() == saved[level + 1]
+
+
+def test_a_checkpoint_can_be_restored_again(g0):
+    # A tree is a checkpoint that any number of states restore: each state
+    # built from it starts from the tree's domains, whatever an earlier one
+    # narrowed, and propagates to the same domains.
+    leaf = UniformHole(frozenset({1, 3}))
+    tree = RuleNode(4, (UniformHole(frozenset({1})), leaf))
+    first = SolverState(g0, tree, [FORBID_PLUS_AA])
+    assert first.propagate() is True
+    assert _domains(first) == {(0,): (1,), (1,): (3,)}
+    for _ in range(2):
+        again = SolverState(g0, tree, [FORBID_PLUS_AA])
+        assert _domains(again) == {(0,): (1,), (1,): (1, 3)}
+        assert again.propagate() is True
+        assert _domains(again) == _domains(first)
+    assert _domains(first) == {(0,): (1,), (1,): (3,)}
+
+
+def test_domain_bookkeeping_matches_a_plain_model(g0):
+    # Without constraints a state must act like a dict of its tree's hole
+    # domains as ascending tuples, keyed by path in preorder: propagate()
+    # succeeds and changes none, and the current tree turns exactly the
+    # one-rule holes into rule nodes.
+    rng = random.Random(5)
+    trees = [t for t in _uniform_trees_to_depth(g0, 3) if len(_uniform_domains(t)) > 1]
+    decided_count = 0
+    for _ in range(200):
+        tree = _narrowed(rng.choice(trees), _narrowed_at_random(rng))
+        model = {path: tuple(sorted(d)) for path, d in _uniform_domains(tree).items()}
+        state = SolverState(g0, tree)
+        assert state.hole_paths() == list(model)
+        assert _domains(state) == model
+        assert state.propagate() is True
+        assert _domains(state) == model
+        current = state.current_tree()
+        for path, domain in model.items():
+            node = _subtree(current, path)
+            if len(domain) == 1:
+                assert isinstance(node, RuleNode) and node.rule == domain[0]
+                decided_count += 1
+            else:
+                assert isinstance(node, UniformHole) and node.domain == frozenset(domain)
+        assert _uniform_domains(current) == {
+            path: frozenset(d) for path, d in model.items() if len(d) > 1
+        }
+    assert decided_count > 50
+
+
 def test_assign_promotes_to_rule_node(g0):
     # A hole decided to one rule, here from the start, materializes as a rule node.
     right = UniformHole(frozenset({1, 3}))
